@@ -12,7 +12,7 @@
 use htm_sim::obs::{log2_bucket, write_jsonl, AbortBreakdown, ConflictMatrix, WaitHistogram};
 use htm_sim::Machine;
 use stagger_bench::profiling::{conflict_pairs, describe_tag};
-use stagger_bench::{parse_mode, Args, CommonOpts, Exhibit};
+use stagger_bench::{parse_mode, Args, CommonOpts, Exhibit, Report};
 use stagger_core::{Mode, RuntimeConfig};
 use workloads::PreparedWorkload;
 
@@ -72,9 +72,11 @@ fn main() {
     let p = PreparedWorkload::new(w.as_ref());
 
     let machine = Machine::new(ex.recording_machine(opts.common.threads));
-    let r = p.run_on(&machine, &RuntimeConfig::with_mode(mode), opts.common.seed);
+    let mut r = p.run_on(&machine, &RuntimeConfig::with_mode(mode), opts.common.seed);
+    r.events = machine.take_events();
+    r.events_dropped = machine.events_dropped();
     ex.report().record(&r);
-    let streams = machine.take_events();
+    let streams = &r.events;
     let n_events: usize = streams.iter().map(|s| s.len()).sum();
 
     ex.banner(&format!(
@@ -85,8 +87,9 @@ fn main() {
         r.cycles(),
         n_events
     ));
+    Report::warn_dropped_events(&r);
 
-    let b = AbortBreakdown::from_events(&streams);
+    let b = AbortBreakdown::from_events(streams);
     println!(
         "aborts: {} conflict, {} capacity, {} explicit, {} subscription \
          ({} commits, {:.2} aborts/commit)",
@@ -99,7 +102,7 @@ fn main() {
     );
 
     // Top conflicting PC pairs, resolved through the compiled program.
-    let pairs = conflict_pairs(&streams);
+    let pairs = conflict_pairs(streams);
     let c = p.compiled();
     println!();
     println!("top conflicting PC pairs");
@@ -124,7 +127,7 @@ fn main() {
     }
 
     // The raw victim×aborter matrix (top cells).
-    let matrix = ConflictMatrix::from_events(&streams);
+    let matrix = ConflictMatrix::from_events(streams);
     println!();
     println!(
         "conflict matrix: {} distinct (victim, aborter) tag cells, {} conflict aborts",
@@ -137,7 +140,7 @@ fn main() {
 
     // Per-lock-word wait histograms (advisory locks only exist in the
     // staggered modes; HTM runs simply have no lock events).
-    let waits = WaitHistogram::from_events(&streams);
+    let waits = WaitHistogram::from_events(streams);
     println!();
     if waits.is_empty() {
         println!("lock-wait histograms: no advisory-lock events in this mode");
@@ -166,7 +169,7 @@ fn main() {
             std::fs::File::create(path)
                 .unwrap_or_else(|e| panic!("profile: cannot create {path}: {e}")),
         );
-        write_jsonl(&mut f, &streams)
+        write_jsonl(&mut f, streams)
             .unwrap_or_else(|e| panic!("profile: write to {path} failed: {e}"));
         println!();
         println!("wrote {n_events} events to {path}");

@@ -18,7 +18,7 @@
 //! dominant blame) as JSON Lines; `--json` dumps the harness report to
 //! `results/BENCH_serve.json`.
 
-use stagger_bench::{Args, CommonOpts, Exhibit};
+use stagger_bench::{Args, CommonOpts, Exhibit, Report};
 use stagger_core::{Mode, RuntimeConfig};
 use std::io::Write as _;
 use workloads::serve::Serve;
@@ -231,6 +231,7 @@ fn main() {
             let entry = &mut sustained[i / opts.loads.len()].1;
             *entry = Some(entry.map_or(ia, |best: u64| best.min(ia)));
         }
+        Report::warn_dropped_events(r);
         let cycles = r.cycles().max(1);
         let req_per_mcyc = s.count * 1_000_000 / cycles;
         println!(

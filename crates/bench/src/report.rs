@@ -15,6 +15,7 @@
 //!               "spec_speculated": 0, "spec_committed": 0,
 //!               "spec_mismatches": 0, "spec_rebuilds": 0,
 //!               "sched_calls": 9, "sched_stale": 3,
+//!               "events_complete": true, "lat_count": 4, "lat_p50": 100, ...,
 //!               "host_secs": 0.5, "insts_per_sec": 4.0,
 //!               "ns_per_inst": 250000000.0 }, ... ],
 //!   "workers": [ { "worker": 0, "jobs_run": 3, "busy_secs": 1.2,
@@ -64,6 +65,9 @@ pub struct RunRecord {
     /// observability events (simulated cycles; request-level for the
     /// serving exhibits, transaction-level otherwise).
     pub latency: Option<LatencySummary>,
+    /// Events the bounded per-core rings overwrote, all cores together:
+    /// nonzero means `latency` is over a truncated stream.
+    pub events_dropped: u64,
 }
 
 impl RunRecord {
@@ -162,7 +166,19 @@ impl Report {
             sched_stale: r.out.sched.stale_refreshes,
             host_secs: r.host_secs,
             latency,
+            events_dropped: r.events_dropped.iter().sum(),
         });
+    }
+
+    /// Print `WARNING: core N dropped K events` for every core of `r` whose
+    /// event ring wrapped, so a table row computed over a truncated stream
+    /// is never shown as if complete. Call where the row is printed.
+    pub fn warn_dropped_events(r: &BenchResult) {
+        for (core, &k) in r.events_dropped.iter().enumerate() {
+            if k > 0 {
+                println!("WARNING: core {core} dropped {k} events");
+            }
+        }
     }
 
     /// The [`RunSpec`] this report's exhibit would use for `p` at
@@ -252,12 +268,15 @@ impl Report {
         s.push_str("  \"runs\": [\n");
         for (i, r) in recs.iter().enumerate() {
             // Percentile digest of the run's latency distribution, when
-            // the run recorded observability events.
+            // the run recorded observability events, flagged incomplete
+            // if a ring wrapped.
             let lat = match &r.latency {
                 Some(l) => format!(
-                    "\"lat_count\": {}, \"lat_p50\": {}, \"lat_p90\": {}, \
+                    "\"events_complete\": {}, \
+                     \"lat_count\": {}, \"lat_p50\": {}, \"lat_p90\": {}, \
                      \"lat_p99\": {}, \"lat_p999\": {}, \"lat_max\": {}, \
                      \"lat_mean\": {}, ",
+                    r.events_dropped == 0,
                     l.count,
                     l.p50,
                     l.p90,
@@ -437,6 +456,7 @@ mod tests {
                 max: 310,
                 total: 800,
             }),
+            events_dropped: 3,
         });
         rep.records.lock().unwrap().push(RunRecord {
             workload: "alpha",
@@ -453,6 +473,7 @@ mod tests {
             sched_stale: 0,
             host_secs: 0.5,
             latency: None,
+            events_dropped: 0,
         });
         let j = rep.to_json();
         assert!(j.contains("\"exhibit\": \"unit\\\"test\""));
@@ -471,6 +492,9 @@ mod tests {
         assert!(j.contains("\"lat_p999\": 300"));
         assert!(j.contains("\"lat_mean\": 200"));
         assert_eq!(j.matches("\"lat_count\"").count(), 1);
+        // ...flagged as computed over a truncated event stream.
+        assert_eq!(j.matches("\"events_complete\"").count(), 1);
+        assert!(j.contains("\"events_complete\": false"));
         // ns_per_inst for zeta: 2.0 s * 1e9 / 20 = 1e8
         assert!(j.contains("\"ns_per_inst\": 100000000.00"));
         assert!(j.contains("\"workers\": ["));

@@ -18,7 +18,10 @@ impl CacheArray {
     pub fn new(n_sets: usize, ways: usize) -> Self {
         assert!(n_sets.is_power_of_two(), "set count must be a power of two");
         CacheArray {
-            sets: vec![Vec::with_capacity(ways); n_sets],
+            // Sets allocate on first fill: most of a large machine's sets
+            // are never touched. (A `Vec::with_capacity` template would not
+            // preallocate them either: cloning drops the capacity.)
+            sets: vec![Vec::new(); n_sets],
             ways,
             stamp: 0,
         }

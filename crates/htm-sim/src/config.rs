@@ -242,7 +242,7 @@ pub struct MachineConfig {
     /// Capacity (in lines, rounded up to a power of two; 0 disables) of
     /// the per-core line-permission cache: per transaction attempt, the
     /// simulator remembers lines whose read/write ownership bits it has
-    /// already set so repeat accesses skip the owner-directory probe.
+    /// already set so repeat accesses skip the coherence-directory probe.
     /// Host-only: under requester-wins conflict resolution a held
     /// permission can only be revoked by dooming this core (which clears
     /// the cache), so simulated cycles, stats, traces and events are
@@ -308,7 +308,7 @@ impl MachineConfig {
     /// Table 2, e.g. `MachineConfig::cores(4).small().lazy()`.
     ///
     /// Panics when `n` is outside `1..=`[`crate::coreset::MAX_CORES`] —
-    /// the ownership directory's [`crate::coreset::CoreSet`] capacity —
+    /// the coherence directory's [`crate::coreset::CoreSet`] capacity —
     /// so an unsupported core count fails loudly at construction time
     /// instead of corrupting conflict detection later.
     pub fn cores(n: usize) -> Self {

@@ -1,13 +1,14 @@
 //! Fixed-capacity multi-word core bitset.
 //!
-//! The ownership directory ([`crate::sim::Owners`]) tracks which cores hold
-//! a cache line speculatively. With a single `u32` mask the machine was
-//! structurally capped at 32 cores (`1 << tid` overflows beyond core 31);
-//! [`CoreSet`] widens that to [`MAX_CORES`] while keeping the properties the
-//! hot paths rely on:
+//! The coherence directory ([`crate::directory`]) tracks which cores hold a
+//! cache line speculatively or cache it. With a single `u32` mask the
+//! machine was structurally capped at 32 cores (`1 << tid` overflows beyond
+//! core 31); [`CoreSet`] widens that to [`MAX_CORES`] while keeping the
+//! properties the hot paths rely on:
 //!
-//! * `Copy` + cheap equality — the speculative overlay
-//!   ([`crate::spec`]) stores `Owners` *by value* in its touched-line map.
+//! * `Copy` + cheap equality — the directory builds sets from its word rows
+//!   by value, and the speculative overlay ([`crate::spec`]) stores them *by
+//!   value* in its touched-line map.
 //! * Ascending-id iteration via per-word `trailing_zeros` — the eager
 //!   requester-wins victim walk dooms cores in ascending id order, and that
 //!   order is part of the simulator's bit-identical contract.
@@ -18,13 +19,25 @@
 /// Hard upper bound on simulated cores; one [`CoreSet`] word per 64 ids.
 pub const MAX_CORES: usize = 256;
 
-const WORDS: usize = MAX_CORES / 64;
+pub(crate) const WORDS: usize = MAX_CORES / 64;
 
 /// A set of core ids in `0..MAX_CORES`, stored as a flat bitmask.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct CoreSet([u64; WORDS]);
 
 impl CoreSet {
+    /// The set whose bitmask is `words` — how the directory's plain-integer
+    /// rows become sets ([`Self::words`] is the way back).
+    #[inline]
+    pub(crate) fn from_words(words: [u64; WORDS]) -> CoreSet {
+        CoreSet(words)
+    }
+
+    #[inline]
+    pub(crate) fn words(self) -> [u64; WORDS] {
+        self.0
+    }
+
     #[inline]
     pub(crate) fn insert(&mut self, id: usize) {
         debug_assert!(id < MAX_CORES);
@@ -44,7 +57,6 @@ impl CoreSet {
     }
 
     #[inline]
-    #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.0 == [0; WORDS]
     }

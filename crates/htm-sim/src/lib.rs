@@ -40,6 +40,7 @@ pub mod addr;
 pub mod cache;
 pub mod config;
 pub mod coreset;
+pub(crate) mod directory;
 pub mod fx;
 pub mod latency;
 pub mod machine;

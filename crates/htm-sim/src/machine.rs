@@ -38,7 +38,7 @@
 
 use crate::addr::Addr;
 use crate::config::{MachineConfig, Scheduler};
-use crate::obs::{EventRing, ObsEvent, ObsKind};
+use crate::obs::{ObsEvent, ObsKind};
 use crate::sim::{apply_op, AbortCause, Op, OpResult, SimState, TraceEvent, TxError};
 use crate::spec::{
     commit_walk, spec_poll, with_base, FutCell, NgKind, NgValue, SpecMode, SpecSlot, SpecView,
@@ -571,17 +571,29 @@ impl Machine {
 
     /// Move out the per-core observability event streams, oldest first
     /// (empty unless [`MachineConfig::record_events`] was set). Consuming
-    /// like [`Machine::take_trace`]: each core's ring is replaced with a
-    /// fresh one of the same capacity.
+    /// like [`Machine::take_trace`]: each core's ring is left empty at the
+    /// same capacity. A stream is complete only if its core's
+    /// [`Machine::events_dropped`] count is 0.
     pub fn take_events(&self) -> Vec<Vec<ObsEvent>> {
         let mut st = self.shared.lock();
-        st.cores
-            .iter_mut()
-            .map(|c| {
-                let cap = c.events.capacity();
-                std::mem::replace(&mut c.events, EventRing::new(cap)).into_vec()
-            })
-            .collect()
+        st.cores.iter_mut().map(|c| c.events.take()).collect()
+    }
+
+    /// Per core, how many events its bounded ring has overwritten since the
+    /// machine was built (not reset by [`Machine::take_events`]). Nonzero
+    /// means that core's stream lost its oldest events, so statistics
+    /// derived from it are over a truncated run.
+    pub fn events_dropped(&self) -> Vec<u64> {
+        let st = self.shared.lock();
+        st.cores.iter().map(|c| c.events.dropped()).collect()
+    }
+
+    /// Test aid: the first of `lines` (line indices) whose coherence-
+    /// directory row disagrees with the caches and live transactions, if
+    /// any. Callable from a cooperative core body between its own ops.
+    #[doc(hidden)]
+    pub fn directory_violation(&self, lines: &[u64]) -> Option<String> {
+        self.shared.lock().directory_violation(lines)
     }
 
     /// Host-side allocation for setup (no simulated cycles).

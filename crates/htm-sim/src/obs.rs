@@ -143,14 +143,12 @@ impl EventRing {
         self.dropped
     }
 
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// The buffered events, oldest first.
-    pub fn into_vec(mut self) -> Vec<ObsEvent> {
+    /// Move the buffered events out, oldest first, leaving the ring empty
+    /// at the same capacity. [`Self::dropped`] keeps counting across takes.
+    pub fn take(&mut self) -> Vec<ObsEvent> {
         self.buf.rotate_left(self.start);
-        self.buf
+        self.start = 0;
+        std::mem::take(&mut self.buf)
     }
 }
 
@@ -447,7 +445,7 @@ mod tests {
         }
         assert_eq!(r.len(), 3);
         assert_eq!(r.dropped(), 2);
-        let clocks: Vec<u64> = r.into_vec().iter().map(|e| e.clock).collect();
+        let clocks: Vec<u64> = r.take().iter().map(|e| e.clock).collect();
         assert_eq!(clocks, vec![2, 3, 4], "oldest dropped, order kept");
         // Capacity 0 records nothing.
         let mut z = EventRing::new(0);
@@ -533,6 +531,35 @@ mod tests {
         assert!(streams[0][1].clock >= streams[0][0].clock);
         // Consuming: a second take returns empty streams.
         assert!(m.take_events()[0].is_empty());
+    }
+
+    #[test]
+    fn dropped_counts_survive_take_events() {
+        // Core 0 records 3 transactions = 6 events into a 4-slot ring;
+        // core 1 records one (2 events) and loses nothing.
+        let mut cfg = MachineConfig::cores(2).small();
+        cfg.record_events = true;
+        cfg.event_ring_capacity = 4;
+        let m = Machine::new(cfg);
+        let a = m.host_alloc(16, true);
+        m.run_uniform(move |mut c| async move {
+            let n = if c.tid() == 0 { 3 } else { 1 };
+            for _ in 0..n {
+                c.tx_begin(0).await;
+                c.tx_store(a + 64 * c.tid() as u64, 1, 0).await.unwrap();
+                c.tx_commit().await.unwrap();
+            }
+        });
+        assert_eq!(m.events_dropped(), vec![2, 0]);
+        let streams = m.take_events();
+        assert_eq!((streams[0].len(), streams[1].len()), (4, 2));
+        assert!(
+            matches!(streams[0][0].kind, ObsKind::TxBegin { .. }),
+            "the oldest pair was dropped, order kept"
+        );
+        // The take empties the rings but not the counts.
+        assert_eq!(m.events_dropped(), vec![2, 0]);
+        assert!(m.take_events().iter().all(|s| s.is_empty()));
     }
 
     #[test]

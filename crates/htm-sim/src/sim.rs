@@ -1,15 +1,16 @@
-//! The simulator state: flat memory, per-core caches, HTM read/write sets,
-//! eager requester-wins conflict resolution, and logical clocks.
+//! The simulator state: flat memory, per-core caches, the per-line coherence
+//! directory, HTM read/write sets, eager requester-wins conflict resolution,
+//! and logical clocks.
 //!
 //! Everything here lives under the single machine mutex; methods are called
 //! by [`crate::machine::Core`] only when it is the calling core's logical
 //! turn, so the whole struct is free of internal synchronization.
 
-use crate::addr::WORDS_PER_LINE;
 use crate::addr::{line_of, word_index, Addr, LINE_BYTES, WORD_BYTES};
 use crate::cache::CacheArray;
 use crate::config::{FallbackPolicy, HtmProtocol, MachineConfig};
 use crate::coreset::{CoreSet, MAX_CORES};
+use crate::directory::{Directory, Role};
 use crate::obs::{EventRing, ObsEvent, ObsKind};
 use crate::sched::{LazyMinHeap, SchedStats};
 use crate::stats::CoreStats;
@@ -109,7 +110,7 @@ pub(crate) struct TxState {
     /// Line-permission cache: a direct-mapped table over lines whose
     /// read (`perm_write[i] == false` suffices) or write ownership bits
     /// this attempt has already set, letting repeat accesses skip the
-    /// owner-directory probe. Sound under requester-wins resolution: any
+    /// coherence-directory probe. Sound under requester-wins resolution: any
     /// remote access that would revoke a held permission dooms this core
     /// first, and a doomed core aborts (via `check_doomed`) before its next
     /// access — so a non-doomed attempt's cached permissions are always
@@ -290,34 +291,15 @@ pub(crate) struct CoreState {
     pub events: EventRing,
 }
 
-/// Speculative ownership of one line across cores. Under the eager
-/// protocol at most one writer exists at a time; under the lazy protocol
-/// multiple buffered writers may coexist until one commits. The member
-/// masks are [`CoreSet`]s, so up to [`MAX_CORES`] cores can hold a line.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct Owners {
-    pub(crate) readers: CoreSet,
-    pub(crate) writers: CoreSet,
-}
-
-impl Owners {
-    #[cfg(test)]
-    fn is_empty(&self) -> bool {
-        self.readers.is_empty() && self.writers.is_empty()
-    }
-}
-
 /// Everything under the machine mutex.
 pub(crate) struct SimState {
     pub cfg: MachineConfig,
     pub(crate) mem: Vec<u64>,
     pub(crate) l3: CacheArray,
     pub cores: Vec<CoreState>,
-    /// Speculative-ownership directory, indexed densely by line index
-    /// (`addr / LINE_BYTES`). One entry per line of simulated memory: the
-    /// conflict check on every transactional access is two array words,
-    /// not a hash probe.
-    pub(crate) owners: Vec<Owners>,
+    /// Per-line speculative owners and cache sharers. Invariant: a line's
+    /// `Sharers` are exactly the cores whose L1 or L2 holds it.
+    pub(crate) dir: Directory,
     pub(crate) heap_next: Addr,
     /// Derived from `cfg.perm_cache_lines`: direct-mapped permission-cache
     /// slot count (rounded up to a power of two; 0 = fast path disabled).
@@ -374,7 +356,7 @@ impl SimState {
             mem: vec![0; cfg.mem_words],
             l3: CacheArray::new(cfg.l3_sets, cfg.l3_ways),
             cores,
-            owners: vec![Owners::default(); cfg.mem_words / WORDS_PER_LINE as usize],
+            dir: Directory::new(cfg.mem_words),
             heap_next: HEAP_BASE,
             perm_slots: if cfg.perm_cache_lines == 0 {
                 0
@@ -446,22 +428,10 @@ impl SimState {
         self.mem[i] = val;
     }
 
-    /// Ownership-directory entry of `line` (panics on out-of-range
-    /// addresses, matching `read_word`/`write_word`).
-    fn owner_mut(&mut self, line: u64) -> &mut Owners {
-        let i = line as usize;
-        assert!(
-            i < self.owners.len(),
-            "simulated address {:#x} out of range",
-            line * LINE_BYTES
-        );
-        &mut self.owners[i]
-    }
-
     /// True when no line has a speculative owner (test aid).
     #[cfg(test)]
     fn owners_empty(&self) -> bool {
-        self.owners.iter().all(|o| o.is_empty())
+        self.dir.owners_empty()
     }
 
     /// Charge cache latency for `tid` touching `line`. If `speculative`,
@@ -484,12 +454,7 @@ impl SimState {
         // Miss: find the source.
         let lat = if self.cores[tid].l2.touch(line) {
             cfg_l2
-        } else if self
-            .cores
-            .iter()
-            .enumerate()
-            .any(|(i, c)| i != tid && (c.l1.contains(line) || c.l2.contains(line)))
-        {
+        } else if self.cached_elsewhere(tid, line) {
             cfg_l3 // cache-to-cache transfer, charged at L3 cost
         } else if self.l3.touch(line) {
             cfg_l3
@@ -499,29 +464,90 @@ impl SimState {
         // Fill path: L1 (respecting speculative pinning), L2, L3.
         let core = &mut self.cores[tid];
         let spec_pred = |l: u64| core.tx.as_ref().is_some_and(|t| t.spec_contains(l));
-        match core.l1.insert(line, spec_pred) {
-            Ok(_) => {}
-            Err(()) => {
-                if speculative {
-                    return Err(()); // capacity overflow
-                }
-                // Nontransactional access to a set full of speculative
-                // lines: bypass the L1.
+        let l1_evicted = match core.l1.insert(line, spec_pred) {
+            Ok(evicted) => evicted,
+            Err(()) if speculative => return Err(()), // capacity overflow
+            // Nontransactional access to a set full of speculative lines:
+            // bypass the L1.
+            Err(()) => None,
+        };
+        let l2_evicted = core.l2.insert(line, |_| false).ok().flatten();
+        let _ = self.l3.insert(line, |_| false);
+        // Directory upkeep: `tid` now shares `line`, and stops sharing an
+        // evictee that has left both of its levels.
+        self.dir.update(line, Role::Sharers, |s| s.insert(tid));
+        for e in [l1_evicted, l2_evicted].into_iter().flatten() {
+            let core = &self.cores[tid];
+            if !core.l1.contains(e) && !core.l2.contains(e) {
+                self.dir.update(e, Role::Sharers, |s| s.remove(tid));
             }
         }
-        let _ = core.l2.insert(line, |_| false);
-        let _ = self.l3.insert(line, |_| false);
         Ok(lat)
     }
 
-    /// Invalidate `line` in every core except `tid` (a write took exclusive
-    /// ownership).
-    fn invalidate_others(&mut self, tid: usize, line: u64) {
-        for (i, c) in self.cores.iter_mut().enumerate() {
-            if i != tid {
-                c.l1.remove(line);
-                c.l2.remove(line);
+    /// Does a core other than `tid` cache `line`?
+    fn cached_elsewhere(&self, tid: usize, line: u64) -> bool {
+        let mut others = self.dir.get(line, Role::Sharers);
+        others.remove(tid);
+        debug_assert_eq!(
+            !others.is_empty(),
+            (self.cores.iter().enumerate())
+                .any(|(i, c)| i != tid && (c.l1.contains(line) || c.l2.contains(line))),
+            "directory sharers of line {line:#x} disagree with the caches"
+        );
+        !others.is_empty()
+    }
+
+    /// Test aid: the first of `lines` whose directory row disagrees with the
+    /// state it summarizes — `Sharers` must be exactly the cores whose L1 or
+    /// L2 holds the line, `Writers` the cores whose live transaction wrote
+    /// it, and `Readers ∪ Writers` those whose live transaction touched it.
+    pub(crate) fn directory_violation(&self, lines: &[u64]) -> Option<String> {
+        lines.iter().find_map(|&line| {
+            let [mut cached, mut touched, mut wrote] = [CoreSet::default(); 3];
+            for (i, c) in self.cores.iter().enumerate() {
+                if c.l1.contains(line) || c.l2.contains(line) {
+                    cached.insert(i);
+                }
+                let tx_line = |t: &TxState| t.lines.iter().find(|e| e.line == line).copied();
+                if let Some(e) = c.tx.as_ref().and_then(tx_line) {
+                    touched.insert(i);
+                    if e.written {
+                        wrote.insert(i);
+                    }
+                }
             }
+            let got = |role| self.dir.get(line, role);
+            let want = (cached, touched, wrote);
+            let have = (
+                got(Role::Sharers),
+                got(Role::Readers).union(got(Role::Writers)),
+                got(Role::Writers),
+            );
+            (have != want).then(|| {
+                format!(
+                    "line {line:#x}: directory (sharers, owners, writers) {have:?}, \
+                     caches and transactions {want:?}"
+                )
+            })
+        })
+    }
+
+    /// Drop `core`'s L1 and L2 copies of `line`.
+    fn drop_copies(&mut self, core: usize, line: u64) {
+        let c = &mut self.cores[core];
+        c.l1.remove(line);
+        c.l2.remove(line);
+        self.dir.update(line, Role::Sharers, |s| s.remove(core));
+    }
+
+    /// Invalidate `line` in every core except `tid` (a write took exclusive
+    /// ownership): its sharers, in ascending id.
+    fn invalidate_others(&mut self, tid: usize, line: u64) {
+        let mut others = self.dir.get(line, Role::Sharers);
+        others.remove(tid);
+        for i in others.iter() {
+            self.drop_copies(i, line);
         }
     }
 
@@ -601,8 +627,7 @@ impl SimState {
         // stale after rollback: invalidate them, so the retry pays refill
         // latency (a real component of abort cost on eager HTM).
         for e in lines.iter().filter(|e| e.written) {
-            self.cores[victim].l1.remove(e.line);
-            self.cores[victim].l2.remove(e.line);
+            self.drop_copies(victim, e.line);
         }
         self.release_ownership(victim, &lines);
         // Hand the buffers back to the doomed transaction so the core's
@@ -617,9 +642,8 @@ impl SimState {
 
     fn release_ownership(&mut self, tid: usize, lines: &[TxLine]) {
         for e in lines {
-            let o = &mut self.owners[e.line as usize];
-            o.readers.remove(tid);
-            o.writers.remove(tid);
+            self.dir.update(e.line, Role::Readers, |s| s.remove(tid));
+            self.dir.update(e.line, Role::Writers, |s| s.remove(tid));
         }
     }
 
@@ -629,12 +653,9 @@ impl SimState {
     /// conflict attribution.
     fn resolve_conflicts(&mut self, tid: usize, addr: Addr, is_write: bool, req_pc: u64) {
         let line = line_of(addr);
-        let Some(o) = self.owners.get(line as usize).copied() else {
-            return;
-        };
-        let mut mask = o.writers;
+        let mut mask = self.dir.get(line, Role::Writers);
         if is_write {
-            mask = mask.union(o.readers);
+            mask = mask.union(self.dir.get(line, Role::Readers));
         }
         mask.remove(tid);
         // Ascending-id victim walk — the doom order is part of the
@@ -739,8 +760,8 @@ impl SimState {
         };
         if let Some(buffered) = fast {
             debug_assert!(
-                self.owners[line as usize].readers.contains(tid)
-                    || self.owners[line as usize].writers.contains(tid),
+                self.dir.get(line, Role::Readers).contains(tid)
+                    || self.dir.get(line, Role::Writers).contains(tid),
                 "cached permission without an ownership bit"
             );
             return (
@@ -765,7 +786,7 @@ impl SimState {
                 core.stats.tx_mem_ops += 1;
                 // Lazy: our own buffered write shadows memory.
                 let buffered = tx.buffered(addr);
-                self.owner_mut(line).readers.insert(tid);
+                self.dir.update(line, Role::Readers, |s| s.insert(tid));
                 (Ok(buffered.unwrap_or_else(|| self.read_word(addr))), lat)
             }
             Err(()) => (Err(self.self_abort(tid, AbortCause::Capacity)), 0),
@@ -807,7 +828,7 @@ impl SimState {
         };
         if fast {
             debug_assert!(
-                self.owners[line as usize].writers.contains(tid),
+                self.dir.get(line, Role::Writers).contains(tid),
                 "cached write permission without the writer bit"
             );
             if eager {
@@ -835,7 +856,7 @@ impl SimState {
                 tx.touch_line(line, pc, true);
                 tx.perm_insert(line, true);
                 core.stats.tx_mem_ops += 1;
-                self.owner_mut(line).writers.insert(tid);
+                self.dir.update(line, Role::Writers, |s| s.insert(tid));
                 let tx = self.cores[tid].tx.as_mut().unwrap();
                 if eager {
                     // In place, undo-logged, exclusive.
@@ -871,8 +892,7 @@ impl SimState {
                 self.write_word(addr, old);
             }
             for e in tx.lines.iter().filter(|e| e.written) {
-                self.cores[tid].l1.remove(e.line);
-                self.cores[tid].l2.remove(e.line);
+                self.drop_copies(tid, e.line);
             }
             self.release_ownership(tid, &tx.lines);
         }
@@ -1336,6 +1356,26 @@ mod tests {
         assert!(s.tx_commit(0).0.is_err());
         s.tx_commit(32).0.unwrap();
         assert_eq!(s.host_load(a), 4);
+        assert!(s.owners_empty());
+    }
+
+    #[test]
+    fn partial_last_line_is_conflict_checked() {
+        // `mem_words` need not be a multiple of 8 (set_kv accepts any
+        // number): the trailing partial line must still have a directory
+        // row, or conflicts on it go undetected.
+        let mut cfg = MachineConfig::cores(2).small();
+        cfg.set_kv("mem_words", "4099").unwrap();
+        let mut s = SimState::new(cfg);
+        let a = 4096 * WORD_BYTES; // first of the last line's three words
+        s.tx_begin(0, 1);
+        s.tx_store(0, a, 1, 0x400).0.unwrap();
+        s.tx_begin(1, 1);
+        s.tx_store(1, a + 2 * WORD_BYTES, 2, 0x500).0.unwrap();
+        let e = s.tx_commit(0).0.unwrap_err();
+        assert_eq!(e.info().cause, AbortCause::Conflict);
+        s.tx_commit(1).0.unwrap();
+        assert_eq!((s.host_load(a), s.host_load(a + 2 * WORD_BYTES)), (0, 2));
         assert!(s.owners_empty());
     }
 
@@ -1823,7 +1863,7 @@ mod tests {
         assert!(s.perm_slots > 0, "default config enables the fast path");
         let a = s.host_alloc(8, true);
         s.tx_begin(0, 1);
-        // First store goes the slow way (owner-directory probe + fill).
+        // First store goes the slow way (directory probe + fill).
         let (r, first_lat) = s.tx_store(0, a, 1, 0x400);
         r.unwrap();
         assert!(first_lat > s.cfg.l1_latency);

@@ -25,12 +25,14 @@ use std::task::{Context, Poll, Waker};
 use crate::addr::{line_of, word_index, LINE_BYTES, WORD_BYTES};
 use crate::cache::CacheArray;
 use crate::config::{FallbackPolicy, HtmProtocol};
+use crate::coreset::CoreSet;
+use crate::directory::Role;
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::obs::ObsKind;
 use crate::sched::LazyMinHeap;
 use crate::sim::{
-    apply_op, bound_exceeded, AbortCause, AbortInfo, Doomed, Op, OpResult, Owners, SimState,
-    TxError, TxState,
+    apply_op, bound_exceeded, AbortCause, AbortInfo, Doomed, Op, OpResult, SimState, TxError,
+    TxState,
 };
 use crate::stats::SpecStats;
 
@@ -439,7 +441,7 @@ fn base_ref() -> &'static SimState {
 
 /// A private, copy-on-write view of the simulator for one core's
 /// speculation. Own-core structures (caches, tx, arena) are cloned
-/// outright; shared structures (memory, owner directory, L3) are overlaid
+/// outright; shared structures (memory, coherence directory, L3) are overlaid
 /// with hash maps consulted before the base. Must never panic on *stale
 /// shared* data — reads outside the base fall back to zero, and the commit
 /// walk catches any resulting mis-prediction. (Asserts about the core's
@@ -459,11 +461,9 @@ pub(crate) struct SpecView {
     perm_slots: usize,
     /// Word-index-keyed memory overlay.
     mem: FxHashMap<usize, u64>,
-    /// Owner-directory overlay, keyed by line index.
-    owners: FxHashMap<u64, Owners>,
-    /// Lines speculatively invalidated out of *other* cores' caches:
-    /// `(core, line)`.
-    removed: FxHashSet<(usize, u64)>,
+    /// Coherence-directory overlay, keyed by line index and role. `Sharers`
+    /// entries only answer for *other* cores (own presence is `l1`/`l2`).
+    dir: FxHashMap<(u64, Role), CoreSet>,
     /// L3 sets copied on first touch.
     l3_sets: FxHashMap<usize, Vec<(u64, u64)>>,
     l3_ways: usize,
@@ -487,8 +487,7 @@ impl SpecView {
             heap_next: base.heap_next,
             perm_slots: base.perm_slots,
             mem: FxHashMap::default(),
-            owners: FxHashMap::default(),
-            removed: FxHashSet::default(),
+            dir: FxHashMap::default(),
             l3_sets: FxHashMap::default(),
             l3_ways: base.l3.ways(),
             l3_stamp: base.l3.stamp(),
@@ -510,26 +509,30 @@ impl SpecView {
         self.mem.insert(word_index(addr), v);
     }
 
-    fn owners_get(&self, base: &SimState, line: u64) -> Owners {
-        if let Some(&o) = self.owners.get(&line) {
-            return o;
+    fn dir_get(&self, base: &SimState, line: u64, role: Role) -> CoreSet {
+        if let Some(&s) = self.dir.get(&(line, role)) {
+            return s;
         }
-        base.owners.get(line as usize).copied().unwrap_or_default()
+        base.dir.try_get(line, role).unwrap_or_default()
     }
 
-    fn owners_update(&mut self, base: &SimState, line: u64, f: impl FnOnce(&mut Owners)) {
-        let mut o = self.owners_get(base, line);
-        f(&mut o);
-        self.owners.insert(line, o);
+    fn dir_update(&mut self, base: &SimState, line: u64, role: Role, f: impl FnOnce(&mut CoreSet)) {
+        let mut s = self.dir_get(base, line, role);
+        f(&mut s);
+        self.dir.insert((line, role), s);
+    }
+
+    /// Release `core`'s speculative ownership of `line`.
+    fn release(&mut self, base: &SimState, core: usize, line: u64) {
+        self.dir_update(base, line, Role::Readers, |s| s.remove(core));
+        self.dir_update(base, line, Role::Writers, |s| s.remove(core));
     }
 
     /// Does some *other* core (from this view's perspective) hold `line`?
     fn other_has(&self, base: &SimState, line: u64) -> bool {
-        base.cores.iter().enumerate().any(|(i, c)| {
-            i != self.tid
-                && !self.removed.contains(&(i, line))
-                && (c.l1.contains(line) || c.l2.contains(line))
-        })
+        let mut others = self.dir_get(base, line, Role::Sharers);
+        others.remove(self.tid);
+        !others.is_empty()
     }
 
     // -- L3 copy-on-write ---------------------------------------------------
@@ -607,12 +610,8 @@ impl SpecView {
         Ok(lat)
     }
 
-    fn invalidate_others(&mut self, base: &SimState, line: u64) {
-        for i in 0..base.cores.len() {
-            if i != self.tid {
-                self.removed.insert((i, line));
-            }
-        }
+    fn invalidate_others(&mut self, line: u64) {
+        self.dir.insert((line, Role::Sharers), CoreSet::default());
     }
 
     // -- conflict machinery -------------------------------------------------
@@ -634,21 +633,17 @@ impl SpecView {
         }
         for l in &vtx.lines {
             if l.written {
-                self.removed.insert((victim, l.line));
+                self.dir_update(base, l.line, Role::Sharers, |s| s.remove(victim));
             }
-            self.owners_update(base, l.line, |o| {
-                o.readers.remove(victim);
-                o.writers.remove(victim);
-            });
+            self.release(base, victim, l.line);
         }
     }
 
     fn resolve_conflicts(&mut self, base: &SimState, addr: u64, is_write: bool) {
         let line = line_of(addr);
-        let o = self.owners_get(base, line);
-        let mut mask = o.writers;
+        let mut mask = self.dir_get(base, line, Role::Writers);
         if is_write {
-            mask = mask.union(o.readers);
+            mask = mask.union(self.dir_get(base, line, Role::Readers));
         }
         mask.remove(self.tid);
         // Ascending-id walk, mirroring the authoritative resolve_conflicts.
@@ -678,10 +673,7 @@ impl SpecView {
                         self.l1.remove(l.line);
                         self.l2.remove(l.line);
                     }
-                    self.owners_update(base, l.line, |o| {
-                        o.readers.remove(tid);
-                        o.writers.remove(tid);
-                    });
+                    self.release(base, tid, l.line);
                 }
             }
         }
@@ -741,7 +733,7 @@ impl SpecView {
                 tx.touch_line(line, pc, false);
                 tx.perm_insert(line, false);
                 let buffered = tx.buffered(addr);
-                self.owners_update(base, line, |o| o.readers.insert(tid));
+                self.dir_update(base, line, Role::Readers, |s| s.insert(tid));
                 (
                     Ok(buffered.unwrap_or_else(|| self.read_word(base, addr))),
                     lat,
@@ -780,7 +772,7 @@ impl SpecView {
                 let old = self.read_word(base, addr);
                 self.tx.as_mut().unwrap().undo.push((addr, old));
                 self.write_word(addr, val);
-                self.invalidate_others(base, line);
+                self.invalidate_others(line);
             }
             return (Ok(()), base.cfg.l1_latency);
         }
@@ -800,12 +792,12 @@ impl SpecView {
                 let tx = self.tx.as_mut().expect("tx_store outside transaction");
                 tx.touch_line(line, pc, true);
                 tx.perm_insert(line, true);
-                self.owners_update(base, line, |o| o.writers.insert(tid));
+                self.dir_update(base, line, Role::Writers, |s| s.insert(tid));
                 let tx = self.tx.as_mut().unwrap();
                 if eager {
                     tx.undo.push((addr, old));
                     self.write_word(addr, val);
-                    self.invalidate_others(base, line);
+                    self.invalidate_others(line);
                 } else {
                     tx.buffer_store(addr, val);
                 }
@@ -843,17 +835,14 @@ impl SpecView {
                 self.write_word(addr, val);
             }
             for e in tx.lines.iter().filter(|e| e.written) {
-                self.invalidate_others(base, e.line);
+                self.invalidate_others(e.line);
             }
             self.tx = Some(tx);
         }
         let tx = self.tx.take().expect("commit without transaction");
         let tid = self.tid;
         for l in &tx.lines {
-            self.owners_update(base, l.line, |o| {
-                o.readers.remove(tid);
-                o.writers.remove(tid);
-            });
+            self.release(base, tid, l.line);
         }
         (Ok(()), commit_cost)
     }
@@ -880,7 +869,7 @@ impl SpecView {
             .touch_caches(base, line, false)
             .unwrap_or(base.cfg.mem_latency);
         self.write_word(addr, val);
-        self.invalidate_others(base, line);
+        self.invalidate_others(line);
         lat
     }
 
@@ -893,7 +882,7 @@ impl SpecView {
                 .touch_caches(base, line, false)
                 .unwrap_or(base.cfg.mem_latency);
             self.write_word(addr, new);
-            self.invalidate_others(base, line);
+            self.invalidate_others(line);
             (true, lat)
         } else {
             let lat = self

@@ -30,6 +30,10 @@ pub struct BenchResult {
     /// keeps the machine and its rings). Pure-observer data: latency
     /// derivation over these streams never feeds back into the run.
     pub events: Vec<Vec<ObsEvent>>,
+    /// Per core, how many of its oldest events the bounded ring overwrote
+    /// ([`Machine::events_dropped`]; filled with `events`). Any nonzero
+    /// count means statistics over `events` cover a truncated run.
+    pub events_dropped: Vec<u64>,
 }
 
 impl BenchResult {
@@ -141,6 +145,7 @@ impl<'w> PreparedWorkload<'w> {
         let mut r = self.run_on(&machine, &rt_cfg, seed);
         if machine.config().record_events {
             r.events = machine.take_events();
+            r.events_dropped = machine.events_dropped();
         }
         r
     }
@@ -188,6 +193,7 @@ impl<'w> PreparedWorkload<'w> {
             compile_stats: self.compiled.stats.clone(),
             host_secs: started.elapsed().as_secs_f64(),
             events: Vec::new(),
+            events_dropped: Vec::new(),
         }
     }
 }

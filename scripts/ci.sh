@@ -4,9 +4,12 @@
 #   scripts/ci.sh
 #
 # Steps: format check, release build (workspace root + exhibit binaries),
-# tier-1 tests, workspace tests, a speculative-vs-cooperative scheduler
+# tier-1 tests, workspace tests, the coherence-directory invariant and
+# machine-footprint gates by name, the benchmark's table check against
+# BENCHMARK.json, a speculative-vs-cooperative scheduler
 # byte-identity gate (plus a --host-threads 1 smoke), a 128-core scaling
-# smoke plus a 64-core cross-scheduler identity gate, a parallel-harness
+# smoke plus a 64-core cross-scheduler identity gate, a --jobs 1
+# re-recording of results/BENCH_scaling.json, a parallel-harness
 # smoke run of fig7 --quick whose output (including the machine-readable
 # results/BENCH_fig7.json) is recorded under results/, a profile
 # --quick smoke run whose text report and JSONL event dump are recorded
@@ -42,6 +45,20 @@ echo "== interp_equivalence (bytecode vs legacy walker, quick matrix)"
 # Runs as part of the workspace suite above too; the explicit invocation
 # keeps the bit-identity gate visible in CI logs and fails fast on its own.
 cargo test -q --offline -p stagger-bench --test interp_equivalence
+
+echo "== coherence-directory invariant (seeded property test)"
+# sharers == cores caching the line, readers/writers == live transactions'
+# footprints, after every batch of a random op mix on 2-80 cores. Runs in
+# the workspace suite above too; by name so a break is visible on its own.
+cargo test -q --offline -p htm-sim --test directory
+
+echo "== machine footprint (16 idle default machines stay under 32 MiB)"
+# Guards the zero-page allocation of simulated memory and the directory:
+# a memset of either costs 64+ MiB and ~75 ms per Machine::new.
+cargo test -q --offline -p htm-sim --test footprint
+
+echo "== benchmark/run.sh --check (benchmark tables == BENCHMARK.json)"
+benchmark/run.sh --check
 
 echo "== scheduler byte-identity gate (speculative vs cooperative)"
 # The speculative (Block-STM-style) core driver must be invisible: the
@@ -83,6 +100,13 @@ sim_cols() { grep -v '^harness:' | awk '{print $1, $2, $3, $4, $5}'; }
     --scheduler speculative --host-threads 2 --jobs 2 \
   | sim_cols > results/ci_scaling_spec.txt
 cmp results/ci_scaling_coop.txt results/ci_scaling_spec.txt
+
+echo "== scaling --quick --jobs 1 --json (re-record results/BENCH_scaling.json)"
+# The checked-in ladder is recorded one cell at a time: with more jobs
+# than host CPUs its ns_per_inst column measures oversubscription, not
+# the simulator.
+./target/release/scaling --quick --jobs 1 --json
+grep -q '"jobs": 1,' results/BENCH_scaling.json
 
 echo "== fig7 --quick --jobs 2 --json (harness smoke)"
 mkdir -p results
