@@ -5,9 +5,8 @@
 //! header and its rule, resolve workload names against the registry (each
 //! spelling its own "unknown workload" exit), compile the set through the
 //! job pool, and — for the event-recording exhibits — hand-roll a
-//! `MachineConfig` that re-applied the common `--scheduler` /
-//! `--host-threads` pins. The copies drifted: `profile` forgot
-//! `--host-threads`, and none of them picked up new common knobs (the
+//! `MachineConfig` that re-applied the common `--scheduler` pin. The
+//! copies drifted: none of them picked up new common knobs (the
 //! `--fallback` policy pin) without editing five binaries.
 //!
 //! [`Exhibit`] owns that scaffolding once. A new exhibit binary is the
@@ -91,7 +90,7 @@ impl Exhibit {
     }
 
     /// An event-recording machine configuration at `cores`, honoring the
-    /// common `--scheduler`, `--host-threads` and `--fallback` pins — for
+    /// common `--scheduler` and `--fallback` pins — for
     /// exhibits that drive `run_cfg` themselves because they consume the
     /// observability event stream.
     pub fn recording_machine(&self, cores: usize) -> MachineConfig {
@@ -99,7 +98,6 @@ impl Exhibit {
         if let Some(s) = self.opts.scheduler {
             cfg = cfg.scheduler(s);
         }
-        cfg.host_threads = self.opts.host_threads;
         if let Some(fb) = self.opts.fallback {
             cfg = cfg.fallback(fb);
         }

@@ -57,12 +57,8 @@ common options:
                    but results and output order stay deterministic
                    (default: available CPUs)
   --json           also dump per-run throughput to results/BENCH_<exhibit>.json
-  --scheduler S    host-side core driver: cooperative (default), threaded, or
-                   speculative (Block-STM-style optimistic parallelism across
-                   simulated cores; bit-identical results); overrides the
-                   HTM_SIM_SCHEDULER environment variable
-  --host-threads N host worker threads per speculative-scheduler run
-                   (0 = auto-detect, default; ignored by other schedulers)
+  --scheduler S    host-side core driver: cooperative (default) or threaded
+                   (thread-per-core reference; bit-identical results)
   --interp I       instruction walker: bytecode (default, pre-decoded µ-ops)
                    or legacy (tree-walking reference); simulated results are
                    bit-identical either way, only host speed differs
@@ -73,7 +69,7 @@ common options:
   --help           show this message";
 
 const COMMON_USAGE_LINE: &str = "[--threads N] [--quick] [--seed N] [--jobs N] [--json] \
-     [--scheduler S] [--host-threads N] [--interp I] [--fallback F]";
+     [--scheduler S] [--interp I] [--fallback F]";
 
 /// Parse a [`Mode`] by its display name, case-insensitively; `+` may be
 /// omitted ("staggeredsw" ≡ "Staggered+SW"). Thin wrapper over
@@ -180,12 +176,9 @@ pub struct CommonOpts {
     pub jobs: usize,
     /// Dump `results/BENCH_<exhibit>.json` at the end of the run.
     pub json: bool,
-    /// Host-side scheduler pin (`--scheduler`). `None` leaves the
-    /// `HTM_SIM_SCHEDULER` environment variable as the fallback.
+    /// Host-side scheduler pin (`--scheduler`). `None` keeps the machine
+    /// default (cooperative).
     pub scheduler: Option<Scheduler>,
-    /// Host worker threads per speculative-scheduler run
-    /// (`--host-threads`; 0 = auto-detect). Ignored by other schedulers.
-    pub host_threads: usize,
     /// Interpreter pin (`--interp`). `None` keeps the runtime default
     /// (the pre-decoded bytecode walker).
     pub interp: Option<Interp>,
@@ -204,7 +197,6 @@ impl CommonOpts {
             jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
             json: false,
             scheduler: None,
-            host_threads: 0,
             interp: None,
             fallback: None,
         }
@@ -246,7 +238,6 @@ impl CommonOpts {
                             a.fail(&format!("invalid --scheduler value '{v}'"))
                         }));
                 }
-                "--host-threads" => o.host_threads = a.parsed("--host-threads"),
                 "--interp" => {
                     let v = a.value("--interp");
                     o.interp = Some(

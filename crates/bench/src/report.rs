@@ -12,8 +12,6 @@
 //!   "insts_per_sec": 3700000.0,
 //!   "runs": [ { "workload": "genome", "mode": "htm", "threads": 16,
 //!               "sim_cycles": 1, "sim_insts": 2, "gated_ops": 1,
-//!               "spec_speculated": 0, "spec_committed": 0,
-//!               "spec_mismatches": 0, "spec_rebuilds": 0,
 //!               "sched_calls": 9, "sched_stale": 3,
 //!               "events_complete": true, "lat_count": 4, "lat_p50": 100, ...,
 //!               "host_secs": 0.5, "insts_per_sec": 4.0,
@@ -26,10 +24,11 @@
 //! `gated_ops` counts the shared-memory operations admitted through the
 //! simulator's scheduler gate and `ns_per_inst` is host nanoseconds per
 //! simulated instruction — both scheduler-overhead observability, not
-//! paper metrics. The `spec_*` counters are the speculative scheduler's
-//! mis-speculation accounting (all zeros under the other schedulers), and
-//! `workers` reports per-worker utilization of the harness job pool
-//! (busy_secs over wall time) for runs routed through [`Report::pool`].
+//! paper metrics. `sched_calls`/`sched_stale` count the cooperative
+//! driver's `schedule()` calls and lazy-heap repairs (zero under the
+//! threaded driver), and `workers` reports per-worker utilization of the
+//! harness job pool (busy_secs over wall time) for runs routed through
+//! [`Report::pool`].
 
 use crate::jobs::{run_jobs_timed, WorkerUtil};
 use crate::{CommonOpts, Measured, RunSpec};
@@ -50,12 +49,6 @@ pub struct RunRecord {
     pub sim_insts: u64,
     /// Shared-memory ops admitted through the scheduler gate.
     pub gated_ops: u64,
-    /// Gated ops executed optimistically by the speculative scheduler
-    /// (zero under the other schedulers), and how they fared.
-    pub spec_speculated: u64,
-    pub spec_committed: u64,
-    pub spec_mismatches: u64,
-    pub spec_rebuilds: u64,
     /// Indexed-scheduler overhead: `schedule()` calls and lazy heap
     /// repairs (host-side observability, not simulated quantities).
     pub sched_calls: u64,
@@ -158,10 +151,6 @@ impl Report {
             sim_cycles: r.cycles(),
             sim_insts: r.sim_insts(),
             gated_ops: r.gated_ops(),
-            spec_speculated: r.out.spec.speculated_ops,
-            spec_committed: r.out.spec.committed_ops,
-            spec_mismatches: r.out.spec.mismatches,
-            spec_rebuilds: r.out.spec.rebuilds,
             sched_calls: r.out.sched.schedule_calls,
             sched_stale: r.out.sched.stale_refreshes,
             host_secs: r.host_secs,
@@ -199,8 +188,8 @@ impl Report {
         r
     }
 
-    /// Run with explicit machine/runtime configuration (ablations). An
-    /// unpinned machine config picks up the exhibit's `--scheduler` flag.
+    /// Run with explicit machine/runtime configuration (ablations); the
+    /// exhibit's `--scheduler` flag, when given, picks the driver.
     pub fn run_cfg(
         &self,
         p: &PreparedWorkload,
@@ -209,12 +198,7 @@ impl Report {
         rt_cfg: RuntimeConfig,
     ) -> BenchResult {
         if let Some(s) = self.opts.scheduler {
-            if !machine_cfg.scheduler_pinned {
-                machine_cfg = machine_cfg.scheduler(s);
-            }
-        }
-        if machine_cfg.host_threads == 0 {
-            machine_cfg.host_threads = self.opts.host_threads;
+            machine_cfg = machine_cfg.scheduler(s);
         }
         let r = p.run_cfg(seed, machine_cfg, rt_cfg);
         self.record(&r);
@@ -290,8 +274,6 @@ impl Report {
             s.push_str(&format!(
                 "    {{ \"workload\": {}, \"mode\": {}, \"threads\": {}, \
                  \"sim_cycles\": {}, \"sim_insts\": {}, \"gated_ops\": {}, \
-                 \"spec_speculated\": {}, \"spec_committed\": {}, \
-                 \"spec_mismatches\": {}, \"spec_rebuilds\": {}, \
                  \"sched_calls\": {}, \"sched_stale\": {}, {lat}\
                  \"host_secs\": {:.6}, \"insts_per_sec\": {:.1}, \
                  \"ns_per_inst\": {:.2} }}{}\n",
@@ -301,10 +283,6 @@ impl Report {
                 r.sim_cycles,
                 r.sim_insts,
                 r.gated_ops,
-                r.spec_speculated,
-                r.spec_committed,
-                r.spec_mismatches,
-                r.spec_rebuilds,
                 r.sched_calls,
                 r.sched_stale,
                 r.host_secs,
@@ -342,10 +320,6 @@ impl Report {
         let run_secs: f64 = recs.iter().map(|r| r.host_secs).sum::<f64>().max(0.0);
         let sched_calls: u64 = recs.iter().map(|r| r.sched_calls).sum();
         let sched_stale: u64 = recs.iter().map(|r| r.sched_stale).sum();
-        let spec_ops: u64 = recs.iter().map(|r| r.spec_speculated).sum();
-        let spec_committed: u64 = recs.iter().map(|r| r.spec_committed).sum();
-        let spec_mismatches: u64 = recs.iter().map(|r| r.spec_mismatches).sum();
-        let spec_rebuilds: u64 = recs.iter().map(|r| r.spec_rebuilds).sum();
         drop(recs);
         let wall = self.started.elapsed().as_secs_f64();
         let ips = if wall > 0.0 {
@@ -362,21 +336,12 @@ impl Report {
             human(ips)
         );
         // Scheduler-overhead counters, previously visible only in the
-        // `--json` dump: indexed-scheduler work and (under the
-        // speculative driver) mis-speculation accounting.
+        // `--json` dump: indexed-scheduler work.
         if sched_calls > 0 {
             println!(
                 "harness: sched {} schedule() calls, {} stale refreshes",
                 human(sched_calls as f64),
                 human(sched_stale as f64)
-            );
-        }
-        if spec_ops > 0 {
-            println!(
-                "harness: spec {} ops speculated, {} committed, \
-                 {spec_mismatches} mismatches, {spec_rebuilds} rebuilds",
-                human(spec_ops as f64),
-                human(spec_committed as f64)
             );
         }
         if self.opts.json {
@@ -440,10 +405,6 @@ mod tests {
             sim_cycles: 10,
             sim_insts: 20,
             gated_ops: 7,
-            spec_speculated: 6,
-            spec_committed: 5,
-            spec_mismatches: 1,
-            spec_rebuilds: 1,
             sched_calls: 9,
             sched_stale: 3,
             host_secs: 2.0,
@@ -465,10 +426,6 @@ mod tests {
             sim_cycles: 1,
             sim_insts: 2,
             gated_ops: 1,
-            spec_speculated: 0,
-            spec_committed: 0,
-            spec_mismatches: 0,
-            spec_rebuilds: 0,
             sched_calls: 0,
             sched_stale: 0,
             host_secs: 0.5,
@@ -484,8 +441,6 @@ mod tests {
         // insts_per_sec per run: 20 / 2.0 = 10.0
         assert!(j.contains("\"insts_per_sec\": 10.0"));
         assert!(j.contains("\"gated_ops\": 7"));
-        assert!(j.contains("\"spec_speculated\": 6"));
-        assert!(j.contains("\"spec_mismatches\": 1"));
         assert!(j.contains("\"sched_calls\": 9"));
         assert!(j.contains("\"sched_stale\": 3"));
         // The latency digest appears only on the run that carried one.

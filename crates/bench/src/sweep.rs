@@ -78,9 +78,6 @@ impl RunSpec {
         if let Some(sched) = opts.scheduler {
             s.machine = s.machine.scheduler(sched);
         }
-        // Host-only knob: affects host parallelism, never the simulation,
-        // and (like the scheduler) is excluded from canon()/run keys.
-        s.machine.host_threads = opts.host_threads;
         if let Some(interp) = opts.interp {
             s.runtime.interp = interp;
         }
@@ -930,6 +927,11 @@ mod tests {
         assert!(s.set_field("mode", "psychic").is_err());
         assert!(RunSpec::parse("no equals sign").is_err());
         assert!(RunSpec::parse("quick=false\n").is_err(), "missing workload");
+        // The removed speculative driver and its host knob are errors, not
+        // a silent fallback to another scheduler.
+        assert!(RunSpec::parse("workload=list-hi\nmachine.scheduler=speculative\n").is_err());
+        assert!(RunSpec::parse("workload=list-hi\nmachine.host_threads=2\n").is_err());
+        assert!(RunSpec::parse("workload=list-hi\nmachine.scheduler=threaded\n").is_ok());
     }
 
     #[test]

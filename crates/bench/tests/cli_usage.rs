@@ -1,0 +1,28 @@
+//! Inputs that named the removed speculative driver are usage errors at
+//! the CLI (usage text on stderr, exit status 2, nothing run), never
+//! silently ignored or mapped to another scheduler.
+
+use std::process::Command;
+
+#[test]
+fn removed_scheduler_inputs_are_usage_errors() {
+    for (args, complaint) in [
+        (
+            ["--scheduler", "speculative"],
+            "invalid --scheduler value 'speculative'",
+        ),
+        (["--scheduler", "spec"], "invalid --scheduler value 'spec'"),
+        (["--host-threads", "2"], "unknown option '--host-threads'"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fig7"))
+            .arg("--quick")
+            .args(args)
+            .output()
+            .expect("fig7 binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: exit status");
+        assert!(out.stdout.is_empty(), "{args:?}: no table before the error");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(complaint), "{args:?}: got {err}");
+        assert!(err.contains("usage: fig7"), "{args:?}: usage on stderr");
+    }
+}

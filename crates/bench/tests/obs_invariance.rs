@@ -70,7 +70,7 @@ fn event_recording_does_not_perturb_the_simulation() {
 /// every per-request latency is a simulated quantity: recording on vs off
 /// leaves the simulation bit-identical, and the full request-latency table
 /// (arrival, completion, and the component breakdown) is bit-identical
-/// across the cooperative, threaded and speculative schedulers.
+/// across the cooperative and threaded schedulers.
 #[test]
 fn serve_latency_identical_across_schedulers() {
     let name = "serve-flash-i8000";
@@ -98,24 +98,20 @@ fn serve_latency_identical_across_schedulers() {
             mode.name()
         );
 
-        let tables: Vec<_> = [
-            Scheduler::Cooperative,
-            Scheduler::Threaded,
-            Scheduler::Speculative,
-        ]
-        .into_iter()
-        .map(|sched| {
-            let mcfg = MachineConfig::cores(cores).record_events().scheduler(sched);
-            let r = p.run_cfg(2015, mcfg, RuntimeConfig::with_mode(mode));
-            let reqs = htm_sim::request_latencies(&r.events, &arrivals);
-            assert!(
-                !reqs.is_empty(),
-                "{name} [{}] {sched:?}: no requests derived",
-                mode.name()
-            );
-            (htm_sim::histogram_of(&reqs).summary(), reqs)
-        })
-        .collect();
+        let tables: Vec<_> = [Scheduler::Cooperative, Scheduler::Threaded]
+            .into_iter()
+            .map(|sched| {
+                let mcfg = MachineConfig::cores(cores).record_events().scheduler(sched);
+                let r = p.run_cfg(2015, mcfg, RuntimeConfig::with_mode(mode));
+                let reqs = htm_sim::request_latencies(&r.events, &arrivals);
+                assert!(
+                    !reqs.is_empty(),
+                    "{name} [{}] {sched:?}: no requests derived",
+                    mode.name()
+                );
+                (htm_sim::histogram_of(&reqs).summary(), reqs)
+            })
+            .collect();
         for t in &tables[1..] {
             assert_eq!(
                 tables[0],

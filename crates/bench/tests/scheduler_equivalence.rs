@@ -1,11 +1,10 @@
 //! The tentpole invariant of the host-side schedulers: for every
-//! workload, the single-threaded cooperative driver, the legacy
-//! thread-per-core driver and the speculative (Block-STM-style) driver
-//! produce *byte-identical* simulations — same per-core statistics, same
-//! execution cycles, same begin/commit/abort traces, same cycle-stamped
-//! observability event streams, same thread return values. The schedulers
-//! may only differ in host-side mechanics (and host-side counters like
-//! [`htm_sim::SpecStats`]), never in what the simulated machine does.
+//! workload, the single-threaded cooperative driver and the legacy
+//! thread-per-core driver produce *byte-identical* simulations — same
+//! per-core statistics, same execution cycles, same begin/commit/abort
+//! traces, same cycle-stamped observability event streams, same thread
+//! return values. The schedulers may only differ in host-side mechanics,
+//! never in what the simulated machine does.
 
 use htm_sim::{FallbackPolicy, Machine, MachineConfig, ObsEvent, Scheduler};
 use stagger_bench::workload_set;
@@ -48,14 +47,6 @@ fn run_cfg_under(
     mcfg.record_events = true;
     let machine = Machine::new(mcfg);
     let r = p.run_on(&machine, &RuntimeConfig::with_mode(mode), seed);
-    if scheduler == Scheduler::Speculative {
-        let s = machine.spec_stats();
-        assert!(
-            s.rounds > 0 && s.speculated_ops > 0,
-            "{}: speculative run must actually speculate (got {s:?})",
-            p.name()
-        );
-    }
     (
         machine.stats(),
         machine.take_trace(),
@@ -91,7 +82,7 @@ fn assert_identical(a: &RunArtifacts, b: &RunArtifacts, name: &str, mode: Mode, 
     );
 }
 
-/// All ten workloads (`--quick` configs), both contended modes, all three
+/// All ten workloads (`--quick` configs), both contended modes, both
 /// schedulers: stats, traces, events and returns must match exactly.
 #[test]
 fn all_schedulers_are_bit_identical() {
@@ -103,8 +94,6 @@ fn all_schedulers_are_bit_identical() {
             let coop = run_under(&p, Scheduler::Cooperative, mode, 4, 2015);
             let thr = run_under(&p, Scheduler::Threaded, mode, 4, 2015);
             assert_identical(&coop, &thr, w.name(), mode, "threaded");
-            let spec = run_under(&p, Scheduler::Speculative, mode, 4, 2015);
-            assert_identical(&coop, &spec, w.name(), mode, "speculative");
         }
     }
 }
@@ -112,7 +101,7 @@ fn all_schedulers_are_bit_identical() {
 /// The protocol matrix rides the same invariant: each fallback/capacity
 /// variant (instrumented hybrid software path, hardware commit-time lock
 /// validation, bounded read/write sets) must simulate byte-identically
-/// under all three schedulers. Two workloads keep the suite bounded:
+/// under both schedulers. Two workloads keep the suite bounded:
 /// `list-hi` exercises heavy fallback traffic (bounded-set turns most of
 /// its transactions into capacity storms), `memcached` the low-contention
 /// fast path.
@@ -137,16 +126,14 @@ fn protocol_variants_are_bit_identical_across_schedulers() {
                 let coop = run_cfg_under(&p, Scheduler::Cooperative, mode, 4, 2015, cfg);
                 let thr = run_cfg_under(&p, Scheduler::Threaded, mode, 4, 2015, cfg);
                 assert_identical(&coop, &thr, &tag, mode, "threaded");
-                let spec = run_cfg_under(&p, Scheduler::Speculative, mode, 4, 2015, cfg);
-                assert_identical(&coop, &spec, &tag, mode, "speculative");
             }
         }
     }
 }
 
 /// The same identity past the old 32-core ownership-mask boundary: the two
-/// `scaling`-exhibit workloads at 64 cores, both modes, all three
-/// schedulers. Kept to two workloads so the suite stays bounded.
+/// `scaling`-exhibit workloads at 64 cores, both modes, both schedulers.
+/// Kept to two workloads so the suite stays bounded.
 #[test]
 fn schedulers_are_bit_identical_at_64_cores() {
     for w in workload_set(true) {
@@ -158,8 +145,6 @@ fn schedulers_are_bit_identical_at_64_cores() {
             let coop = run_under(&p, Scheduler::Cooperative, mode, 64, 2015);
             let thr = run_under(&p, Scheduler::Threaded, mode, 64, 2015);
             assert_identical(&coop, &thr, w.name(), mode, "threaded@64");
-            let spec = run_under(&p, Scheduler::Speculative, mode, 64, 2015);
-            assert_identical(&coop, &spec, w.name(), mode, "speculative@64");
         }
     }
 }

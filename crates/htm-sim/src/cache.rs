@@ -90,27 +90,6 @@ impl CacheArray {
         }
     }
 
-    /// Set index of `line` — exposed for the speculative scheduler's
-    /// copy-on-write overlay, which clones single sets on demand.
-    pub(crate) fn set_index(&self, line: u64) -> usize {
-        self.set_of(line)
-    }
-
-    /// The `(line, stamp)` entries of set `s` (overlay seeding).
-    pub(crate) fn set_entries(&self, s: usize) -> &[(u64, u64)] {
-        &self.sets[s]
-    }
-
-    /// Associativity (overlay seeding).
-    pub(crate) fn ways(&self) -> usize {
-        self.ways
-    }
-
-    /// Current LRU stamp counter (overlay seeding).
-    pub(crate) fn stamp(&self) -> u64 {
-        self.stamp
-    }
-
     /// Remove a specific line (e.g., invalidation on cross-core write).
     pub fn remove(&mut self, line: u64) {
         let s = self.set_of(line);

@@ -103,7 +103,7 @@ impl FallbackPolicy {
     }
 }
 
-/// Host-side driver for the simulated cores. All schedulers realize the
+/// Host-side driver for the simulated cores. Both schedulers realize the
 /// same simulated semantics — ops execute in increasing (logical clock,
 /// core id) order — so results are bit-identical; they differ only in host
 /// cost. See the `machine` module docs.
@@ -116,13 +116,6 @@ pub enum Scheduler {
     /// One OS thread per simulated core, gated by a mutex + condvars (the
     /// original driver; kept for cross-scheduler equivalence testing).
     Threaded,
-    /// Block-STM-style optimistic executor: host worker threads run each
-    /// core's next quantum of gated ops against a private overlay view of
-    /// the simulator state, and a serial commit walk re-applies the
-    /// recorded ops to the real state in strict (clock, id) order,
-    /// re-executing any core whose speculated results were invalidated by
-    /// an earlier-ordered commit. See the `spec` module docs.
-    Speculative,
 }
 
 impl Scheduler {
@@ -131,19 +124,15 @@ impl Scheduler {
         match self {
             Scheduler::Cooperative => "cooperative",
             Scheduler::Threaded => "threaded",
-            Scheduler::Speculative => "speculative",
         }
     }
 
-    /// Parse a scheduler by name, case-insensitively. Accepts the same
-    /// spellings as the `HTM_SIM_SCHEDULER` environment variable:
-    /// `cooperative`/`coop`/`single`, `threaded`/`threads`, and
-    /// `speculative`/`spec`.
+    /// Parse a scheduler by name, case-insensitively:
+    /// `cooperative`/`coop`/`single` or `threaded`/`threads`.
     pub fn parse(s: &str) -> Option<Scheduler> {
         match s.to_ascii_lowercase().as_str() {
             "cooperative" | "coop" | "single" => Some(Scheduler::Cooperative),
             "threaded" | "threads" => Some(Scheduler::Threaded),
-            "speculative" | "spec" => Some(Scheduler::Speculative),
             _ => None,
         }
     }
@@ -229,16 +218,8 @@ pub struct MachineConfig {
     /// dropped). 0 disables buffering entirely even with `record_events`.
     pub event_ring_capacity: usize,
     /// Host-side core driver. Purely a host-performance knob: simulated
-    /// cycles, stats and traces are identical across schedulers. Unless
-    /// [`Self::scheduler_pinned`] is set, the `HTM_SIM_SCHEDULER`
-    /// environment variable (`cooperative`/`threads`) overrides this at
-    /// [`crate::Machine::new`].
+    /// cycles, stats and traces are identical across schedulers.
     pub scheduler: Scheduler,
-    /// When set, the scheduler was chosen explicitly (a `--scheduler`
-    /// flag or an experiment spec) and the `HTM_SIM_SCHEDULER` environment
-    /// variable is only a fallback — it no longer overrides. Set by the
-    /// `scheduler(..)` builder method and by [`Self::set_kv`].
-    pub scheduler_pinned: bool,
     /// Capacity (in lines, rounded up to a power of two; 0 disables) of
     /// the per-core line-permission cache: per transaction attempt, the
     /// simulator remembers lines whose read/write ownership bits it has
@@ -250,19 +231,6 @@ pub struct MachineConfig {
     /// excluded from `to_kv`/`set_kv` so experiment-spec run keys never
     /// depend on it.
     pub perm_cache_lines: usize,
-    /// Host worker threads for [`Scheduler::Speculative`]; 0 (default)
-    /// resolves to the host's available parallelism at run time. Host-only
-    /// like `perm_cache_lines`: the speculative commit walk applies ops in
-    /// the same (clock, id) order at any worker count, so simulated
-    /// cycles, stats, traces and events cannot depend on it — it is
-    /// excluded from `to_kv`/`set_kv` so run keys never fork on it.
-    pub host_threads: usize,
-    /// Gated ops one speculative quantum may run before its core suspends
-    /// (the unit of optimistic execution and validation). Host-only for
-    /// the same reason as `host_threads`: quantum length changes how much
-    /// work mis-speculation wastes, never what the simulated machine
-    /// does. Clamped to at least 1 at run time.
-    pub spec_quantum: usize,
 }
 
 impl Default for MachineConfig {
@@ -294,10 +262,7 @@ impl Default for MachineConfig {
             record_events: false,
             event_ring_capacity: 1 << 20,
             scheduler: Scheduler::Cooperative,
-            scheduler_pinned: false,
             perm_cache_lines: 32,
-            host_threads: 0,
-            spec_quantum: 64,
         }
     }
 }
@@ -374,30 +339,15 @@ impl MachineConfig {
         self
     }
 
-    /// Pin the host-side scheduler explicitly: the `HTM_SIM_SCHEDULER`
-    /// environment variable no longer overrides it.
+    /// Select the host-side scheduler.
     pub fn scheduler(mut self, s: Scheduler) -> Self {
         self.scheduler = s;
-        self.scheduler_pinned = true;
         self
     }
 
     /// Size the per-core line-permission cache (0 disables the fast path).
     pub fn perm_cache_lines(mut self, lines: usize) -> Self {
         self.perm_cache_lines = lines;
-        self
-    }
-
-    /// Set the speculative scheduler's host worker-thread count (0 = the
-    /// host's available parallelism).
-    pub fn host_threads(mut self, n: usize) -> Self {
-        self.host_threads = n;
-        self
-    }
-
-    /// Set the speculative scheduler's quantum length in gated ops.
-    pub fn spec_quantum(mut self, ops: usize) -> Self {
-        self.spec_quantum = ops;
         self
     }
 
@@ -453,9 +403,8 @@ impl MachineConfig {
         kv
     }
 
-    /// Set one knob by its canonical key. Setting `scheduler` pins it
-    /// (explicit configuration beats the environment variable). Returns a
-    /// descriptive error for an unknown key or an unparsable value.
+    /// Set one knob by its canonical key. Returns a descriptive error for
+    /// an unknown key or an unparsable value.
     pub fn set_kv(&mut self, key: &str, value: &str) -> Result<(), String> {
         fn num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
             value
@@ -497,12 +446,10 @@ impl MachineConfig {
             "scheduler" => {
                 self.scheduler = Scheduler::parse(value)
                     .ok_or_else(|| format!("machine.scheduler: invalid value '{value}'"))?;
-                self.scheduler_pinned = true;
             }
-            // `perm_cache_lines`, `host_threads` and `spec_quantum` are
-            // intentionally not settable here: they cannot change
-            // simulated results, so they are not part of the experiment
-            // spec (accepting them would silently fork run keys).
+            // `perm_cache_lines` is intentionally not settable here: it
+            // cannot change simulated results, so it is not part of the
+            // experiment spec (accepting it would silently fork run keys).
             other => return Err(format!("machine.{other}: unknown key")),
         }
         Ok(())
@@ -571,7 +518,6 @@ mod tests {
         assert_eq!(c.pc_tag_bits, 6);
         assert!(c.record_events && !c.record_trace);
         assert_eq!(c.scheduler, Scheduler::Threaded);
-        assert!(c.scheduler_pinned);
     }
 
     #[test]
@@ -588,7 +534,6 @@ mod tests {
             d.set_kv(k, &v).unwrap();
         }
         assert_eq!(c.to_kv(), d.to_kv());
-        assert!(d.scheduler_pinned, "set_kv(scheduler) pins");
     }
 
     #[test]
@@ -626,14 +571,19 @@ mod tests {
             c.set_kv("perm_cache_lines", "64").is_err(),
             "perm_cache_lines is host-only and must not enter run keys"
         );
-        assert!(
-            c.set_kv("host_threads", "4").is_err(),
-            "host_threads is host-only and must not enter run keys"
-        );
-        assert!(
-            c.set_kv("spec_quantum", "16").is_err(),
-            "spec_quantum is host-only and must not enter run keys"
-        );
+    }
+
+    #[test]
+    fn removed_speculative_driver_is_rejected_input() {
+        // The driver and its two host knobs are gone; naming them must be an
+        // error, never a silent fallback to another scheduler.
+        assert_eq!(Scheduler::parse("speculative"), None);
+        assert_eq!(Scheduler::parse("spec"), None);
+        let mut c = MachineConfig::default();
+        assert!(c.set_kv("scheduler", "speculative").is_err());
+        assert!(c.set_kv("host_threads", "4").is_err());
+        assert!(c.set_kv("spec_quantum", "16").is_err());
+        assert_eq!(c.scheduler, Scheduler::Cooperative);
     }
 
     #[test]
@@ -642,14 +592,6 @@ mod tests {
         assert_eq!(c.perm_cache_lines, 64);
         // Varying it must not change the serialized spec (and hence no
         // sweep-cell run key).
-        assert_eq!(c.to_kv(), MachineConfig::cores(2).to_kv());
-    }
-
-    #[test]
-    fn speculative_knobs_are_host_only_outside_the_spec() {
-        let c = MachineConfig::cores(2).host_threads(4).spec_quantum(16);
-        assert_eq!(c.host_threads, 4);
-        assert_eq!(c.spec_quantum, 16);
         assert_eq!(c.to_kv(), MachineConfig::cores(2).to_kv());
     }
 
@@ -666,16 +608,11 @@ mod tests {
             Some(FallbackPolicy::HybridStm)
         );
         assert_eq!(FallbackPolicy::parse("pessimism"), None);
-        for s in [
-            Scheduler::Cooperative,
-            Scheduler::Threaded,
-            Scheduler::Speculative,
-        ] {
+        for s in [Scheduler::Cooperative, Scheduler::Threaded] {
             assert_eq!(Scheduler::parse(s.name()), Some(s));
         }
         assert_eq!(Scheduler::parse("coop"), Some(Scheduler::Cooperative));
         assert_eq!(Scheduler::parse("threads"), Some(Scheduler::Threaded));
-        assert_eq!(Scheduler::parse("spec"), Some(Scheduler::Speculative));
         assert_eq!(HtmProtocol::parse("none"), None);
     }
 }

@@ -7,8 +7,7 @@
 //! properties the hot paths rely on:
 //!
 //! * `Copy` + cheap equality — the directory builds sets from its word rows
-//!   by value, and the speculative overlay ([`crate::spec`]) stores them *by
-//!   value* in its touched-line map.
+//!   by value.
 //! * Ascending-id iteration via per-word `trailing_zeros` — the eager
 //!   requester-wins victim walk dooms cores in ascending id order, and that
 //!   order is part of the simulator's bit-identical contract.

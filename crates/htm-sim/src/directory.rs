@@ -42,18 +42,14 @@ impl Directory {
         ])
     }
 
-    /// `line`'s `role` set, or `None` past the end of memory (the
-    /// speculative overlay must not panic on stale addresses).
-    pub(crate) fn try_get(&self, line: u64, role: Role) -> Option<CoreSet> {
-        let row = self.0.get(line as usize)?;
-        Some(CoreSet::from_words(row[role as usize]))
-    }
-
     /// `line`'s `role` set. Panics on out-of-range addresses, matching
     /// `read_word`/`write_word`.
     pub(crate) fn get(&self, line: u64, role: Role) -> CoreSet {
-        self.try_get(line, role)
-            .unwrap_or_else(|| panic!("simulated address {:#x} out of range", line * LINE_BYTES))
+        let row = self
+            .0
+            .get(line as usize)
+            .unwrap_or_else(|| panic!("simulated address {:#x} out of range", line * LINE_BYTES));
+        CoreSet::from_words(row[role as usize])
     }
 
     /// Edit `line`'s `role` set in place (same range check as [`Self::get`]).

@@ -47,7 +47,6 @@ pub mod machine;
 pub mod obs;
 pub mod sched;
 pub mod sim;
-pub(crate) mod spec;
 pub mod stats;
 pub mod trace;
 
@@ -58,10 +57,10 @@ pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use latency::{
     histogram_of, request_latencies, txn_latencies, LatencySummary, LogHistogram, RequestLatency,
 };
-pub use machine::{body, factory, Core, CoreBody, CoreFactory, CoreFn, Machine};
+pub use machine::{body, Core, CoreBody, CoreFn, Machine};
 pub use obs::{
     AbortBreakdown, ConflictMatrix, EventRing, ObsEvent, ObsKind, WaitHistogram, WordWaits,
 };
 pub use sched::SchedStats;
 pub use sim::{AbortCause, AbortInfo, TraceEvent, TraceKind, TxError};
-pub use stats::{CoreStats, SimStats, SpecStats};
+pub use stats::{CoreStats, SimStats};

@@ -9,7 +9,7 @@
 //! the program and its seeds — bit-for-bit reproducible, like the paper's
 //! MARSSx86 runs with threads pinned to cores.
 //!
-//! Three host-side drivers realize that order (see
+//! Two host-side drivers realize that order (see
 //! [`Scheduler`](crate::config::Scheduler)):
 //!
 //! * **Cooperative** (default): a single host thread runs a plain event
@@ -23,28 +23,16 @@
 //!   the minimum. This was the original driver; it is kept for the
 //!   cross-scheduler equivalence suite and pays a futex round-trip per
 //!   handoff.
-//! * **Speculative**: a Block-STM-style optimistic executor — host worker
-//!   threads run cores' op quanta against private overlay views of the
-//!   state, and a serial commit walk re-executes the queued ops against
-//!   the real state in exactly the cooperative (clock, id) order,
-//!   re-executing any core whose predictions diverged (see
-//!   [`crate::spec`]). Requires resumable core *factories*
-//!   ([`Machine::run_factories`]); with plain one-shot bodies it falls
-//!   back to the cooperative driver.
 //!
-//! Because all drivers admit ops in exactly the same (clock, id) order,
+//! Because both drivers admit ops in exactly the same (clock, id) order,
 //! simulated cycles, statistics, traces and obs events are bit-identical
 //! between them.
 
 use crate::addr::Addr;
 use crate::config::{MachineConfig, Scheduler};
 use crate::obs::{ObsEvent, ObsKind};
-use crate::sim::{apply_op, AbortCause, Op, OpResult, SimState, TraceEvent, TxError};
-use crate::spec::{
-    commit_walk, spec_poll, with_base, FutCell, NgKind, NgValue, SpecMode, SpecSlot, SpecView,
-    TaskCtl, WalkStep,
-};
-use crate::stats::{SimStats, SpecStats};
+use crate::sim::{AbortCause, SimState, TraceEvent, TxError};
+use crate::stats::SimStats;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -53,9 +41,6 @@ use std::task::{Context, Poll, Waker};
 struct Shared {
     state: Mutex<SimState>,
     cvs: Vec<Condvar>,
-    /// Host-side counters of the speculative scheduler's last run (all
-    /// zeros for the other drivers).
-    spec: Mutex<SpecStats>,
 }
 
 impl Shared {
@@ -74,27 +59,11 @@ pub type CoreBody<'m> = Pin<Box<dyn Future<Output = ()> + Send + 'm>>;
 /// builder.
 pub type CoreFn<'m> = Box<dyn FnOnce(Core<'m>) -> CoreBody<'m> + Send + 'm>;
 
-/// Builds one core's program from its [`Core`] handle, *reusably* — the
-/// speculative scheduler re-invokes the factory to re-execute a core whose
-/// optimistic predictions were invalidated.
-pub type CoreFactory<'m> = Box<dyn Fn(Core<'m>) -> CoreBody<'m> + Send + 'm>;
-
 /// Box an async core body into the form [`Machine::run`] accepts:
 /// `machine.run(vec![body(|mut c| async move { ... })])`.
 pub fn body<'m, F, Fut>(f: F) -> CoreFn<'m>
 where
     F: FnOnce(Core<'m>) -> Fut + Send + 'm,
-    Fut: Future<Output = ()> + Send + 'm,
-{
-    Box::new(move |core| Box::pin(f(core)) as CoreBody<'m>)
-}
-
-/// Box a *re-invocable* async core body into the form
-/// [`Machine::run_factories`] accepts. The closure must build a fresh,
-/// deterministic program each call (clone captured state inside).
-pub fn factory<'m, F, Fut>(f: F) -> CoreFactory<'m>
-where
-    F: Fn(Core<'m>) -> Fut + Send + 'm,
     Fut: Future<Output = ()> + Send + 'm,
 {
     Box::new(move |core| Box::pin(f(core)) as CoreBody<'m>)
@@ -108,10 +77,6 @@ enum Drive {
     /// Thread-per-core: ineligible gates park on a condvar and are woken by
     /// whichever op makes them the minimum.
     Threaded,
-    /// Speculative: ops run against the per-core overlay slot (or, for a
-    /// demoted core, directly against real state when the commit walk
-    /// admits them).
-    Spec(Arc<SpecSlot>),
 }
 
 /// A simulated multicore machine with HTM.
@@ -121,21 +86,10 @@ pub struct Machine {
 }
 
 impl Machine {
-    pub fn new(mut cfg: MachineConfig) -> Machine {
-        // The environment variable is a fallback: an explicitly pinned
-        // scheduler (a `--scheduler` flag or an experiment spec) wins.
-        if !cfg.scheduler_pinned {
-            if let Some(s) = std::env::var("HTM_SIM_SCHEDULER")
-                .ok()
-                .and_then(|v| Scheduler::parse(&v))
-            {
-                cfg.scheduler = s;
-            }
-        }
+    pub fn new(cfg: MachineConfig) -> Machine {
         let shared = Arc::new(Shared {
             state: Mutex::new(SimState::new(cfg.clone())),
             cvs: (0..cfg.n_cores).map(|_| Condvar::new()).collect(),
-            spec: Mutex::new(SpecStats::default()),
         });
         Machine { shared, cfg }
     }
@@ -146,43 +100,21 @@ impl Machine {
 
     /// Run one program per simulated core to completion; every simulated
     /// operation is deterministically ordered by logical time. May be
-    /// called once per machine.
-    ///
-    /// One-shot bodies cannot be re-executed, so under
-    /// [`Scheduler::Speculative`] this falls back to the (bit-identical)
-    /// cooperative driver; use [`Machine::run_factories`] to opt into
-    /// optimistic parallelism.
+    /// called once per machine: a run retires every core, so a second one
+    /// would have nothing eligible to schedule. Panics if called again.
     pub fn run<'m>(&'m self, bodies: Vec<CoreFn<'m>>) {
         assert_eq!(
             bodies.len(),
             self.cfg.n_cores,
             "need exactly one body per core"
         );
-        match self.cfg.scheduler {
-            Scheduler::Cooperative | Scheduler::Speculative => self.run_cooperative(bodies),
-            Scheduler::Threaded => self.run_threaded(bodies),
-        }
-    }
-
-    /// Run one *re-invocable* program factory per core. Under
-    /// [`Scheduler::Speculative`] cores execute optimistically in parallel
-    /// on host worker threads (with bit-identical results); under the
-    /// other schedulers this is equivalent to [`Machine::run`].
-    pub fn run_factories<'m>(&'m self, factories: Vec<CoreFactory<'m>>) {
-        assert_eq!(
-            factories.len(),
-            self.cfg.n_cores,
-            "need exactly one factory per core"
+        assert!(
+            !self.shared.lock().cores.iter().any(|c| c.finished),
+            "Machine::run called twice; build a new Machine per run"
         );
         match self.cfg.scheduler {
-            Scheduler::Speculative => self.run_speculative(factories),
-            Scheduler::Cooperative | Scheduler::Threaded => {
-                let bodies = factories
-                    .into_iter()
-                    .map(|f| Box::new(move |c: Core<'m>| f(c)) as CoreFn<'m>)
-                    .collect();
-                self.run(bodies);
-            }
+            Scheduler::Cooperative => self.run_cooperative(bodies),
+            Scheduler::Threaded => self.run_threaded(bodies),
         }
     }
 
@@ -263,262 +195,22 @@ impl Machine {
         });
     }
 
-    /// The Block-STM-style optimistic driver (see [`crate::spec`] for the
-    /// protocol). Round structure:
-    ///
-    /// 1. **Rebuild** — cores whose predictions were invalidated get a
-    ///    fresh program from their factory; it deterministically replays
-    ///    the committed-prefix log (no real-state access). A core that
-    ///    mis-speculates repeatedly is demoted to *direct* execution.
-    /// 2. **Speculate** — worker threads poll live cores' programs in
-    ///    parallel; each gate executes against the core's private overlay
-    ///    and queues an `(op, predicted result, latency)` record. The
-    ///    driver holds the state lock for the whole phase, so workers read
-    ///    a frozen base state.
-    /// 3. **Commit** — a serial walk validates queue heads in global
-    ///    min-(clock, id) order, re-executing each op against the real
-    ///    state (the authoritative execution all results come from).
-    ///    Direct cores are admitted one op at a time at their turn.
-    fn run_speculative<'m>(&'m self, factories: Vec<CoreFactory<'m>>) {
-        let n = self.cfg.n_cores;
-        let q = self.cfg.spec_quantum.max(1);
-        let workers = match self.cfg.host_threads {
-            0 => std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
-            t => t,
-        }
-        .clamp(1, n.max(1));
-        /// Rebuilds after which a core stops speculating: each rebuild
-        /// replays the whole committed prefix, so repeated mis-speculation
-        /// on a long-running core would otherwise cost O(n²) replay work.
-        const DEMOTE_LIMIT: u32 = 4;
-
-        let slots: Vec<Arc<SpecSlot>> = (0..n).map(|i| Arc::new(SpecSlot::new(i))).collect();
-        let record = self.cfg.record_events;
-        let mk_core = |tid: usize| Core {
-            shared: &self.shared,
-            tid,
-            pending: 0,
-            last_clock: 0,
-            record,
-            drive: Drive::Spec(Arc::clone(&slots[tid])),
-        };
-        let futs: Vec<FutCell<'m>> = factories
-            .iter()
-            .enumerate()
-            .map(|(tid, mk)| Mutex::new(Some(mk(mk_core(tid)))))
-            .collect();
-        let lock_fut = |tid: usize| futs[tid].lock().unwrap_or_else(|e| e.into_inner());
-        let mut ctl: Vec<TaskCtl> = (0..n).map(|_| TaskCtl::default()).collect();
-        let mut sstats = SpecStats::default();
-        // Indexed min-(clock, id) structure for the commit walk; reseeded
-        // at each walk entry, reusing the allocation across rounds.
-        let mut walk_heap = crate::sched::LazyMinHeap::default();
-        let mut cx = Context::from_waker(Waker::noop());
-
-        loop {
-            // ---- Phase 1: rebuild invalidated cores ----------------------
-            for tid in 0..n {
-                if !ctl[tid].needs_rebuild {
-                    continue;
-                }
-                ctl[tid].needs_rebuild = false;
-                ctl[tid].rebuilds += 1;
-                sstats.rebuilds += 1;
-                let demote = ctl[tid].rebuilds > DEMOTE_LIMIT;
-                {
-                    let mut s = slots[tid].lock();
-                    s.mode = SpecMode::Poisoned;
-                    s.view = None;
-                    s.queue.clear();
-                    s.budget = 0;
-                    s.admitted = false;
-                    s.panicked = false;
-                    s.replay_pos = 0;
-                    s.demote_on_replay_end = demote;
-                    sstats.replayed_ops += s.log.len() as u64;
-                }
-                // Drop the stale program while the slot is Poisoned (its
-                // Core's drop hook is then a no-op), then install a fresh
-                // one and switch to replay.
-                *lock_fut(tid) = None;
-                slots[tid].lock().mode = SpecMode::Replaying;
-                if demote {
-                    ctl[tid].direct = true;
-                    sstats.demoted_cores += 1;
-                }
-                *lock_fut(tid) = Some(factories[tid](mk_core(tid)));
-                // Replay never suspends, so one poll consumes the whole
-                // committed prefix. The base pointer is installed without
-                // holding the state lock: a just-demoted program gates
-                // directly against real state inside this same poll.
-                let base_ptr: *const SimState = {
-                    let g = self.shared.lock();
-                    &*g as *const SimState
-                };
-                let ready = with_base(base_ptr, || {
-                    let mut g = lock_fut(tid);
-                    let fut = g.as_mut().expect("rebuilt core has a program");
-                    fut.as_mut().poll(&mut cx).is_ready()
-                });
-                if ready {
-                    *lock_fut(tid) = None;
-                }
-                {
-                    let s = slots[tid].lock();
-                    if s.panicked || s.replay_pos != s.log.len() {
-                        panic!("core {tid} diverged during speculative replay");
-                    }
-                }
-                if ready && ctl[tid].direct {
-                    // A direct program that ran to completion retired
-                    // itself against real state in its drop hook.
-                    ctl[tid].done = true;
-                }
-            }
-            if ctl.iter().all(|c| c.done) {
-                break;
-            }
-
-            // ---- Phase 2: parallel speculation ---------------------------
-            {
-                let st = self.shared.lock();
-                let mut live = Vec::with_capacity(n);
-                for (tid, c) in ctl.iter().enumerate() {
-                    if c.done || c.direct {
-                        continue;
-                    }
-                    live.push(tid);
-                    let mut s = slots[tid].lock();
-                    if !matches!(s.mode, SpecMode::Speculating) {
-                        continue;
-                    }
-                    if s.queue.len() >= 4 * q {
-                        // Backpressure: far ahead of the walk already.
-                        s.budget = 0;
-                    } else {
-                        if s.queue.is_empty() {
-                            // All predictions committed: speculate onward
-                            // from a fresh (current) snapshot.
-                            s.view = Some(SpecView::snapshot(&st, tid));
-                        }
-                        s.budget = q;
-                    }
-                }
-                sstats.rounds += 1;
-                if workers <= 1 || live.len() <= 1 {
-                    for &i in &live {
-                        spec_poll(&st, &futs[i], &slots[i]);
-                    }
-                } else {
-                    let next = std::sync::atomic::AtomicUsize::new(0);
-                    let base: &SimState = &st;
-                    let live = &live;
-                    let futs = &futs;
-                    let slots = &slots;
-                    std::thread::scope(|scope| {
-                        for _ in 0..workers.min(live.len()) {
-                            scope.spawn(|| loop {
-                                let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                let Some(&i) = live.get(k) else { break };
-                                spec_poll(base, &futs[i], &slots[i]);
-                            });
-                        }
-                    });
-                }
-                drop(st);
-                // Post-phase triage: contain panics, detect foreign waits.
-                for &i in &live {
-                    let mut s = slots[i].lock();
-                    if s.panicked {
-                        s.panicked = false;
-                        s.queue.clear();
-                        s.view = None;
-                        drop(s);
-                        ctl[i].needs_rebuild = true;
-                        continue;
-                    }
-                    if matches!(s.mode, SpecMode::Speculating)
-                        && s.budget == q
-                        && s.queue.is_empty()
-                        && lock_fut(i).is_some()
-                    {
-                        // Had budget, produced nothing, didn't finish: the
-                        // body awaited something that is not a gate.
-                        panic!(
-                            "core {i} suspended without gate progress: \
-                             body awaited a non-gate future"
-                        );
-                    }
-                }
-            }
-
-            // ---- Phase 3: serial validate-and-commit walk ----------------
-            let mut st = self.shared.lock();
-            loop {
-                match commit_walk(&mut st, &slots, &mut ctl, &mut sstats, &mut walk_heap) {
-                    WalkStep::RoundDone => break,
-                    WalkStep::Direct(tid) => {
-                        // It is globally this direct core's turn: admit one
-                        // op and poll its program on the driver thread
-                        // (dropping the guard — direct gates lock the real
-                        // state themselves).
-                        slots[tid].lock().admitted = true;
-                        drop(st);
-                        let ready = {
-                            let mut g = lock_fut(tid);
-                            match g.as_mut() {
-                                Some(fut) => {
-                                    let r = fut.as_mut().poll(&mut cx).is_ready();
-                                    if r {
-                                        *g = None;
-                                    }
-                                    r
-                                }
-                                None => true,
-                            }
-                        };
-                        if ready {
-                            ctl[tid].done = true;
-                        } else if slots[tid].lock().admitted {
-                            panic!(
-                                "core {tid} suspended without gate progress: \
-                                 body awaited a non-gate future"
-                            );
-                        }
-                        st = self.shared.lock();
-                    }
-                }
-            }
-            drop(st);
-        }
-
-        for slot in &slots {
-            let s = slot.lock();
-            sstats.speculated_ops += s.speculated;
-            sstats.direct_ops += s.direct_ops;
-        }
-        *self.shared.spec.lock().unwrap_or_else(|e| e.into_inner()) = sstats;
-    }
-
     /// Convenience: run the same async body on every core (receives the
     /// core handle). The closure is shared, so values it moves into the
-    /// body must be `Copy` (or clone inside). Being re-invocable, it runs
-    /// with full optimistic parallelism under [`Scheduler::Speculative`].
+    /// body must be `Copy` (or clone inside).
     pub fn run_uniform<'m, F, Fut>(&'m self, f: F)
     where
         F: Fn(Core<'m>) -> Fut + Send + Sync + 'm,
         Fut: Future<Output = ()> + Send + 'm,
     {
         let f = Arc::new(f);
-        let factories: Vec<CoreFactory<'m>> = (0..self.cfg.n_cores)
+        let bodies = (0..self.cfg.n_cores)
             .map(|_| {
                 let f = Arc::clone(&f);
-                Box::new(move |c: Core<'m>| Box::pin(f(c)) as CoreBody<'m>) as CoreFactory<'m>
+                body(move |c| f(c))
             })
             .collect();
-        self.run_factories(factories);
+        self.run(bodies);
     }
 
     /// Statistics snapshot (meaningful after `run` returns). The per-core
@@ -539,20 +231,11 @@ impl Machine {
         SimStats { cores, exec_cycles }
     }
 
-    /// Host-side counters of the speculative scheduler's last run: how well
-    /// optimistic execution predicted the serial commit order. All zeros
-    /// under the cooperative/threaded drivers (and for speculative `run`
-    /// calls that fell back to cooperative). Never feeds back into
-    /// simulated quantities.
-    pub fn spec_stats(&self) -> SpecStats {
-        *self.shared.spec.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Host-side scheduling-overhead counters: cooperative `schedule()`
-    /// calls and lazy-heap stale-entry repairs. Like [`Machine::spec_stats`]
-    /// these never feed back into simulated quantities (and are therefore
-    /// not part of [`Machine::stats`], which cross-scheduler equivalence
-    /// tests compare for equality).
+    /// calls and lazy-heap stale-entry repairs. These never feed back into
+    /// simulated quantities (and are therefore not part of
+    /// [`Machine::stats`], which cross-scheduler equivalence tests compare
+    /// for equality).
     pub fn sched_stats(&self) -> crate::sched::SchedStats {
         self.shared.lock().sched_stats
     }
@@ -667,17 +350,9 @@ impl<'m> Core<'m> {
         }
     }
 
-    /// Is this core driven by the speculative scheduler? Decides, per op,
-    /// between the monomorphized closure gate (fast path) and the
-    /// [`Op`]-value gate the overlay machinery requires.
-    fn is_spec(&self) -> bool {
-        matches!(self.drive, Drive::Spec(_))
-    }
-
     /// Perform `f` on the shared state at this core's logical turn; `f`
-    /// returns `(result, latency)`. The fast path for the cooperative and
-    /// threaded drivers: monomorphized per call site, so the op body
-    /// inlines straight into the gate with no enum dispatch. Each poll
+    /// returns `(result, latency)`. Monomorphized per call site, so the op
+    /// body inlines straight into the gate with no enum dispatch. Each poll
     /// folds pending compute cycles (idempotent — they reset to zero) and
     /// either runs the op, if this core is the minimum, or suspends after
     /// waking an eligible parked core (threaded driver only; cooperative
@@ -714,7 +389,6 @@ impl<'m> Core<'m> {
                     }
                     None => unreachable!("calling core cannot be finished"),
                 },
-                Drive::Spec(_) => unreachable!("speculative cores gate through gate_op"),
             }
             st.cores[tid].stats.gated_ops += 1;
             let (r, lat) = (f.take().expect("gate op polled after completion"))(&mut st, tid);
@@ -731,178 +405,57 @@ impl<'m> Core<'m> {
         })
     }
 
-    /// Perform one gated operation under the speculative driver: it
-    /// executes against this core's overlay slot (or directly against real
-    /// state, once admitted by the commit walk, for demoted cores). The op
-    /// travels as an [`Op`] value because the overlay must execute it, and
-    /// the commit walk later re-executes it authoritatively.
-    fn gate_op<'a>(&'a mut self, op: Op) -> impl Future<Output = OpResult> + Send + use<'a, 'm> {
-        std::future::poll_fn(move |_cx| {
-            let Drive::Spec(slot) = &self.drive else {
-                unreachable!("gate_op is the speculative-drive gate")
-            };
-            let slot = Arc::clone(slot);
-            match slot.gate(&mut self.pending, &mut self.last_clock, &op) {
-                crate::spec::SpecGate::Ready(r) => Poll::Ready(r),
-                crate::spec::SpecGate::Pending => Poll::Pending,
-                crate::spec::SpecGate::Direct => self.direct_gate(&slot, &op),
-            }
-        })
-    }
-
-    /// Gate one op of a demoted (direct) core against the real state. The
-    /// commit walk grants a one-shot `admitted` token when it is globally
-    /// this core's turn; until then the gate folds compute cycles (making
-    /// the core's (clock, id) key exact for the walk) and stays pending.
-    fn direct_gate(&mut self, slot: &SpecSlot, op: &Op) -> Poll<OpResult> {
-        let tid = self.tid;
-        let mut st = self.shared.lock();
-        st.cores[tid].clock += self.pending;
-        self.pending = 0;
-        let admitted = {
-            let mut s = slot.lock();
-            let a = s.admitted;
-            if a {
-                s.admitted = false;
-                s.direct_ops += 1;
-            }
-            a
-        };
-        if !admitted {
-            self.last_clock = st.cores[tid].clock;
-            return Poll::Pending;
-        }
-        st.cores[tid].stats.gated_ops += 1;
-        let (r, lat) = apply_op(&mut st, tid, op);
-        st.cores[tid].clock += lat;
-        self.last_clock = st.cores[tid].clock;
-        Poll::Ready(r)
-    }
-
-    fn expect_unit(r: OpResult) {
-        match r {
-            OpResult::Unit => {}
-            r => unreachable!("expected Unit result, got {r:?}"),
-        }
-    }
-
     // ----- transactional API ---------------------------------------------
 
     /// Begin a hardware transaction for atomic block `ab_id`.
     pub async fn tx_begin(&mut self, ab_id: u32) {
-        if self.is_spec() {
-            Self::expect_unit(self.gate_op(Op::Begin { ab_id }).await)
-        } else {
-            self.gate(|st, tid| ((), st.tx_begin(tid, ab_id))).await
-        }
+        self.gate(|st, tid| ((), st.tx_begin(tid, ab_id))).await
     }
 
     /// Transactional load at instruction address `pc`.
     pub async fn tx_load(&mut self, addr: Addr, pc: u64) -> Result<u64, TxError> {
-        if self.is_spec() {
-            match self.gate_op(Op::Load { addr, pc }).await {
-                OpResult::TxVal(r) => r,
-                r => unreachable!("expected TxVal result, got {r:?}"),
-            }
-        } else {
-            self.gate(|st, tid| st.tx_load(tid, addr, pc)).await
-        }
+        self.gate(|st, tid| st.tx_load(tid, addr, pc)).await
     }
 
     /// Transactional store at instruction address `pc`.
     pub async fn tx_store(&mut self, addr: Addr, val: u64, pc: u64) -> Result<(), TxError> {
-        if self.is_spec() {
-            match self.gate_op(Op::Store { addr, val, pc }).await {
-                OpResult::TxUnit(r) => r,
-                r => unreachable!("expected TxUnit result, got {r:?}"),
-            }
-        } else {
-            self.gate(|st, tid| st.tx_store(tid, addr, val, pc)).await
-        }
+        self.gate(|st, tid| st.tx_store(tid, addr, val, pc)).await
     }
 
     /// Attempt to commit.
     pub async fn tx_commit(&mut self) -> Result<(), TxError> {
-        if self.is_spec() {
-            match self.gate_op(Op::Commit).await {
-                OpResult::TxUnit(r) => r,
-                r => unreachable!("expected TxUnit result, got {r:?}"),
-            }
-        } else {
-            self.gate(|st, tid| st.tx_commit(tid)).await
-        }
+        self.gate(|st, tid| st.tx_commit(tid)).await
     }
 
     /// Explicitly abort the active transaction (runtime-initiated).
     pub async fn tx_abort(&mut self) -> TxError {
-        if self.is_spec() {
-            match self.gate_op(Op::Abort).await {
-                OpResult::TxErr(e) => e,
-                r => unreachable!("expected TxErr result, got {r:?}"),
-            }
-        } else {
-            self.gate(|st, tid| (st.self_abort(tid, AbortCause::Explicit), 0))
-                .await
-        }
+        self.gate(|st, tid| (st.self_abort(tid, AbortCause::Explicit), 0))
+            .await
     }
 
     /// Is a transaction currently active (not yet observed-doomed)?
-    /// Reads only this core's own state, so it needs no gating (under the
-    /// speculative driver it is answered from the overlay and validated at
-    /// commit time).
+    /// Reads only this core's own state, so it needs no gating.
     pub fn tx_active(&mut self) -> bool {
-        let tid = self.tid;
-        if let Drive::Spec(slot) = &self.drive {
-            if !matches!(slot.lock().mode, SpecMode::Direct | SpecMode::Poisoned) {
-                return match slot.nongated(NgKind::Active) {
-                    NgValue::Active(b) => b,
-                    v => unreachable!("expected Active answer, got {v:?}"),
-                };
-            }
-        }
-        self.shared.lock().tx_active(tid)
+        self.shared.lock().tx_active(self.tid)
     }
 
     /// Atomic-block id of the active transaction, if any.
     pub fn tx_ab_id(&mut self) -> Option<u32> {
-        let tid = self.tid;
-        if let Drive::Spec(slot) = &self.drive {
-            if !matches!(slot.lock().mode, SpecMode::Direct | SpecMode::Poisoned) {
-                return match slot.nongated(NgKind::AbId) {
-                    NgValue::AbId(id) => id,
-                    v => unreachable!("expected AbId answer, got {v:?}"),
-                };
-            }
-        }
-        self.shared.lock().tx_ab_id(tid)
+        self.shared.lock().tx_ab_id(self.tid)
     }
 
     // ----- nontransactional API --------------------------------------------
 
     /// Nontransactional load (escapes isolation; never aborts anyone).
     pub async fn nt_load(&mut self, addr: Addr) -> u64 {
-        if self.is_spec() {
-            match self.gate_op(Op::NtLoad { addr }).await {
-                OpResult::Val(v) => v,
-                r => unreachable!("expected Val result, got {r:?}"),
-            }
-        } else {
-            self.gate(|st, tid| st.nt_load(tid, addr)).await
-        }
+        self.gate(|st, tid| st.nt_load(tid, addr)).await
     }
 
     /// Plain non-speculative load (outside transactions / irrevocable
     /// mode): dooms speculative writers of the line so uncommitted data is
     /// never observed.
     pub async fn plain_load(&mut self, addr: Addr) -> u64 {
-        if self.is_spec() {
-            match self.gate_op(Op::PlainLoad { addr }).await {
-                OpResult::Val(v) => v,
-                r => unreachable!("expected Val result, got {r:?}"),
-            }
-        } else {
-            self.gate(|st, tid| st.plain_load(tid, addr)).await
-        }
+        self.gate(|st, tid| st.plain_load(tid, addr)).await
     }
 
     /// Plain non-speculative store — identical coherence behaviour to
@@ -914,81 +467,51 @@ impl<'m> Core<'m> {
     /// Nontransactional store (immediately visible; aborts conflicting
     /// speculative owners on other cores).
     pub async fn nt_store(&mut self, addr: Addr, val: u64) {
-        if self.is_spec() {
-            Self::expect_unit(self.gate_op(Op::NtStore { addr, val }).await)
-        } else {
-            self.gate(|st, tid| ((), st.nt_store(tid, addr, val))).await
-        }
+        self.gate(|st, tid| ((), st.nt_store(tid, addr, val))).await
     }
 
     /// Nontransactional compare-and-swap.
     pub async fn nt_cas(&mut self, addr: Addr, old: u64, new: u64) -> bool {
-        if self.is_spec() {
-            match self.gate_op(Op::NtCas { addr, old, new }).await {
-                OpResult::Flag(b) => b,
-                r => unreachable!("expected Flag result, got {r:?}"),
-            }
-        } else {
-            self.gate(|st, tid| st.nt_cas(tid, addr, old, new)).await
-        }
+        self.gate(|st, tid| st.nt_cas(tid, addr, old, new)).await
     }
 
     // ----- services ---------------------------------------------------------
 
     /// Allocate `words` from this core's arena.
     pub async fn alloc(&mut self, words: u64, line_align: bool) -> Addr {
-        if self.is_spec() {
-            match self.gate_op(Op::Alloc { words, line_align }).await {
-                OpResult::Val(a) => a,
-                r => unreachable!("expected Val result, got {r:?}"),
-            }
-        } else {
-            self.gate(|st, tid| st.alloc(tid, words, line_align)).await
-        }
+        self.gate(|st, tid| st.alloc(tid, words, line_align)).await
     }
 
     /// Charge advisory-lock wait cycles (runtime bookkeeping: advances the
     /// clock like `compute` and records the amount in the core's stats).
     pub async fn charge_lock_wait(&mut self, cycles: u64) {
         self.compute(cycles);
-        if self.is_spec() {
-            Self::expect_unit(self.gate_op(Op::LockWait { cycles }).await)
-        } else {
-            self.gate(move |st, tid| {
-                st.cores[tid].stats.lock_wait_cycles += cycles;
-                ((), 0)
-            })
-            .await
-        }
+        self.gate(move |st, tid| {
+            st.cores[tid].stats.lock_wait_cycles += cycles;
+            ((), 0)
+        })
+        .await
     }
 
     /// Charge retry-backoff cycles.
     pub async fn charge_backoff(&mut self, cycles: u64) {
         self.compute(cycles);
-        if self.is_spec() {
-            Self::expect_unit(self.gate_op(Op::Backoff { cycles }).await)
-        } else {
-            self.gate(move |st, tid| {
-                st.cores[tid].stats.backoff_cycles += cycles;
-                ((), 0)
-            })
-            .await
-        }
+        self.gate(move |st, tid| {
+            st.cores[tid].stats.backoff_cycles += cycles;
+            ((), 0)
+        })
+        .await
     }
 
     /// Record an irrevocable (global-lock) execution: `cycles` spent and
     /// one irrevocable commit.
     pub async fn record_irrevocable(&mut self, cycles: u64) {
-        if self.is_spec() {
-            Self::expect_unit(self.gate_op(Op::Irrevocable { cycles }).await)
-        } else {
-            self.gate(move |st, tid| {
-                st.cores[tid].stats.irrevocable_cycles += cycles;
-                st.cores[tid].stats.irrevocable_commits += 1;
-                ((), 0)
-            })
-            .await
-        }
+        self.gate(move |st, tid| {
+            st.cores[tid].stats.irrevocable_cycles += cycles;
+            st.cores[tid].stats.irrevocable_commits += 1;
+            ((), 0)
+        })
+        .await
     }
 
     /// Record an observability event at this core's current logical time
@@ -1000,18 +523,8 @@ impl<'m> Core<'m> {
         if !self.record {
             return;
         }
-        let tid = self.tid;
         let clock = self.now();
-        if let Drive::Spec(slot) = &self.drive {
-            // Speculating: queued with the overlay clock and emitted at
-            // commit time in per-core order. Replaying: consumed against the
-            // committed prefix (re-queued if it falls past it). Only a
-            // Direct core falls through to emit against real state.
-            if slot.note(clock, kind) {
-                return;
-            }
-        }
-        self.shared.lock().note_at(tid, clock, kind);
+        self.shared.lock().note_at(self.tid, clock, kind);
     }
 }
 
@@ -1022,22 +535,6 @@ impl Drop for Core<'_> {
     /// bodies unwound, so a panic on one core cannot park the rest forever.
     fn drop(&mut self) {
         let tid = self.tid;
-        if let Drive::Spec(slot) = &self.drive {
-            if slot.finish(self.pending) {
-                // Queued as a Finish record (or dropped, for a poisoned or
-                // mid-replay teardown); the commit walk retires the core.
-                self.pending = 0;
-                return;
-            }
-            // Direct cores (including one demoted by this very finish)
-            // retire against real state, with nobody to wake.
-            let mut st = self.shared.lock();
-            st.cores[tid].clock += self.pending;
-            self.pending = 0;
-            st.cores[tid].finished = true;
-            self.last_clock = st.cores[tid].clock;
-            return;
-        }
         let mut st = self.shared.lock();
         st.cores[tid].clock += self.pending;
         self.pending = 0;
@@ -1058,20 +555,11 @@ mod tests {
     use super::*;
     use crate::sim::AbortCause;
 
-    /// Every test runs under all three drivers via this helper, so the
-    /// suite exercises scheduler equivalence at the unit level too. (Tests
-    /// that use `run` rather than `run_uniform` exercise the speculative
-    /// machine's cooperative fallback, which must be equivalent too.)
-    fn machines(n: usize) -> [Machine; 3] {
-        let mut threaded = MachineConfig::cores(n).small();
-        threaded.scheduler = Scheduler::Threaded;
-        let mut speculative = MachineConfig::cores(n).small();
-        speculative.scheduler = Scheduler::Speculative;
-        [
-            Machine::new(MachineConfig::cores(n).small()),
-            Machine::new(threaded),
-            Machine::new(speculative),
-        ]
+    /// Every test runs under both drivers via this helper, so the suite
+    /// exercises scheduler equivalence at the unit level too.
+    fn machines(n: usize) -> [Machine; 2] {
+        [Scheduler::Cooperative, Scheduler::Threaded]
+            .map(|s| Machine::new(MachineConfig::cores(n).small().scheduler(s)))
     }
 
     #[test]
@@ -1172,71 +660,6 @@ mod tests {
         assert_eq!(a, b, "simulation must be bit-for-bit deterministic");
         let c = contended_run(Scheduler::Threaded);
         assert_eq!(a, c, "schedulers must produce identical simulations");
-        let d = contended_run(Scheduler::Speculative);
-        assert_eq!(a, d, "speculative execution must be invisible");
-    }
-
-    #[test]
-    fn speculative_scheduler_reports_its_work() {
-        let mut cfg = MachineConfig::cores(2).small();
-        cfg.scheduler = Scheduler::Speculative;
-        let m = Machine::new(cfg);
-        let a = m.host_alloc(16, true);
-        m.run_uniform(move |mut c| async move {
-            let a = a + (c.tid() as u64) * 64;
-            for _ in 0..20 {
-                c.tx_begin(0).await;
-                let v = c.tx_load(a, 0).await.unwrap();
-                c.tx_store(a, v + 1, 0).await.unwrap();
-                c.tx_commit().await.unwrap();
-            }
-        });
-        let s = m.spec_stats();
-        assert!(s.rounds > 0, "speculative driver must have run rounds");
-        assert!(s.speculated_ops > 0);
-        // Disjoint lines: every prediction must validate.
-        assert_eq!(s.mismatches, 0);
-        assert_eq!(s.committed_ops, s.speculated_ops);
-        // And the simulation itself is unperturbed.
-        assert_eq!(m.stats().aggregate().commits, 40);
-    }
-
-    #[test]
-    fn speculative_mismatches_rebuild_and_converge() {
-        // Same hot-counter workload as the equivalence test: cross-core
-        // conflicts guarantee stale overlay predictions, exercising the
-        // mismatch → rebuild → replay path.
-        let mut cfg = MachineConfig::cores(4).small();
-        cfg.scheduler = Scheduler::Speculative;
-        let m = Machine::new(cfg);
-        let a = m.host_alloc(8, true);
-        m.run_uniform(move |mut c| async move {
-            for _ in 0..25 {
-                loop {
-                    c.tx_begin(0).await;
-                    let r = match c.tx_load(a, 0x400).await {
-                        Ok(v) => {
-                            c.compute(20);
-                            c.tx_store(a, v + 1, 0x404).await
-                        }
-                        Err(e) => Err(e),
-                    };
-                    let committed = match r {
-                        Ok(()) => c.tx_commit().await.is_ok(),
-                        Err(_) => false,
-                    };
-                    if committed {
-                        break;
-                    }
-                }
-            }
-        });
-        assert_eq!(m.host_load(a), 100);
-        let s = m.spec_stats();
-        assert!(
-            s.mismatches > 0 && s.rebuilds > 0,
-            "hot counter must force mis-speculation (got {s:?})"
-        );
     }
 
     #[test]
@@ -1412,22 +835,22 @@ mod tests {
         }
     }
 
+    /// A run retires every core, so a second one used to be a silent no-op
+    /// (cooperative) or an `unreachable!` (threaded); both must refuse.
+    fn run_twice(m: &Machine) {
+        m.run_uniform(|mut c| async move { c.compute(1) });
+        m.run_uniform(|mut c| async move { c.compute(1) });
+    }
+
     #[test]
-    fn env_var_is_a_fallback_for_unpinned_configs() {
-        // Env mutation is process-global; a Machine::new racing this window
-        // merely runs threaded, which is semantically equivalent.
-        std::env::set_var("HTM_SIM_SCHEDULER", "threads");
-        let m = Machine::new(MachineConfig::cores(1).small());
-        // An explicitly pinned scheduler beats the environment variable.
-        let pinned = Machine::new(
-            MachineConfig::cores(1)
-                .small()
-                .scheduler(Scheduler::Cooperative),
-        );
-        std::env::remove_var("HTM_SIM_SCHEDULER");
-        assert_eq!(m.config().scheduler, Scheduler::Threaded);
-        assert_eq!(pinned.config().scheduler, Scheduler::Cooperative);
-        let m = Machine::new(MachineConfig::cores(1).small());
-        assert_eq!(m.config().scheduler, Scheduler::Cooperative);
+    #[should_panic(expected = "Machine::run called twice")]
+    fn second_run_panics_under_cooperative() {
+        run_twice(&machines(2)[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "Machine::run called twice")]
+    fn second_run_panics_under_threaded() {
+        run_twice(&machines(2)[1]);
     }
 }

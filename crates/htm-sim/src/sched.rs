@@ -1,9 +1,9 @@
 //! Indexed min-(clock, id) scheduling: a lazy binary heap over core keys.
 //!
-//! Both the cooperative driver ([`crate::sim::SimState::schedule`]) and the
-//! speculative commit walk repeatedly need "the unfinished core with the
-//! minimum `(clock, id)`, plus the exact runner-up" — previously an
-//! O(n_cores) scan per resumption, i.e. quadratic over a run. [`LazyMinHeap`]
+//! The cooperative driver ([`crate::sim::SimState::schedule`]) repeatedly
+//! needs "the unfinished core with the minimum `(clock, id)`, plus the
+//! exact runner-up" — previously an O(n_cores) scan per resumption, i.e.
+//! quadratic over a run. [`LazyMinHeap`]
 //! makes it O(log n) amortized by exploiting a structural property of the
 //! simulator: **a core's clock only ever increases, and cores only retire**
 //! (they never un-finish). Every heap entry is therefore a *lower bound* on
@@ -46,7 +46,7 @@ pub struct SchedStats {
 }
 
 /// Lazy min-heap over `(clock, id)` keys, one entry per core.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 pub(crate) struct LazyMinHeap {
     heap: Vec<(u64, usize)>,
     /// Stale-entry repairs performed (mirrored into [`SchedStats`]).
@@ -136,30 +136,6 @@ impl LazyMinHeap {
         }
         (Some(best.1), second)
     }
-
-    /// The minimum live key alone (the speculative commit walk's probe).
-    pub(crate) fn min(&mut self, key_of: impl Fn(usize) -> Option<u64>) -> Option<(u64, usize)> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        self.clean(0, &key_of)
-    }
-
-    /// Re-key every core and rebuild the heap in place (retaining the
-    /// allocation; retired cores become sentinels). The speculative commit
-    /// walk reseeds at every walk entry: *between* walks a cleared queue can
-    /// drop a core's key back toward its committed clock, which would break
-    /// the lower-bound invariant a persistent heap relies on.
-    pub(crate) fn reseed(&mut self, n: usize, key_of: impl Fn(usize) -> Option<u64>) {
-        self.heap.clear();
-        self.heap.extend((0..n).map(|i| match key_of(i) {
-            Some(k) => (k, i),
-            None => RETIRED,
-        }));
-        for i in (0..n / 2).rev() {
-            self.sift_down(i);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -199,14 +175,5 @@ mod tests {
         let mut h = LazyMinHeap::new(2);
         let key = |i: usize| if i == 1 { None } else { Some(123u64) };
         assert_eq!(h.min2(key), (Some(0), (u64::MAX, usize::MAX)));
-    }
-
-    #[test]
-    fn reseed_rebuilds_from_arbitrary_keys() {
-        let mut h = LazyMinHeap::new(2);
-        let clocks = [90u64, 80, 10, 70];
-        h.reseed(4, |i| if i == 2 { None } else { Some(clocks[i]) });
-        let key = |i: usize| if i == 2 { None } else { Some(clocks[i]) };
-        assert_eq!(h.min2(key), (Some(3), (80, 1)));
     }
 }

@@ -51,7 +51,7 @@ pub struct AbortInfo {
 }
 
 impl AbortInfo {
-    pub(crate) fn simple(cause: AbortCause) -> Self {
+    fn simple(cause: AbortCause) -> Self {
         AbortInfo {
             cause,
             conf_addr: 0,
@@ -80,10 +80,10 @@ impl TxError {
 /// (the hardware keeps only the low 12 bits; we keep the full value and
 /// truncate on delivery, retaining ground truth).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct TxLine {
-    pub(crate) line: u64,
-    pub(crate) written: bool,
-    pub(crate) first_pc: u64,
+struct TxLine {
+    line: u64,
+    written: bool,
+    first_pc: u64,
 }
 
 /// Active-transaction state of one core.
@@ -93,20 +93,20 @@ pub(crate) struct TxLine {
 /// lazy write buffer live in sorted vectors probed by binary search — no
 /// hashing, no per-entry allocation, and the buffers are recycled across
 /// transactions on the same core ([`TxState::reset`]).
-#[derive(Debug, Default, Clone)]
-pub(crate) struct TxState {
-    pub(crate) ab_id: u32,
-    pub(crate) start_clock: u64,
+#[derive(Debug, Default)]
+struct TxState {
+    ab_id: u32,
+    start_clock: u64,
     /// Speculative lines touched, sorted by line index.
-    pub(crate) lines: Vec<TxLine>,
+    lines: Vec<TxLine>,
     /// Undo log: (addr, previous value), applied in reverse on abort
     /// (eager protocol only).
-    pub(crate) undo: Vec<(Addr, u64)>,
+    undo: Vec<(Addr, u64)>,
     /// Private write buffer, sorted by address, published at commit (lazy
     /// protocol only).
-    pub(crate) write_buffer: Vec<(Addr, u64)>,
+    write_buffer: Vec<(Addr, u64)>,
     /// Lines already rolled back by a remote requester.
-    pub(crate) rolled_back: bool,
+    rolled_back: bool,
     /// Line-permission cache: a direct-mapped table over lines whose
     /// read (`perm_write[i] == false` suffices) or write ownership bits
     /// this attempt has already set, letting repeat accesses skip the
@@ -116,15 +116,15 @@ pub(crate) struct TxState {
     /// access — so a non-doomed attempt's cached permissions are always
     /// current. `u64::MAX` marks an empty slot; cleared by `reset` (every
     /// attempt starts cold) and defensively on `doom`.
-    pub(crate) perm_lines: Vec<u64>,
+    perm_lines: Vec<u64>,
     /// Write-permission bit per `perm_lines` slot.
-    pub(crate) perm_write: Vec<bool>,
+    perm_write: Vec<bool>,
 }
 
 impl TxState {
     /// Clear for reuse by a fresh transaction, keeping the allocations.
     /// `perm_slots` is the (power-of-two or zero) permission-cache size.
-    pub(crate) fn reset(&mut self, ab_id: u32, start_clock: u64, perm_slots: usize) {
+    fn reset(&mut self, ab_id: u32, start_clock: u64, perm_slots: usize) {
         self.ab_id = ab_id;
         self.start_clock = start_clock;
         self.lines.clear();
@@ -143,7 +143,7 @@ impl TxState {
     /// Does this attempt hold a cached permission for `line` (write
     /// permission if `write`)?
     #[inline]
-    pub(crate) fn perm_has(&self, line: u64, write: bool) -> bool {
+    fn perm_has(&self, line: u64, write: bool) -> bool {
         if self.perm_lines.is_empty() {
             return false;
         }
@@ -154,7 +154,7 @@ impl TxState {
     /// Cache a granted permission (upgrades read → write in place; a
     /// colliding line simply evicts the previous occupant).
     #[inline]
-    pub(crate) fn perm_insert(&mut self, line: u64, write: bool) {
+    fn perm_insert(&mut self, line: u64, write: bool) {
         if self.perm_lines.is_empty() {
             return;
         }
@@ -167,7 +167,7 @@ impl TxState {
         }
     }
 
-    pub(crate) fn perm_clear(&mut self) {
+    fn perm_clear(&mut self) {
         self.perm_lines.fill(u64::MAX);
         self.perm_write.fill(false);
     }
@@ -176,13 +176,13 @@ impl TxState {
         self.lines.binary_search_by_key(&line, |e| e.line)
     }
 
-    pub(crate) fn spec_contains(&self, line: u64) -> bool {
+    fn spec_contains(&self, line: u64) -> bool {
         self.find(line).is_ok()
     }
 
     /// Record a speculative touch of `line`; `first_pc` is set only by the
     /// first access, matching the hardware's first-toucher PC tag.
-    pub(crate) fn touch_line(&mut self, line: u64, pc: u64, write: bool) {
+    fn touch_line(&mut self, line: u64, pc: u64, write: bool) {
         match self.find(line) {
             Ok(i) => self.lines[i].written |= write,
             Err(i) => self.lines.insert(
@@ -197,12 +197,12 @@ impl TxState {
     }
 
     /// Full first-access PC of `line` (0 when the line was never touched).
-    pub(crate) fn first_pc_of(&self, line: u64) -> u64 {
+    fn first_pc_of(&self, line: u64) -> u64 {
         self.find(line).map_or(0, |i| self.lines[i].first_pc)
     }
 
     /// The lazily-buffered value of `addr`, if this transaction wrote it.
-    pub(crate) fn buffered(&self, addr: Addr) -> Option<u64> {
+    fn buffered(&self, addr: Addr) -> Option<u64> {
         self.write_buffer
             .binary_search_by_key(&addr, |e| e.0)
             .ok()
@@ -210,7 +210,7 @@ impl TxState {
     }
 
     /// Insert-or-update a lazily-buffered store.
-    pub(crate) fn buffer_store(&mut self, addr: Addr, val: u64) {
+    fn buffer_store(&mut self, addr: Addr, val: u64) {
         match self.write_buffer.binary_search_by_key(&addr, |e| e.0) {
             Ok(i) => self.write_buffer[i].1 = val,
             Err(i) => self.write_buffer.insert(i, (addr, val)),
@@ -218,31 +218,8 @@ impl TxState {
     }
 
     /// Distinct lines this attempt has written.
-    pub(crate) fn written_lines(&self) -> usize {
+    fn written_lines(&self) -> usize {
         self.lines.iter().filter(|e| e.written).count()
-    }
-}
-
-/// Bounded-set HTM check (Kafousis): would an access of `line` (write when
-/// `write`) push the attempt past `max_read_lines` (distinct touched lines)
-/// or `max_write_lines` (distinct written lines)? Zero-cost when both knobs
-/// are 0, the default. An access to a line whose permission the attempt
-/// already holds can never trip a bound (the line is already counted), which
-/// is why the permission-cache fast paths legitimately skip this check.
-/// Shared with the speculative overlay so predictions stay faithful.
-pub(crate) fn bound_exceeded(cfg: &MachineConfig, tx: &TxState, line: u64, write: bool) -> bool {
-    if cfg.max_read_lines == 0 && cfg.max_write_lines == 0 {
-        return false;
-    }
-    let write_bound = |tx: &TxState| {
-        write && cfg.max_write_lines != 0 && tx.written_lines() >= cfg.max_write_lines
-    };
-    match tx.find(line) {
-        // Known line: only a read→write upgrade can add a written line.
-        Ok(i) => !tx.lines[i].written && write_bound(tx),
-        Err(_) => {
-            (cfg.max_read_lines != 0 && tx.lines.len() >= cfg.max_read_lines) || write_bound(tx)
-        }
     }
 }
 
@@ -266,10 +243,10 @@ pub enum TraceKind {
 /// doomed it — the requester core and the 12-bit tag of the requesting
 /// access's PC (0 for nontransactional requesters).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Doomed {
-    pub(crate) info: AbortInfo,
-    pub(crate) aborter: u32,
-    pub(crate) aborter_pc_tag: u16,
+struct Doomed {
+    info: AbortInfo,
+    aborter: u32,
+    aborter_pc_tag: u16,
 }
 
 /// Per-core simulator state.
@@ -277,16 +254,16 @@ pub(crate) struct CoreState {
     pub clock: u64,
     pub finished: bool,
     pub waiting: bool,
-    pub(crate) l1: CacheArray,
-    pub(crate) l2: CacheArray,
-    pub(crate) tx: Option<TxState>,
+    l1: CacheArray,
+    l2: CacheArray,
+    tx: Option<TxState>,
     /// Recycled transaction state: buffers from the last finished
     /// transaction, reused by the next `tx_begin` to avoid reallocation.
-    pub(crate) spare_tx: Option<TxState>,
-    pub(crate) doomed: Option<Doomed>,
+    spare_tx: Option<TxState>,
+    doomed: Option<Doomed>,
     pub stats: CoreStats,
-    pub(crate) arena_next: Addr,
-    pub(crate) arena_end: Addr,
+    arena_next: Addr,
+    arena_end: Addr,
     pub trace: Vec<TraceEvent>,
     pub events: EventRing,
 }
@@ -294,16 +271,16 @@ pub(crate) struct CoreState {
 /// Everything under the machine mutex.
 pub(crate) struct SimState {
     pub cfg: MachineConfig,
-    pub(crate) mem: Vec<u64>,
-    pub(crate) l3: CacheArray,
+    mem: Vec<u64>,
+    l3: CacheArray,
     pub cores: Vec<CoreState>,
     /// Per-line speculative owners and cache sharers. Invariant: a line's
     /// `Sharers` are exactly the cores whose L1 or L2 holds it.
-    pub(crate) dir: Directory,
-    pub(crate) heap_next: Addr,
+    dir: Directory,
+    heap_next: Addr,
     /// Derived from `cfg.perm_cache_lines`: direct-mapped permission-cache
     /// slot count (rounded up to a power of two; 0 = fast path disabled).
-    pub(crate) perm_slots: usize,
+    perm_slots: usize,
     /// Cooperative-driver gate horizon: the minimum `(clock, id)` over
     /// unfinished cores *other than* the one currently resumed (set by
     /// [`SimState::schedule`]). While that core runs, no other core's
@@ -316,11 +293,11 @@ pub(crate) struct SimState {
     /// [`FallbackPolicy::LazySubscriptionSafe`] (the Dice-et-al-style
     /// fix): registered host-side by the runtime before threads start,
     /// `None` otherwise.
-    pub(crate) commit_lock_addr: Option<Addr>,
+    commit_lock_addr: Option<Addr>,
     /// Indexed min-(clock, id) structure backing [`SimState::schedule`].
     /// Holds one (lazily repaired) entry per live core; sound because
     /// clocks only increase and cores only retire.
-    pub(crate) sched: LazyMinHeap,
+    sched: LazyMinHeap,
     /// Host-side scheduling-overhead counters (never simulated state).
     pub sched_stats: SchedStats,
 }
@@ -691,10 +668,29 @@ impl SimState {
         }
     }
 
-    /// [`bound_exceeded`] against `tid`'s active transaction.
+    /// Bounded-set HTM check (Kafousis): would an access of `line` (write
+    /// when `write`) push `tid`'s attempt past `max_read_lines` (distinct
+    /// touched lines) or `max_write_lines` (distinct written lines)?
+    /// Zero-cost when both knobs are 0, the default. An access to a line
+    /// whose permission the attempt already holds can never trip a bound
+    /// (the line is already counted), which is why the permission-cache
+    /// fast paths legitimately skip this check.
     fn set_bound_exceeded(&self, tid: usize, line: u64, write: bool) -> bool {
+        let cfg = &self.cfg;
+        if cfg.max_read_lines == 0 && cfg.max_write_lines == 0 {
+            return false;
+        }
         let tx = self.cores[tid].tx.as_ref().expect("bound check outside tx");
-        bound_exceeded(&self.cfg, tx, line, write)
+        let write_bound = |tx: &TxState| {
+            write && cfg.max_write_lines != 0 && tx.written_lines() >= cfg.max_write_lines
+        };
+        match tx.find(line) {
+            // Known line: only a read→write upgrade can add a written line.
+            Ok(i) => !tx.lines[i].written && write_bound(tx),
+            Err(_) => {
+                (cfg.max_read_lines != 0 && tx.lines.len() >= cfg.max_read_lines) || write_bound(tx)
+            }
+        }
     }
 
     /// Register the fallback lock word that commits validate under
@@ -1098,101 +1094,6 @@ impl SimState {
     /// no simulated threads run.
     pub fn host_store(&mut self, addr: Addr, val: u64) {
         self.write_word(addr, val);
-    }
-}
-
-// ----- gated-operation descriptors --------------------------------------
-
-/// A gated shared-state operation, reified so it can be (a) executed
-/// directly by the cooperative/threaded gate, (b) executed against a
-/// speculative overlay by the [`crate::spec`] scheduler, and (c) re-executed
-/// against the real state by that scheduler's serial commit walk. Having one
-/// descriptor per operation guarantees all three paths run *the same* op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Op {
-    Begin { ab_id: u32 },
-    Load { addr: Addr, pc: u64 },
-    Store { addr: Addr, val: u64, pc: u64 },
-    Commit,
-    Abort,
-    NtLoad { addr: Addr },
-    PlainLoad { addr: Addr },
-    NtStore { addr: Addr, val: u64 },
-    NtCas { addr: Addr, old: u64, new: u64 },
-    Alloc { words: u64, line_align: bool },
-    LockWait { cycles: u64 },
-    Backoff { cycles: u64 },
-    Irrevocable { cycles: u64 },
-}
-
-/// Result of a gated operation — comparable, so the speculative scheduler
-/// can validate a predicted result against the authoritative re-execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum OpResult {
-    Unit,
-    Val(u64),
-    Flag(bool),
-    TxUnit(Result<(), TxError>),
-    TxVal(Result<u64, TxError>),
-    TxErr(TxError),
-}
-
-/// Execute `op` for `tid` against the real simulator state, returning the
-/// result and its latency. This is the single dispatch point used by every
-/// scheduler's gate (and by the speculative commit walk), excluding only the
-/// clock fold / `gated_ops` bookkeeping that the callers replicate.
-pub(crate) fn apply_op(st: &mut SimState, tid: usize, op: &Op) -> (OpResult, u64) {
-    match *op {
-        Op::Begin { ab_id } => {
-            let lat = st.tx_begin(tid, ab_id);
-            (OpResult::Unit, lat)
-        }
-        Op::Load { addr, pc } => {
-            let (r, lat) = st.tx_load(tid, addr, pc);
-            (OpResult::TxVal(r), lat)
-        }
-        Op::Store { addr, val, pc } => {
-            let (r, lat) = st.tx_store(tid, addr, val, pc);
-            (OpResult::TxUnit(r), lat)
-        }
-        Op::Commit => {
-            let (r, lat) = st.tx_commit(tid);
-            (OpResult::TxUnit(r), lat)
-        }
-        Op::Abort => (OpResult::TxErr(st.self_abort(tid, AbortCause::Explicit)), 0),
-        Op::NtLoad { addr } => {
-            let (v, lat) = st.nt_load(tid, addr);
-            (OpResult::Val(v), lat)
-        }
-        Op::PlainLoad { addr } => {
-            let (v, lat) = st.plain_load(tid, addr);
-            (OpResult::Val(v), lat)
-        }
-        Op::NtStore { addr, val } => {
-            let lat = st.nt_store(tid, addr, val);
-            (OpResult::Unit, lat)
-        }
-        Op::NtCas { addr, old, new } => {
-            let (ok, lat) = st.nt_cas(tid, addr, old, new);
-            (OpResult::Flag(ok), lat)
-        }
-        Op::Alloc { words, line_align } => {
-            let (a, lat) = st.alloc(tid, words, line_align);
-            (OpResult::Val(a), lat)
-        }
-        Op::LockWait { cycles } => {
-            st.cores[tid].stats.lock_wait_cycles += cycles;
-            (OpResult::Unit, 0)
-        }
-        Op::Backoff { cycles } => {
-            st.cores[tid].stats.backoff_cycles += cycles;
-            (OpResult::Unit, 0)
-        }
-        Op::Irrevocable { cycles } => {
-            st.cores[tid].stats.irrevocable_cycles += cycles;
-            st.cores[tid].stats.irrevocable_commits += 1;
-            (OpResult::Unit, 0)
-        }
     }
 }
 

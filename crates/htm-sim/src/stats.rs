@@ -68,35 +68,6 @@ impl CoreStats {
     }
 }
 
-/// Host-side counters of the speculative (Block-STM-style) scheduler — how
-/// well optimistic execution predicted the serial commit order. All zeros
-/// under the cooperative and threaded schedulers. These are *host*
-/// observability numbers: they never feed back into simulated quantities,
-/// which stay bit-identical across schedulers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpecStats {
-    /// Speculate/commit rounds executed.
-    pub rounds: u64,
-    /// Gated ops executed optimistically against per-core overlays.
-    pub speculated_ops: u64,
-    /// Speculated ops whose (result, latency) matched the authoritative
-    /// serial re-execution and were committed from the queue.
-    pub committed_ops: u64,
-    /// Mis-speculations: a speculated op whose result or latency diverged
-    /// from the serial commit order (the rest of that core's queue is
-    /// discarded and the core re-executed).
-    pub mismatches: u64,
-    /// Core re-executions (fresh program + replay of the committed prefix).
-    pub rebuilds: u64,
-    /// Gated ops replayed from committed logs during re-executions.
-    pub replayed_ops: u64,
-    /// Gated ops executed non-speculatively by demoted cores.
-    pub direct_ops: u64,
-    /// Cores demoted to direct (non-speculative) execution after repeated
-    /// mis-speculation.
-    pub demoted_cores: u64,
-}
-
 /// Whole-machine statistics snapshot.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimStats {

@@ -1,12 +1,11 @@
 //! Randomized cross-scheduler stress test.
 //!
-//! 500 short simulations with randomized core counts, speculation quantum
-//! lengths, host thread counts and per-core op mixes (transactions with
-//! retry, plain and non-transactional accesses, CAS, compute bursts and
-//! observability notes). Every scenario runs under all three schedulers
-//! and must produce byte-identical stats, traces and event streams —
-//! the speculative driver's whole contract is that randomizing *host*
-//! knobs (`spec_quantum`, `host_threads`) is invisible to the simulation.
+//! 500 short simulations with randomized core counts and per-core op mixes
+//! (transactions with retry, plain and non-transactional accesses, CAS,
+//! compute bursts and observability notes). Every scenario runs under both
+//! schedulers and must produce byte-identical stats, traces and event
+//! streams: the thread-per-core driver is the independent reference for
+//! the cooperative event loop's (clock, id) order.
 
 use htm_sim::{Machine, MachineConfig, ObsEvent, ObsKind, Scheduler, SimStats, TraceEvent};
 use stagger_prng::Xoshiro256StarStar;
@@ -24,17 +23,12 @@ fn run_scenario(
     iters: u64,
     n_lines: u64,
     scheduler: Scheduler,
-    spec_quantum: usize,
-    host_threads: usize,
 ) -> Artifacts {
     let cfg = MachineConfig::cores(n_cores)
         .small()
         .record_trace()
         .record_events()
-        .spec_quantum(spec_quantum)
-        .host_threads(host_threads);
-    let mut cfg = cfg;
-    cfg.scheduler = scheduler;
+        .scheduler(scheduler);
     let m = Machine::new(cfg);
     let base = m.host_alloc(8 * n_lines, true);
     m.run_uniform(move |mut c| async move {
@@ -46,7 +40,7 @@ fn run_scenario(
                 0 | 1 => {
                     // A small transaction, retried until it commits. Each
                     // retry re-draws addresses; determinism only requires
-                    // that all schedulers see the same abort sequence.
+                    // that both schedulers see the same abort sequence.
                     loop {
                         c.tx_begin((i % 4) as u32).await;
                         let n_ops = 1 + rng.below(3);
@@ -80,9 +74,7 @@ fn run_scenario(
                 }
                 4 => c.compute(1 + rng.below(7)),
                 _ => {
-                    // Exercise the non-gated observability path under
-                    // speculation (notes are deferred and replayed in
-                    // commit order).
+                    // Exercise the non-gated observability path.
                     let w = line(&mut rng);
                     c.note(ObsKind::LockAcquire { word: w, waited: 0 });
                 }
@@ -107,23 +99,13 @@ fn randomized_runs_are_scheduler_invariant() {
         };
         let iters = 1 + meta.below(8);
         let n_lines = 1 + meta.below(3);
-        // Randomized *host* knobs: quantum length and worker count must
-        // never change what the simulated machine does.
-        let quantum = 1 + meta.index(12);
-        let workers = 1 + meta.index(4);
-        let run = |sch| run_scenario(seed, n_cores, iters, n_lines, sch, quantum, workers);
+        let run = |sch| run_scenario(seed, n_cores, iters, n_lines, sch);
         let coop = run(Scheduler::Cooperative);
         let thr = run(Scheduler::Threaded);
         assert_eq!(
             coop, thr,
             "scenario {s} (cores={n_cores} iters={iters} lines={n_lines}): \
              threaded diverged from cooperative"
-        );
-        let spec = run(Scheduler::Speculative);
-        assert_eq!(
-            coop, spec,
-            "scenario {s} (cores={n_cores} iters={iters} lines={n_lines} \
-             q={quantum} workers={workers}): speculative diverged from cooperative"
         );
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::exec::{ExecStats, Executor};
 use crate::prepared::Prepared;
-use htm_sim::{Machine, SchedStats, SimStats, SpecStats};
+use htm_sim::{Machine, SchedStats, SimStats};
 use stagger_compiler::Compiled;
 use stagger_core::{RtStats, RuntimeConfig, SharedRt};
 use std::sync::Arc;
@@ -29,10 +29,6 @@ pub struct RunOutcome {
     pub exec: ExecStats,
     /// Per-thread return values of the entry functions.
     pub returns: Vec<u64>,
-    /// Host-side speculative-scheduler counters (all zeros unless the
-    /// machine ran under `Scheduler::Speculative`). Never affects any
-    /// simulated quantity.
-    pub spec: SpecStats,
     /// Host-side scheduling-overhead counters (indexed min-heap calls and
     /// lazy repairs). Never affects any simulated quantity.
     pub sched: SchedStats,
@@ -83,41 +79,30 @@ pub fn run_workload_prepared(
     let results: Mutex<Vec<Option<(RtStats, ExecStats, u64)>>> =
         Mutex::new(vec![None; plans.len()]);
 
-    // Factories, not one-shot bodies: the speculative scheduler re-invokes
-    // a core's factory to re-execute it after a mis-speculation, so each
-    // call must build a fresh, deterministic program (all inputs cloned
-    // inside). A re-execution overwrites its `results` slot; the last
-    // write always comes from the committed execution.
-    let factories: Vec<_> = plans
+    let bodies = plans
         .iter()
         .enumerate()
         .map(|(tid, plan)| {
             let prepared = prepared.clone();
             let results = &results;
             let rt_cfg = rt_cfg.clone();
-            let plan = plan.clone();
-            htm_sim::factory(move |mut core| {
-                let prepared = prepared.clone();
-                let rt_cfg = rt_cfg.clone();
-                let plan = plan.clone();
-                async move {
-                    let mut exec = Executor::new(
-                        compiled,
-                        prepared,
-                        rt_cfg,
-                        shared,
-                        tid,
-                        base_seed + tid as u64,
-                    );
-                    let ret = exec.call(&mut core, plan.func, &plan.args).await;
-                    results.lock().unwrap()[tid] =
-                        Some((exec.rt.stats.clone(), exec.stats.clone(), ret));
-                }
+            htm_sim::body(move |mut core| async move {
+                let mut exec = Executor::new(
+                    compiled,
+                    prepared,
+                    rt_cfg,
+                    shared,
+                    tid,
+                    base_seed + tid as u64,
+                );
+                let ret = exec.call(&mut core, plan.func, &plan.args).await;
+                results.lock().unwrap()[tid] =
+                    Some((exec.rt.stats.clone(), exec.stats.clone(), ret));
             })
         })
         .collect();
 
-    machine.run_factories(factories);
+    machine.run(bodies);
 
     let mut rt = RtStats::default();
     let mut exec = ExecStats::default();
@@ -134,7 +119,6 @@ pub fn run_workload_prepared(
         rt,
         exec,
         returns,
-        spec: machine.spec_stats(),
         sched: machine.sched_stats(),
     }
 }

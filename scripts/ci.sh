@@ -4,19 +4,19 @@
 #   scripts/ci.sh
 #
 # Steps: format check, release build (workspace root + exhibit binaries),
-# tier-1 tests, workspace tests, the coherence-directory invariant and
-# machine-footprint gates by name, the benchmark's table check against
-# BENCHMARK.json, a speculative-vs-cooperative scheduler
-# byte-identity gate (plus a --host-threads 1 smoke), a 128-core scaling
-# smoke plus a 64-core cross-scheduler identity gate, a --jobs 1
-# re-recording of results/BENCH_scaling.json, a parallel-harness
-# smoke run of fig7 --quick whose output (including the machine-readable
-# results/BENCH_fig7.json) is recorded under results/, a profile
-# --quick smoke run whose text report and JSONL event dump are recorded
-# and sanity-checked, a serve smoke gating the request-latency capture's
-# byte-identity across schedulers, the lazy-subscription window
-# regression gate, per-fallback-protocol cross-scheduler identity gates,
-# and a protocols-exhibit smoke over the full variant matrix.
+# tier-1 tests, workspace tests, the coherence-directory invariant,
+# machine-footprint and randomized cross-scheduler stress gates by name,
+# the benchmark's table check against BENCHMARK.json, a
+# threaded-vs-cooperative byte-identity gate through the fig7 CLI, a
+# full fig7 rerun compared against the checked-in results/fig7.txt, a
+# 128-core scaling smoke, a --jobs 1 re-recording of
+# results/BENCH_scaling.json, a parallel-harness smoke run of fig7 --quick
+# whose output (including the machine-readable results/BENCH_fig7.json) is
+# recorded under results/, a profile --quick smoke run whose text report
+# and JSONL event dump are recorded and sanity-checked, a serve smoke
+# gating the request-latency capture's byte-identity across schedulers,
+# the lazy-subscription window regression gate, and a protocols-exhibit
+# smoke over the full variant matrix.
 #
 # Everything runs with --offline: the workspace has no external
 # dependencies by design, and CI must not depend on a registry.
@@ -57,27 +57,30 @@ echo "== machine footprint (16 idle default machines stay under 32 MiB)"
 # a memset of either costs 64+ MiB and ~75 ms per Machine::new.
 cargo test -q --offline -p htm-sim --test footprint
 
+echo "== scheduler_stress (500 random scenarios, cooperative vs threaded)"
+# Stats, traces and event streams byte-identical across the two drivers,
+# including a steady trickle of 64-core scenarios.
+cargo test -q --offline -p htm-sim --test scheduler_stress
+
 echo "== benchmark/run.sh --check (benchmark tables == BENCHMARK.json)"
 benchmark/run.sh --check
 
-echo "== scheduler byte-identity gate (speculative vs cooperative)"
-# The speculative (Block-STM-style) core driver must be invisible: the
-# full quick exhibit, minus the host-timing self-report lines, must match
-# the cooperative driver byte for byte. Also covered at the artifact
-# level by scheduler_equivalence and spec_stress; this gates the CLI path
+echo "== scheduler byte-identity gate (threaded vs cooperative)"
+# The thread-per-core reference driver must be invisible: the full quick
+# exhibit, minus the host-timing self-report lines, must match the
+# cooperative driver byte for byte. Also covered at the artifact level by
+# scheduler_equivalence and scheduler_stress; this gates the CLI path
 # (flag parsing, config plumbing, report integration) end to end.
 mkdir -p results
 ./target/release/fig7 --quick --scheduler cooperative \
   | grep -v '^harness:' > results/ci_fig7_coop.txt
-./target/release/fig7 --quick --scheduler speculative --host-threads 2 \
-  | grep -v '^harness:' > results/ci_fig7_spec.txt
-cmp results/ci_fig7_coop.txt results/ci_fig7_spec.txt
-
-echo "== --host-threads 1 smoke (speculative on a single-core host)"
-# Degenerate worker count must still work (serial speculation) and still
-# be byte-identical.
-./target/release/fig7 --quick --scheduler speculative --host-threads 1 \
+./target/release/fig7 --quick --scheduler threaded \
   | grep -v '^harness:' | cmp - results/ci_fig7_coop.txt
+
+echo "== fig7 vs results/fig7.txt (checked-in baseline cannot drift)"
+# The checked-in Figure 7 is what this tree's binaries print, byte for
+# byte outside the host-timing lines.
+./target/release/fig7 --jobs 2 | grep -v '^harness:' | cmp - results/fig7.txt
 
 echo "== scaling 128-core smoke (quick, both modes)"
 # The wide-bitset + indexed-scheduler path past the single-word CoreSet
@@ -86,20 +89,6 @@ echo "== scaling 128-core smoke (quick, both modes)"
 ./target/release/scaling --quick --cores 128 --jobs 2 \
   | tee results/ci_scaling_128.txt
 test "$(awk '$3 == 128' results/ci_scaling_128.txt | wc -l)" -eq 4
-
-echo "== scaling 64-core byte-identity gate (speculative vs cooperative)"
-# At 64 cores, all simulated quantities must match across drivers byte
-# for byte. Host-side columns (ns/inst, Minsts/s, and the
-# cooperative-only sched counters) legitimately differ, so compare the
-# simulated projection of the table: benchmark, mode, cores, sim_cycles,
-# aborts/cm.
-sim_cols() { grep -v '^harness:' | awk '{print $1, $2, $3, $4, $5}'; }
-./target/release/scaling --quick --cores 64 --jobs 2 \
-  | sim_cols > results/ci_scaling_coop.txt
-./target/release/scaling --quick --cores 64 \
-    --scheduler speculative --host-threads 2 --jobs 2 \
-  | sim_cols > results/ci_scaling_spec.txt
-cmp results/ci_scaling_coop.txt results/ci_scaling_spec.txt
 
 echo "== scaling --quick --jobs 1 --json (re-record results/BENCH_scaling.json)"
 # The checked-in ladder is recorded one cell at a time: with more jobs
@@ -149,7 +138,7 @@ grep -q 'list_find_prev' results/profile_list-hi.txt
 echo "== serve smoke (latency capture byte-identity + JSONL sanity)"
 # Small open-loop ramp, both modes: the per-request latency tables
 # (derived from the observability event stream) must be byte-identical
-# across the cooperative and speculative schedulers — latency capture is
+# across the cooperative and threaded schedulers — latency capture is
 # a pure observer over simulated quantities. The jsonl filenames differ
 # between the runs, so the "serve: wrote" echo is filtered with the
 # host-timing lines.
@@ -158,11 +147,10 @@ serve_sim() { grep -v -e '^harness:' -e '^serve: wrote '; }
     --jsonl results/ci_serve_coop.jsonl \
   | serve_sim > results/ci_serve_coop.txt
 ./target/release/serve --quick --cores 8 --loads 24000,8000 \
-    --scheduler speculative --host-threads 2 \
-    --jsonl results/ci_serve_spec.jsonl \
-  | serve_sim > results/ci_serve_spec.txt
-cmp results/ci_serve_coop.txt results/ci_serve_spec.txt
-cmp results/ci_serve_coop.jsonl results/ci_serve_spec.jsonl
+    --scheduler threaded \
+    --jsonl results/ci_serve_threaded.jsonl \
+  | serve_sim | cmp - results/ci_serve_coop.txt
+cmp results/ci_serve_coop.jsonl results/ci_serve_threaded.jsonl
 # The per-request JSONL export must be non-empty, line-oriented JSON
 # objects carrying the documented keys.
 test -s results/ci_serve_coop.jsonl
@@ -173,7 +161,7 @@ if grep -qv '^{.*}$' results/ci_serve_coop.jsonl; then
     exit 1
 fi
 grep -q '^SLO: ' results/ci_serve_coop.txt
-rm -f results/ci_serve_coop.jsonl results/ci_serve_spec.jsonl
+rm -f results/ci_serve_coop.jsonl results/ci_serve_threaded.jsonl
 
 echo "== lazy-subscription window regression gate"
 # The deliberately unsafe lazy-subscription policy must keep reproducing
@@ -182,19 +170,6 @@ echo "== lazy-subscription window regression gate"
 # Runs as part of the workspace suite above too; the explicit invocation
 # keeps the safety gate visible in CI logs.
 cargo test -q --offline -p stagger-core --test lazy_subscription
-
-echo "== fallback-protocol byte-identity gates (speculative vs cooperative)"
-# The fallback policy is a *simulated* knob: each protocol must stay
-# bit-identical across host schedulers through the CLI path too. Compare
-# the simulated projection of the scaling table at 16 cores per policy.
-for fb in hybrid-stm lazy-subscription-safe; do
-  ./target/release/scaling --quick --cores 16 --fallback "$fb" --jobs 2 \
-    | sim_cols > "results/ci_fb_${fb}_coop.txt"
-  ./target/release/scaling --quick --cores 16 --fallback "$fb" \
-      --scheduler speculative --host-threads 2 --jobs 2 \
-    | sim_cols > "results/ci_fb_${fb}_spec.txt"
-  cmp "results/ci_fb_${fb}_coop.txt" "results/ci_fb_${fb}_spec.txt"
-done
 
 echo "== protocols exhibit smoke (full variant matrix, quick)"
 # All 80 cells of the protocol matrix must run clean — workload
