@@ -5,13 +5,15 @@
 //! 16..256, the range ROADMAP item 1 targets), and reports both simulated
 //! contention (abort rate) and *host-side* scheduler economics:
 //! `ns_per_inst`, simulated instructions per host second, `schedule()`
-//! calls and lazy-heap stale repairs. The per-resumption scheduling cost
-//! is O(log n) in cores (an indexed min-heap over per-core clocks, versus
-//! the old O(n) scan that made 256-core scheduling quadratic over a run);
-//! the residual growth in `ns_per_inst` up the ladder tracks simulated
-//! contention — the abort rate — not the scheduler, and `sched_stale` /
-//! `sched_calls` ~= 1 shows each resumption repairs only the one entry
-//! whose clock advanced.
+//! calls, heap key updates, and how many gated ops were elided by parked
+//! spin-waits. The per-resumption scheduling cost is O(log n) in cores (an
+//! indexed min-heap over per-core keys, versus the old O(n) scan that made
+//! 256-core scheduling quadratic over a run), and a core spinning on a held
+//! lock is parked rather than resumed per poll, so `sched_calls` tracks
+//! lock hand-offs and real work, not waiting time; the residual growth in
+//! `ns_per_inst` up the ladder tracks simulated contention — the abort
+//! rate. `sched_stale` / `sched_calls` ~= 1.2: one key update for the core
+//! that ran plus one per park and unpark.
 //!
 //! `--json` dumps every run to `results/BENCH_scaling.json`.
 
@@ -75,7 +77,7 @@ fn main() {
         opts.cores
     ));
     ex.header(&format!(
-        "{:<10} {:<10} {:>6} {:>14} {:>10} {:>9} {:>10} {:>12} {:>11}",
+        "{:<10} {:<10} {:>6} {:>14} {:>10} {:>9} {:>10} {:>12} {:>11} {:>12} {:>9}",
         "benchmark",
         "mode",
         "cores",
@@ -84,7 +86,9 @@ fn main() {
         "ns/inst",
         "Minsts/s",
         "sched_calls",
-        "sched_stale"
+        "sched_stale",
+        "elided_ops",
+        "parks"
     ));
 
     let set = ex.workload_list(&WORKLOADS);
@@ -121,7 +125,7 @@ fn main() {
             0.0
         };
         println!(
-            "{:<10} {:<10} {:>6} {:>14} {:>10.3} {:>9.1} {:>10.2} {:>12} {:>11}",
+            "{:<10} {:<10} {:>6} {:>14} {:>10.3} {:>9.1} {:>10.2} {:>12} {:>11} {:>12} {:>9}",
             r.name,
             r.mode.name(),
             r.n_threads,
@@ -131,6 +135,8 @@ fn main() {
             r.insts_per_sec() / 1e6,
             r.out.sched.schedule_calls,
             r.out.sched.stale_refreshes,
+            r.out.sched.elided_ops,
+            r.out.sched.parks,
         );
     }
     ex.finish();

@@ -12,6 +12,7 @@
 //!   "insts_per_sec": 3700000.0,
 //!   "runs": [ { "workload": "genome", "mode": "htm", "threads": 16,
 //!               "sim_cycles": 1, "sim_insts": 2, "gated_ops": 1,
+//!               "elided_ops": 0, "parks": 0,
 //!               "sched_calls": 9, "sched_stale": 3,
 //!               "events_complete": true, "lat_count": 4, "lat_p50": 100, ...,
 //!               "host_secs": 0.5, "insts_per_sec": 4.0,
@@ -21,14 +22,15 @@
 //! }
 //! ```
 //!
-//! `gated_ops` counts the shared-memory operations admitted through the
-//! simulator's scheduler gate and `ns_per_inst` is host nanoseconds per
-//! simulated instruction — both scheduler-overhead observability, not
-//! paper metrics. `sched_calls`/`sched_stale` count the cooperative
-//! driver's `schedule()` calls and lazy-heap repairs (zero under the
-//! threaded driver), and `workers` reports per-worker utilization of the
-//! harness job pool (busy_secs over wall time) for runs routed through
-//! [`Report::pool`].
+//! `gated_ops` counts the shared-memory operations simulated through the
+//! scheduler gate; `elided_ops` of them were fast-forwarded by `parks`
+//! parked spin-waits instead of being executed one by one. `ns_per_inst` is
+//! host nanoseconds per simulated instruction — all scheduler-overhead
+//! observability, not paper metrics. `sched_calls`/`sched_stale` count the
+//! cooperative driver's `schedule()` calls and heap key updates (zero
+//! calls under the threaded driver), and `workers` reports per-worker
+//! utilization of the harness job pool (busy_secs over wall time) for runs
+//! routed through [`Report::pool`].
 
 use crate::jobs::{run_jobs_timed, WorkerUtil};
 use crate::{CommonOpts, Measured, RunSpec};
@@ -47,10 +49,15 @@ pub struct RunRecord {
     pub threads: usize,
     pub sim_cycles: u64,
     pub sim_insts: u64,
-    /// Shared-memory ops admitted through the scheduler gate.
+    /// Shared-memory ops simulated through the scheduler gate;
+    /// `elided_ops` of them were fast-forwarded.
     pub gated_ops: u64,
-    /// Indexed-scheduler overhead: `schedule()` calls and lazy heap
-    /// repairs (host-side observability, not simulated quantities).
+    /// Gated ops accounted by fast-forwarding a parked spin-wait, and the
+    /// number of such parks (host-side, never simulated quantities).
+    pub elided_ops: u64,
+    pub parks: u64,
+    /// Indexed-scheduler overhead: `schedule()` calls and heap key
+    /// updates (host-side observability, not simulated quantities).
     pub sched_calls: u64,
     pub sched_stale: u64,
     pub host_secs: f64,
@@ -151,6 +158,8 @@ impl Report {
             sim_cycles: r.cycles(),
             sim_insts: r.sim_insts(),
             gated_ops: r.gated_ops(),
+            elided_ops: r.out.sched.elided_ops,
+            parks: r.out.sched.parks,
             sched_calls: r.out.sched.schedule_calls,
             sched_stale: r.out.sched.stale_refreshes,
             host_secs: r.host_secs,
@@ -274,6 +283,7 @@ impl Report {
             s.push_str(&format!(
                 "    {{ \"workload\": {}, \"mode\": {}, \"threads\": {}, \
                  \"sim_cycles\": {}, \"sim_insts\": {}, \"gated_ops\": {}, \
+                 \"elided_ops\": {}, \"parks\": {}, \
                  \"sched_calls\": {}, \"sched_stale\": {}, {lat}\
                  \"host_secs\": {:.6}, \"insts_per_sec\": {:.1}, \
                  \"ns_per_inst\": {:.2} }}{}\n",
@@ -283,6 +293,8 @@ impl Report {
                 r.sim_cycles,
                 r.sim_insts,
                 r.gated_ops,
+                r.elided_ops,
+                r.parks,
                 r.sched_calls,
                 r.sched_stale,
                 r.host_secs,
@@ -320,6 +332,9 @@ impl Report {
         let run_secs: f64 = recs.iter().map(|r| r.host_secs).sum::<f64>().max(0.0);
         let sched_calls: u64 = recs.iter().map(|r| r.sched_calls).sum();
         let sched_stale: u64 = recs.iter().map(|r| r.sched_stale).sum();
+        let gated: u64 = recs.iter().map(|r| r.gated_ops).sum();
+        let elided: u64 = recs.iter().map(|r| r.elided_ops).sum();
+        let parks: u64 = recs.iter().map(|r| r.parks).sum();
         drop(recs);
         let wall = self.started.elapsed().as_secs_f64();
         let ips = if wall > 0.0 {
@@ -339,9 +354,13 @@ impl Report {
         // `--json` dump: indexed-scheduler work.
         if sched_calls > 0 {
             println!(
-                "harness: sched {} schedule() calls, {} stale refreshes",
+                "harness: sched {} schedule() calls, {} key updates; {} gated ops, \
+                 {} of them elided by {} parks",
                 human(sched_calls as f64),
-                human(sched_stale as f64)
+                human(sched_stale as f64),
+                human(gated as f64),
+                human(elided as f64),
+                human(parks as f64)
             );
         }
         if self.opts.json {
@@ -405,6 +424,8 @@ mod tests {
             sim_cycles: 10,
             sim_insts: 20,
             gated_ops: 7,
+            elided_ops: 5,
+            parks: 2,
             sched_calls: 9,
             sched_stale: 3,
             host_secs: 2.0,
@@ -426,6 +447,8 @@ mod tests {
             sim_cycles: 1,
             sim_insts: 2,
             gated_ops: 1,
+            elided_ops: 0,
+            parks: 0,
             sched_calls: 0,
             sched_stale: 0,
             host_secs: 0.5,
@@ -441,6 +464,8 @@ mod tests {
         // insts_per_sec per run: 20 / 2.0 = 10.0
         assert!(j.contains("\"insts_per_sec\": 10.0"));
         assert!(j.contains("\"gated_ops\": 7"));
+        assert!(j.contains("\"elided_ops\": 5"));
+        assert!(j.contains("\"parks\": 2"));
         assert!(j.contains("\"sched_calls\": 9"));
         assert!(j.contains("\"sched_stale\": 3"));
         // The latency digest appears only on the run that carried one.

@@ -931,6 +931,7 @@ mod tests {
         // a silent fallback to another scheduler.
         assert!(RunSpec::parse("workload=list-hi\nmachine.scheduler=speculative\n").is_err());
         assert!(RunSpec::parse("workload=list-hi\nmachine.host_threads=2\n").is_err());
+        assert!(RunSpec::parse("workload=list-hi\nruntime.lock_spin=0\n").is_err());
         assert!(RunSpec::parse("workload=list-hi\nmachine.scheduler=threaded\n").is_ok());
     }
 

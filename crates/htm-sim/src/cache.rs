@@ -6,10 +6,17 @@
 //! *hit level*, and for the L1, *when a transaction overflows* (a 9th
 //! speculative line mapping to an 8-way set).
 
+/// One way of a set: `(line, last-use stamp)`; stamp 0 marks it empty.
+type Way = (u64, u64);
+
 /// One set-associative cache level tracking line presence.
 #[derive(Debug, Clone)]
 pub struct CacheArray {
-    sets: Vec<Vec<(u64, u64)>>, // (line, last-use stamp)
+    /// A set's ways are allocated on its first fill, four at a time: most
+    /// of a large machine's sets are never touched, and an all-`None`
+    /// vector is allocated as zeroed pages, so an idle level costs no
+    /// resident memory.
+    sets: Vec<Option<Box<[Way]>>>,
     ways: usize,
     stamp: u64,
 }
@@ -18,10 +25,7 @@ impl CacheArray {
     pub fn new(n_sets: usize, ways: usize) -> Self {
         assert!(n_sets.is_power_of_two(), "set count must be a power of two");
         CacheArray {
-            // Sets allocate on first fill: most of a large machine's sets
-            // are never touched. (A `Vec::with_capacity` template would not
-            // preallocate them either: cloning drops the capacity.)
-            sets: vec![Vec::new(); n_sets],
+            sets: vec![None; n_sets],
             ways,
             stamp: 0,
         }
@@ -32,9 +36,22 @@ impl CacheArray {
         (line as usize) & (self.sets.len() - 1)
     }
 
+    /// The occupied ways of `line`'s set.
+    fn set(&self, line: u64) -> impl Iterator<Item = &Way> {
+        let ways = self.sets[self.set_of(line)].as_deref().unwrap_or(&[]);
+        ways.iter().filter(|w| w.1 != 0)
+    }
+
+    /// `line`'s way, if present.
+    fn way_mut(&mut self, line: u64) -> Option<&mut Way> {
+        let s = self.set_of(line);
+        let ways = self.sets[s].as_deref_mut().unwrap_or(&mut []);
+        ways.iter_mut().find(|w| w.1 != 0 && w.0 == line)
+    }
+
     /// Is `line` present? (Does not update LRU.)
     pub fn contains(&self, line: u64) -> bool {
-        self.sets[self.set_of(line)].iter().any(|&(l, _)| l == line)
+        self.set(line).any(|w| w.0 == line)
     }
 
     /// Touch `line`: returns `true` on hit (LRU updated). On miss the line
@@ -42,14 +59,13 @@ impl CacheArray {
     pub fn touch(&mut self, line: u64) -> bool {
         self.stamp += 1;
         let stamp = self.stamp;
-        let s = self.set_of(line);
-        for e in &mut self.sets[s] {
-            if e.0 == line {
-                e.1 = stamp;
-                return true;
+        match self.way_mut(line) {
+            Some(w) => {
+                w.1 = stamp;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Insert `line`, evicting the LRU way if the set is full; `pinned`
@@ -64,41 +80,44 @@ impl CacheArray {
     ) -> Result<Option<u64>, ()> {
         self.stamp += 1;
         let stamp = self.stamp;
-        let s = self.set_of(line);
-        if let Some(e) = self.sets[s].iter_mut().find(|e| e.0 == line) {
-            e.1 = stamp;
+        if let Some(w) = self.way_mut(line) {
+            w.1 = stamp;
             return Ok(None);
         }
-        if self.sets[s].len() < self.ways {
-            self.sets[s].push((line, stamp));
+        let s = self.set_of(line);
+        let ways = self.sets[s].get_or_insert_with(Box::default);
+        if let Some(free) = ways.iter_mut().find(|w| w.1 == 0) {
+            *free = (line, stamp);
+            return Ok(None);
+        }
+        if ways.len() < self.ways {
+            let mut grown = vec![(0, 0); (2 * ways.len()).max(4).min(self.ways)];
+            grown[..ways.len()].copy_from_slice(ways);
+            grown[ways.len()] = (line, stamp);
+            self.sets[s] = Some(grown.into());
             return Ok(None);
         }
         // Choose the least-recently-used unpinned way.
-        let victim = self.sets[s]
-            .iter()
-            .enumerate()
-            .filter(|(_, &(l, _))| !is_pinned(l))
-            .min_by_key(|(_, &(_, t))| t)
-            .map(|(i, _)| i);
-        match victim {
-            Some(i) => {
-                let evicted = self.sets[s][i].0;
-                self.sets[s][i] = (line, stamp);
-                Ok(Some(evicted))
-            }
-            None => Err(()),
-        }
+        let victim = (ways.iter_mut())
+            .filter(|w| !is_pinned(w.0))
+            .min_by_key(|w| w.1)
+            .ok_or(())?;
+        let evicted = victim.0;
+        *victim = (line, stamp);
+        Ok(Some(evicted))
     }
 
     /// Remove a specific line (e.g., invalidation on cross-core write).
     pub fn remove(&mut self, line: u64) {
-        let s = self.set_of(line);
-        self.sets[s].retain(|&(l, _)| l != line);
+        if let Some(w) = self.way_mut(line) {
+            w.1 = 0;
+        }
     }
 
     /// Total lines currently present.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum()
+        let occupied = |ways: &[Way]| ways.iter().filter(|w| w.1 != 0).count();
+        self.sets.iter().flatten().map(|w| occupied(w)).sum()
     }
 
     pub fn is_empty(&self) -> bool {

@@ -19,7 +19,7 @@
 //!   acquisition, and a core that stays minimal executes arbitrarily many
 //!   consecutive ops in one resumption.
 //! * **Threaded**: one OS thread per core; a core whose gate finds it
-//!   ineligible parks on its condvar and is woken by the op that makes it
+//!   ineligible sleeps on its condvar and is woken by the op that makes it
 //!   the minimum. This was the original driver; it is kept for the
 //!   cross-scheduler equivalence suite and pays a futex round-trip per
 //!   handoff.
@@ -27,8 +27,21 @@
 //! Because both drivers admit ops in exactly the same (clock, id) order,
 //! simulated cycles, statistics, traces and obs events are bit-identical
 //! between them.
+//!
+//! **Event-driven waiting.** A core spinning on a lock word polls a line
+//! whose contents cannot change until some core writes it, so the polls in
+//! between need not run. [`Core::wait_on`] *parks* such a core: it leaves
+//! the order (its scheduling key becomes its timeout deadline) and, when a
+//! gate is about to write the line or the deadline comes up, it is put back
+//! at the exact iteration boundary it would have reached by polling, with
+//! the skipped iterations' cycles and counters added in one step. The
+//! writer unparks *before* it is admitted and a woken core always lands
+//! ahead of the writer, so the iteration that straddles the write runs with
+//! real gates against pre-write memory; nothing about the simulation
+//! depends on the arithmetic being tight (DESIGN.md, "Event-driven
+//! waiting").
 
-use crate::addr::Addr;
+use crate::addr::{line_of, Addr};
 use crate::config::{MachineConfig, Scheduler};
 use crate::obs::{ObsEvent, ObsKind};
 use crate::sim::{AbortCause, SimState, TraceEvent, TxError};
@@ -147,10 +160,13 @@ impl Machine {
             if ready {
                 programs[n] = None;
             }
-            next = self.shared.lock().schedule();
-            if !ready && next == Some(n) {
+            let mut st = self.shared.lock();
+            let parked = st.parked(n);
+            next = st.schedule();
+            if !ready && next == Some(n) && !parked {
                 // A gate never suspends while its core is eligible, so a
-                // pending program that is still the minimum awaited some
+                // pending program that is still the minimum and did not
+                // park (to be woken by its deadline just now) awaited some
                 // foreign future — which this executor cannot wake.
                 panic!("core {n} suspended while eligible: body awaited a non-gate future");
             }
@@ -158,11 +174,12 @@ impl Machine {
     }
 
     /// The original driver: one OS thread per core. A pending program
-    /// parks on its condvar until the gate of another core (or a finishing
-    /// core) makes it the minimum and wakes it.
+    /// sleeps on its condvar until the gate of another core (or a finishing
+    /// core) makes it the minimum and wakes it. A core's panic is re-raised
+    /// with its own payload (the scope's would only say that one happened).
     fn run_threaded<'m>(&'m self, bodies: Vec<CoreFn<'m>>) {
         std::thread::scope(|s| {
-            for (tid, mk) in bodies.into_iter().enumerate() {
+            let spawn = |(tid, mk): (usize, CoreFn<'m>)| {
                 let shared = &*self.shared;
                 let record = self.cfg.record_events;
                 s.spawn(move || {
@@ -179,7 +196,10 @@ impl Machine {
                         let mut st = shared.lock();
                         loop {
                             match st.next_eligible() {
-                                Some(n) if n == tid => break,
+                                Some(n) if n == tid => {
+                                    st.wake_due(tid);
+                                    break;
+                                }
                                 Some(_) => {
                                     st.cores[tid].waiting = true;
                                     st =
@@ -190,7 +210,12 @@ impl Machine {
                             }
                         }
                     }
-                });
+                })
+            };
+            let cores: Vec<_> = bodies.into_iter().enumerate().map(spawn).collect();
+            // The scope joins whatever is left once the first panic is found.
+            if let Some(payload) = cores.into_iter().find_map(|h| h.join().err()) {
+                std::panic::resume_unwind(payload);
             }
         });
     }
@@ -231,9 +256,9 @@ impl Machine {
         SimStats { cores, exec_cycles }
     }
 
-    /// Host-side scheduling-overhead counters: cooperative `schedule()`
-    /// calls and lazy-heap stale-entry repairs. These never feed back into
-    /// simulated quantities (and are therefore not part of
+    /// Host-side scheduling counters: cooperative `schedule()` calls, heap
+    /// key updates, parks and the gated ops they elided. These never feed
+    /// back into simulated quantities (and are therefore not part of
     /// [`Machine::stats`], which cross-scheduler equivalence tests compare
     /// for equality).
     pub fn sched_stats(&self) -> crate::sched::SchedStats {
@@ -277,6 +302,14 @@ impl Machine {
     #[doc(hidden)]
     pub fn directory_violation(&self, lines: &[u64]) -> Option<String> {
         self.shared.lock().directory_violation(lines)
+    }
+
+    /// Test aid: make every [`Core::wait_on`] on this machine return 0, so
+    /// spin loops poll each iteration for real — the reference that elided
+    /// runs are compared against byte for byte. Call before `run`.
+    #[doc(hidden)]
+    pub fn poll_every_spin(&self) {
+        self.shared.lock().poll_every_spin = true;
     }
 
     /// Host-side allocation for setup (no simulated cycles).
@@ -350,14 +383,61 @@ impl<'m> Core<'m> {
         }
     }
 
+    /// Arrive at an order point: fold pending compute cycles (idempotent —
+    /// they reset to zero) and report whether this core holds the minimum
+    /// `(clock, id)`. When it does not, the caller suspends; under the
+    /// threaded driver the core that does hold it is woken first.
+    fn arrive(&mut self, st: &mut SimState) -> bool {
+        let tid = self.tid;
+        st.cores[tid].clock += self.pending;
+        self.pending = 0;
+        match self.drive {
+            // Only this core's clock can have moved since the event loop
+            // resumed it, so eligibility is one comparison against the
+            // cached runner-up.
+            Drive::Coop => (st.cores[tid].clock, tid) <= st.horizon,
+            Drive::Threaded => {
+                let n = st.next_eligible().expect("calling core cannot be finished");
+                self.wake(st, n);
+                n == tid
+            }
+        }
+    }
+
+    /// Threaded driver only: this core just changed the order (ran an op,
+    /// parked, unparked a waiter or retired) — wake whichever core is now
+    /// the minimum if it sleeps on its condvar. Cooperative cores never
+    /// sleep, so no notification is issued there.
+    fn hand_off(&self, st: &SimState) {
+        if matches!(self.drive, Drive::Threaded) {
+            if let Some(n) = st.next_eligible() {
+                self.wake(st, n);
+            }
+        }
+    }
+
+    /// Notify core `n` if it is another core asleep on its condvar.
+    fn wake(&self, st: &SimState, n: usize) {
+        if n != self.tid && st.cores[n].waiting {
+            self.shared.cvs[n].notify_one();
+        }
+    }
+
     /// Perform `f` on the shared state at this core's logical turn; `f`
     /// returns `(result, latency)`. Monomorphized per call site, so the op
     /// body inlines straight into the gate with no enum dispatch. Each poll
-    /// folds pending compute cycles (idempotent — they reset to zero) and
-    /// either runs the op, if this core is the minimum, or suspends after
-    /// waking an eligible parked core (threaded driver only; cooperative
-    /// cores never park, so no notification syscall is issued there).
-    fn gate<'a, R, F>(&'a mut self, f: F) -> impl Future<Output = R> + Send + use<'a, 'm, R, F>
+    /// either runs the op, if this core is the minimum, or suspends.
+    ///
+    /// `writes` names the line the op may write. Cores parked on that line
+    /// ([`Core::wait_on`]) are unparked *before* the op is admitted, each
+    /// fast-forwarded to its last iteration boundary ahead of this core's
+    /// `(clock, id)`: they now precede it, so this gate suspends and they
+    /// poll against pre-write memory, exactly as if they had never parked.
+    fn gate<'a, R, F>(
+        &'a mut self,
+        writes: Option<Addr>,
+        f: F,
+    ) -> impl Future<Output = R> + Send + use<'a, 'm, R, F>
     where
         F: FnOnce(&mut SimState, usize) -> (R, u64) + Send + 'a,
     {
@@ -365,72 +445,97 @@ impl<'m> Core<'m> {
         std::future::poll_fn(move |_cx| {
             let tid = self.tid;
             let mut st = self.shared.lock();
-            st.cores[tid].clock += self.pending;
-            self.pending = 0;
-            match self.drive {
-                Drive::Coop => {
-                    // Only this core's clock can have moved since the event
-                    // loop resumed it, so eligibility is one comparison
-                    // against the cached runner-up; no core ever parks, so
-                    // there is nobody to wake on either side of the op.
-                    if (st.cores[tid].clock, tid) > st.horizon {
-                        return Poll::Pending;
-                    }
+            if !self.arrive(&mut st) {
+                return Poll::Pending;
+            }
+            if let Some(addr) = writes {
+                if st.n_parked != 0 && st.unpark_watchers(tid, line_of(addr)) {
+                    self.hand_off(&st);
+                    return Poll::Pending;
                 }
-                Drive::Threaded => match st.next_eligible() {
-                    Some(n) if n == tid => {}
-                    Some(n) => {
-                        // Our arrival may have shifted the minimum to a
-                        // parked core — wake it before we suspend.
-                        if st.cores[n].waiting {
-                            self.shared.cvs[n].notify_one();
-                        }
-                        return Poll::Pending;
-                    }
-                    None => unreachable!("calling core cannot be finished"),
-                },
             }
             st.cores[tid].stats.gated_ops += 1;
             let (r, lat) = (f.take().expect("gate op polled after completion"))(&mut st, tid);
             st.cores[tid].clock += lat;
             self.last_clock = st.cores[tid].clock;
-            if matches!(self.drive, Drive::Threaded) {
-                if let Some(n) = st.next_eligible() {
-                    if n != tid && st.cores[n].waiting {
-                        self.shared.cvs[n].notify_one();
-                    }
-                }
-            }
+            self.hand_off(&st);
             Poll::Ready(r)
         })
+    }
+
+    /// Skip the predictable part of a spin-wait. Call it after a *real*
+    /// failed iteration of a loop whose every iteration is one
+    /// nontransactional read (`nt_load`, or an `nt_cas(_, 0, _)` that fails)
+    /// of each of `words` — all on one cache line — followed by
+    /// `charge_lock_wait(quantum)`, and which keeps spinning while every
+    /// word is non-zero. Returns how many whole iterations were accounted
+    /// without being executed (at most `max_iters`, the number the caller
+    /// could still run before its own timeout; `u64::MAX` for none), each
+    /// charged exactly what polling it would have: clock, `gated_ops`,
+    /// `nt_mem_ops`, `lock_wait_cycles`. The caller advances its own
+    /// bookkeeping by that many and goes on polling.
+    ///
+    /// Returns 0 — poll as usual — unless every word is non-zero and the
+    /// line is in this core's L1 (so each skipped read is an L1 hit that
+    /// fails). Otherwise the core parks until a gate about to write the line
+    /// unparks it (see [`Core::gate`]) or `max_iters` iterations have
+    /// passed. Not itself a gated op: it costs no cycles and counts nowhere.
+    pub async fn wait_on(&mut self, words: &[Addr], quantum: u64, max_iters: u64) -> u64 {
+        let mut parked = false;
+        std::future::poll_fn(move |_cx| {
+            let tid = self.tid;
+            let mut st = self.shared.lock();
+            if parked {
+                // Both drivers resume a parked program only once it holds
+                // the minimum key again, unparked by a writer or by its
+                // deadline.
+                self.last_clock = st.cores[tid].clock;
+                return Poll::Ready(st.cores[tid].elided);
+            }
+            if !self.arrive(&mut st) {
+                return Poll::Pending;
+            }
+            self.last_clock = st.cores[tid].clock;
+            if !st.park(tid, words, quantum, max_iters) {
+                return Poll::Ready(0);
+            }
+            parked = true;
+            self.hand_off(&st);
+            Poll::Pending
+        })
+        .await
     }
 
     // ----- transactional API ---------------------------------------------
 
     /// Begin a hardware transaction for atomic block `ab_id`.
     pub async fn tx_begin(&mut self, ab_id: u32) {
-        self.gate(|st, tid| ((), st.tx_begin(tid, ab_id))).await
+        self.gate(None, |st, tid| ((), st.tx_begin(tid, ab_id)))
+            .await
     }
 
     /// Transactional load at instruction address `pc`.
     pub async fn tx_load(&mut self, addr: Addr, pc: u64) -> Result<u64, TxError> {
-        self.gate(|st, tid| st.tx_load(tid, addr, pc)).await
+        self.gate(None, |st, tid| st.tx_load(tid, addr, pc)).await
     }
 
     /// Transactional store at instruction address `pc`.
     pub async fn tx_store(&mut self, addr: Addr, val: u64, pc: u64) -> Result<(), TxError> {
-        self.gate(|st, tid| st.tx_store(tid, addr, val, pc)).await
+        self.gate(Some(addr), |st, tid| st.tx_store(tid, addr, val, pc))
+            .await
     }
 
     /// Attempt to commit.
     pub async fn tx_commit(&mut self) -> Result<(), TxError> {
-        self.gate(|st, tid| st.tx_commit(tid)).await
+        self.gate(None, |st, tid| st.tx_commit(tid)).await
     }
 
     /// Explicitly abort the active transaction (runtime-initiated).
     pub async fn tx_abort(&mut self) -> TxError {
-        self.gate(|st, tid| (st.self_abort(tid, AbortCause::Explicit), 0))
-            .await
+        self.gate(None, |st, tid| {
+            (st.self_abort(tid, AbortCause::Explicit), 0)
+        })
+        .await
     }
 
     /// Is a transaction currently active (not yet observed-doomed)?
@@ -448,14 +553,14 @@ impl<'m> Core<'m> {
 
     /// Nontransactional load (escapes isolation; never aborts anyone).
     pub async fn nt_load(&mut self, addr: Addr) -> u64 {
-        self.gate(|st, tid| st.nt_load(tid, addr)).await
+        self.gate(None, |st, tid| st.nt_load(tid, addr)).await
     }
 
     /// Plain non-speculative load (outside transactions / irrevocable
     /// mode): dooms speculative writers of the line so uncommitted data is
     /// never observed.
     pub async fn plain_load(&mut self, addr: Addr) -> u64 {
-        self.gate(|st, tid| st.plain_load(tid, addr)).await
+        self.gate(None, |st, tid| st.plain_load(tid, addr)).await
     }
 
     /// Plain non-speculative store — identical coherence behaviour to
@@ -467,26 +572,29 @@ impl<'m> Core<'m> {
     /// Nontransactional store (immediately visible; aborts conflicting
     /// speculative owners on other cores).
     pub async fn nt_store(&mut self, addr: Addr, val: u64) {
-        self.gate(|st, tid| ((), st.nt_store(tid, addr, val))).await
+        self.gate(Some(addr), |st, tid| ((), st.nt_store(tid, addr, val)))
+            .await
     }
 
     /// Nontransactional compare-and-swap.
     pub async fn nt_cas(&mut self, addr: Addr, old: u64, new: u64) -> bool {
-        self.gate(|st, tid| st.nt_cas(tid, addr, old, new)).await
+        self.gate(Some(addr), |st, tid| st.nt_cas(tid, addr, old, new))
+            .await
     }
 
     // ----- services ---------------------------------------------------------
 
     /// Allocate `words` from this core's arena.
     pub async fn alloc(&mut self, words: u64, line_align: bool) -> Addr {
-        self.gate(|st, tid| st.alloc(tid, words, line_align)).await
+        self.gate(None, |st, tid| st.alloc(tid, words, line_align))
+            .await
     }
 
     /// Charge advisory-lock wait cycles (runtime bookkeeping: advances the
     /// clock like `compute` and records the amount in the core's stats).
     pub async fn charge_lock_wait(&mut self, cycles: u64) {
         self.compute(cycles);
-        self.gate(move |st, tid| {
+        self.gate(None, move |st, tid| {
             st.cores[tid].stats.lock_wait_cycles += cycles;
             ((), 0)
         })
@@ -496,7 +604,7 @@ impl<'m> Core<'m> {
     /// Charge retry-backoff cycles.
     pub async fn charge_backoff(&mut self, cycles: u64) {
         self.compute(cycles);
-        self.gate(move |st, tid| {
+        self.gate(None, move |st, tid| {
             st.cores[tid].stats.backoff_cycles += cycles;
             ((), 0)
         })
@@ -506,7 +614,7 @@ impl<'m> Core<'m> {
     /// Record an irrevocable (global-lock) execution: `cycles` spent and
     /// one irrevocable commit.
     pub async fn record_irrevocable(&mut self, cycles: u64) {
-        self.gate(move |st, tid| {
+        self.gate(None, move |st, tid| {
             st.cores[tid].stats.irrevocable_cycles += cycles;
             st.cores[tid].stats.irrevocable_commits += 1;
             ((), 0)
@@ -538,15 +646,9 @@ impl Drop for Core<'_> {
         let mut st = self.shared.lock();
         st.cores[tid].clock += self.pending;
         self.pending = 0;
-        st.cores[tid].finished = true;
+        st.retire(tid);
         self.last_clock = st.cores[tid].clock;
-        if matches!(self.drive, Drive::Threaded) {
-            if let Some(n) = st.next_eligible() {
-                if st.cores[n].waiting {
-                    self.shared.cvs[n].notify_one();
-                }
-            }
-        }
+        self.hand_off(&st);
     }
 }
 
@@ -833,6 +935,295 @@ mod tests {
             );
             assert_eq!(st.exec_cycles, 500);
         }
+    }
+
+    // ----- event-driven waiting ---------------------------------------------
+    //
+    // The spin loops below mirror `stagger-core`'s `locks.rs` (this crate
+    // cannot depend on it). Every scenario runs four ways — both drivers,
+    // elided and polled (`poll_every_spin`) — and all four must agree on
+    // stats and event streams.
+
+    type Artifacts = (SimStats, Vec<Vec<ObsEvent>>);
+
+    /// `GlobalLock::acquire`.
+    async fn spin_acquire(c: &mut Core<'_>, word: Addr, quantum: u64) {
+        let me = c.tid() as u64 + 1;
+        while !c.nt_cas(word, 0, me).await {
+            c.charge_lock_wait(quantum).await;
+            c.wait_on(&[word], quantum, u64::MAX).await;
+        }
+        c.note(ObsKind::LockAcquire { word, waited: 0 });
+    }
+
+    /// `LockTable::acquire`: the second word of the line is the contended
+    /// flag; the outcome and `waited` go to the event stream.
+    async fn timed_acquire(c: &mut Core<'_>, word: Addr, timeout: u64, quantum: u64) -> bool {
+        let me = c.tid() as u64 + 1;
+        let mut waited = 0;
+        loop {
+            if c.nt_cas(word, 0, me).await {
+                c.note(ObsKind::LockAcquire { word, waited });
+                return true;
+            }
+            if c.nt_load(word + 8).await == 0 {
+                c.nt_store(word + 8, 1).await;
+            }
+            if waited >= timeout {
+                c.note(ObsKind::LockTimeout { word, waited });
+                return false;
+            }
+            c.charge_lock_wait(quantum).await;
+            waited += quantum;
+            let left = (timeout.saturating_sub(waited)).div_ceil(quantum);
+            waited += quantum * c.wait_on(&[word, word + 8], quantum, left).await;
+        }
+    }
+
+    /// Run the bodies `mk` builds (over a lock line whose first word is
+    /// held by nobody in particular) four ways, assert they agree, and
+    /// return the cooperative elided run's host-side counters.
+    fn differential(
+        cfg: MachineConfig,
+        mk: impl for<'m> Fn(&'m Machine, Addr) -> Vec<CoreFn<'m>>,
+    ) -> crate::sched::SchedStats {
+        let run = |scheduler, polled: bool| -> (Artifacts, crate::sched::SchedStats) {
+            let m = Machine::new(cfg.clone().record_events().scheduler(scheduler));
+            if polled {
+                m.poll_every_spin();
+            }
+            let lock = m.host_alloc(8, true);
+            m.host_store(lock, 99);
+            m.run(mk(&m, lock));
+            ((m.stats(), m.take_events()), m.sched_stats())
+        };
+        let (want, polled) = run(Scheduler::Cooperative, true);
+        assert_eq!((polled.parks, polled.elided_ops), (0, 0));
+        let (got, sched) = run(Scheduler::Cooperative, false);
+        assert_eq!(got, want, "elided run diverged from the polled one");
+        for polled in [false, true] {
+            let (thr, _) = run(Scheduler::Threaded, polled);
+            assert_eq!(thr, want, "threaded (polled={polled}) diverged");
+        }
+        sched
+    }
+
+    fn small(n: usize) -> MachineConfig {
+        MachineConfig::cores(n).small()
+    }
+
+    #[test]
+    fn release_at_every_offset_of_the_poll_period() {
+        // One waiter, one releaser whose store lands at every offset of two
+        // full poll periods — so also exactly on an iteration boundary —
+        // with the writer's id both below and above the waiter's.
+        let period = small(2).l1_latency + 30;
+        for waiter in [0, 1] {
+            let mut elided = 0;
+            for delay in 0..=2 * period + 1 {
+                let sched = differential(small(2), |_, lock| {
+                    let mut bodies = vec![
+                        body(move |mut c| async move { spin_acquire(&mut c, lock, 30).await }),
+                        body(move |mut c| async move {
+                            c.compute(700 + delay);
+                            c.nt_store(lock, 0).await;
+                        }),
+                    ];
+                    if waiter == 1 {
+                        bodies.swap(0, 1);
+                    }
+                    bodies
+                });
+                assert_eq!(sched.parks, 1);
+                elided += sched.elided_ops;
+            }
+            assert!(elided > 0, "the waiter never skipped a poll");
+        }
+    }
+
+    #[test]
+    fn timeout_while_parked_reports_the_same_wait() {
+        let sched = differential(small(2), |_, lock| {
+            vec![
+                body(move |mut c| async move {
+                    assert!(!timed_acquire(&mut c, lock, 2_000, 30).await);
+                }),
+                body(move |mut c| async move {
+                    for _ in 0..40 {
+                        c.compute(90);
+                        c.nt_load(lock).await;
+                    }
+                }),
+            ]
+        });
+        // One park from the first failed poll to the deadline; everything
+        // between was skipped: three gates per iteration.
+        assert_eq!(sched.parks, 1);
+        assert!(sched.elided_ops >= 3 * (2_000 / 34 - 2));
+    }
+
+    #[test]
+    fn failed_cas_and_flag_store_are_spurious_wakes() {
+        // A third core's failing CAS on the lock word and a store to the
+        // *second* word of the line both announce a write: the waiter wakes,
+        // polls for real, and parks again.
+        let sched = differential(small(3), |_, lock| {
+            vec![
+                body(move |mut c| async move {
+                    assert!(timed_acquire(&mut c, lock, 1 << 30, 30).await);
+                }),
+                body(move |mut c| async move {
+                    c.compute(1_000);
+                    assert!(!c.nt_cas(lock, 0, 7).await);
+                    c.compute(1_000);
+                    c.nt_store(lock + 8, 5).await;
+                    c.compute(1_000);
+                    c.nt_store(lock + 8, 0).await;
+                }),
+                body(move |mut c| async move {
+                    c.compute(5_000);
+                    c.nt_store(lock, 0).await;
+                }),
+            ]
+        });
+        assert!(sched.parks >= 4, "parks: {}", sched.parks);
+    }
+
+    #[test]
+    fn l1_bypassed_line_is_polled() {
+        // The waiter's transaction pins every way of the lock line's L1
+        // set, so its nontransactional polls bypass the L1: each one is a
+        // miss of unknown latency, and it must not park.
+        let cfg = small(2);
+        let (sets, ways) = (cfg.l1_sets as u64, cfg.l1_ways as u64);
+        let sched = differential(cfg, |m, lock| {
+            let pins = m.host_alloc(8 * sets * (ways + 1), true);
+            vec![
+                body(move |mut c| async move {
+                    c.tx_begin(0).await;
+                    let same_set = (0..2 * sets * ways)
+                        .map(|i| pins + i * 64)
+                        .filter(|&a| line_of(a) % sets == line_of(lock) % sets);
+                    for a in same_set.take(ways as usize) {
+                        c.tx_load(a, 0x100).await.unwrap();
+                    }
+                    spin_acquire(&mut c, lock, 30).await;
+                    c.tx_commit().await.unwrap();
+                }),
+                body(move |mut c| async move {
+                    c.compute(3_000);
+                    c.nt_store(lock, 0).await;
+                }),
+            ]
+        });
+        assert_eq!(sched.parks, 0);
+    }
+
+    #[test]
+    fn waiter_doomed_while_parked() {
+        let sched = differential(small(2), |m, lock| {
+            let data = m.host_alloc(8, true);
+            vec![
+                body(move |mut c| async move {
+                    c.tx_begin(0).await;
+                    c.tx_store(data, 1, 0x100).await.unwrap();
+                    spin_acquire(&mut c, lock, 30).await;
+                    let e = c.tx_commit().await.unwrap_err();
+                    assert_eq!(e.info().cause, AbortCause::Conflict);
+                }),
+                body(move |mut c| async move {
+                    c.compute(2_000);
+                    c.nt_store(data, 7).await;
+                    c.compute(2_000);
+                    c.nt_store(lock, 0).await;
+                }),
+            ]
+        });
+        assert_eq!(sched.parks, 1, "a doom is not a wake-up");
+    }
+
+    #[test]
+    fn zero_length_period_never_parks() {
+        let mut cfg = small(2);
+        cfg.l1_latency = 0;
+        let sched = differential(cfg, |_, lock| {
+            vec![
+                body(move |mut c| async move {
+                    while c.nt_load(lock).await != 0 {
+                        c.compute(1); // keeps the polled loop advancing
+                        assert_eq!(c.wait_on(&[lock], 0, u64::MAX).await, 0);
+                    }
+                }),
+                body(move |mut c| async move {
+                    c.compute(500);
+                    c.nt_store(lock, 0).await;
+                }),
+            ]
+        });
+        assert_eq!(sched.parks, 0);
+    }
+
+    /// A transaction writes the second word of a lock line another core is
+    /// parked on; `finish` then ends it (lazy commit flush, eager roll-back).
+    fn transactional_write_to_watched_line(cfg: MachineConfig, commit: bool) {
+        let m = Machine::new(cfg);
+        let lock = m.host_alloc(8, true);
+        m.host_store(lock, 99);
+        m.run(vec![
+            body(move |mut c| async move {
+                c.compute(100);
+                spin_acquire(&mut c, lock, 30).await;
+            }),
+            body(move |mut c| async move {
+                c.tx_begin(0).await;
+                c.tx_store(lock + 8, 1, 0x100).await.unwrap();
+                c.compute(2_000);
+                if commit {
+                    let _ = c.tx_commit().await;
+                } else {
+                    c.tx_abort().await;
+                }
+            }),
+        ]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unannounced write")]
+    fn lazy_commit_flush_to_a_watched_line_panics() {
+        transactional_write_to_watched_line(small(2).lazy(), true);
+    }
+
+    #[test]
+    #[should_panic(expected = "unannounced write")]
+    fn undo_roll_back_of_a_watched_line_panics() {
+        transactional_write_to_watched_line(small(2), false);
+    }
+
+    /// Core 0 takes the lock and returns without releasing it; core 1 then
+    /// waits for it with no timeout. This used to spin the host forever.
+    fn wait_for_a_lock_nobody_releases(m: &Machine) {
+        let lock = m.host_alloc(8, true);
+        m.run(vec![
+            body(move |mut c| async move {
+                assert!(c.nt_cas(lock, 0, 1).await);
+            }),
+            body(move |mut c| async move {
+                c.compute(100);
+                spin_acquire(&mut c, lock, 30).await;
+            }),
+        ]);
+    }
+
+    #[test]
+    #[should_panic(expected = "deadlock: core 1 waits on line")]
+    fn deadlock_is_diagnosed_under_cooperative() {
+        wait_for_a_lock_nobody_releases(&machines(2)[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "deadlock: core 1 waits on line")]
+    fn deadlock_is_diagnosed_under_threaded() {
+        wait_for_a_lock_nobody_releases(&machines(2)[1]);
     }
 
     /// A run retires every core, so a second one used to be a silent no-op

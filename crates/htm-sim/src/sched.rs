@@ -1,140 +1,122 @@
-//! Indexed min-(clock, id) scheduling: a lazy binary heap over core keys.
+//! Indexed min-(key, id) scheduling: a plain binary heap with a position
+//! index.
 //!
 //! The cooperative driver ([`crate::sim::SimState::schedule`]) repeatedly
-//! needs "the unfinished core with the minimum `(clock, id)`, plus the
-//! exact runner-up" — previously an O(n_cores) scan per resumption, i.e.
-//! quadratic over a run. [`LazyMinHeap`]
-//! makes it O(log n) amortized by exploiting a structural property of the
-//! simulator: **a core's clock only ever increases, and cores only retire**
-//! (they never un-finish). Every heap entry is therefore a *lower bound* on
-//! its core's current key, so the heap needs no decrease-key and no explicit
-//! update calls at all:
-//!
-//! * Each core keeps exactly one entry `(clock, id)` in a hand-rolled array
-//!   heap — possibly stale (too small), never too large.
-//! * [`LazyMinHeap::clean`] repairs a stale entry *in place*: overwrite the
-//!   key with the fresh one and sift down (one sift, where a pop+push pair
-//!   on `std`'s `BinaryHeap` would cost two). Since a repaired entry's key
-//!   is final for this call (keys don't change mid-call), each entry is
-//!   repaired at most once and the loop terminates with a fresh minimum.
-//! * Retired cores' entries are overwritten with a maximal sentinel
-//!   `(u64::MAX, usize::MAX)` that sinks below every live key — a sentinel
-//!   on top therefore means its whole subtree is retired.
-//! * The exact runner-up is the smaller of the root's two *cleaned*
-//!   children: every stored key is a lower bound on its core's true key and
-//!   at least its (fresh) ancestor child's stored key, so no deeper entry
-//!   can beat the children once they are fresh. This keeps `min2` from ever
-//!   moving the root at all.
-//!
-//! The caller supplies the current key through a `key_of(id) -> Option<u64>`
-//! closure (`None` = retired), keeping this structure free of any borrow of
-//! the core array itself.
+//! needs "the unfinished core with the minimum `(key, id)`, plus the exact
+//! runner-up". A core's key is its logical clock while it runs and its wake
+//! deadline while it is parked in [`crate::machine::Core::wait_on`], so keys
+//! move both ways: they rise as a core executes or parks, and *fall* when a
+//! writer unparks a waiter. [`MinHeap`] therefore keeps `pos[id]`, each
+//! core's slot in the heap array, and one [`MinHeap::update`] that
+//! overwrites the key and sifts in whichever direction restores the heap
+//! order. The simulator calls it for the core that just ran and on every
+//! park, unpark and retirement; nothing is repaired lazily, so the root is
+//! always the true minimum and the exact runner-up is the smaller of the
+//! root's two children.
 
-/// Retired-core sentinel: strictly greater than any live `(clock, id)` key
-/// (a live id is `< MAX_CORES`), and doubling as the "no runner-up" horizon.
-const RETIRED: (u64, usize) = (u64::MAX, usize::MAX);
+/// "No runner-up" horizon: strictly greater than any live `(key, id)` pair
+/// (a live id is `< MAX_CORES`).
+const NONE: (u64, usize) = (u64::MAX, usize::MAX);
 
-/// Host-side scheduling-overhead counters (never part of the simulated
-/// state; reported by the `scaling` exhibit).
+/// Host-side scheduling counters (never part of the simulated state;
+/// reported by the `scaling` exhibit and the `--json` reports).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SchedStats {
     /// Calls to [`crate::sim::SimState::schedule`] (one per cooperative
     /// resumption).
     pub schedule_calls: u64,
-    /// Stale heap entries repaired (overwritten with a fresh key in place).
+    /// Heap key updates (the core that just ran, parks, unparks). The name
+    /// predates the indexed heap; the benchmark reads it.
     pub stale_refreshes: u64,
+    /// Times a core parked in [`crate::machine::Core::wait_on`].
+    pub parks: u64,
+    /// Gated operations accounted by fast-forwarding a parked core instead
+    /// of executing them (included in `CoreStats::gated_ops`).
+    pub elided_ops: u64,
 }
 
-/// Lazy min-heap over `(clock, id)` keys, one entry per core.
+/// Binary min-heap over `(key, id)`, one entry per unretired core.
 #[derive(Debug)]
-pub(crate) struct LazyMinHeap {
+pub(crate) struct MinHeap {
     heap: Vec<(u64, usize)>,
-    /// Stale-entry repairs performed (mirrored into [`SchedStats`]).
-    pub(crate) stale_refreshes: u64,
+    /// `pos[id]` is `id`'s index in `heap`; `usize::MAX` once retired.
+    pos: Vec<usize>,
 }
 
-impl LazyMinHeap {
-    /// Heap seeded with `(0, id)` for every core — the simulator's initial
-    /// clocks (already heap-ordered). Sound for any later state reached by
-    /// increases/retirements.
-    pub(crate) fn new(n_cores: usize) -> LazyMinHeap {
-        LazyMinHeap {
+impl MinHeap {
+    /// Heap holding `(0, id)` for every core — the simulator's initial
+    /// clocks, already heap-ordered.
+    pub(crate) fn new(n_cores: usize) -> MinHeap {
+        MinHeap {
             heap: (0..n_cores).map(|i| (0, i)).collect(),
-            stale_refreshes: 0,
+            pos: (0..n_cores).collect(),
         }
     }
 
-    /// Restore the heap invariant below `i` after its key increased.
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.heap.len();
+    fn place(&mut self, i: usize, e: (u64, usize)) {
+        self.heap[i] = e;
+        self.pos[e.1] = i;
+    }
+
+    /// Move the entry at `i` to where the heap order wants it.
+    fn sift(&mut self, mut i: usize) {
+        let e = self.heap[i];
+        while i > 0 && e < self.heap[(i - 1) / 2] {
+            let up = (i - 1) / 2;
+            self.place(i, self.heap[up]);
+            i = up;
+        }
         loop {
             let l = 2 * i + 1;
-            if l >= n {
-                return;
+            if l >= self.heap.len() {
+                break;
             }
             let r = l + 1;
-            let c = if r < n && self.heap[r] < self.heap[l] {
+            let c = if r < self.heap.len() && self.heap[r] < self.heap[l] {
                 r
             } else {
                 l
             };
-            if self.heap[c] < self.heap[i] {
-                self.heap.swap(i, c);
-                i = c;
-            } else {
-                return;
+            if self.heap[c] >= e {
+                break;
             }
+            self.place(i, self.heap[c]);
+            i = c;
+        }
+        self.place(i, e);
+    }
+
+    /// Set `id`'s key; returns whether it changed. No-op for a retired core.
+    pub(crate) fn update(&mut self, id: usize, key: u64) -> bool {
+        let i = self.pos[id];
+        if i == usize::MAX || self.heap[i].0 == key {
+            return false;
+        }
+        self.heap[i].0 = key;
+        self.sift(i);
+        true
+    }
+
+    /// Retire `id`: drop its entry for good.
+    pub(crate) fn remove(&mut self, id: usize) {
+        let i = std::mem::replace(&mut self.pos[id], usize::MAX);
+        if i == usize::MAX {
+            return;
+        }
+        let last = self.heap.pop().expect("indexed entry exists");
+        if i < self.heap.len() {
+            self.place(i, last);
+            self.sift(i);
         }
     }
 
-    /// Repair position `i` until its entry is fresh; returns that entry, or
-    /// `None` when the whole subtree under `i` has retired.
-    #[inline]
-    fn clean(&mut self, i: usize, key_of: &impl Fn(usize) -> Option<u64>) -> Option<(u64, usize)> {
-        loop {
-            let (clock, id) = self.heap[i];
-            if id == usize::MAX {
-                return None;
-            }
-            match key_of(id) {
-                None => {
-                    self.heap[i] = RETIRED;
-                    self.sift_down(i);
-                }
-                Some(cur) if cur != clock => {
-                    debug_assert!(cur > clock, "core clocks must be monotone");
-                    self.heap[i] = (cur, id);
-                    self.stale_refreshes += 1;
-                    self.sift_down(i);
-                }
-                Some(_) => return Some((clock, id)),
-            }
-        }
-    }
-
-    /// The minimum live key plus the exact runner-up (the cooperative
-    /// horizon), `(u64::MAX, usize::MAX)` when no runner-up exists. Ties
-    /// order by id, including at clock `u64::MAX`, exactly like the linear
-    /// reference scan.
-    pub(crate) fn min2(
-        &mut self,
-        key_of: impl Fn(usize) -> Option<u64>,
-    ) -> (Option<usize>, (u64, usize)) {
-        if self.heap.is_empty() {
-            return (None, RETIRED);
-        }
-        let Some(best) = self.clean(0, &key_of) else {
-            return (None, RETIRED);
-        };
-        let mut second = RETIRED;
-        for c in [1, 2] {
-            if c < self.heap.len() {
-                if let Some(k) = self.clean(c, &key_of) {
-                    second = second.min(k);
-                }
-            }
-        }
-        (Some(best.1), second)
+    /// The minimum entry's id plus the exact runner-up pair (the
+    /// cooperative horizon), `(u64::MAX, usize::MAX)` when there is no
+    /// runner-up. Ties order by id, including at key `u64::MAX`, exactly
+    /// like the linear reference scan.
+    pub(crate) fn min2(&self) -> (Option<usize>, (u64, usize)) {
+        let second = self.heap.iter().skip(1).take(2).min().copied();
+        (self.heap.first().map(|e| e.1), second.unwrap_or(NONE))
     }
 }
 
@@ -142,38 +124,48 @@ impl LazyMinHeap {
 mod tests {
     use super::*;
 
+    fn with_keys(keys: &[u64]) -> MinHeap {
+        let mut h = MinHeap::new(keys.len());
+        for (i, &k) in keys.iter().enumerate() {
+            h.update(i, k);
+        }
+        h
+    }
+
     #[test]
-    fn tracks_increasing_clocks_without_updates() {
-        let mut h = LazyMinHeap::new(3);
-        let clocks = [50u64, 10, 30];
-        let key = |i: usize| Some(clocks[i]);
-        assert_eq!(h.min2(key), (Some(1), (30, 2)));
-        let clocks = [50u64, 60, 30];
-        let key = |i: usize| Some(clocks[i]);
-        assert_eq!(h.min2(key), (Some(2), (50, 0)));
-        assert!(h.stale_refreshes > 0);
+    fn keys_move_both_ways() {
+        let mut h = with_keys(&[50, 10, 30]);
+        assert_eq!(h.min2(), (Some(1), (30, 2)));
+        assert!(h.update(1, 60));
+        assert_eq!(h.min2(), (Some(2), (50, 0)));
+        // A decrease (an unpark) must surface immediately.
+        assert!(h.update(1, 5));
+        assert_eq!(h.min2(), (Some(1), (30, 2)));
+        assert!(!h.update(1, 5), "unchanged key is not an update");
     }
 
     #[test]
     fn retired_cores_drop_out() {
-        let mut h = LazyMinHeap::new(3);
-        let clocks = [5u64, 40, 20];
-        let key = |i: usize| if i == 0 { None } else { Some(clocks[i]) };
-        assert_eq!(h.min2(key), (Some(2), (40, 1)));
-        assert_eq!(h.min2(|_| None), (None, (u64::MAX, usize::MAX)));
+        let mut h = with_keys(&[5, 40, 20]);
+        h.remove(0);
+        assert_eq!(h.min2(), (Some(2), (40, 1)));
+        assert!(!h.update(0, 1), "a retired core stays retired");
+        h.remove(0);
+        h.remove(1);
+        h.remove(2);
+        assert_eq!(h.min2(), (None, NONE));
     }
 
     #[test]
     fn ties_at_max_order_by_id() {
-        let mut h = LazyMinHeap::new(3);
-        let key = |_: usize| Some(u64::MAX);
-        assert_eq!(h.min2(key), (Some(0), (u64::MAX, 1)));
+        let h = with_keys(&[u64::MAX; 3]);
+        assert_eq!(h.min2(), (Some(0), (u64::MAX, 1)));
     }
 
     #[test]
     fn single_live_core_has_open_horizon() {
-        let mut h = LazyMinHeap::new(2);
-        let key = |i: usize| if i == 1 { None } else { Some(123u64) };
-        assert_eq!(h.min2(key), (Some(0), (u64::MAX, usize::MAX)));
+        let mut h = with_keys(&[123, 7]);
+        h.remove(1);
+        assert_eq!(h.min2(), (Some(0), NONE));
     }
 }

@@ -12,7 +12,7 @@ use crate::config::{FallbackPolicy, HtmProtocol, MachineConfig};
 use crate::coreset::{CoreSet, MAX_CORES};
 use crate::directory::{Directory, Role};
 use crate::obs::{EventRing, ObsEvent, ObsKind};
-use crate::sched::{LazyMinHeap, SchedStats};
+use crate::sched::{MinHeap, SchedStats};
 use crate::stats::CoreStats;
 
 /// Why a transaction aborted.
@@ -249,11 +249,32 @@ struct Doomed {
     aborter_pc_tag: u16,
 }
 
+/// A core parked in a spin loop whose every poll has a known outcome: all
+/// watched words are non-zero and their line sits in the core's L1, so until
+/// some core writes that line each iteration is `ops - 1` L1-hit loads plus
+/// one `charge_lock_wait(quantum)`, `period` cycles in all.
+#[derive(Debug, Clone, Copy)]
+struct Park {
+    line: u64,
+    /// Clock at which the first elided iteration starts.
+    t0: u64,
+    period: u64,
+    /// Gated ops per iteration.
+    ops: u64,
+    quantum: u64,
+    max_iters: u64,
+    /// Clock at which iteration `max_iters` starts — the scheduling key
+    /// while parked; `u64::MAX` when the wait has no timeout.
+    deadline: u64,
+}
+
 /// Per-core simulator state.
 pub(crate) struct CoreState {
     pub clock: u64,
     pub finished: bool,
     pub waiting: bool,
+    /// Set while the core is parked in [`SimState::park`].
+    park: Option<Park>,
     l1: CacheArray,
     l2: CacheArray,
     tx: Option<TxState>,
@@ -261,6 +282,8 @@ pub(crate) struct CoreState {
     /// transaction, reused by the next `tx_begin` to avoid reallocation.
     spare_tx: Option<TxState>,
     doomed: Option<Doomed>,
+    /// Iterations the core's last park elided (what `wait_on` returns).
+    pub elided: u64,
     pub stats: CoreStats,
     arena_next: Addr,
     arena_end: Addr,
@@ -294,10 +317,16 @@ pub(crate) struct SimState {
     /// fix): registered host-side by the runtime before threads start,
     /// `None` otherwise.
     commit_lock_addr: Option<Addr>,
-    /// Indexed min-(clock, id) structure backing [`SimState::schedule`].
-    /// Holds one (lazily repaired) entry per live core; sound because
-    /// clocks only increase and cores only retire.
-    sched: LazyMinHeap,
+    /// Indexed min-(key, id) heap backing [`SimState::schedule`], kept
+    /// current by [`SimState::sync_key`].
+    sched: MinHeap,
+    /// The core [`SimState::schedule`] last picked: the only one whose
+    /// clock moves without a `sync_key` of its own.
+    running: Option<usize>,
+    /// Cores currently parked; lets write gates skip the watcher lookup.
+    pub n_parked: usize,
+    /// Test aid ([`crate::Machine::poll_every_spin`]): never park.
+    pub poll_every_spin: bool,
     /// Host-side scheduling-overhead counters (never simulated state).
     pub sched_stats: SchedStats,
 }
@@ -317,11 +346,13 @@ impl SimState {
                 clock: 0,
                 finished: false,
                 waiting: false,
+                park: None,
                 l1: CacheArray::new(cfg.l1_sets, cfg.l1_ways),
                 l2: CacheArray::new(cfg.l2_sets, cfg.l2_ways),
                 tx: None,
                 spare_tx: None,
                 doomed: None,
+                elided: 0,
                 stats: CoreStats::default(),
                 arena_next: 0,
                 arena_end: 0,
@@ -342,47 +373,195 @@ impl SimState {
             },
             horizon: (u64::MAX, usize::MAX),
             commit_lock_addr: None,
-            sched: LazyMinHeap::new(cfg.n_cores),
+            sched: MinHeap::new(cfg.n_cores),
+            running: None,
+            n_parked: 0,
+            poll_every_spin: false,
             sched_stats: SchedStats::default(),
             cfg,
         }
     }
 
-    /// The core whose turn it is: minimum clock among unfinished cores,
-    /// ties by id. `None` when every core has finished.
-    ///
-    /// Retained as an O(n_cores) linear scan: the threaded driver calls it
-    /// from arbitrary interleavings where the heap's monotonicity argument
-    /// does not apply, and it serves as the reference implementation the
-    /// indexed [`SimState::schedule`] is property-tested against.
-    pub fn next_eligible(&self) -> Option<usize> {
-        self.cores
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.finished)
-            .min_by_key(|(i, c)| (c.clock, *i))
-            .map(|(i, _)| i)
+    /// `i`'s scheduling key: its clock, or its wake deadline while parked.
+    fn key(&self, i: usize) -> u64 {
+        let c = &self.cores[i];
+        c.park.map_or(c.clock, |p| p.deadline)
     }
 
-    /// [`SimState::next_eligible`] plus the exact runner-up `(clock, id)`
+    /// The core whose turn it is: minimum key among unfinished cores, ties
+    /// by id. `None` when every core has finished.
+    ///
+    /// An O(n_cores) linear scan: the threaded driver calls it from
+    /// arbitrary interleavings (its cores fold compute cycles into their
+    /// clocks concurrently, with no `sync_key`), and it is the reference the
+    /// indexed [`SimState::schedule`] is property-tested against.
+    pub fn next_eligible(&self) -> Option<usize> {
+        (0..self.cores.len())
+            .filter(|&i| !self.cores[i].finished)
+            .min_by_key(|&i| (self.key(i), i))
+    }
+
+    /// Bring `i`'s heap entry up to date with its key.
+    fn sync_key(&mut self, i: usize) {
+        if self.sched.update(i, self.key(i)) {
+            self.sched_stats.stale_refreshes += 1;
+        }
+    }
+
+    /// [`SimState::next_eligible`] plus the exact runner-up `(key, id)`
     /// pair stored into [`SimState::horizon`]. The cooperative event loop
     /// calls this once per resumption; the chosen core's gates then stay
     /// eligible exactly while their own `(clock, id)` is `<=` the horizon.
-    ///
-    /// Backed by the lazy min-heap in [`SimState::sched`]: O(log n_cores)
-    /// amortized per call instead of a linear scan, with identical
-    /// (clock, id) ordering — ties by id, including at clock `u64::MAX`.
+    /// A parked core that comes up has reached its deadline and is woken
+    /// here ([`SimState::wake_due`]).
     pub fn schedule(&mut self) -> Option<usize> {
         self.sched_stats.schedule_calls += 1;
-        let cores = &self.cores;
-        let key_of = |i: usize| {
-            let c = &cores[i];
-            (!c.finished).then_some(c.clock)
-        };
-        let (best, second) = self.sched.min2(key_of);
-        self.sched_stats.stale_refreshes = self.sched.stale_refreshes;
+        if let Some(ran) = self.running {
+            self.sync_key(ran);
+        }
+        let (best, second) = self.sched.min2();
         self.horizon = second;
+        self.running = best;
+        if let Some(b) = best {
+            self.wake_due(b);
+        }
         best
+    }
+
+    /// Retire `tid` (its program finished or unwound).
+    pub fn retire(&mut self, tid: usize) {
+        let c = &mut self.cores[tid];
+        c.finished = true;
+        if c.park.take().is_some() {
+            self.n_parked -= 1;
+        }
+        self.sched.remove(tid);
+    }
+
+    // ----- event-driven waiting -------------------------------------------
+
+    /// Park `tid` if every poll of its spin loop is predictable: `words`
+    /// (all on one line) are non-zero and the line is in `tid`'s L1. Returns
+    /// whether it parked; see [`crate::machine::Core::wait_on`].
+    pub fn park(&mut self, tid: usize, words: &[Addr], quantum: u64, max_iters: u64) -> bool {
+        let Some(&first) = words.first() else {
+            return false;
+        };
+        let line = line_of(first);
+        assert!(
+            words.iter().all(|&w| line_of(w) == line),
+            "wait_on words must share a cache line"
+        );
+        let ops = words.len() as u64 + 1;
+        let period = (ops - 1) * self.cfg.l1_latency + quantum;
+        if self.poll_every_spin
+            || max_iters == 0
+            || period == 0
+            || !self.cores[tid].l1.contains(line)
+            || words.iter().any(|&w| self.read_word(w) == 0)
+        {
+            return false;
+        }
+        let c = &mut self.cores[tid];
+        let deadline = max_iters
+            .checked_mul(period)
+            .and_then(|d| c.clock.checked_add(d))
+            .unwrap_or(u64::MAX);
+        c.park = Some(Park {
+            line,
+            t0: c.clock,
+            period,
+            ops,
+            quantum,
+            max_iters,
+            deadline,
+        });
+        self.n_parked += 1;
+        self.sched_stats.parks += 1;
+        self.sync_key(tid);
+        true
+    }
+
+    /// Unpark `i`, accounting the `n` whole iterations it skipped exactly as
+    /// if each had been polled.
+    fn unpark(&mut self, i: usize, n: u64) {
+        let c = &mut self.cores[i];
+        let p = c.park.take().expect("unpark of a running core");
+        debug_assert_eq!(c.clock, p.t0, "a parked core's clock cannot move");
+        c.clock += n * p.period;
+        c.stats.gated_ops += n * p.ops;
+        c.stats.nt_mem_ops += n * (p.ops - 1);
+        c.stats.lock_wait_cycles += n * p.quantum;
+        c.elided = n;
+        self.n_parked -= 1;
+        self.sched_stats.elided_ops += n * p.ops;
+        self.sync_key(i);
+    }
+
+    /// `tid`, eligible at its current clock, is about to write `line`:
+    /// unpark the cores parked on it, each fast-forwarded over the
+    /// iterations whose last gate precedes `tid`'s `(clock, id)`. A woken
+    /// core then sits strictly before `tid` in the order, so returns whether
+    /// `tid` lost its turn (the cooperative horizon is lowered to match).
+    pub fn unpark_watchers(&mut self, tid: usize, line: u64) -> bool {
+        let at = self.cores[tid].clock;
+        let mut sharers = self.dir.get(line, Role::Sharers);
+        sharers.remove(tid);
+        let mut woke = false;
+        for i in sharers.iter() {
+            let Some(p) = self.cores[i].park.filter(|p| p.line == line) else {
+                continue;
+            };
+            debug_assert!((p.t0, i) < (at, tid), "parked after the writer's gate");
+            let d = at.saturating_sub(p.t0);
+            let mut n = d / p.period;
+            if n > 0 && d % p.period == 0 && i > tid {
+                n -= 1;
+            }
+            self.unpark(i, n.min(p.max_iters));
+            self.horizon = self.horizon.min((self.cores[i].clock, i));
+            woke = true;
+        }
+        woke
+    }
+
+    /// `i` holds the minimum key. If it is parked, that key is its deadline:
+    /// wake it with every iteration elided — or, with no deadline, nobody is
+    /// left who could ever write its line.
+    pub fn wake_due(&mut self, i: usize) {
+        let Some(p) = self.cores[i].park else {
+            return;
+        };
+        if p.deadline == u64::MAX {
+            let stuck = (self.cores.iter().enumerate())
+                .filter_map(|(i, c)| {
+                    let l = c.park?.line;
+                    Some(format!(
+                        "core {i} waits on line {l:#x} that no unfinished core can write"
+                    ))
+                })
+                .collect::<Vec<_>>();
+            panic!("deadlock: {}", stuck.join("; "));
+        }
+        self.unpark(i, p.max_iters);
+    }
+
+    /// Is `i` parked?
+    pub fn parked(&self, i: usize) -> bool {
+        self.cores[i].park.is_some()
+    }
+
+    /// No write may reach a line some core is parked on unless its gate
+    /// announced it ([`SimState::unpark_watchers`]): transactional
+    /// write-backs and roll-backs cannot, which is why lock, global-lock
+    /// and stripe lines are nontransactional-only.
+    fn assert_unwatched(&self, line: u64) {
+        let watcher = (self.dir.get(line, Role::Sharers).iter())
+            .find(|&i| self.cores[i].park.is_some_and(|p| p.line == line));
+        assert!(
+            watcher.is_none(),
+            "unannounced write to line {line:#x} while core {watcher:?} is parked on it"
+        );
     }
 
     // ----- memory & caches ----------------------------------------------
@@ -402,6 +581,9 @@ impl SimState {
             i < self.mem.len(),
             "simulated address {addr:#x} out of range"
         );
+        if self.n_parked != 0 {
+            self.assert_unwatched(line_of(addr));
+        }
         self.mem[i] = val;
     }
 
@@ -513,6 +695,10 @@ impl SimState {
     /// Drop `core`'s L1 and L2 copies of `line`.
     fn drop_copies(&mut self, core: usize, line: u64) {
         let c = &mut self.cores[core];
+        assert!(
+            c.park.is_none_or(|p| p.line != line),
+            "core {core} lost line {line:#x} while parked on it"
+        );
         c.l1.remove(line);
         c.l2.remove(line);
         self.dir.update(line, Role::Sharers, |s| s.remove(core));
@@ -1105,13 +1291,25 @@ mod tests {
         SimState::new(MachineConfig::cores(n).small())
     }
 
+    /// `schedule()` after the test poked clocks and `finished` flags
+    /// directly: retire and re-key the way the machine would have.
+    fn reschedule(s: &mut SimState) -> Option<usize> {
+        for i in 0..s.cores.len() {
+            if s.cores[i].finished {
+                s.retire(i);
+            }
+            s.sync_key(i);
+        }
+        s.schedule()
+    }
+
     #[test]
     fn schedule_picks_min_and_caches_runner_up() {
         let mut s = state(3);
         s.cores[0].clock = 50;
         s.cores[1].clock = 10;
         s.cores[2].clock = 30;
-        assert_eq!(s.schedule(), Some(1));
+        assert_eq!(reschedule(&mut s), Some(1));
         assert_eq!(s.horizon, (30, 2), "runner-up becomes the horizon");
     }
 
@@ -1124,7 +1322,7 @@ mod tests {
         s.cores[0].finished = true;
         s.cores[1].clock = 40;
         s.cores[2].clock = 20;
-        assert_eq!(s.schedule(), Some(2));
+        assert_eq!(reschedule(&mut s), Some(2));
         assert_eq!(s.horizon, (40, 1));
         assert_eq!(s.next_eligible(), Some(2));
     }
@@ -1137,7 +1335,7 @@ mod tests {
         for c in s.cores.iter_mut() {
             c.clock = u64::MAX;
         }
-        assert_eq!(s.schedule(), Some(0));
+        assert_eq!(reschedule(&mut s), Some(0));
         assert_eq!(s.horizon, (u64::MAX, 1));
         // The chosen core stays eligible: its key equals neither horizon
         // component's successor — (MAX, 0) <= (MAX, 1).
@@ -1151,11 +1349,11 @@ mod tests {
         let mut s = state(2);
         s.cores[1].finished = true;
         s.cores[0].clock = 123;
-        assert_eq!(s.schedule(), Some(0));
+        assert_eq!(reschedule(&mut s), Some(0));
         assert_eq!(s.horizon, (u64::MAX, usize::MAX));
         // Even a clock at the sentinel value stays eligible by id ordering.
         s.cores[0].clock = u64::MAX;
-        assert_eq!(s.schedule(), Some(0));
+        assert_eq!(reschedule(&mut s), Some(0));
         assert!((s.cores[0].clock, 0) <= s.horizon);
     }
 
@@ -1164,73 +1362,59 @@ mod tests {
         let mut s = state(2);
         s.cores[0].finished = true;
         s.cores[1].finished = true;
-        assert_eq!(s.schedule(), None);
+        assert_eq!(reschedule(&mut s), None);
         assert_eq!(s.next_eligible(), None);
         assert_eq!(s.horizon, (u64::MAX, usize::MAX));
     }
 
     #[test]
     fn indexed_schedule_matches_linear_reference() {
-        // Property test: under random monotone clock advances (including
-        // jumps to u64::MAX) and random retirements, the heap-backed
-        // `schedule()` must pick the identical (core, horizon) pair as a
-        // linear-scan reference at every step.
+        // Property test: under random key moves in both directions (clock
+        // advances, jumps to u64::MAX, and the decreases an unpark causes)
+        // and random retirements, each followed only by the `sync_key` /
+        // `retire` the machine itself issues, the heap-backed `schedule()`
+        // must pick the same core as `next_eligible()` and the same horizon
+        // as a linear scan at every step.
         use stagger_prng::Xoshiro256StarStar;
         let mut rng = Xoshiro256StarStar::seed_from_u64(0xC0DE_2015);
         for trial in 0..40u64 {
             let n = 1 + rng.below(80) as usize;
             let mut s = state(n);
             for step in 0..200u64 {
-                // Reference: one linear pass computing best + runner-up.
-                let mut ref_best: Option<(u64, usize)> = None;
-                let mut ref_second = (u64::MAX, usize::MAX);
-                for (i, c) in s.cores.iter().enumerate() {
-                    if c.finished {
-                        continue;
-                    }
-                    let k = (c.clock, i);
-                    match ref_best {
-                        None => ref_best = Some(k),
-                        Some(b) if k < b => {
-                            ref_second = b;
-                            ref_best = Some(k);
-                        }
-                        Some(_) => {
-                            if k < ref_second {
-                                ref_second = k;
-                            }
-                        }
-                    }
-                }
                 let got = s.schedule();
                 assert_eq!(
                     got,
-                    ref_best.map(|(_, i)| i),
+                    s.next_eligible(),
                     "trial {trial} step {step}: scheduled core diverged"
                 );
+                let runner_up = (0..n)
+                    .filter(|&i| !s.cores[i].finished && Some(i) != got)
+                    .map(|i| (s.cores[i].clock, i))
+                    .min();
                 assert_eq!(
-                    s.horizon, ref_second,
+                    s.horizon,
+                    runner_up.unwrap_or((u64::MAX, usize::MAX)),
                     "trial {trial} step {step}: horizon diverged"
                 );
                 if got.is_none() {
                     break;
                 }
-                // Mutate: monotone clock advances on a few random cores
-                // (the heap's soundness precondition), occasionally a jump
-                // straight to u64::MAX, occasionally a retirement.
                 for _ in 0..1 + rng.below(3) {
                     let i = rng.below(n as u64) as usize;
                     if s.cores[i].finished {
                         continue;
                     }
+                    let c = &mut s.cores[i];
                     match rng.below(12) {
-                        0 => s.cores[i].finished = true,
-                        1 => s.cores[i].clock = u64::MAX,
-                        _ => {
-                            let c = &mut s.cores[i];
-                            c.clock = c.clock.saturating_add(rng.below(100));
+                        0 => {
+                            s.retire(i);
+                            continue;
                         }
+                        1 => c.clock = u64::MAX,
+                        2..=4 => c.clock = c.clock.saturating_sub(rng.below(100)),
+                        _ => c.clock = c.clock.saturating_add(rng.below(100)),
                     }
+                    s.sync_key(i);
                 }
             }
         }

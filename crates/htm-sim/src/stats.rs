@@ -33,9 +33,10 @@ pub struct CoreStats {
     pub tx_mem_ops: u64,
     /// Dynamic count of nontransactional memory operations.
     pub nt_mem_ops: u64,
-    /// Gated (globally ordered) operations the core issued — each one was
-    /// a mutex+condvar handoff under the threaded scheduler and is a plain
-    /// uncontended lock under the cooperative one. Scheduler-overhead
+    /// Gated (globally ordered) operations simulated for the core. Those a
+    /// parked spin-wait skipped are included, so the count does not depend
+    /// on parking; the host-side `SchedStats::elided_ops` says how many of
+    /// them were fast-forwarded rather than executed. Scheduler-overhead
     /// observability, not a paper metric.
     pub gated_ops: u64,
 }

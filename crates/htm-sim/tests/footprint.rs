@@ -1,12 +1,11 @@
 //! Host-memory footprint of an idle machine.
 //!
 //! Simulated memory and the coherence directory are both sized to the
-//! configured memory (64 MiB by default) but allocated as zeroed pages, so
-//! a machine costs resident memory only for what a run touches — plus
-//! about 1.2 MiB of per-set `Vec` headers for its 16 cores' L1/L2 and the
-//! L3, the only part of construction that still writes memory. Alone in this
-//! file: `VmRSS` is per process, and the other integration tests would move
-//! it.
+//! configured memory (64 MiB by default), and every cache level holds one
+//! slot per set, but all of them are allocated as zeroed pages, so a
+//! machine costs resident memory only for what a run touches. Alone in
+//! this file: `VmRSS` is per process, and the other integration tests would
+//! move it.
 
 #![cfg(target_os = "linux")]
 
@@ -34,11 +33,11 @@ fn idle_default_machines_stay_small() {
     }
     let grown = vm_rss_kib().saturating_sub(before);
     eprintln!("16 default machines: VmRSS +{grown} KiB");
-    // 16 x 1.2 MiB of cache set headers; a memset of either memory-sized
-    // array would add 64 MiB or more per machine.
+    // A memset of either memory-sized array would add 64 MiB or more per
+    // machine, one of the cache set tables 1.2 MiB.
     assert!(
-        grown < 32 * 1024,
-        "16 idle default machines grew VmRSS by {grown} KiB (limit 32 MiB); \
+        grown < 8 * 1024,
+        "16 idle default machines grew VmRSS by {grown} KiB (limit 8 MiB); \
          is something memset at construction again?"
     );
 }

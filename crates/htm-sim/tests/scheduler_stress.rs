@@ -1,18 +1,78 @@
-//! Randomized cross-scheduler stress test.
+//! Randomized cross-scheduler, elided-vs-polled stress test.
 //!
 //! 500 short simulations with randomized core counts and per-core op mixes
 //! (transactions with retry, plain and non-transactional accesses, CAS,
-//! compute bursts and observability notes). Every scenario runs under both
-//! schedulers and must produce byte-identical stats, traces and event
+//! compute bursts, observability notes, and spin-waits on a few lock
+//! lines). Every scenario runs under both schedulers, each with spin-waits
+//! elided (`Core::wait_on` parks) and polled (`Machine::poll_every_spin`),
+//! and all four runs must produce byte-identical stats, traces and event
 //! streams: the thread-per-core driver is the independent reference for
-//! the cooperative event loop's (clock, id) order.
+//! the cooperative event loop's (clock, id) order, and the polled run is
+//! the reference for what a parked core is charged.
 
-use htm_sim::{Machine, MachineConfig, ObsEvent, ObsKind, Scheduler, SimStats, TraceEvent};
+use htm_sim::{
+    Addr, Core, Machine, MachineConfig, ObsEvent, ObsKind, Scheduler, SimStats, TraceEvent,
+};
 use stagger_prng::Xoshiro256StarStar;
 
 const SCENARIOS: u64 = 500;
 
 type Artifacts = (SimStats, Vec<Vec<TraceEvent>>, Vec<Vec<ObsEvent>>);
+
+// Spin loops written directly against `Core`, mirroring `stagger-core`'s
+// `locks.rs` (which this crate cannot depend on). A lock is the first word
+// of its own line; the second word is the contended flag.
+
+/// `LockTable::acquire`: spin with a timeout; the outcome and the cycles
+/// waited go to the event stream.
+async fn timed_acquire(c: &mut Core<'_>, word: Addr, timeout: u64, quantum: u64) -> bool {
+    let me = c.tid() as u64 + 1;
+    let mut waited = 0;
+    loop {
+        if c.nt_cas(word, 0, me).await {
+            c.note(ObsKind::LockAcquire { word, waited });
+            return true;
+        }
+        if c.nt_load(word + 8).await == 0 {
+            c.nt_store(word + 8, 1).await;
+        }
+        if waited >= timeout {
+            c.note(ObsKind::LockTimeout { word, waited });
+            return false;
+        }
+        c.charge_lock_wait(quantum).await;
+        waited += quantum;
+        let left = (timeout.saturating_sub(waited)).div_ceil(quantum);
+        waited += quantum * c.wait_on(&[word, word + 8], quantum, left).await;
+    }
+}
+
+/// `GlobalLock::acquire`: spin until the CAS wins.
+async fn acquire(c: &mut Core<'_>, word: Addr, quantum: u64) {
+    let me = c.tid() as u64 + 1;
+    while !c.nt_cas(word, 0, me).await {
+        c.charge_lock_wait(quantum).await;
+        c.wait_on(&[word], quantum, u64::MAX).await;
+    }
+}
+
+/// `GlobalLock::wait_until_free`.
+async fn wait_until_free(c: &mut Core<'_>, word: Addr, quantum: u64) {
+    while c.nt_load(word).await != 0 {
+        c.charge_lock_wait(quantum).await;
+        c.wait_on(&[word], quantum, u64::MAX).await;
+    }
+}
+
+/// `LockTable::release`: consume the contended flag, free the word.
+async fn release(c: &mut Core<'_>, word: Addr) {
+    let contended = c.nt_load(word + 8).await != 0;
+    if contended {
+        c.nt_store(word + 8, 0).await;
+    }
+    c.nt_store(word, 0).await;
+    c.note(ObsKind::LockRelease { word, contended });
+}
 
 /// One short run: each core executes a deterministic pseudo-random op
 /// sequence derived from `(seed, tid)`, hammering a small pool of shared
@@ -23,20 +83,26 @@ fn run_scenario(
     iters: u64,
     n_lines: u64,
     scheduler: Scheduler,
-) -> Artifacts {
+    polled: bool,
+) -> (Artifacts, u64) {
     let cfg = MachineConfig::cores(n_cores)
         .small()
         .record_trace()
         .record_events()
         .scheduler(scheduler);
     let m = Machine::new(cfg);
+    if polled {
+        m.poll_every_spin();
+    }
     let base = m.host_alloc(8 * n_lines, true);
+    let locks = m.host_alloc(8 * 2, true);
     m.run_uniform(move |mut c| async move {
         let mut rng =
             Xoshiro256StarStar::seed_from_u64(seed ^ (c.tid() as u64).wrapping_mul(0x9E37));
         let line = |rng: &mut Xoshiro256StarStar| base + rng.below(n_lines) * 64;
+        let lock = |rng: &mut Xoshiro256StarStar| locks + rng.below(2) * 64;
         for i in 0..iters {
-            match rng.below(6) {
+            match rng.below(11) {
                 0 | 1 => {
                     // A small transaction, retried until it commits. Each
                     // retry re-draws addresses; determinism only requires
@@ -73,6 +139,44 @@ fn run_scenario(
                     c.nt_cas(a, old, old.wrapping_add(i)).await;
                 }
                 4 => c.compute(1 + rng.below(7)),
+                5 => {
+                    // Advisory lock with a timeout (often shorter than the
+                    // holder's critical section), sometimes from inside a
+                    // transaction that another core may doom meanwhile.
+                    let (w, quantum) = (lock(&mut rng), 1 + rng.below(40));
+                    let in_tx = rng.gen_bool();
+                    if in_tx {
+                        c.tx_begin(7).await;
+                        let _ = c.tx_store(line(&mut rng), i, 0x300).await;
+                    }
+                    if timed_acquire(&mut c, w, rng.below(800), quantum).await {
+                        c.compute(rng.below(300));
+                        release(&mut c, w).await;
+                    }
+                    if in_tx && c.tx_active() {
+                        let _ = c.tx_commit().await;
+                    }
+                }
+                6 => {
+                    let (w, quantum) = (lock(&mut rng), 1 + rng.below(40));
+                    acquire(&mut c, w, quantum).await;
+                    c.compute(rng.below(500));
+                    release(&mut c, w).await;
+                }
+                7 => {
+                    let (w, quantum) = (lock(&mut rng), 1 + rng.below(40));
+                    wait_until_free(&mut c, w, quantum).await;
+                }
+                8 => {
+                    // A writer hitting the second word of a watched line.
+                    let w = lock(&mut rng) + 8;
+                    c.nt_store(w, rng.below(3)).await;
+                }
+                9 => {
+                    let w = lock(&mut rng) + 8;
+                    let old = rng.below(3);
+                    c.nt_cas(w, old, rng.below(3)).await;
+                }
                 _ => {
                     // Exercise the non-gated observability path.
                     let w = line(&mut rng);
@@ -81,12 +185,16 @@ fn run_scenario(
             }
         }
     });
-    (m.stats(), m.take_trace(), m.take_events())
+    (
+        (m.stats(), m.take_trace(), m.take_events()),
+        m.sched_stats().elided_ops,
+    )
 }
 
 #[test]
 fn randomized_runs_are_scheduler_invariant() {
     let mut meta = Xoshiro256StarStar::seed_from_u64(0x5EED_2015);
+    let (mut gated, mut elided) = (0, 0);
     for s in 0..SCENARIOS {
         let seed = meta.next_u64();
         // Mostly tiny machines (they maximize conflict density per op),
@@ -99,13 +207,28 @@ fn randomized_runs_are_scheduler_invariant() {
         };
         let iters = 1 + meta.below(8);
         let n_lines = 1 + meta.below(3);
-        let run = |sch| run_scenario(seed, n_cores, iters, n_lines, sch);
-        let coop = run(Scheduler::Cooperative);
-        let thr = run(Scheduler::Threaded);
-        assert_eq!(
-            coop, thr,
-            "scenario {s} (cores={n_cores} iters={iters} lines={n_lines}): \
-             threaded diverged from cooperative"
-        );
+        let run = |sch, polled| run_scenario(seed, n_cores, iters, n_lines, sch, polled);
+        let (want, _) = run(Scheduler::Cooperative, true);
+        gated += want.0.aggregate().gated_ops;
+        for (sch, polled) in [
+            (Scheduler::Cooperative, false),
+            (Scheduler::Threaded, false),
+            (Scheduler::Threaded, true),
+        ] {
+            let (got, skipped) = run(sch, polled);
+            if sch == Scheduler::Cooperative {
+                elided += skipped;
+            }
+            assert_eq!(
+                got, want,
+                "scenario {s} (cores={n_cores} iters={iters} lines={n_lines}): \
+                 {sch:?} polled={polled} diverged from cooperative polled"
+            );
+        }
     }
+    // The comparison is only worth something if waits were really skipped.
+    assert!(
+        elided * 5 > gated,
+        "only {elided} of {gated} gated ops were elided"
+    );
 }

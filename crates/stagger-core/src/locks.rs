@@ -5,6 +5,12 @@
 //! with nontransactional loads/stores/CAS — the hardware capability the
 //! paper requires (Section 4). Acquiring an advisory lock therefore never
 //! grows a read/write set and never causes an abort by itself.
+//!
+//! Every spin loop here hands the predictable stretch of its wait to
+//! [`Core::wait_on`]: after a real failed poll, the simulator accounts the
+//! iterations up to the next write of the lock's line (or the timeout)
+//! without executing them. That relies on the contract above — a
+//! transactional write-back to one of these lines would panic.
 
 use htm_sim::obs::ObsKind;
 use htm_sim::{line_of, Addr, Core, Machine, LINE_BYTES};
@@ -91,6 +97,9 @@ impl LockTable {
             }
             core.charge_lock_wait(spin_quantum).await;
             waited += spin_quantum;
+            // Whole iterations still to run before the one that times out.
+            let left = (timeout_cycles.saturating_sub(waited)).div_ceil(spin_quantum.max(1));
+            waited += spin_quantum * core.wait_on(&[word, word + 8], spin_quantum, left).await;
         }
     }
 
@@ -142,6 +151,7 @@ impl GlobalLock {
         let me = core.tid() as u64 + 1;
         while !core.nt_cas(self.word, 0, me).await {
             core.charge_lock_wait(spin_quantum).await;
+            core.wait_on(&[self.word], spin_quantum, u64::MAX).await;
         }
     }
 
@@ -162,6 +172,7 @@ impl GlobalLock {
     pub async fn wait_until_free(&self, core: &mut Core<'_>, spin_quantum: u64) {
         while core.nt_load(self.word).await != 0 {
             core.charge_lock_wait(spin_quantum).await;
+            core.wait_on(&[self.word], spin_quantum, u64::MAX).await;
         }
     }
 }

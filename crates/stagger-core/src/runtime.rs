@@ -116,7 +116,7 @@ pub struct RuntimeConfig {
     /// atomic block stays unlocked no matter what patterns the history
     /// shows.
     pub min_conflict_rate: f64,
-    /// Cycles charged per lock-spin poll.
+    /// Cycles charged per lock-spin poll (at least 1).
     pub lock_spin: u64,
     /// Mean backoff per retry (the "Polite" policy: mean ∝ retry count).
     pub backoff_base: u64,
@@ -172,7 +172,12 @@ impl RuntimeConfig {
             "n_locks" => self.n_locks = num(key, value)?,
             "lock_timeout" => self.lock_timeout = num(key, value)?,
             "min_conflict_rate" => self.min_conflict_rate = num(key, value)?,
-            "lock_spin" => self.lock_spin = num(key, value)?,
+            // A zero quantum never advances `waited`, so `lock_timeout`
+            // could not fire and a poll would take no time.
+            "lock_spin" => match num(key, value)? {
+                0 => return Err("runtime.lock_spin: must be at least 1".to_string()),
+                n => self.lock_spin = n,
+            },
             "backoff_base" => self.backoff_base = num(key, value)?,
             "alp_inactive_cost" => self.alp_inactive_cost = num(key, value)?,
             "sw_alp_overhead" => self.sw_alp_overhead = num(key, value)?,
@@ -1017,6 +1022,12 @@ mod tests {
             "interp is host-only and must not enter run keys"
         );
         assert!(c.set_kv("lock_timeout", "soon").is_err());
+        assert!(
+            c.set_kv("lock_spin", "0").is_err(),
+            "a zero spin quantum makes lock_timeout unreachable"
+        );
+        assert_eq!(c.lock_spin, RuntimeConfig::default().lock_spin);
+        c.set_kv("lock_spin", "1").unwrap();
     }
 
     #[test]

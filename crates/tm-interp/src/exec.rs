@@ -303,6 +303,7 @@ impl<'c> Executor<'c> {
             let spin = self.rt.cfg.lock_spin;
             while !core.nt_cas(word, 0, me).await {
                 core.charge_lock_wait(spin).await;
+                core.wait_on(&[word], spin, u64::MAX).await;
             }
             self.sw_stripes.push(word);
         }

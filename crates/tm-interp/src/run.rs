@@ -29,8 +29,9 @@ pub struct RunOutcome {
     pub exec: ExecStats,
     /// Per-thread return values of the entry functions.
     pub returns: Vec<u64>,
-    /// Host-side scheduling-overhead counters (indexed min-heap calls and
-    /// lazy repairs). Never affects any simulated quantity.
+    /// Host-side scheduling counters (`schedule()` calls, heap key
+    /// updates, parks and the gated ops they elided). Never affects any
+    /// simulated quantity.
     pub sched: SchedStats,
 }
 
