@@ -36,6 +36,7 @@ use htm_sim::Scheduler;
 use stagger_core::{Interp, Mode};
 use workloads::{BenchResult, PreparedWorkload, Workload};
 
+pub mod digest;
 pub mod exhibit;
 pub mod jobs;
 pub mod paper;
@@ -43,6 +44,7 @@ pub mod profiling;
 pub mod report;
 pub mod sweep;
 
+pub use digest::run_digest;
 pub use exhibit::Exhibit;
 pub use jobs::run_jobs;
 pub use report::Report;

@@ -221,12 +221,9 @@ impl RunSpec {
 }
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = crate::digest::Fnv::new();
+    h.bytes(bytes);
+    h.0
 }
 
 /// One sweep dimension: every cell takes each `values` entry for `key`

@@ -1,0 +1,138 @@
+//! Golden digests: every cell below must reproduce the [`run_digest`]
+//! recorded for it in `golden/quick.digests` — per-core statistics, the
+//! whole observability event stream, thread returns, runtime and execution
+//! counters. This is the regression protection that a second implementation
+//! used to provide: a change that claims simulated output is bit-identical
+//! keeps the file byte for byte. A change that means to move a cell edits
+//! its line by hand, from the digest the failure prints.
+
+use htm_sim::{FallbackPolicy, MachineConfig};
+use stagger_bench::{run_digest, workload_set};
+use stagger_core::{Interp, Mode, RuntimeConfig};
+use std::collections::BTreeMap;
+use workloads::PreparedWorkload;
+
+const RECORDED: &str = include_str!("golden/quick.digests");
+const SEED: u64 = 2015;
+
+/// The cells of one quick workload as (cores, mode, fallback): all four
+/// modes at 4 and 16 cores; the two `scaling` workloads also under the two
+/// fallback policies that wait differently; list-hi also at 64 cores.
+fn cells_of(workload: &str) -> Vec<(usize, Mode, FallbackPolicy)> {
+    let mut cells = Vec::new();
+    for cores in [4, 16] {
+        for mode in Mode::ALL {
+            cells.push((cores, mode, FallbackPolicy::Irrevocable));
+        }
+    }
+    if workload == "list-hi" || workload == "memcached" {
+        for mode in [Mode::Htm, Mode::Staggered] {
+            for fallback in [
+                FallbackPolicy::HybridStm,
+                FallbackPolicy::LazySubscriptionSafe,
+            ] {
+                cells.push((16, mode, fallback));
+            }
+        }
+    }
+    if workload == "list-hi" {
+        for mode in Mode::ALL {
+            cells.push((64, mode, FallbackPolicy::Irrevocable));
+        }
+    }
+    cells
+}
+
+fn digest_of(
+    p: &PreparedWorkload,
+    cores: usize,
+    mode: Mode,
+    fallback: FallbackPolicy,
+    interp: Interp,
+) -> String {
+    let mcfg = MachineConfig::cores(cores)
+        .fallback(fallback)
+        .record_events();
+    let mut rt = RuntimeConfig::with_mode(mode);
+    rt.interp = interp;
+    let r = p.run_cfg(SEED, mcfg, rt);
+    assert!(
+        r.events_dropped.iter().all(|&d| d == 0),
+        "{}: an event ring wrapped, the digest would cover a truncated stream",
+        p.name()
+    );
+    format!("{:016x}", run_digest(&r))
+}
+
+#[test]
+fn quick_cells_match_their_recorded_digests() {
+    let recorded: BTreeMap<&str, &str> = RECORDED
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| l.split_once(' ').expect("line is `<cell> <digest>`"))
+        .collect();
+
+    let mut seen = 0;
+    let mut bad = Vec::new();
+    for w in workload_set(true) {
+        let p = PreparedWorkload::new(w.as_ref());
+        for (cores, mode, fallback) in cells_of(w.name()) {
+            let cell = format!("{}/{}/{cores}/{}", w.name(), mode.name(), fallback.name());
+            let got = digest_of(&p, cores, mode, fallback, Interp::Bytecode);
+            let legacy = digest_of(&p, cores, mode, fallback, Interp::Legacy);
+            assert_eq!(got, legacy, "{cell}: the two interpreters disagree");
+            match recorded.get(cell.as_str()) {
+                Some(&want) if want == got => seen += 1,
+                Some(&want) => {
+                    seen += 1;
+                    bad.push(format!("{cell}: recorded {want}, computed {got}"));
+                }
+                None => bad.push(format!("{cell}: not recorded, computed {got}")),
+            }
+        }
+    }
+    if seen != recorded.len() {
+        bad.push(format!(
+            "{} recorded cells are no longer run",
+            recorded.len() - seen
+        ));
+    }
+    assert!(bad.is_empty(), "golden digests differ:\n{}", bad.join("\n"));
+}
+
+/// The digest moves with each part of a run it claims to cover.
+#[test]
+fn digest_covers_stats_events_returns_and_counters() {
+    let set = workload_set(true);
+    let w = set.iter().find(|w| w.name() == "list-hi").unwrap();
+    let p = PreparedWorkload::new(w.as_ref());
+    let r = p.run_cfg(
+        SEED,
+        MachineConfig::cores(4).record_events(),
+        RuntimeConfig::with_mode(Mode::Staggered),
+    );
+    let base = run_digest(&r);
+    assert_eq!(base, run_digest(&r.clone()));
+
+    let mut m = r.clone();
+    m.out.sim.cores[3].nt_mem_ops += 1;
+    assert_ne!(run_digest(&m), base, "per-core statistics");
+    let mut m = r.clone();
+    m.events[2]
+        .last_mut()
+        .expect("core 2 recorded events")
+        .clock += 1;
+    assert_ne!(run_digest(&m), base, "event clocks");
+    let mut m = r.clone();
+    m.events[1].pop();
+    assert_ne!(run_digest(&m), base, "event count");
+    let mut m = r.clone();
+    m.out.returns[0] ^= 1;
+    assert_ne!(run_digest(&m), base, "thread returns");
+    let mut m = r.clone();
+    *m.out.rt.anchor_hist.entry(u32::MAX).or_insert(0) += 1;
+    assert_ne!(run_digest(&m), base, "runtime histograms");
+    let mut m = r.clone();
+    m.out.exec.committed_anchors += 1;
+    assert_ne!(run_digest(&m), base, "execution counters");
+}
