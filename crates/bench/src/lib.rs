@@ -33,7 +33,7 @@
 //! time.
 
 use htm_sim::Scheduler;
-use stagger_core::{Interp, Mode};
+use stagger_core::Mode;
 use workloads::{BenchResult, PreparedWorkload, Workload};
 
 pub mod digest;
@@ -61,9 +61,6 @@ common options:
   --json           also dump per-run throughput to results/BENCH_<exhibit>.json
   --scheduler S    host-side core driver: cooperative (default) or threaded
                    (thread-per-core reference; bit-identical results)
-  --interp I       instruction walker: bytecode (default, pre-decoded µ-ops)
-                   or legacy (tree-walking reference); simulated results are
-                   bit-identical either way, only host speed differs
   --fallback F     exhausted-retry fallback policy: irrevocable (default),
                    hybrid-stm, lazy-subscription (unsafe; reproduction of the
                    documented torn-commit window), or lazy-subscription-safe
@@ -71,7 +68,7 @@ common options:
   --help           show this message";
 
 const COMMON_USAGE_LINE: &str = "[--threads N] [--quick] [--seed N] [--jobs N] [--json] \
-     [--scheduler S] [--interp I] [--fallback F]";
+     [--scheduler S] [--fallback F]";
 
 /// Parse a [`Mode`] by its display name, case-insensitively; `+` may be
 /// omitted ("staggeredsw" ≡ "Staggered+SW"). Thin wrapper over
@@ -181,11 +178,8 @@ pub struct CommonOpts {
     /// Host-side scheduler pin (`--scheduler`). `None` keeps the machine
     /// default (cooperative).
     pub scheduler: Option<Scheduler>,
-    /// Interpreter pin (`--interp`). `None` keeps the runtime default
-    /// (the pre-decoded bytecode walker).
-    pub interp: Option<Interp>,
     /// Fallback-policy pin (`--fallback`). `None` keeps the machine
-    /// default (`irrevocable`). Unlike the scheduler/interp pins this IS a
+    /// default (`irrevocable`). Unlike the scheduler pin this IS a
     /// simulated knob: it enters the experiment spec and its run keys.
     pub fallback: Option<htm_sim::FallbackPolicy>,
 }
@@ -199,7 +193,6 @@ impl CommonOpts {
             jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
             json: false,
             scheduler: None,
-            interp: None,
             fallback: None,
         }
     }
@@ -239,13 +232,6 @@ impl CommonOpts {
                         Some(Scheduler::parse(&v).unwrap_or_else(|| {
                             a.fail(&format!("invalid --scheduler value '{v}'"))
                         }));
-                }
-                "--interp" => {
-                    let v = a.value("--interp");
-                    o.interp = Some(
-                        Interp::parse(&v)
-                            .unwrap_or_else(|| a.fail(&format!("invalid --interp value '{v}'"))),
-                    );
                 }
                 "--fallback" => {
                     let v = a.value("--fallback");

@@ -1,11 +1,12 @@
-//! Inputs that named the removed speculative driver are usage errors at
-//! the CLI (usage text on stderr, exit status 2, nothing run), never
-//! silently ignored or mapped to another scheduler.
+//! Inputs that named the removed speculative driver or the removed
+//! interpreter selection are usage errors at the CLI (usage text on stderr,
+//! exit status 2, nothing run), never silently ignored or mapped to what
+//! is left.
 
 use std::process::Command;
 
 #[test]
-fn removed_scheduler_inputs_are_usage_errors() {
+fn removed_inputs_are_usage_errors() {
     for (args, complaint) in [
         (
             ["--scheduler", "speculative"],
@@ -13,6 +14,8 @@ fn removed_scheduler_inputs_are_usage_errors() {
         ),
         (["--scheduler", "spec"], "invalid --scheduler value 'spec'"),
         (["--host-threads", "2"], "unknown option '--host-threads'"),
+        (["--interp", "bytecode"], "unknown option '--interp'"),
+        (["--interp", "legacy"], "unknown option '--interp'"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_fig7"))
             .arg("--quick")

@@ -8,7 +8,7 @@
 
 use htm_sim::{FallbackPolicy, MachineConfig};
 use stagger_bench::{run_digest, workload_set};
-use stagger_core::{Interp, Mode, RuntimeConfig};
+use stagger_core::{Mode, RuntimeConfig};
 use std::collections::BTreeMap;
 use workloads::PreparedWorkload;
 
@@ -43,19 +43,11 @@ fn cells_of(workload: &str) -> Vec<(usize, Mode, FallbackPolicy)> {
     cells
 }
 
-fn digest_of(
-    p: &PreparedWorkload,
-    cores: usize,
-    mode: Mode,
-    fallback: FallbackPolicy,
-    interp: Interp,
-) -> String {
+fn digest_of(p: &PreparedWorkload, cores: usize, mode: Mode, fallback: FallbackPolicy) -> String {
     let mcfg = MachineConfig::cores(cores)
         .fallback(fallback)
         .record_events();
-    let mut rt = RuntimeConfig::with_mode(mode);
-    rt.interp = interp;
-    let r = p.run_cfg(SEED, mcfg, rt);
+    let r = p.run_cfg(SEED, mcfg, RuntimeConfig::with_mode(mode));
     assert!(
         r.events_dropped.iter().all(|&d| d == 0),
         "{}: an event ring wrapped, the digest would cover a truncated stream",
@@ -78,9 +70,7 @@ fn quick_cells_match_their_recorded_digests() {
         let p = PreparedWorkload::new(w.as_ref());
         for (cores, mode, fallback) in cells_of(w.name()) {
             let cell = format!("{}/{}/{cores}/{}", w.name(), mode.name(), fallback.name());
-            let got = digest_of(&p, cores, mode, fallback, Interp::Bytecode);
-            let legacy = digest_of(&p, cores, mode, fallback, Interp::Legacy);
-            assert_eq!(got, legacy, "{cell}: the two interpreters disagree");
+            let got = digest_of(&p, cores, mode, fallback);
             match recorded.get(cell.as_str()) {
                 Some(&want) if want == got => seen += 1,
                 Some(&want) => {

@@ -1,14 +1,14 @@
 //! The observability layer is a pure observer: turning event recording on
-//! must not change a single simulated cycle, statistic, trace entry, or
-//! thread return value. And the events it records must carry enough to
-//! reproduce the paper's profiling pass — on the contended list, conflict
-//! attribution has to point at the list-traversal access the staggered
-//! mode anchors on.
+//! must not change a single simulated cycle, statistic, runtime counter or
+//! thread return value. The same goes for the host-only line-permission
+//! cache. And the events recorded must carry enough to reproduce the
+//! paper's profiling pass — on the contended list, conflict attribution
+//! has to point at the list-traversal access the staggered mode anchors on.
 
 use htm_sim::{Machine, MachineConfig, Scheduler};
 use stagger_bench::profiling::{conflict_pairs, resolve_tag};
 use stagger_bench::workload_set;
-use stagger_core::{Mode, RuntimeConfig};
+use stagger_core::{Mode, RtStats, RuntimeConfig};
 use workloads::serve::Serve;
 use workloads::PreparedWorkload;
 
@@ -16,21 +16,19 @@ fn run_with_recording(
     p: &PreparedWorkload,
     mode: Mode,
     record_events: bool,
-) -> (htm_sim::SimStats, Vec<Vec<htm_sim::TraceEvent>>, Vec<u64>) {
+) -> (htm_sim::SimStats, RtStats, Vec<u64>) {
     let mut mcfg = MachineConfig::cores(4);
-    mcfg.record_trace = true;
     mcfg.record_events = record_events;
-    let machine = Machine::new(mcfg);
-    let r = p.run_on(&machine, &RuntimeConfig::with_mode(mode), 2015);
+    let r = p.run_cfg(2015, mcfg, RuntimeConfig::with_mode(mode));
     if record_events {
-        let n: usize = machine.take_events().iter().map(|s| s.len()).sum();
+        let n: usize = r.events.iter().map(|s| s.len()).sum();
         assert!(n > 0, "{}: recording on but no events", p.name());
     }
-    (machine.stats(), machine.take_trace(), r.out.returns)
+    (r.out.sim, r.out.rt, r.out.returns)
 }
 
-/// Event recording on vs off: bit-identical stats, traces and returns on a
-/// representative workload slice in both contended modes.
+/// Event recording on vs off: bit-identical stats, runtime counters and
+/// returns on a representative workload slice in both contended modes.
 #[test]
 fn event_recording_does_not_perturb_the_simulation() {
     let picks = ["list-hi", "genome", "kmeans", "memcached"];
@@ -53,7 +51,7 @@ fn event_recording_does_not_perturb_the_simulation() {
             assert_eq!(
                 off.1,
                 on.1,
-                "{name} [{}]: traces perturbed by event recording",
+                "{name} [{}]: runtime counters perturbed by event recording",
                 mode.name()
             );
             assert_eq!(
@@ -62,6 +60,32 @@ fn event_recording_does_not_perturb_the_simulation() {
                 "{name} [{}]: returns perturbed by event recording",
                 mode.name()
             );
+        }
+    }
+}
+
+/// The line-permission cache is latency-transparent: runs with the cache
+/// disabled are bit-identical to runs with the default cache size — stats,
+/// complete event streams, returns, runtime and execution counters.
+#[test]
+fn permission_cache_is_simulation_transparent() {
+    for w in &workload_set(true) {
+        let p = PreparedWorkload::new(w.as_ref());
+        for mode in [Mode::Htm, Mode::Staggered] {
+            let [on, off] = [MachineConfig::default().perm_cache_lines, 0].map(|lines| {
+                let mcfg = MachineConfig::cores(4)
+                    .record_events()
+                    .perm_cache_lines(lines);
+                let r = p.run_cfg(2015, mcfg, RuntimeConfig::with_mode(mode));
+                assert!(r.events_dropped.iter().all(|&d| d == 0));
+                (r.out.sim, r.events, r.out.returns, r.out.rt, r.out.exec)
+            });
+            let cell = format!("{} [{}]", w.name(), mode.name());
+            assert_eq!(on.0, off.0, "{cell}: per-core stats diverged");
+            assert_eq!(on.1, off.1, "{cell}: event streams diverged");
+            assert_eq!(on.2, off.2, "{cell}: thread return values diverged");
+            assert_eq!(on.3, off.3, "{cell}: runtime counters diverged");
+            assert_eq!(on.4, off.4, "{cell}: execution counters diverged");
         }
     }
 }
@@ -86,15 +110,9 @@ fn serve_latency_identical_across_schedulers() {
         let off = run_with_recording(&p, mode, false);
         let on = run_with_recording(&p, mode, true);
         assert_eq!(
-            off.0,
-            on.0,
-            "{name} [{}]: stats perturbed by event recording",
-            mode.name()
-        );
-        assert_eq!(
-            off.2,
-            on.2,
-            "{name} [{}]: returns perturbed by event recording",
+            off,
+            on,
+            "{name} [{}]: simulation perturbed by event recording",
             mode.name()
         );
 
@@ -103,6 +121,7 @@ fn serve_latency_identical_across_schedulers() {
             .map(|sched| {
                 let mcfg = MachineConfig::cores(cores).record_events().scheduler(sched);
                 let r = p.run_cfg(2015, mcfg, RuntimeConfig::with_mode(mode));
+                assert!(r.events_dropped.iter().all(|&d| d == 0));
                 let reqs = htm_sim::request_latencies(&r.events, &arrivals);
                 assert!(
                     !reqs.is_empty(),

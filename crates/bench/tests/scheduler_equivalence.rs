@@ -1,9 +1,8 @@
 //! The tentpole invariant of the host-side schedulers: for every
 //! workload, the single-threaded cooperative driver and the legacy
 //! thread-per-core driver produce *byte-identical* simulations — same
-//! per-core statistics, same execution cycles, same begin/commit/abort
-//! traces, same cycle-stamped observability event streams, same thread
-//! return values. The schedulers may only differ in host-side mechanics,
+//! per-core statistics, same execution cycles, same complete cycle-stamped
+//! observability event streams, same thread return values. The schedulers may only differ in host-side mechanics,
 //! never in what the simulated machine does.
 
 use htm_sim::{FallbackPolicy, Machine, MachineConfig, ObsEvent, Scheduler};
@@ -11,14 +10,9 @@ use stagger_bench::workload_set;
 use stagger_core::{Mode, RuntimeConfig};
 use workloads::PreparedWorkload;
 
-/// Everything one simulation produced: stats snapshot, traces,
-/// observability event streams, thread return values.
-type RunArtifacts = (
-    htm_sim::SimStats,
-    Vec<Vec<htm_sim::TraceEvent>>,
-    Vec<Vec<ObsEvent>>,
-    Vec<u64>,
-);
+/// Everything one simulation produced: stats snapshot, observability
+/// event streams, thread return values.
+type RunArtifacts = (htm_sim::SimStats, Vec<Vec<ObsEvent>>, Vec<u64>);
 
 /// Run one prepared workload under the given scheduler.
 fn run_under(
@@ -43,16 +37,15 @@ fn run_cfg_under(
 ) -> RunArtifacts {
     let mut mcfg = cfg(MachineConfig::cores(threads));
     mcfg.scheduler = scheduler;
-    mcfg.record_trace = true;
     mcfg.record_events = true;
     let machine = Machine::new(mcfg);
     let r = p.run_on(&machine, &RuntimeConfig::with_mode(mode), seed);
-    (
-        machine.stats(),
-        machine.take_trace(),
-        machine.take_events(),
-        r.out.returns,
-    )
+    assert!(
+        machine.events_dropped().iter().all(|&d| d == 0),
+        "{}: an event ring wrapped, the streams compared would be truncated",
+        p.name()
+    );
+    (machine.stats(), machine.take_events(), r.out.returns)
 }
 
 fn assert_identical(a: &RunArtifacts, b: &RunArtifacts, name: &str, mode: Mode, other: &str) {
@@ -65,25 +58,19 @@ fn assert_identical(a: &RunArtifacts, b: &RunArtifacts, name: &str, mode: Mode, 
     assert_eq!(
         a.1,
         b.1,
-        "{name} [{}]: traces diverged (cooperative vs {other})",
+        "{name} [{}]: event streams diverged (cooperative vs {other})",
         mode.name()
     );
     assert_eq!(
         a.2,
         b.2,
-        "{name} [{}]: event streams diverged (cooperative vs {other})",
-        mode.name()
-    );
-    assert_eq!(
-        a.3,
-        b.3,
         "{name} [{}]: thread return values diverged (cooperative vs {other})",
         mode.name()
     );
 }
 
 /// All ten workloads (`--quick` configs), both contended modes, both
-/// schedulers: stats, traces, events and returns must match exactly.
+/// schedulers: stats, events and returns must match exactly.
 #[test]
 fn all_schedulers_are_bit_identical() {
     let set = workload_set(true);

@@ -1,8 +1,8 @@
 //! Event-driven waiting is invisible: a run whose spin-waits are parked and
 //! fast-forwarded (`Core::wait_on`) must be *byte-identical* to the same run
 //! polling every iteration (`Machine::poll_every_spin`) — per-core
-//! statistics, begin/commit/abort traces, cycle-stamped observability event
-//! streams, runtime statistics and thread return values. The polled run is
+//! statistics, complete cycle-stamped observability event streams, runtime
+//! statistics and thread return values. The polled run is
 //! the semantics; parking may only change what the host executes.
 
 use htm_sim::{FallbackPolicy, Machine, MachineConfig, SchedStats};
@@ -19,7 +19,6 @@ const FALLBACKS: [FallbackPolicy; 3] = [
 /// Everything a run produced that the simulation determines.
 type Artifacts = (
     htm_sim::SimStats,
-    Vec<Vec<htm_sim::TraceEvent>>,
     Vec<Vec<htm_sim::ObsEvent>>,
     RtStats,
     Vec<u64>,
@@ -34,16 +33,19 @@ fn run(
 ) -> (Artifacts, SchedStats) {
     let cfg = MachineConfig::cores(threads)
         .fallback(fallback)
-        .record_trace()
         .record_events();
     let machine = Machine::new(cfg);
     if polled {
         machine.poll_every_spin();
     }
     let r = p.run_on(&machine, &RuntimeConfig::with_mode(mode), 2015);
+    assert!(
+        machine.events_dropped().iter().all(|&d| d == 0),
+        "{}: an event ring wrapped, the streams compared would be truncated",
+        p.name()
+    );
     let artifacts = (
         machine.stats(),
-        machine.take_trace(),
         machine.take_events(),
         r.out.rt,
         r.out.returns,
@@ -69,10 +71,9 @@ fn assert_invisible(
     );
     assert_eq!((polled.parks, polled.elided_ops), (0, 0), "{cell}");
     assert_eq!(got.0, want.0, "{cell}: per-core stats diverged");
-    assert_eq!(got.1, want.1, "{cell}: traces diverged");
-    assert_eq!(got.2, want.2, "{cell}: event streams diverged");
-    assert_eq!(got.3, want.3, "{cell}: runtime stats diverged");
-    assert_eq!(got.4, want.4, "{cell}: thread return values diverged");
+    assert_eq!(got.1, want.1, "{cell}: event streams diverged");
+    assert_eq!(got.2, want.2, "{cell}: runtime stats diverged");
+    assert_eq!(got.3, want.3, "{cell}: thread return values diverged");
     sched
 }
 

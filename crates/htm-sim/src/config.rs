@@ -204,21 +204,18 @@ pub struct MachineConfig {
     pub max_read_lines: usize,
     /// Maximum distinct lines one attempt may *write*; 0 disables.
     pub max_write_lines: usize,
-    /// Record per-core transaction begin/commit/abort events with their
-    /// logical timestamps (for the timeline renderer in [`crate::trace`]).
-    pub record_trace: bool,
     /// Record the full cycle-stamped observability event stream (see
     /// [`crate::obs`]): transaction lifecycle with conflict attribution,
     /// advisory-lock acquire/wait/timeout/release, backoff intervals and
-    /// irrevocable entry/exit. Purely an observer: simulated cycles,
-    /// stats and traces are bit-identical with recording on or off.
+    /// irrevocable entry/exit. Purely an observer: simulated cycles and
+    /// stats are bit-identical with recording on or off.
     pub record_events: bool,
     /// Per-core bound on buffered observability events; when a core's
     /// ring fills, the oldest events are overwritten (and counted as
     /// dropped). 0 disables buffering entirely even with `record_events`.
     pub event_ring_capacity: usize,
     /// Host-side core driver. Purely a host-performance knob: simulated
-    /// cycles, stats and traces are identical across schedulers.
+    /// cycles, stats and events are identical across schedulers.
     pub scheduler: Scheduler,
     /// Capacity (in lines, rounded up to a power of two; 0 disables) of
     /// the per-core line-permission cache: per transaction attempt, the
@@ -226,10 +223,9 @@ pub struct MachineConfig {
     /// already set so repeat accesses skip the coherence-directory probe.
     /// Host-only: under requester-wins conflict resolution a held
     /// permission can only be revoked by dooming this core (which clears
-    /// the cache), so simulated cycles, stats, traces and events are
-    /// bit-identical at any size. Like `Interp`, the knob is therefore
-    /// excluded from `to_kv`/`set_kv` so experiment-spec run keys never
-    /// depend on it.
+    /// the cache), so simulated cycles, stats and events are bit-identical
+    /// at any size. The knob is therefore excluded from `to_kv`/`set_kv` so
+    /// experiment-spec run keys never depend on it.
     pub perm_cache_lines: usize,
 }
 
@@ -258,7 +254,6 @@ impl Default for MachineConfig {
             fallback: FallbackPolicy::Irrevocable,
             max_read_lines: 0,
             max_write_lines: 0,
-            record_trace: false,
             record_events: false,
             event_ring_capacity: 1 << 20,
             scheduler: Scheduler::Cooperative,
@@ -327,12 +322,6 @@ impl MachineConfig {
         self
     }
 
-    /// Enable the begin/commit/abort trace for the timeline renderer.
-    pub fn record_trace(mut self) -> Self {
-        self.record_trace = true;
-        self
-    }
-
     /// Enable the cycle-stamped observability event stream.
     pub fn record_events(mut self) -> Self {
         self.record_events = true;
@@ -386,7 +375,6 @@ impl MachineConfig {
             ("arena_chunk_words", self.arena_chunk_words.to_string()),
             ("pc_tag_bits", self.pc_tag_bits.to_string()),
             ("protocol", self.protocol.name().to_string()),
-            ("record_trace", self.record_trace.to_string()),
             ("record_events", self.record_events.to_string()),
             ("event_ring_capacity", self.event_ring_capacity.to_string()),
             ("scheduler", self.scheduler.name().to_string()),
@@ -440,7 +428,6 @@ impl MachineConfig {
             }
             "max_read_lines" => self.max_read_lines = num(key, value)?,
             "max_write_lines" => self.max_write_lines = num(key, value)?,
-            "record_trace" => self.record_trace = num(key, value)?,
             "record_events" => self.record_events = num(key, value)?,
             "event_ring_capacity" => self.event_ring_capacity = num(key, value)?,
             "scheduler" => {
@@ -516,7 +503,7 @@ mod tests {
         assert_eq!(c.n_cores, 8);
         assert_eq!(c.protocol, HtmProtocol::Lazy);
         assert_eq!(c.pc_tag_bits, 6);
-        assert!(c.record_events && !c.record_trace);
+        assert!(c.record_events);
         assert_eq!(c.scheduler, Scheduler::Threaded);
     }
 
@@ -584,6 +571,20 @@ mod tests {
         assert!(c.set_kv("host_threads", "4").is_err());
         assert!(c.set_kv("spec_quantum", "16").is_err());
         assert_eq!(c.scheduler, Scheduler::Cooperative);
+    }
+
+    #[test]
+    fn removed_trace_key_is_rejected_input() {
+        // Begin/commit/abort recording is part of `record_events` now; the
+        // key every older spec carried must fail closed, not be ignored.
+        let mut c = MachineConfig::default();
+        for v in ["false", "true"] {
+            assert_eq!(
+                c.set_kv("record_trace", v),
+                Err("machine.record_trace: unknown key".to_string())
+            );
+        }
+        assert!(c.to_kv().iter().all(|(k, _)| *k != "record_trace"));
     }
 
     #[test]

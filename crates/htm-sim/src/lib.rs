@@ -62,5 +62,5 @@ pub use obs::{
     AbortBreakdown, ConflictMatrix, EventRing, ObsEvent, ObsKind, WaitHistogram, WordWaits,
 };
 pub use sched::SchedStats;
-pub use sim::{AbortCause, AbortInfo, TraceEvent, TraceKind, TxError};
+pub use sim::{AbortCause, AbortInfo, TxError};
 pub use stats::{CoreStats, SimStats};

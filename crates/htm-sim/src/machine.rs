@@ -25,8 +25,8 @@
 //!   handoff.
 //!
 //! Because both drivers admit ops in exactly the same (clock, id) order,
-//! simulated cycles, statistics, traces and obs events are bit-identical
-//! between them.
+//! simulated cycles, statistics and obs events are bit-identical between
+//! them.
 //!
 //! **Event-driven waiting.** A core spinning on a lock word polls a line
 //! whose contents cannot change until some core writes it, so the polls in
@@ -44,7 +44,7 @@
 use crate::addr::{line_of, Addr};
 use crate::config::{MachineConfig, Scheduler};
 use crate::obs::{ObsEvent, ObsKind};
-use crate::sim::{AbortCause, SimState, TraceEvent, TxError};
+use crate::sim::{AbortCause, SimState, TxError};
 use crate::stats::SimStats;
 use std::future::Future;
 use std::pin::Pin;
@@ -240,7 +240,7 @@ impl Machine {
 
     /// Statistics snapshot (meaningful after `run` returns). The per-core
     /// counters are fixed-size scalar structs, so a snapshot is cheap; the
-    /// unbounded per-core data (traces) moves out via [`Machine::take_trace`].
+    /// per-core event streams move out via [`Machine::take_events`].
     pub fn stats(&self) -> SimStats {
         let st = self.shared.lock();
         let cores = st
@@ -265,22 +265,10 @@ impl Machine {
         self.shared.lock().sched_stats
     }
 
-    /// Move out the per-core begin/commit/abort event traces (empty unless
-    /// [`MachineConfig::record_trace`] was set). Consuming: a second call
-    /// returns empty traces — the event vectors are unbounded, so they are
-    /// taken rather than cloned.
-    pub fn take_trace(&self) -> Vec<Vec<TraceEvent>> {
-        let mut st = self.shared.lock();
-        st.cores
-            .iter_mut()
-            .map(|c| std::mem::take(&mut c.trace))
-            .collect()
-    }
-
     /// Move out the per-core observability event streams, oldest first
-    /// (empty unless [`MachineConfig::record_events`] was set). Consuming
-    /// like [`Machine::take_trace`]: each core's ring is left empty at the
-    /// same capacity. A stream is complete only if its core's
+    /// (empty unless [`MachineConfig::record_events`] was set). Consuming:
+    /// the streams are moved, not cloned, and each core's ring is left empty
+    /// at the same capacity. A stream is complete only if its core's
     /// [`Machine::events_dropped`] count is 0.
     pub fn take_events(&self) -> Vec<Vec<ObsEvent>> {
         let mut st = self.shared.lock();

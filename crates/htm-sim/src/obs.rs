@@ -1,19 +1,19 @@
 //! Cycle-stamped structured event telemetry — the observability layer.
 //!
-//! Where [`crate::trace`] records only transaction boundaries for the
-//! timeline renderer, this module records *everything the paper's
-//! profiling story needs*: the full transaction lifecycle with conflict
-//! attribution (which core aborted us, at which victim/aborter PC tags),
-//! every advisory-lock acquire/wait/timeout/release, backoff intervals,
-//! and irrevocable entry/exit. The stream is the raw material for the
-//! Section 3 conflict statistics that drive anchor selection.
+//! This module records *everything the paper's profiling story needs*:
+//! the full transaction lifecycle with conflict attribution (which core
+//! aborted us, at which victim/aborter PC tags), every advisory-lock
+//! acquire/wait/timeout/release, backoff intervals, and irrevocable
+//! entry/exit. The stream is the raw material for the Section 3 conflict
+//! statistics that drive anchor selection, and what the timeline renderer
+//! in [`crate::trace`] draws.
 //!
-//! Recording is gated by [`crate::MachineConfig::record_events`] exactly
-//! like `record_trace`: when disabled, every hook is a single branch on a
-//! bool, no event is allocated, and — because events piggyback on
-//! operations that happen anyway rather than adding gated ops — simulated
-//! cycles, statistics and traces are bit-identical with recording on or
-//! off. Events are ring-buffered per core
+//! Recording is gated by [`crate::MachineConfig::record_events`]: when
+//! disabled, every hook is a single branch on a bool, no event is
+//! allocated, and — because events piggyback on operations that happen
+//! anyway rather than adding gated ops — simulated cycles and statistics
+//! are bit-identical with recording on or off. Events are ring-buffered
+//! per core
 //! ([`crate::MachineConfig::event_ring_capacity`]); when the ring wraps,
 //! the oldest events are dropped and counted.
 //!

@@ -223,21 +223,6 @@ impl TxState {
     }
 }
 
-/// One recorded scheduling event (when `record_trace` is on).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
-    pub clock: u64,
-    pub kind: TraceKind,
-}
-
-/// What happened at a trace event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceKind {
-    Begin(u32),
-    Commit,
-    Abort,
-}
-
 /// A pending remote-initiated abort: what the hardware delivers to the
 /// victim ([`AbortInfo`]) plus the observability-only attribution of who
 /// doomed it — the requester core and the 12-bit tag of the requesting
@@ -287,7 +272,6 @@ pub(crate) struct CoreState {
     pub stats: CoreStats,
     arena_next: Addr,
     arena_end: Addr,
-    pub trace: Vec<TraceEvent>,
     pub events: EventRing,
 }
 
@@ -356,7 +340,6 @@ impl SimState {
                 stats: CoreStats::default(),
                 arena_next: 0,
                 arena_end: 0,
-                trace: Vec::new(),
                 events: EventRing::new(cfg.event_ring_capacity),
             })
             .collect();
@@ -730,7 +713,6 @@ impl SimState {
                 core.spare_tx = Some(tx);
             }
             core.stats.conflict_aborts += 1;
-            self.record(tid, TraceKind::Abort);
             self.note(
                 tid,
                 ObsKind::TxAbort {
@@ -828,13 +810,6 @@ impl SimState {
         }
     }
 
-    fn record(&mut self, tid: usize, kind: TraceKind) {
-        if self.cfg.record_trace {
-            let clock = self.cores[tid].clock;
-            self.cores[tid].trace.push(TraceEvent { clock, kind });
-        }
-    }
-
     /// Record an observability event for `tid` at its current clock.
     /// Piggybacks on operations that happen anyway (never a gated op of
     /// its own), so recording cannot perturb simulated time.
@@ -888,7 +863,6 @@ impl SimState {
 
     /// Begin a hardware transaction on `tid`.
     pub fn tx_begin(&mut self, tid: usize, ab_id: u32) -> u64 {
-        self.record(tid, TraceKind::Begin(ab_id));
         self.note(tid, ObsKind::TxBegin { ab_id });
         let perm_slots = self.perm_slots;
         let core = &mut self.cores[tid];
@@ -1079,7 +1053,6 @@ impl SimState {
             self.release_ownership(tid, &tx.lines);
         }
         self.cores[tid].spare_tx = Some(tx);
-        self.record(tid, TraceKind::Abort);
         self.note(
             tid,
             ObsKind::TxAbort {
@@ -1145,7 +1118,6 @@ impl SimState {
         core.stats.useful_tx_cycles += core.clock.saturating_sub(tx.start_clock) + commit_cost;
         self.release_ownership(tid, &tx.lines);
         self.cores[tid].spare_tx = Some(tx);
-        self.record(tid, TraceKind::Commit);
         self.note(tid, ObsKind::TxCommit);
         (Ok(()), commit_cost)
     }

@@ -1,78 +1,10 @@
 //! ASCII timeline rendering of recorded schedules — the paper's Figure 1,
 //! drawn from an actual run.
 //!
-//! Enable [`crate::MachineConfig::record_trace`], run, then call
-//! [`crate::Machine::take_trace`] and feed the result to
-//! [`render_timeline`]. The richer [`render_timeline_events`] draws from
-//! the full observability stream ([`crate::MachineConfig::record_events`]
-//! and [`crate::Machine::take_events`]) and additionally shows lock-wait
-//! and irrevocable spans.
+//! Enable [`crate::MachineConfig::record_events`], run, then feed
+//! [`crate::Machine::take_events`] to [`render_timeline_events`].
 
 use crate::obs::{ObsEvent, ObsKind};
-use crate::sim::{TraceEvent, TraceKind};
-
-/// Render per-core begin/commit/abort traces as one row per core over a
-/// `width`-column time axis.
-///
-/// Legend: `.` outside any transaction, `=` inside a transaction, `x` an
-/// abort, `C` a commit. Multiple events in one column are summarized by
-/// the most severe (`x` > `C` > boundary).
-pub fn render_timeline(traces: &[Vec<TraceEvent>], width: usize) -> String {
-    assert!(width >= 10, "give the timeline some room");
-    let end = traces
-        .iter()
-        .flat_map(|t| t.iter().map(|e| e.clock))
-        .max()
-        .unwrap_or(0)
-        .max(1);
-    let col = |clock: u64| ((clock as u128 * (width as u128 - 1)) / end as u128) as usize;
-
-    let mut out = String::new();
-    for (tid, events) in traces.iter().enumerate() {
-        let mut row = vec!['.'; width];
-        let mut open: Option<usize> = None;
-        for e in events {
-            let c = col(e.clock);
-            match e.kind {
-                TraceKind::Begin(_) => open = Some(c),
-                TraceKind::Commit | TraceKind::Abort => {
-                    let start = open.take().unwrap_or(c);
-                    for cell in row.iter_mut().take(c).skip(start) {
-                        if *cell == '.' {
-                            *cell = '=';
-                        }
-                    }
-                    let mark = if e.kind == TraceKind::Commit {
-                        'C'
-                    } else {
-                        'x'
-                    };
-                    // Aborts dominate commits dominate fill.
-                    if row[c] != 'x' {
-                        row[c] = mark;
-                    }
-                }
-            }
-        }
-        // A transaction still open at the end of the run.
-        if let Some(start) = open {
-            for cell in row.iter_mut().skip(start) {
-                if *cell == '.' {
-                    *cell = '=';
-                }
-            }
-        }
-        out.push_str(&format!("t{tid:<2} |"));
-        out.extend(row);
-        out.push_str("|\n");
-    }
-    out.push_str(&format!(
-        "      0 {:>width$}\n",
-        format!("{end} cycles"),
-        width = width - 2
-    ));
-    out
-}
 
 /// Drawing precedence for [`render_timeline_events`]: an abort mark beats
 /// a commit mark beats an irrevocable span beats a lock-wait span beats
@@ -171,60 +103,6 @@ pub fn render_timeline_events(streams: &[Vec<ObsEvent>], width: usize) -> String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{TraceEvent, TraceKind};
-
-    fn ev(clock: u64, kind: TraceKind) -> TraceEvent {
-        TraceEvent { clock, kind }
-    }
-
-    #[test]
-    fn renders_commit_and_abort_marks() {
-        let traces = vec![
-            vec![
-                ev(0, TraceKind::Begin(0)),
-                ev(50, TraceKind::Abort),
-                ev(60, TraceKind::Begin(0)),
-                ev(100, TraceKind::Commit),
-            ],
-            vec![ev(10, TraceKind::Begin(0)), ev(90, TraceKind::Commit)],
-        ];
-        let s = render_timeline(&traces, 40);
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains('x'));
-        assert!(lines[0].contains('C'));
-        assert!(lines[1].contains('C'));
-        assert!(!lines[1].contains('x'));
-        assert!(s.contains("100 cycles"));
-    }
-
-    #[test]
-    fn empty_trace_renders() {
-        let s = render_timeline(&[vec![], vec![]], 20);
-        assert_eq!(s.lines().count(), 3);
-    }
-
-    #[test]
-    fn machine_records_when_enabled() {
-        use crate::{body, Machine, MachineConfig};
-        let mut cfg = MachineConfig::cores(1).small();
-        cfg.record_trace = true;
-        let m = Machine::new(cfg);
-        let a = m.host_alloc(8, true);
-        m.run(vec![body(move |mut c| async move {
-            c.tx_begin(3).await;
-            c.tx_store(a, 1, 0).await.unwrap();
-            c.tx_commit().await.unwrap();
-        })]);
-        let traces = m.take_trace();
-        assert_eq!(traces.len(), 1);
-        assert_eq!(traces[0].len(), 2);
-        assert!(matches!(traces[0][0].kind, TraceKind::Begin(3)));
-        assert!(matches!(traces[0][1].kind, TraceKind::Commit));
-        assert!(traces[0][1].clock >= traces[0][0].clock);
-        // Consuming: the events moved out above.
-        assert!(m.take_trace()[0].is_empty());
-    }
 
     #[test]
     fn event_timeline_draws_lock_and_irrevocable_spans() {
@@ -257,10 +135,29 @@ mod tests {
                     kind: ObsKind::IrrevocableExit { cycles: 40 },
                 },
             ],
+            vec![
+                ObsEvent {
+                    clock: 10,
+                    kind: ObsKind::TxBegin { ab_id: 0 },
+                },
+                ObsEvent {
+                    clock: 40,
+                    kind: ObsKind::TxAbort {
+                        cause: crate::AbortCause::Explicit,
+                        conf_addr: 0,
+                        victim_pc_tag: 0,
+                        aborter_pc_tag: 0,
+                        aborter: 2,
+                    },
+                },
+            ],
+            vec![],
         ];
         let s = render_timeline_events(&streams, 40);
         let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 3);
+        assert_eq!(lines.len(), 5);
+        assert!(lines[2].contains("=x") && !lines[2].contains('C'));
+        assert_eq!(lines[3], format!("t3  |{}|", ".".repeat(40)));
         assert!(lines[0].contains('-'), "lock-wait span on core 0");
         assert!(lines[0].contains('C'));
         assert!(lines[1].contains('L'), "irrevocable span on core 1");
@@ -281,18 +178,5 @@ mod tests {
         }]];
         let s = render_timeline_events(&streams, 20);
         assert!(!s.lines().next().unwrap().contains('-'));
-    }
-
-    #[test]
-    fn machine_skips_recording_by_default() {
-        use crate::{body, Machine, MachineConfig};
-        let m = Machine::new(MachineConfig::cores(1).small());
-        let a = m.host_alloc(8, true);
-        m.run(vec![body(move |mut c| async move {
-            c.tx_begin(0).await;
-            c.tx_store(a, 1, 0).await.unwrap();
-            c.tx_commit().await.unwrap();
-        })]);
-        assert!(m.take_trace()[0].is_empty());
     }
 }

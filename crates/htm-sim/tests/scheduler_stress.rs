@@ -5,19 +5,17 @@
 //! compute bursts, observability notes, and spin-waits on a few lock
 //! lines). Every scenario runs under both schedulers, each with spin-waits
 //! elided (`Core::wait_on` parks) and polled (`Machine::poll_every_spin`),
-//! and all four runs must produce byte-identical stats, traces and event
+//! and all four runs must produce byte-identical stats and complete event
 //! streams: the thread-per-core driver is the independent reference for
 //! the cooperative event loop's (clock, id) order, and the polled run is
 //! the reference for what a parked core is charged.
 
-use htm_sim::{
-    Addr, Core, Machine, MachineConfig, ObsEvent, ObsKind, Scheduler, SimStats, TraceEvent,
-};
+use htm_sim::{Addr, Core, Machine, MachineConfig, ObsEvent, ObsKind, Scheduler, SimStats};
 use stagger_prng::Xoshiro256StarStar;
 
 const SCENARIOS: u64 = 500;
 
-type Artifacts = (SimStats, Vec<Vec<TraceEvent>>, Vec<Vec<ObsEvent>>);
+type Artifacts = (SimStats, Vec<Vec<ObsEvent>>);
 
 // Spin loops written directly against `Core`, mirroring `stagger-core`'s
 // `locks.rs` (which this crate cannot depend on). A lock is the first word
@@ -87,7 +85,6 @@ fn run_scenario(
 ) -> (Artifacts, u64) {
     let cfg = MachineConfig::cores(n_cores)
         .small()
-        .record_trace()
         .record_events()
         .scheduler(scheduler);
     let m = Machine::new(cfg);
@@ -185,10 +182,11 @@ fn run_scenario(
             }
         }
     });
-    (
-        (m.stats(), m.take_trace(), m.take_events()),
-        m.sched_stats().elided_ops,
-    )
+    assert!(
+        m.events_dropped().iter().all(|&d| d == 0),
+        "an event ring wrapped: the streams compared below would be truncated"
+    );
+    ((m.stats(), m.take_events()), m.sched_stats().elided_ops)
 }
 
 #[test]

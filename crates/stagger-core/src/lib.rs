@@ -41,4 +41,4 @@ pub use history::AbortHistory;
 pub use htm_sim::obs;
 pub use locks::{GlobalLock, LockTable};
 pub use policy::{activate_alpoint, PolicyConfig};
-pub use runtime::{Interp, Mode, RtStats, RuntimeConfig, SharedRt, ThreadRuntime};
+pub use runtime::{Mode, RtStats, RuntimeConfig, SharedRt, ThreadRuntime};

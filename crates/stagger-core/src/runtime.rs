@@ -54,50 +54,10 @@ impl Mode {
 /// anchor; handled directly by `txn_start`).
 pub const BLOCK_START_ANCHOR: u32 = u32::MAX;
 
-/// Which interpreter executes the IR (a host-performance knob).
-///
-/// Both interpreters realize identical simulated semantics — cycles, stats,
-/// traces and observability events are bit-for-bit equal (enforced by the
-/// bench crate's `interp_equivalence` test) — so, like the host scheduler,
-/// this selects only how fast the host walks the program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Interp {
-    /// Flat pre-decoded µ-op arrays: absolute branch targets, inlined
-    /// register slots and PCs, fused superinstructions, dense dispatch.
-    #[default]
-    Bytecode,
-    /// The original block-walking interpreter over `Vec<(Inst, Pc)>`
-    /// (kept selectable as the equivalence reference).
-    Legacy,
-}
-
-impl Interp {
-    pub const ALL: [Interp; 2] = [Interp::Bytecode, Interp::Legacy];
-
-    /// Canonical name, stable across releases.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Interp::Bytecode => "bytecode",
-            Interp::Legacy => "legacy",
-        }
-    }
-
-    /// Parse an interpreter by its canonical name, case-insensitively.
-    pub fn parse(s: &str) -> Option<Interp> {
-        let norm = s.to_ascii_lowercase();
-        Interp::ALL.into_iter().find(|i| i.name() == norm)
-    }
-}
-
 /// Runtime configuration (paper Section 6 values as defaults).
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     pub mode: Mode,
-    /// Interpreter selection. Host-only: both interpreters produce
-    /// bit-identical simulated results, so this knob is deliberately
-    /// *excluded* from `to_kv`/`set_kv` (it must not perturb experiment-spec
-    /// run keys or invalidate committed sweep cells).
-    pub interp: Interp,
     pub policy: PolicyConfig,
     /// Abort-history length per ABContext (paper: 8).
     pub history_len: usize,
@@ -182,9 +142,6 @@ impl RuntimeConfig {
             "alp_inactive_cost" => self.alp_inactive_cost = num(key, value)?,
             "sw_alp_overhead" => self.sw_alp_overhead = num(key, value)?,
             "max_locks_per_txn" => self.max_locks_per_txn = num(key, value)?,
-            // `interp` is intentionally not settable here: it cannot change
-            // simulated results, so it is not part of the experiment spec
-            // (accepting it would silently fork run keys).
             other => return Err(format!("runtime.{other}: unknown key")),
         }
         Ok(())
@@ -193,7 +150,6 @@ impl RuntimeConfig {
     pub fn with_mode(mode: Mode) -> RuntimeConfig {
         RuntimeConfig {
             mode,
-            interp: Interp::default(),
             policy: PolicyConfig::default(),
             history_len: 8,
             max_retries: 10,
@@ -1019,7 +975,7 @@ mod tests {
         assert!(c.set_kv("mode", "HTM").is_err(), "mode is a top-level key");
         assert!(
             c.set_kv("interp", "legacy").is_err(),
-            "interp is host-only and must not enter run keys"
+            "the removed interpreter selection is an unknown key"
         );
         assert!(c.set_kv("lock_timeout", "soon").is_err());
         assert!(
@@ -1028,15 +984,5 @@ mod tests {
         );
         assert_eq!(c.lock_spin, RuntimeConfig::default().lock_spin);
         c.set_kv("lock_spin", "1").unwrap();
-    }
-
-    #[test]
-    fn interp_names_round_trip() {
-        for i in Interp::ALL {
-            assert_eq!(Interp::parse(i.name()), Some(i));
-        }
-        assert_eq!(Interp::parse("ByteCode"), Some(Interp::Bytecode));
-        assert_eq!(Interp::parse("tree-walk"), None);
-        assert_eq!(Interp::default(), Interp::Bytecode);
     }
 }

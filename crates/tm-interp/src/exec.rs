@@ -1,10 +1,9 @@
 //! The per-thread executor: IR interpretation + the transaction retry
 //! driver.
 
-use crate::bytecode::{BytecodeFunc, OpCode, BIN_OPS, CMP_OPS, NO_REG};
 use crate::prepared::{Prepared, PreparedFunc};
 use htm_sim::{AbortCause, Addr, Core, FallbackPolicy, TxError};
-use stagger_core::{Interp, RuntimeConfig, SharedRt, ThreadRuntime};
+use stagger_core::{RuntimeConfig, SharedRt, ThreadRuntime};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
@@ -329,244 +328,14 @@ impl<'c> Executor<'c> {
         }
     }
 
-    /// Interpret one function. `tx` is the atomic-block id when running
+    /// Interpret one function: walk its `Prepared` blocks of
+    /// `(instruction, PC)` pairs. `tx` is the atomic-block id when running
     /// speculatively; `None` for plain (non-transactional or irrevocable)
     /// execution.
     ///
-    /// Dispatches to the interpreter selected by `RuntimeConfig::interp`;
-    /// both paths charge identical simulated cycles and statistics, in the
-    /// same order relative to the core's gates, so results are
-    /// bit-for-bit equal (the bench crate's `interp_equivalence` test
-    /// enforces this).
-    fn exec_function<'a, 'm>(
-        &'a mut self,
-        core: &'a mut Core<'m>,
-        prepared: &'a Prepared,
-        fid: FuncId,
-        args: &'a [u64],
-        tx: Option<u32>,
-    ) -> Pin<Box<dyn Future<Output = Result<u64, TxError>> + Send + 'a>> {
-        match self.rt.cfg.interp {
-            Interp::Bytecode => self.exec_bytecode(core, prepared, fid, args, tx),
-            Interp::Legacy => self.exec_legacy(core, prepared, fid, args, tx),
-        }
-    }
-
-    /// The fast path: a dense dispatch loop over the pre-decoded µ-op
-    /// array — absolute branch targets, inlined register slots, fused
-    /// superinstructions (see [`crate::bytecode`]).
-    ///
-    /// Boxed future: recursive through `OpCode::Call` (and mutually with
-    /// [`Self::run_txn`]).
-    fn exec_bytecode<'a, 'm>(
-        &'a mut self,
-        core: &'a mut Core<'m>,
-        prepared: &'a Prepared,
-        fid: FuncId,
-        args: &'a [u64],
-        tx: Option<u32>,
-    ) -> Pin<Box<dyn Future<Output = Result<u64, TxError>> + Send + 'a>> {
-        Box::pin(async move {
-            let f: &PreparedFunc = &prepared.funcs[fid.index()];
-            let bf: &BytecodeFunc = &prepared.code.funcs[fid.index()];
-            debug_assert_eq!(args.len(), f.n_params as usize, "arity in {}", f.name);
-            let mut regs = vec![0u64; f.n_regs as usize];
-            regs[..args.len()].copy_from_slice(args);
-            let mut ip = bf.entry as usize;
-            let in_tx = tx.is_some();
-            loop {
-                let u = bf.uops[ip];
-                ip += 1;
-                // One cycle + one counted µ-op per op, charged up front as
-                // the legacy walk does. ALP-carrying ops defer: the ALP half
-                // is not a µ-op (its cost is owned by the runtime), and the
-                // fused access half is charged after the ALP returns.
-                match u.code {
-                    OpCode::AlPoint
-                    | OpCode::AlpLoad
-                    | OpCode::AlpLoadIdx
-                    | OpCode::AlpStore
-                    | OpCode::AlpStoreIdx => {}
-                    _ => {
-                        core.compute(1);
-                        self.stats.insts += 1;
-                        if in_tx {
-                            self.attempt_insts += 1;
-                        }
-                    }
-                }
-                match u.code {
-                    OpCode::Const => {
-                        regs[u.a as usize] = u64::from(u.imm2) << 32 | u64::from(u.imm);
-                    }
-                    OpCode::Mov => regs[u.a as usize] = regs[u.b as usize],
-                    OpCode::Bin => {
-                        regs[u.a as usize] = BIN_OPS[u.xop as usize]
-                            .eval(regs[u.b as usize], regs[u.c as usize])
-                            .unwrap_or_else(|| {
-                                panic!("division by zero in {} at pc {:#x}", f.name, u.pc)
-                            });
-                    }
-                    OpCode::Cmp => {
-                        regs[u.a as usize] =
-                            CMP_OPS[u.xop as usize].eval(regs[u.b as usize], regs[u.c as usize]);
-                    }
-                    OpCode::Load => {
-                        let addr = self.effective(&f.name, regs[u.b as usize], 0, u.imm);
-                        regs[u.a as usize] = self.mem_load(core, addr, u.pc, tx).await?;
-                    }
-                    OpCode::Store => {
-                        let addr = self.effective(&f.name, regs[u.b as usize], 0, u.imm);
-                        self.mem_store(core, addr, regs[u.a as usize], u.pc, tx)
-                            .await?;
-                    }
-                    OpCode::LoadIdx => {
-                        let addr =
-                            self.effective(&f.name, regs[u.b as usize], regs[u.c as usize], u.imm);
-                        regs[u.a as usize] = self.mem_load(core, addr, u.pc, tx).await?;
-                    }
-                    OpCode::StoreIdx => {
-                        let addr =
-                            self.effective(&f.name, regs[u.b as usize], regs[u.c as usize], u.imm);
-                        self.mem_store(core, addr, regs[u.a as usize], u.pc, tx)
-                            .await?;
-                    }
-                    OpCode::Gep => {
-                        regs[u.a as usize] = regs[u.b as usize]
-                            .wrapping_add(regs[u.c as usize].wrapping_add(u64::from(u.imm)) * 8);
-                    }
-                    OpCode::Alloc => {
-                        regs[u.a as usize] = core.alloc(regs[u.b as usize], u.xop != 0).await;
-                    }
-                    OpCode::Call => {
-                        let pool = &bf.arg_pool[u.imm2 as usize..u.imm2 as usize + u.c as usize];
-                        let vals: Vec<u64> = pool.iter().map(|&s| regs[s as usize]).collect();
-                        let callee = FuncId(u.imm);
-                        let r = match prepared.funcs[callee.index()].kind {
-                            FuncKind::Atomic { ab_id } => {
-                                debug_assert!(tx.is_none(), "nested atomic call");
-                                self.run_txn(core, prepared, callee, ab_id, &vals).await
-                            }
-                            FuncKind::Normal => {
-                                self.exec_function(core, prepared, callee, &vals, tx)
-                                    .await?
-                            }
-                        };
-                        if u.a != NO_REG {
-                            regs[u.a as usize] = r;
-                        }
-                    }
-                    OpCode::Ret => {
-                        return Ok(if u.a == NO_REG { 0 } else { regs[u.a as usize] });
-                    }
-                    OpCode::Br => ip = u.imm as usize,
-                    OpCode::CondBr => {
-                        ip = if regs[u.a as usize] != 0 {
-                            u.imm as usize
-                        } else {
-                            u.imm2 as usize
-                        };
-                    }
-                    OpCode::Compute => core.compute(u64::from(u.imm)),
-                    OpCode::IdleUntil => core.idle_until(regs[u.a as usize]),
-                    OpCode::Rand => {
-                        let b = regs[u.b as usize];
-                        assert!(b > 0, "rand with zero bound in {}", f.name);
-                        regs[u.a as usize] = self.rand_below(b);
-                    }
-                    OpCode::AlPoint => {
-                        let idx = if u.b == NO_REG { 0 } else { regs[u.b as usize] };
-                        let addr = regs[u.a as usize].wrapping_add((idx + u64::from(u.imm)) * 8);
-                        if in_tx {
-                            self.attempt_anchors += 1;
-                        }
-                        self.rt
-                            .alpoint(core, tx.unwrap_or(0), u.imm2, addr, in_tx)
-                            .await;
-                    }
-                    OpCode::CmpBr => {
-                        // Second constituent: both halves are local, so the
-                        // two cycles fold into the same gate either way.
-                        core.compute(1);
-                        self.stats.insts += 1;
-                        if in_tx {
-                            self.attempt_insts += 1;
-                        }
-                        let v =
-                            CMP_OPS[u.xop as usize].eval(regs[u.b as usize], regs[u.c as usize]);
-                        regs[u.a as usize] = v;
-                        ip = if v != 0 {
-                            u.imm as usize
-                        } else {
-                            u.imm2 as usize
-                        };
-                    }
-                    OpCode::LoadCmp | OpCode::LoadBin => {
-                        let addr = self.effective(&f.name, regs[u.b as usize], 0, u.imm);
-                        // An abort propagates before the use half is
-                        // charged, exactly as if the second instruction
-                        // never ran.
-                        regs[u.a as usize] = self.mem_load(core, addr, u.pc, tx).await?;
-                        core.compute(1);
-                        self.stats.insts += 1;
-                        if in_tx {
-                            self.attempt_insts += 1;
-                        }
-                        // Operands are read from the register file *after*
-                        // the load wrote its destination, so aliasing needs
-                        // no special casing.
-                        let (dst, lhs) = ((u.imm2 & 0xFFFF) as usize, (u.imm2 >> 16) as usize);
-                        regs[dst] = if u.code == OpCode::LoadCmp {
-                            CMP_OPS[u.xop as usize].eval(regs[lhs], regs[u.c as usize])
-                        } else {
-                            // Div/Rem are never fused, so eval cannot fail.
-                            BIN_OPS[u.xop as usize]
-                                .eval(regs[lhs], regs[u.c as usize])
-                                .unwrap()
-                        };
-                    }
-                    OpCode::AlpLoad
-                    | OpCode::AlpLoadIdx
-                    | OpCode::AlpStore
-                    | OpCode::AlpStoreIdx => {
-                        let indexed = matches!(u.code, OpCode::AlpLoadIdx | OpCode::AlpStoreIdx);
-                        let idx = if indexed { regs[u.c as usize] } else { 0 };
-                        // ALP half: same address arithmetic as the legacy
-                        // AlPoint arm (no null check — that belongs to the
-                        // access) and no µ-op charge.
-                        let alp_addr =
-                            regs[u.b as usize].wrapping_add((idx + u64::from(u.imm)) * 8);
-                        if in_tx {
-                            self.attempt_anchors += 1;
-                        }
-                        self.rt
-                            .alpoint(core, tx.unwrap_or(0), u.imm2, alp_addr, in_tx)
-                            .await;
-                        // Access half: charged like any standalone access.
-                        core.compute(1);
-                        self.stats.insts += 1;
-                        if in_tx {
-                            self.attempt_insts += 1;
-                        }
-                        let addr = self.effective(&f.name, regs[u.b as usize], idx, u.imm);
-                        if matches!(u.code, OpCode::AlpLoad | OpCode::AlpLoadIdx) {
-                            regs[u.a as usize] = self.mem_load(core, addr, u.pc, tx).await?;
-                        } else {
-                            self.mem_store(core, addr, regs[u.a as usize], u.pc, tx)
-                                .await?;
-                        }
-                    }
-                }
-            }
-        })
-    }
-
-    /// The reference path: walk the `Prepared` enum-instruction blocks.
-    /// Kept selectable (`--interp legacy`) as the equivalence baseline.
-    ///
     /// Boxed future: recursive through `Inst::Call` (and mutually with
     /// [`Self::run_txn`]).
-    fn exec_legacy<'a, 'm>(
+    fn exec_function<'a, 'm>(
         &'a mut self,
         core: &'a mut Core<'m>,
         prepared: &'a Prepared,

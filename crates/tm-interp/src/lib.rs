@@ -21,12 +21,10 @@
 //! [`run::run_workload`] is the one-call entry point used by the workloads
 //! and the benchmark harnesses.
 
-pub mod bytecode;
 pub mod exec;
 pub mod prepared;
 pub mod run;
 
-pub use bytecode::{Bytecode, BytecodeFunc, OpCode, UOp, NO_REG};
 pub use exec::{ExecStats, Executor};
 pub use prepared::Prepared;
 pub use run::{run_workload, run_workload_prepared, RunOutcome, ThreadPlan};

@@ -10,8 +10,6 @@ use std::sync::Arc;
 use stagger_compiler::Compiled;
 use tm_ir::{BlockId, FuncKind, Inst, InstRef, Pc};
 
-use crate::bytecode::Bytecode;
-
 /// One basic block: instructions with their PCs.
 pub type PreparedBlock = Vec<(Inst, Pc)>;
 
@@ -33,16 +31,12 @@ pub struct PreparedFunc {
 #[derive(Debug, Clone)]
 pub struct Prepared {
     pub funcs: Vec<PreparedFunc>,
-    /// The same functions lowered to flat µ-op arrays (see
-    /// [`crate::bytecode`]); `funcs[i]` and `code.funcs[i]` describe the
-    /// same function, and `Interp` selects which one the executor walks.
-    pub code: Bytecode,
 }
 
 impl Prepared {
     pub fn build(compiled: &Compiled) -> Prepared {
         let m = &compiled.module;
-        let funcs: Vec<PreparedFunc> = m
+        let funcs = m
             .iter_funcs()
             .map(|(fid, f)| PreparedFunc {
                 name: Arc::from(f.name.as_str()),
@@ -69,8 +63,7 @@ impl Prepared {
                     .collect(),
             })
             .collect();
-        let code = Bytecode::lower(&funcs);
-        Prepared { funcs, code }
+        Prepared { funcs }
     }
 }
 

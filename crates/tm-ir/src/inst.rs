@@ -182,26 +182,6 @@ impl Inst {
         }
     }
 
-    /// Does this `AlPoint` cover `access` — i.e. is `access` a memory
-    /// access whose `(base, index, offset)` triple is exactly the one this
-    /// ALP was inserted with? The instrumentation pass guarantees this for
-    /// the instruction immediately following each ALP; the bytecode lowerer
-    /// re-verifies it before fusing the pair into one superinstruction.
-    pub fn alp_covers(&self, access: &Inst) -> bool {
-        match (self, access.mem_operands()) {
-            (
-                Inst::AlPoint {
-                    base,
-                    index,
-                    offset,
-                    ..
-                },
-                Some((b, i, o)),
-            ) => *base == b && *index == i && *offset == o,
-            _ => false,
-        }
-    }
-
     /// The register this instruction writes, if any.
     pub fn def(&self) -> Option<Reg> {
         match *self {
@@ -338,64 +318,5 @@ mod tests {
         assert!(Inst::Ret { val: None }.is_terminator());
         assert!(Inst::Br { target: BlockId(0) }.is_terminator());
         assert!(!Inst::Compute { cycles: 3 }.is_terminator());
-    }
-
-    #[test]
-    fn alp_covers_matches_exact_operand_triples() {
-        let alp = Inst::AlPoint {
-            anchor: 7,
-            base: Reg(1),
-            index: None,
-            offset: 2,
-        };
-        assert!(alp.alp_covers(&Inst::Load {
-            dst: Reg(3),
-            base: Reg(1),
-            offset: 2,
-        }));
-        assert!(alp.alp_covers(&Inst::Store {
-            src: Reg(4),
-            base: Reg(1),
-            offset: 2,
-        }));
-        // Any operand mismatch, indexed-vs-plain shape mismatch, or a
-        // non-access successor must refuse the fusion.
-        assert!(!alp.alp_covers(&Inst::Load {
-            dst: Reg(3),
-            base: Reg(1),
-            offset: 3,
-        }));
-        assert!(!alp.alp_covers(&Inst::LoadIdx {
-            dst: Reg(3),
-            base: Reg(1),
-            index: Reg(5),
-            offset: 2,
-        }));
-        assert!(!alp.alp_covers(&Inst::Compute { cycles: 1 }));
-
-        let alp_idx = Inst::AlPoint {
-            anchor: 7,
-            base: Reg(1),
-            index: Some(Reg(5)),
-            offset: 0,
-        };
-        assert!(alp_idx.alp_covers(&Inst::StoreIdx {
-            src: Reg(2),
-            base: Reg(1),
-            index: Reg(5),
-            offset: 0,
-        }));
-        assert!(!alp_idx.alp_covers(&Inst::StoreIdx {
-            src: Reg(2),
-            base: Reg(1),
-            index: Reg(6),
-            offset: 0,
-        }));
-        // A non-ALP never covers anything.
-        assert!(!Inst::Compute { cycles: 1 }.alp_covers(&Inst::Load {
-            dst: Reg(3),
-            base: Reg(1),
-            offset: 2,
-        }));
     }
 }

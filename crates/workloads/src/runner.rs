@@ -152,7 +152,7 @@ impl<'w> PreparedWorkload<'w> {
 
     /// Run on a caller-provided, freshly constructed machine. The caller
     /// keeps the machine, so post-run state (e.g.
-    /// [`Machine::take_trace`]) stays reachable — the scheduler
+    /// [`Machine::take_events`]) stays reachable — the scheduler
     /// equivalence tests depend on that. `machine` must not have run a
     /// workload before: [`Workload::setup`] allocates from its heap.
     pub fn run_on(&self, machine: &Machine, rt_cfg: &RuntimeConfig, seed: u64) -> BenchResult {
