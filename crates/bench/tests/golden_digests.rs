@@ -10,7 +10,7 @@ use htm_sim::{FallbackPolicy, MachineConfig};
 use stagger_bench::{run_digest, workload_set};
 use stagger_core::{Mode, RuntimeConfig};
 use std::collections::BTreeMap;
-use workloads::PreparedWorkload;
+use workloads::{BenchResult, PreparedWorkload};
 
 const RECORDED: &str = include_str!("golden/quick.digests");
 const SEED: u64 = 2015;
@@ -72,10 +72,11 @@ fn quick_cells_match_their_recorded_digests() {
             let cell = format!("{}/{}/{cores}/{}", w.name(), mode.name(), fallback.name());
             let got = digest_of(&p, cores, mode, fallback);
             match recorded.get(cell.as_str()) {
-                Some(&want) if want == got => seen += 1,
                 Some(&want) => {
                     seen += 1;
-                    bad.push(format!("{cell}: recorded {want}, computed {got}"));
+                    if want != got {
+                        bad.push(format!("{cell}: recorded {want}, computed {got}"));
+                    }
                 }
                 None => bad.push(format!("{cell}: not recorded, computed {got}")),
             }
@@ -103,26 +104,21 @@ fn digest_covers_stats_events_returns_and_counters() {
     );
     let base = run_digest(&r);
     assert_eq!(base, run_digest(&r.clone()));
-
-    let mut m = r.clone();
-    m.out.sim.cores[3].nt_mem_ops += 1;
-    assert_ne!(run_digest(&m), base, "per-core statistics");
-    let mut m = r.clone();
-    m.events[2]
-        .last_mut()
-        .expect("core 2 recorded events")
-        .clock += 1;
-    assert_ne!(run_digest(&m), base, "event clocks");
-    let mut m = r.clone();
-    m.events[1].pop();
-    assert_ne!(run_digest(&m), base, "event count");
-    let mut m = r.clone();
-    m.out.returns[0] ^= 1;
-    assert_ne!(run_digest(&m), base, "thread returns");
-    let mut m = r.clone();
-    *m.out.rt.anchor_hist.entry(u32::MAX).or_insert(0) += 1;
-    assert_ne!(run_digest(&m), base, "runtime histograms");
-    let mut m = r.clone();
-    m.out.exec.committed_anchors += 1;
-    assert_ne!(run_digest(&m), base, "execution counters");
+    let moves = |mutate: &dyn Fn(&mut BenchResult)| {
+        let mut m = r.clone();
+        mutate(&mut m);
+        run_digest(&m) != base
+    };
+    assert!(moves(&|m| m.out.sim.cores[3].nt_mem_ops += 1), "core stats");
+    assert!(moves(&|m| m.events[2][0].clock += 1), "event clocks");
+    assert!(moves(&|m| m.events[1].truncate(1)), "event count");
+    assert!(moves(&|m| m.out.returns[0] ^= 1), "thread returns");
+    assert!(
+        moves(&|m| *m.out.rt.anchor_hist.entry(u32::MAX).or_default() += 1),
+        "runtime histograms"
+    );
+    assert!(
+        moves(&|m| m.out.exec.committed_anchors += 1),
+        "exec counters"
+    );
 }

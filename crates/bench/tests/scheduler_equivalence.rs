@@ -2,8 +2,9 @@
 //! workload, the single-threaded cooperative driver and the legacy
 //! thread-per-core driver produce *byte-identical* simulations — same
 //! per-core statistics, same execution cycles, same complete cycle-stamped
-//! observability event streams, same thread return values. The schedulers may only differ in host-side mechanics,
-//! never in what the simulated machine does.
+//! observability event streams, same thread return values. The schedulers
+//! may only differ in host-side mechanics, never in what the simulated
+//! machine does.
 
 use htm_sim::{FallbackPolicy, Machine, MachineConfig, ObsEvent, Scheduler};
 use stagger_bench::workload_set;

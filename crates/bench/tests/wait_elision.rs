@@ -2,8 +2,8 @@
 //! fast-forwarded (`Core::wait_on`) must be *byte-identical* to the same run
 //! polling every iteration (`Machine::poll_every_spin`) — per-core
 //! statistics, complete cycle-stamped observability event streams, runtime
-//! statistics and thread return values. The polled run is
-//! the semantics; parking may only change what the host executes.
+//! statistics and thread return values. The polled run is the semantics;
+//! parking may only change what the host executes.
 
 use htm_sim::{FallbackPolicy, Machine, MachineConfig, SchedStats};
 use stagger_bench::workload_set;

@@ -4,22 +4,24 @@
 #   scripts/ci.sh
 #
 # Steps: format check, release build (workspace root + exhibit binaries),
-# tier-1 tests, workspace tests, the coherence-directory invariant,
-# machine-footprint, randomized cross-scheduler stress and
-# elided-vs-polled wait gates by name, the benchmark's table check against
-# BENCHMARK.json (host speed is judged by benchmark/run.sh's interleaved
-# pairs, not by an absolute number here), a
+# tier-1 tests, workspace tests, the golden run digests, the
+# coherence-directory invariant, machine-footprint, randomized
+# cross-scheduler stress and elided-vs-polled wait gates by name, the
+# benchmark's table check against BENCHMARK.json (host speed is judged by
+# benchmark/run.sh's interleaved pairs, not by an absolute number here), a
 # threaded-vs-cooperative byte-identity gate through the fig7 CLI, a
-# full fig7 rerun compared against the checked-in results/fig7.txt, a
-# 128-core scaling smoke, a 256-core scaling run compared against the
-# checked-in simulated columns, a --jobs 1 re-recording of
-# results/BENCH_scaling.json, a parallel-harness smoke run of fig7 --quick
-# whose output (including the machine-readable results/BENCH_fig7.json) is
-# recorded under results/, a profile --quick smoke run whose text report
-# and JSONL event dump are recorded and sanity-checked, a serve smoke
-# gating the request-latency capture's byte-identity across schedulers,
-# the lazy-subscription window regression gate, and a protocols-exhibit
-# smoke over the full variant matrix.
+# rerun of every exhibit with a checked-in results/<name>.txt compared
+# against it, a rerun of the four checked-in sweeps compared against
+# their tables and cell caches, a 128-core scaling smoke, a 256-core
+# scaling run compared against the checked-in simulated columns, a
+# --jobs 1 re-recording of results/BENCH_scaling.json, a parallel-harness
+# smoke run of fig7 --quick whose output (including the machine-readable
+# results/BENCH_fig7.json) is recorded under results/, a profile --quick
+# smoke run whose text report and JSONL event dump are recorded and
+# sanity-checked, a serve smoke gating the request-latency capture's
+# byte-identity across schedulers, the lazy-subscription window regression
+# gate, and a protocols-exhibit smoke over the full variant matrix compared
+# against results/protocols.txt.
 #
 # Everything runs with --offline: the workspace has no external
 # dependencies by design, and CI must not depend on a registry.
@@ -44,10 +46,11 @@ cargo test -q --offline
 echo "== cargo test -q --workspace"
 cargo test -q --offline --workspace
 
-echo "== interp_equivalence (bytecode vs legacy walker, quick matrix)"
-# Runs as part of the workspace suite above too; the explicit invocation
-# keeps the bit-identity gate visible in CI logs and fails fast on its own.
-cargo test -q --offline -p stagger-bench --test interp_equivalence
+echo "== golden_digests (92 quick cells vs crates/bench/tests/golden/quick.digests)"
+# Stats, event streams, returns and counters of every cell hash to the
+# digest recorded for it. Runs in the workspace suite above too; by name
+# so a moved simulated quantity is visible on its own.
+cargo test -q --offline -p stagger-bench --test golden_digests
 
 echo "== coherence-directory invariant (seeded property test)"
 # sharers == cores caching the line, readers/writers == live transactions'
@@ -62,7 +65,7 @@ echo "== machine footprint (16 idle default machines stay under 8 MiB)"
 cargo test -q --offline -p htm-sim --test footprint
 
 echo "== scheduler_stress (500 random scenarios, both drivers, elided vs polled waits)"
-# Stats, traces and event streams byte-identical across the two drivers
+# Stats and event streams byte-identical across the two drivers
 # and with spin-waits parked or polled, including a steady trickle of
 # 64-core scenarios.
 cargo test -q --offline -p htm-sim --test scheduler_stress
@@ -88,10 +91,26 @@ mkdir -p results
 ./target/release/fig7 --quick --scheduler threaded \
   | grep -v '^harness:' | cmp - results/ci_fig7_coop.txt
 
-echo "== fig7 vs results/fig7.txt (checked-in baseline cannot drift)"
-# The checked-in Figure 7 is what this tree's binaries print, byte for
-# byte outside the host-timing lines.
-./target/release/fig7 --jobs 2 | grep -v '^harness:' | cmp - results/fig7.txt
+echo "== exhibits vs results/*.txt (checked-in baselines cannot drift)"
+# Every checked-in table and figure is what this tree's binaries print,
+# byte for byte outside the host-timing lines.
+same_as() { grep -v '^harness:' | cmp - "$1"; }
+./target/release/fig7 --jobs 2 | same_as results/fig7.txt
+for exhibit in table1 table2 table3 table4 fig8; do
+    ./target/release/$exhibit --jobs 2 | same_as results/$exhibit.txt
+done
+./target/release/ablations --threads 8 --jobs 2 | same_as results/ablations.txt
+
+echo "== sweeps vs results/sweeps/*/*.{json,csv} (checked-in tables cannot drift)"
+# The four checked-in sweeps are recomputed from nothing into a scratch
+# directory; their tables (run keys included) must equal the checked-in
+# ones, and every cell file the checked-in cache holds.
+rm -rf results/sweeps-ci
+for sweep in pc-tags lock-tuning scaling serve; do
+    ./target/release/sweep --quick --jobs 2 --spec $sweep --dir results/sweeps-ci \
+      > /dev/null
+    diff -r results/sweeps/$sweep results/sweeps-ci/$sweep
+done
 
 echo "== scaling 128-core smoke (quick, both modes)"
 # The wide-bitset + indexed-scheduler path past the single-word CoreSet
@@ -177,12 +196,14 @@ echo "== protocols exhibit smoke (full variant matrix, quick)"
 # validation passes under every variant — and the new abort causes must
 # actually engage: bounded-set rows report capacity aborts,
 # lazy-subscription-safe rows report subscription aborts.
-./target/release/protocols --quick --jobs 2 | tee results/ci_protocols.txt
-test "$(grep -Ec '[0-9]\.[0-9]{2}x$' results/ci_protocols.txt)" -eq 80
-awk '$3 == "bounded-set" { c += $8 } END { exit !(c > 0) }' \
-  results/ci_protocols.txt
+# The fresh table must also be the checked-in one.
+protocols_out="$(./target/release/protocols --quick --jobs 2)"
+echo "$protocols_out"
+test "$(grep -Ec '[0-9]\.[0-9]{2}x$' <<<"$protocols_out")" -eq 80
+awk '$3 == "bounded-set" { c += $8 } END { exit !(c > 0) }' <<<"$protocols_out"
 awk '$3 == "lazy-subscription-safe" { s += $9 } END { exit !(s > 0) }' \
-  results/ci_protocols.txt
+  <<<"$protocols_out"
+same_as results/protocols.txt <<<"$protocols_out"
 
 echo "== sweep --quick --spec smoke (ablation-sweep cache smoke)"
 # Cold run: the two-cell smoke sweep computes both cells and populates the
