@@ -537,6 +537,13 @@ impl<'m> Core<'m> {
         self.shared.lock().tx_ab_id(self.tid)
     }
 
+    /// Host-side read of simulated memory for assertions: no gate, no
+    /// cycles, no counter, so checking with it cannot change the run.
+    #[doc(hidden)]
+    pub fn peek(&self, addr: Addr) -> u64 {
+        self.shared.lock().host_load(addr)
+    }
+
     // ----- nontransactional API --------------------------------------------
 
     /// Nontransactional load (escapes isolation; never aborts anyone).

@@ -108,10 +108,7 @@ impl LockTable {
     /// the flag is cleared) — the paper's "no contention on that lock"
     /// test for appending an empty history record.
     pub async fn release(&self, core: &mut Core<'_>, word: Addr) -> bool {
-        if cfg!(debug_assertions) {
-            let owner = core.nt_load(word).await;
-            debug_assert_eq!(owner, core.tid() as u64 + 1);
-        }
+        debug_assert_eq!(core.peek(word), core.tid() as u64 + 1);
         let contended = core.nt_load(word + 8).await != 0;
         if contended {
             core.nt_store(word + 8, 0).await;
@@ -156,10 +153,7 @@ impl GlobalLock {
     }
 
     pub async fn release(&self, core: &mut Core<'_>) {
-        if cfg!(debug_assertions) {
-            let owner = core.nt_load(self.word).await;
-            debug_assert_eq!(owner, core.tid() as u64 + 1);
-        }
+        debug_assert_eq!(core.peek(self.word), core.tid() as u64 + 1);
         core.nt_store(self.word, 0).await;
     }
 

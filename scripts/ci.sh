@@ -51,6 +51,10 @@ echo "== golden_digests (92 quick cells vs crates/bench/tests/golden/quick.diges
 # digest recorded for it. Runs in the workspace suite above too; by name
 # so a moved simulated quantity is visible on its own.
 cargo test -q --offline -p stagger-bench --test golden_digests
+# And in the release profile, which is what results/*.txt, the sweeps and
+# the benchmark are printed by: a debug-only simulated op would make the
+# recorded digests describe a different machine.
+cargo test -q --release --offline -p stagger-bench --test golden_digests
 
 echo "== coherence-directory invariant (seeded property test)"
 # sharers == cores caching the line, readers/writers == live transactions'
