@@ -6,7 +6,7 @@
 //! keeps the file byte for byte. A change that means to move a cell edits
 //! its line by hand, from the digest the failure prints.
 
-use htm_sim::{FallbackPolicy, MachineConfig};
+use htm_sim::{FallbackPolicy, MachineConfig, Scheduler};
 use stagger_bench::{run_digest, workload_set};
 use stagger_core::{Mode, RuntimeConfig};
 use std::collections::BTreeMap;
@@ -15,14 +15,18 @@ use workloads::{BenchResult, PreparedWorkload};
 const RECORDED: &str = include_str!("golden/quick.digests");
 const SEED: u64 = 2015;
 
-/// The cells of one quick workload as (cores, mode, fallback): all four
-/// modes at 4 and 16 cores; the two `scaling` workloads also under the two
-/// fallback policies that wait differently; list-hi also at 64 cores.
-fn cells_of(workload: &str) -> Vec<(usize, Mode, FallbackPolicy)> {
+/// `(cores, mode, fallback, bounded_sets arguments)`.
+type Cell = (usize, Mode, FallbackPolicy, Option<(usize, usize)>);
+
+/// The cells of one quick workload: all four modes at 4 and 16 cores; the
+/// two `scaling` workloads also under the two fallback policies that wait
+/// differently, with bounded read/write sets at 4 cores, and at 64 cores
+/// (list-hi in all four modes).
+fn cells_of(workload: &str) -> Vec<Cell> {
     let mut cells = Vec::new();
     for cores in [4, 16] {
         for mode in Mode::ALL {
-            cells.push((cores, mode, FallbackPolicy::Irrevocable));
+            cells.push((cores, mode, FallbackPolicy::Irrevocable, None));
         }
     }
     if workload == "list-hi" || workload == "memcached" {
@@ -31,22 +35,23 @@ fn cells_of(workload: &str) -> Vec<(usize, Mode, FallbackPolicy)> {
                 FallbackPolicy::HybridStm,
                 FallbackPolicy::LazySubscriptionSafe,
             ] {
-                cells.push((16, mode, fallback));
+                cells.push((16, mode, fallback, None));
             }
+            cells.push((4, mode, FallbackPolicy::Irrevocable, Some((16, 8))));
         }
-    }
-    if workload == "list-hi" {
-        for mode in Mode::ALL {
-            cells.push((64, mode, FallbackPolicy::Irrevocable));
+        let at_64: &[Mode] = if workload == "list-hi" {
+            &Mode::ALL
+        } else {
+            &[Mode::Htm, Mode::Staggered]
+        };
+        for &mode in at_64 {
+            cells.push((64, mode, FallbackPolicy::Irrevocable, None));
         }
     }
     cells
 }
 
-fn digest_of(p: &PreparedWorkload, cores: usize, mode: Mode, fallback: FallbackPolicy) -> String {
-    let mcfg = MachineConfig::cores(cores)
-        .fallback(fallback)
-        .record_events();
+fn digest_of(p: &PreparedWorkload, mcfg: MachineConfig, mode: Mode) -> String {
     let r = p.run_cfg(SEED, mcfg, RuntimeConfig::with_mode(mode));
     assert!(
         r.events_dropped.iter().all(|&d| d == 0),
@@ -68,9 +73,22 @@ fn quick_cells_match_their_recorded_digests() {
     let mut bad = Vec::new();
     for w in workload_set(true) {
         let p = PreparedWorkload::new(w.as_ref());
-        for (cores, mode, fallback) in cells_of(w.name()) {
-            let cell = format!("{}/{}/{cores}/{}", w.name(), mode.name(), fallback.name());
-            let got = digest_of(&p, cores, mode, fallback);
+        for (cores, mode, fallback, bounded) in cells_of(w.name()) {
+            let mut cell = format!("{}/{}/{cores}/{}", w.name(), mode.name(), fallback.name());
+            let (reads, writes) = bounded.unwrap_or((0, 0));
+            if bounded.is_some() {
+                cell.push_str(&format!("/bounded-{reads}-{writes}"));
+            }
+            let mcfg = MachineConfig::cores(cores)
+                .fallback(fallback)
+                .bounded_sets(reads, writes)
+                .record_events();
+            let got = digest_of(&p, mcfg.clone(), mode);
+            assert_eq!(
+                got,
+                digest_of(&p, mcfg.scheduler(Scheduler::Threaded), mode),
+                "{cell}: the threaded driver computes another digest"
+            );
             match recorded.get(cell.as_str()) {
                 Some(&want) => {
                     seen += 1;

@@ -15,7 +15,20 @@ use stagger_prng::Xoshiro256StarStar;
 
 const SCENARIOS: u64 = 500;
 
+/// FNV-1a 64 over the `Debug` rendering of every scenario's polled stats
+/// and complete event streams, in scenario order. A change that claims
+/// bit-identical simulation keeps it; one that means to move a scenario
+/// takes the new value from the failure message.
+const RECORDED: u64 = 0x1b03_a495_cdf3_5186;
+
 type Artifacts = (SimStats, Vec<Vec<ObsEvent>>);
+
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
 
 // Spin loops written directly against `Core`, mirroring `stagger-core`'s
 // `locks.rs` (which this crate cannot depend on). A lock is the first word
@@ -193,6 +206,7 @@ fn run_scenario(
 fn randomized_runs_are_scheduler_invariant() {
     let mut meta = Xoshiro256StarStar::seed_from_u64(0x5EED_2015);
     let (mut gated, mut elided) = (0, 0);
+    let mut digest = 0xcbf2_9ce4_8422_2325;
     for s in 0..SCENARIOS {
         let seed = meta.next_u64();
         // Mostly tiny machines (they maximize conflict density per op),
@@ -208,6 +222,7 @@ fn randomized_runs_are_scheduler_invariant() {
         let run = |sch, polled| run_scenario(seed, n_cores, iters, n_lines, sch, polled);
         let (want, _) = run(Scheduler::Cooperative, true);
         gated += want.0.aggregate().gated_ops;
+        digest = fnv1a(digest, format!("{want:?}").as_bytes());
         for (sch, polled) in [
             (Scheduler::Cooperative, false),
             (Scheduler::Threaded, false),
@@ -224,6 +239,10 @@ fn randomized_runs_are_scheduler_invariant() {
             );
         }
     }
+    assert_eq!(
+        digest, RECORDED,
+        "the scenarios' stats or event streams moved: recorded {RECORDED:#018x}, computed {digest:#018x}"
+    );
     // The comparison is only worth something if waits were really skipped.
     assert!(
         elided * 5 > gated,

@@ -46,7 +46,7 @@ cargo test -q --offline
 echo "== cargo test -q --workspace"
 cargo test -q --offline --workspace
 
-echo "== golden_digests (92 quick cells vs crates/bench/tests/golden/quick.digests)"
+echo "== golden_digests (98 quick cells vs crates/bench/tests/golden/quick.digests)"
 # Stats, event streams, returns and counters of every cell hash to the
 # digest recorded for it. Runs in the workspace suite above too; by name
 # so a moved simulated quantity is visible on its own.
