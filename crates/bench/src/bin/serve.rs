@@ -6,8 +6,7 @@
 //! ladder of offered loads, and reports per-request latency percentiles
 //! against a p99 SLO. Latency is derived purely from the observability
 //! event stream (arrival → commit, aborted attempts included), so every
-//! table row is a simulated quantity — byte-identical across the
-//! cooperative and threaded schedulers.
+//! table row is a simulated quantity.
 //!
 //! The final `SLO:` lines show the paper's mechanism from the service
 //! owner's seat: under the flash crowd, plain HTM's retry storms blow

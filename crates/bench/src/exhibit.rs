@@ -5,7 +5,7 @@
 //! header and its rule, resolve workload names against the registry (each
 //! spelling its own "unknown workload" exit), compile the set through the
 //! job pool, and — for the event-recording exhibits — hand-roll a
-//! `MachineConfig` that re-applied the common `--scheduler` pin. The
+//! `MachineConfig` that re-applied the common pins. The
 //! copies drifted: none of them picked up new common knobs (the
 //! `--fallback` policy pin) without editing five binaries.
 //!
@@ -90,14 +90,10 @@ impl Exhibit {
     }
 
     /// An event-recording machine configuration at `cores`, honoring the
-    /// common `--scheduler` and `--fallback` pins — for
-    /// exhibits that drive `run_cfg` themselves because they consume the
-    /// observability event stream.
+    /// common `--fallback` pin — for exhibits that drive `run_cfg`
+    /// themselves because they consume the observability event stream.
     pub fn recording_machine(&self, cores: usize) -> MachineConfig {
         let mut cfg = MachineConfig::cores(cores).record_events();
-        if let Some(s) = self.opts.scheduler {
-            cfg = cfg.scheduler(s);
-        }
         if let Some(fb) = self.opts.fallback {
             cfg = cfg.fallback(fb);
         }

@@ -15,7 +15,7 @@
 //!
 //! Run with `cargo run -p stagger-bench --release --bin <name>`. Common
 //! options (see [`CommonOpts`]): `--threads N`, `--quick`, `--seed N`,
-//! `--jobs N`, `--json`, `--scheduler S`; binaries with extra flags
+//! `--jobs N`, `--json`, `--fallback F`; binaries with extra flags
 //! (profile, diag, sweep) extend the set via [`CommonOpts::parse_with`],
 //! so each `--help` lists exactly the flags that binary understands.
 //! Every exhibit compiles each workload once
@@ -32,7 +32,6 @@
 //! advisory-lock acquire/release, anchor-table lookups, and compile-pass
 //! time.
 
-use htm_sim::Scheduler;
 use stagger_core::Mode;
 use workloads::{BenchResult, PreparedWorkload, Workload};
 
@@ -59,8 +58,6 @@ common options:
                    but results and output order stay deterministic
                    (default: available CPUs)
   --json           also dump per-run throughput to results/BENCH_<exhibit>.json
-  --scheduler S    host-side core driver: cooperative (default) or threaded
-                   (thread-per-core reference; bit-identical results)
   --fallback F     exhausted-retry fallback policy: irrevocable (default),
                    hybrid-stm, lazy-subscription (unsafe; reproduction of the
                    documented torn-commit window), or lazy-subscription-safe
@@ -68,7 +65,7 @@ common options:
   --help           show this message";
 
 const COMMON_USAGE_LINE: &str = "[--threads N] [--quick] [--seed N] [--jobs N] [--json] \
-     [--scheduler S] [--fallback F]";
+     [--fallback F]";
 
 /// Parse a [`Mode`] by its display name, case-insensitively; `+` may be
 /// omitted ("staggeredsw" ≡ "Staggered+SW"). Thin wrapper over
@@ -175,12 +172,9 @@ pub struct CommonOpts {
     pub jobs: usize,
     /// Dump `results/BENCH_<exhibit>.json` at the end of the run.
     pub json: bool,
-    /// Host-side scheduler pin (`--scheduler`). `None` keeps the machine
-    /// default (cooperative).
-    pub scheduler: Option<Scheduler>,
     /// Fallback-policy pin (`--fallback`). `None` keeps the machine
-    /// default (`irrevocable`). Unlike the scheduler pin this IS a
-    /// simulated knob: it enters the experiment spec and its run keys.
+    /// default (`irrevocable`). A simulated knob: it enters the experiment
+    /// spec and its run keys.
     pub fallback: Option<htm_sim::FallbackPolicy>,
 }
 
@@ -192,7 +186,6 @@ impl CommonOpts {
             seed: 2015,
             jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
             json: false,
-            scheduler: None,
             fallback: None,
         }
     }
@@ -226,13 +219,6 @@ impl CommonOpts {
                 "--jobs" => o.jobs = a.parsed("--jobs"),
                 "--quick" => o.quick = true,
                 "--json" => o.json = true,
-                "--scheduler" => {
-                    let v = a.value("--scheduler");
-                    o.scheduler =
-                        Some(Scheduler::parse(&v).unwrap_or_else(|| {
-                            a.fail(&format!("invalid --scheduler value '{v}'"))
-                        }));
-                }
                 "--fallback" => {
                     let v = a.value("--fallback");
                     o.fallback = Some(

@@ -27,8 +27,8 @@
 //! parked spin-waits instead of being executed one by one. `ns_per_inst` is
 //! host nanoseconds per simulated instruction — all scheduler-overhead
 //! observability, not paper metrics. `sched_calls`/`sched_stale` count the
-//! cooperative driver's `schedule()` calls and heap key updates (zero
-//! calls under the threaded driver), and `workers` reports per-worker
+//! event loop's `schedule()` calls and heap key updates, and `workers`
+//! reports per-worker
 //! utilization of the harness job pool (busy_secs over wall time) for runs
 //! routed through [`Report::pool`].
 
@@ -182,7 +182,7 @@ impl Report {
     /// The [`RunSpec`] this report's exhibit would use for `p` at
     /// `threads` in `mode` — every run helper below routes through it,
     /// so one exhibit's configuration namings are uniform and carry the
-    /// common flags (`--quick`, `--scheduler`, ...).
+    /// common flags (`--quick`, `--fallback`, ...).
     pub fn spec(&self, p: &PreparedWorkload, mode: Mode, threads: usize, seed: u64) -> RunSpec {
         let mut spec = RunSpec::from_opts(&self.opts, p.name(), mode);
         spec.threads = threads;
@@ -197,18 +197,14 @@ impl Report {
         r
     }
 
-    /// Run with explicit machine/runtime configuration (ablations); the
-    /// exhibit's `--scheduler` flag, when given, picks the driver.
+    /// Run with explicit machine/runtime configuration (ablations).
     pub fn run_cfg(
         &self,
         p: &PreparedWorkload,
         seed: u64,
-        mut machine_cfg: MachineConfig,
+        machine_cfg: MachineConfig,
         rt_cfg: RuntimeConfig,
     ) -> BenchResult {
-        if let Some(s) = self.opts.scheduler {
-            machine_cfg = machine_cfg.scheduler(s);
-        }
         let r = p.run_cfg(seed, machine_cfg, rt_cfg);
         self.record(&r);
         r

@@ -70,14 +70,11 @@ impl RunSpec {
         }
     }
 
-    /// A spec taking threads, seed, quick and the scheduler and fallback
-    /// pins from the harness's common flags.
+    /// A spec taking threads, seed, quick and the fallback pin from the
+    /// harness's common flags.
     pub fn from_opts(opts: &CommonOpts, workload: &str, mode: Mode) -> RunSpec {
         let mut s = RunSpec::new(workload, mode, opts.threads, opts.seed);
         s.quick = opts.quick;
-        if let Some(sched) = opts.scheduler {
-            s.machine = s.machine.scheduler(sched);
-        }
         if let Some(fb) = opts.fallback {
             s.machine = s.machine.fallback(fb);
         }
@@ -921,33 +918,45 @@ mod tests {
         assert!(s.set_field("mode", "psychic").is_err());
         assert!(RunSpec::parse("no equals sign").is_err());
         assert!(RunSpec::parse("quick=false\n").is_err(), "missing workload");
-        // The removed speculative driver and its host knob are errors, not
-        // a silent fallback to another scheduler.
-        assert!(RunSpec::parse("workload=list-hi\nmachine.scheduler=speculative\n").is_err());
+        // Knobs of removed drivers are errors, not silently ignored.
         assert!(RunSpec::parse("workload=list-hi\nmachine.host_threads=2\n").is_err());
         assert!(RunSpec::parse("workload=list-hi\nruntime.lock_spin=0\n").is_err());
-        assert!(RunSpec::parse("workload=list-hi\nmachine.scheduler=threaded\n").is_ok());
     }
 
     #[test]
-    fn cells_recorded_with_the_removed_trace_key_fail_closed() {
-        // The spec text of results/sweeps/pc-tags/cells/00bf75a1e9fc95b8.cell
-        // as last committed with `machine.record_trace` in it; hashing to
-        // that cell's name shows it is that text byte for byte.
+    fn cells_recorded_with_removed_keys_fail_closed() {
+        // The spec text of one pc-tags cell as committed before each key
+        // left the spec; hashing to that cell's file name shows it is that
+        // text byte for byte. Neither parses, and neither is found.
         let mut now = RunSpec::new("list-hi", Mode::Htm, 16, 2015);
         now.quick = true;
         now.machine = now.machine.pc_tag_bits(4);
-        let old = now.canon().replace(
+        let with_scheduler = now.canon().replace(
+            "runtime.pc_thr=",
+            "machine.scheduler=cooperative\nruntime.pc_thr=",
+        );
+        let with_trace = with_scheduler.replace(
             "machine.record_events=",
             "machine.record_trace=false\nmachine.record_events=",
         );
-        let old_key = "00bf75a1e9fc95b8";
-        assert_eq!(format!("{:016x}", fnv1a64(old.as_bytes())), old_key);
-        assert_ne!(now.run_key(), old_key);
-        let err = "machine.record_trace: unknown key";
-        assert_eq!(RunSpec::parse(&old).unwrap_err(), err);
-        let cell = format!("# sweep cell v1\n{old}result.sim_cycles=1271013\n");
-        assert_eq!(CellResult::parse(&cell, old_key).unwrap_err(), err);
+        for (old, old_key, err) in [
+            (
+                with_scheduler,
+                "b1125f0caddcaf5c",
+                "machine.scheduler: unknown key",
+            ),
+            (
+                with_trace,
+                "00bf75a1e9fc95b8",
+                "machine.record_trace: unknown key",
+            ),
+        ] {
+            assert_eq!(format!("{:016x}", fnv1a64(old.as_bytes())), old_key);
+            assert_ne!(now.run_key(), old_key);
+            assert_eq!(RunSpec::parse(&old).unwrap_err(), err);
+            let cell = format!("# sweep cell v1\n{old}result.sim_cycles=1271013\n");
+            assert_eq!(CellResult::parse(&cell, old_key).unwrap_err(), err);
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Inputs that named the removed speculative driver or the removed
-//! interpreter selection are usage errors at the CLI (usage text on stderr,
+//! Inputs that selected a core driver or an interpreter, when there was
+//! more than one of each, are usage errors at the CLI (usage text on stderr,
 //! exit status 2, nothing run), never silently ignored or mapped to what
 //! is left.
 
@@ -9,10 +9,10 @@ use std::process::Command;
 fn removed_inputs_are_usage_errors() {
     for (args, complaint) in [
         (
-            ["--scheduler", "speculative"],
-            "invalid --scheduler value 'speculative'",
+            ["--scheduler", "cooperative"],
+            "unknown option '--scheduler'",
         ),
-        (["--scheduler", "spec"], "invalid --scheduler value 'spec'"),
+        (["--scheduler", "threaded"], "unknown option '--scheduler'"),
         (["--host-threads", "2"], "unknown option '--host-threads'"),
         (["--interp", "bytecode"], "unknown option '--interp'"),
         (["--interp", "legacy"], "unknown option '--interp'"),

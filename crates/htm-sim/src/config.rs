@@ -103,41 +103,6 @@ impl FallbackPolicy {
     }
 }
 
-/// Host-side driver for the simulated cores. Both schedulers realize the
-/// same simulated semantics — ops execute in increasing (logical clock,
-/// core id) order — so results are bit-identical; they differ only in host
-/// cost. See the `machine` module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// Single host thread; an event loop resumes the minimum-clock core.
-    /// No OS threads, no condvar handoffs — the default.
-    #[default]
-    Cooperative,
-    /// One OS thread per simulated core, gated by a mutex + condvars (the
-    /// original driver; kept for cross-scheduler equivalence testing).
-    Threaded,
-}
-
-impl Scheduler {
-    /// Canonical name, stable across releases (used by experiment specs).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Scheduler::Cooperative => "cooperative",
-            Scheduler::Threaded => "threaded",
-        }
-    }
-
-    /// Parse a scheduler by name, case-insensitively:
-    /// `cooperative`/`coop`/`single` or `threaded`/`threads`.
-    pub fn parse(s: &str) -> Option<Scheduler> {
-        match s.to_ascii_lowercase().as_str() {
-            "cooperative" | "coop" | "single" => Some(Scheduler::Cooperative),
-            "threaded" | "threads" => Some(Scheduler::Threaded),
-            _ => None,
-        }
-    }
-}
-
 /// Configuration of the simulated machine.
 ///
 /// Defaults mirror Table 2 of the paper:
@@ -214,9 +179,6 @@ pub struct MachineConfig {
     /// ring fills, the oldest events are overwritten (and counted as
     /// dropped). 0 disables buffering entirely even with `record_events`.
     pub event_ring_capacity: usize,
-    /// Host-side core driver. Purely a host-performance knob: simulated
-    /// cycles, stats and events are identical across schedulers.
-    pub scheduler: Scheduler,
     /// Capacity (in lines, rounded up to a power of two; 0 disables) of
     /// the per-core line-permission cache: per transaction attempt, the
     /// simulator remembers lines whose read/write ownership bits it has
@@ -256,7 +218,6 @@ impl Default for MachineConfig {
             max_write_lines: 0,
             record_events: false,
             event_ring_capacity: 1 << 20,
-            scheduler: Scheduler::Cooperative,
             perm_cache_lines: 32,
         }
     }
@@ -328,12 +289,6 @@ impl MachineConfig {
         self
     }
 
-    /// Select the host-side scheduler.
-    pub fn scheduler(mut self, s: Scheduler) -> Self {
-        self.scheduler = s;
-        self
-    }
-
     /// Size the per-core line-permission cache (0 disables the fast path).
     pub fn perm_cache_lines(mut self, lines: usize) -> Self {
         self.perm_cache_lines = lines;
@@ -377,7 +332,6 @@ impl MachineConfig {
             ("protocol", self.protocol.name().to_string()),
             ("record_events", self.record_events.to_string()),
             ("event_ring_capacity", self.event_ring_capacity.to_string()),
-            ("scheduler", self.scheduler.name().to_string()),
         ];
         if self.fallback != FallbackPolicy::Irrevocable {
             kv.push(("fallback", self.fallback.name().to_string()));
@@ -430,10 +384,6 @@ impl MachineConfig {
             "max_write_lines" => self.max_write_lines = num(key, value)?,
             "record_events" => self.record_events = num(key, value)?,
             "event_ring_capacity" => self.event_ring_capacity = num(key, value)?,
-            "scheduler" => {
-                self.scheduler = Scheduler::parse(value)
-                    .ok_or_else(|| format!("machine.scheduler: invalid value '{value}'"))?;
-            }
             // `perm_cache_lines` is intentionally not settable here: it
             // cannot change simulated results, so it is not part of the
             // experiment spec (accepting it would silently fork run keys).
@@ -498,13 +448,11 @@ mod tests {
             .small()
             .lazy()
             .pc_tag_bits(6)
-            .record_events()
-            .scheduler(Scheduler::Threaded);
+            .record_events();
         assert_eq!(c.n_cores, 8);
         assert_eq!(c.protocol, HtmProtocol::Lazy);
         assert_eq!(c.pc_tag_bits, 6);
         assert!(c.record_events);
-        assert_eq!(c.scheduler, Scheduler::Threaded);
     }
 
     #[test]
@@ -513,7 +461,6 @@ mod tests {
             .small()
             .lazy()
             .pc_tag_bits(9)
-            .scheduler(Scheduler::Threaded)
             .fallback(FallbackPolicy::HybridStm)
             .bounded_sets(16, 8);
         let mut d = MachineConfig::default();
@@ -553,7 +500,6 @@ mod tests {
         assert!(c.set_kv("protocol", "psychic").is_err());
         assert!(c.set_kv("fallback", "optimism").is_err());
         assert!(c.set_kv("max_read_lines", "many").is_err());
-        assert!(c.set_kv("scheduler", "gpu").is_err());
         assert!(
             c.set_kv("perm_cache_lines", "64").is_err(),
             "perm_cache_lines is host-only and must not enter run keys"
@@ -561,16 +507,20 @@ mod tests {
     }
 
     #[test]
-    fn removed_speculative_driver_is_rejected_input() {
-        // The driver and its two host knobs are gone; naming them must be an
-        // error, never a silent fallback to another scheduler.
-        assert_eq!(Scheduler::parse("speculative"), None);
-        assert_eq!(Scheduler::parse("spec"), None);
+    fn removed_driver_selection_is_rejected_input() {
+        // There is one driver. The key every older spec carried, and the
+        // knobs of drivers removed before it, must fail closed: an error,
+        // never a panic and never silently ignored.
         let mut c = MachineConfig::default();
-        assert!(c.set_kv("scheduler", "speculative").is_err());
+        for v in ["cooperative", "threaded", "speculative"] {
+            assert_eq!(
+                c.set_kv("scheduler", v),
+                Err("machine.scheduler: unknown key".to_string())
+            );
+        }
         assert!(c.set_kv("host_threads", "4").is_err());
         assert!(c.set_kv("spec_quantum", "16").is_err());
-        assert_eq!(c.scheduler, Scheduler::Cooperative);
+        assert!(c.to_kv().iter().all(|(k, _)| *k != "scheduler"));
     }
 
     #[test]
@@ -597,7 +547,7 @@ mod tests {
     }
 
     #[test]
-    fn protocol_and_scheduler_names_parse_back() {
+    fn protocol_and_fallback_names_parse_back() {
         for p in [HtmProtocol::Eager, HtmProtocol::Lazy] {
             assert_eq!(HtmProtocol::parse(p.name()), Some(p));
         }
@@ -609,11 +559,6 @@ mod tests {
             Some(FallbackPolicy::HybridStm)
         );
         assert_eq!(FallbackPolicy::parse("pessimism"), None);
-        for s in [Scheduler::Cooperative, Scheduler::Threaded] {
-            assert_eq!(Scheduler::parse(s.name()), Some(s));
-        }
-        assert_eq!(Scheduler::parse("coop"), Some(Scheduler::Cooperative));
-        assert_eq!(Scheduler::parse("threads"), Some(Scheduler::Threaded));
         assert_eq!(HtmProtocol::parse("none"), None);
     }
 }

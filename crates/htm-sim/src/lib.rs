@@ -10,7 +10,7 @@
 //!   *capacity* abort.
 //! * **Eager requester-wins resolution** — a coherence request that hits
 //!   another core's speculative line aborts the owner immediately (its undo
-//!   log is rolled back under the simulator lock); the victim observes the
+//!   log is rolled back on the spot); the victim observes the
 //!   abort at its next operation, carrying the conflicting data address and
 //!   the 12-bit **conflicting-PC tag** of its own first access to that line
 //!   (the hardware extension of paper Section 4).
@@ -29,12 +29,11 @@
 //! Each simulated core is a resumable program (an `async` body), and every
 //! shared-state operation is *gated*: a core may act only when its logical
 //! clock is the minimum over all unfinished cores (ties broken by core
-//! id). By default a single-threaded cooperative event loop resumes the
-//! minimum-clock core — no OS threads or condvar handoffs per simulated
-//! core; a thread-per-core driver with identical semantics is kept behind
-//! [`config::Scheduler::Threaded`]. Given the same seeds, a run is
-//! bit-for-bit reproducible regardless of host scheduling or driver — the
-//! simulated analogue of the paper pinning worker threads to cores.
+//! id). One host thread runs the event loop that resumes the minimum-clock
+//! core — no OS thread per simulated core and no lock around the simulator
+//! state. Given the same seeds, a run is bit-for-bit reproducible
+//! regardless of host scheduling — the simulated analogue of the paper
+//! pinning worker threads to cores.
 
 pub mod addr;
 pub mod cache;
@@ -51,7 +50,7 @@ pub mod stats;
 pub mod trace;
 
 pub use addr::{line_addr, line_of, Addr, LINE_BYTES, WORDS_PER_LINE, WORD_BYTES};
-pub use config::{FallbackPolicy, HtmProtocol, MachineConfig, Scheduler};
+pub use config::{FallbackPolicy, HtmProtocol, MachineConfig};
 pub use coreset::MAX_CORES;
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use latency::{

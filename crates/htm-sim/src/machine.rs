@@ -9,24 +9,15 @@
 //! the program and its seeds — bit-for-bit reproducible, like the paper's
 //! MARSSx86 runs with threads pinned to cores.
 //!
-//! Two host-side drivers realize that order (see
-//! [`Scheduler`](crate::config::Scheduler)):
-//!
-//! * **Cooperative** (default): a single host thread runs a plain event
-//!   loop — pick the minimum-clock core, poll its program until it either
-//!   finishes or stops being the minimum. No OS threads per core, no
-//!   condvar handoffs; the per-op cost is one uncontended mutex
-//!   acquisition, and a core that stays minimal executes arbitrarily many
-//!   consecutive ops in one resumption.
-//! * **Threaded**: one OS thread per core; a core whose gate finds it
-//!   ineligible sleeps on its condvar and is woken by the op that makes it
-//!   the minimum. This was the original driver; it is kept for the
-//!   cross-scheduler equivalence suite and pays a futex round-trip per
-//!   handoff.
-//!
-//! Because both drivers admit ops in exactly the same (clock, id) order,
-//! simulated cycles, statistics and obs events are bit-identical between
-//! them.
+//! One host thread realizes that order with a plain event loop: pick the
+//! minimum-clock core, poll its program until it either finishes or stops
+//! being the minimum. The loop is the only user of the simulator state, so
+//! the state sits in a `RefCell`, not behind a lock; a core that stays
+//! minimal executes arbitrarily many consecutive ops in one resumption, and
+//! a gate decides admission with one comparison against the runner-up the
+//! loop cached ([`SimState::horizon`]). In debug builds every gate also
+//! checks that answer against the rule itself, the linear scan
+//! [`SimState::next_eligible`].
 //!
 //! **Event-driven waiting.** A core spinning on a lock word polls a line
 //! whose contents cannot change until some core writes it, so the polls in
@@ -42,69 +33,47 @@
 //! waiting").
 
 use crate::addr::{line_of, Addr};
-use crate::config::{MachineConfig, Scheduler};
+use crate::config::MachineConfig;
 use crate::obs::{ObsEvent, ObsKind};
 use crate::sim::{AbortCause, SimState, TxError};
 use crate::stats::SimStats;
+use std::cell::RefCell;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-struct Shared {
-    state: Mutex<SimState>,
-    cvs: Vec<Condvar>,
-}
-
-impl Shared {
-    /// Lock the simulator state. A panic on one simulated core poisons the
-    /// mutex; recovering the guard keeps the remaining cores' teardown
-    /// deterministic (the panic itself still propagates out of `run`).
-    fn lock(&self) -> MutexGuard<'_, SimState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
 /// A suspended simulated-core program, resumable at every gated operation.
-pub type CoreBody<'m> = Pin<Box<dyn Future<Output = ()> + Send + 'm>>;
+pub type CoreBody<'m> = Pin<Box<dyn Future<Output = ()> + 'm>>;
 
 /// Builds one core's program from its [`Core`] handle, consuming the
 /// builder.
-pub type CoreFn<'m> = Box<dyn FnOnce(Core<'m>) -> CoreBody<'m> + Send + 'm>;
+pub type CoreFn<'m> = Box<dyn FnOnce(Core<'m>) -> CoreBody<'m> + 'm>;
 
 /// Box an async core body into the form [`Machine::run`] accepts:
 /// `machine.run(vec![body(|mut c| async move { ... })])`.
 pub fn body<'m, F, Fut>(f: F) -> CoreFn<'m>
 where
-    F: FnOnce(Core<'m>) -> Fut + Send + 'm,
-    Fut: Future<Output = ()> + Send + 'm,
+    F: FnOnce(Core<'m>) -> Fut + 'm,
+    Fut: Future<Output = ()> + 'm,
 {
     Box::new(move |core| Box::pin(f(core)) as CoreBody<'m>)
 }
 
-/// How a [`Core`]'s gates reach the simulator state.
-enum Drive {
-    /// Cooperative event loop: eligibility is one comparison against the
-    /// cached [`SimState::horizon`] pair; nobody parks, nobody is woken.
-    Coop,
-    /// Thread-per-core: ineligible gates park on a condvar and are woken by
-    /// whichever op makes them the minimum.
-    Threaded,
-}
-
 /// A simulated multicore machine with HTM.
 pub struct Machine {
-    shared: Arc<Shared>,
+    /// Borrowed for the length of one op or accessor, never across a
+    /// suspension point.
+    state: RefCell<SimState>,
     cfg: MachineConfig,
 }
 
 impl Machine {
     pub fn new(cfg: MachineConfig) -> Machine {
-        let shared = Arc::new(Shared {
-            state: Mutex::new(SimState::new(cfg.clone())),
-            cvs: (0..cfg.n_cores).map(|_| Condvar::new()).collect(),
-        });
-        Machine { shared, cfg }
+        Machine {
+            state: RefCell::new(SimState::new(cfg.clone())),
+            cfg,
+        }
     }
 
     pub fn config(&self) -> &MachineConfig {
@@ -115,6 +84,12 @@ impl Machine {
     /// operation is deterministically ordered by logical time. May be
     /// called once per machine: a run retires every core, so a second one
     /// would have nothing eligible to schedule. Panics if called again.
+    ///
+    /// A single-threaded event loop resumes the minimum-clock core. A
+    /// resumed program runs ops for as long as it remains the minimum and
+    /// suspends as soon as its gate finds another core eligible. A panic in
+    /// one program unwinds through here; dropping the others retires their
+    /// cores on the way out.
     pub fn run<'m>(&'m self, bodies: Vec<CoreFn<'m>>) {
         assert_eq!(
             bodies.len(),
@@ -122,45 +97,33 @@ impl Machine {
             "need exactly one body per core"
         );
         assert!(
-            !self.shared.lock().cores.iter().any(|c| c.finished),
+            !self.state.borrow().cores.iter().any(|c| c.finished),
             "Machine::run called twice; build a new Machine per run"
         );
-        match self.cfg.scheduler {
-            Scheduler::Cooperative => self.run_cooperative(bodies),
-            Scheduler::Threaded => self.run_threaded(bodies),
-        }
-    }
-
-    /// The default driver: a single-threaded event loop that resumes the
-    /// minimum-clock core. A resumed program runs ops for as long as it
-    /// remains the minimum and suspends (without any syscall) as soon as
-    /// its gate finds another core eligible.
-    fn run_cooperative<'m>(&'m self, bodies: Vec<CoreFn<'m>>) {
         let mut programs: Vec<Option<CoreBody<'m>>> = bodies
             .into_iter()
             .enumerate()
             .map(|(tid, mk)| {
                 Some(mk(Core {
-                    shared: &self.shared,
+                    state: &self.state,
                     tid,
                     pending: 0,
                     last_clock: 0,
                     record: self.cfg.record_events,
-                    drive: Drive::Coop,
                 }))
             })
             .collect();
         let mut cx = Context::from_waker(Waker::noop());
         // `schedule` also caches the runner-up (clock, id) pair, against
         // which the resumed core's gates test eligibility without a scan.
-        let mut next = self.shared.lock().schedule();
+        let mut next = self.state.borrow_mut().schedule();
         while let Some(n) = next {
             let prog = programs[n].as_mut().expect("eligible core has a program");
             let ready = prog.as_mut().poll(&mut cx).is_ready();
             if ready {
                 programs[n] = None;
             }
-            let mut st = self.shared.lock();
+            let mut st = self.state.borrow_mut();
             let parked = st.parked(n);
             next = st.schedule();
             if !ready && next == Some(n) && !parked {
@@ -173,65 +136,18 @@ impl Machine {
         }
     }
 
-    /// The original driver: one OS thread per core. A pending program
-    /// sleeps on its condvar until the gate of another core (or a finishing
-    /// core) makes it the minimum and wakes it. A core's panic is re-raised
-    /// with its own payload (the scope's would only say that one happened).
-    fn run_threaded<'m>(&'m self, bodies: Vec<CoreFn<'m>>) {
-        std::thread::scope(|s| {
-            let spawn = |(tid, mk): (usize, CoreFn<'m>)| {
-                let shared = &*self.shared;
-                let record = self.cfg.record_events;
-                s.spawn(move || {
-                    let mut prog = mk(Core {
-                        shared,
-                        tid,
-                        pending: 0,
-                        last_clock: 0,
-                        record,
-                        drive: Drive::Threaded,
-                    });
-                    let mut cx = Context::from_waker(Waker::noop());
-                    while prog.as_mut().poll(&mut cx).is_pending() {
-                        let mut st = shared.lock();
-                        loop {
-                            match st.next_eligible() {
-                                Some(n) if n == tid => {
-                                    st.wake_due(tid);
-                                    break;
-                                }
-                                Some(_) => {
-                                    st.cores[tid].waiting = true;
-                                    st =
-                                        shared.cvs[tid].wait(st).unwrap_or_else(|e| e.into_inner());
-                                    st.cores[tid].waiting = false;
-                                }
-                                None => unreachable!("running core cannot be finished"),
-                            }
-                        }
-                    }
-                })
-            };
-            let cores: Vec<_> = bodies.into_iter().enumerate().map(spawn).collect();
-            // The scope joins whatever is left once the first panic is found.
-            if let Some(payload) = cores.into_iter().find_map(|h| h.join().err()) {
-                std::panic::resume_unwind(payload);
-            }
-        });
-    }
-
     /// Convenience: run the same async body on every core (receives the
     /// core handle). The closure is shared, so values it moves into the
     /// body must be `Copy` (or clone inside).
     pub fn run_uniform<'m, F, Fut>(&'m self, f: F)
     where
-        F: Fn(Core<'m>) -> Fut + Send + Sync + 'm,
-        Fut: Future<Output = ()> + Send + 'm,
+        F: Fn(Core<'m>) -> Fut + 'm,
+        Fut: Future<Output = ()> + 'm,
     {
-        let f = Arc::new(f);
+        let f = Rc::new(f);
         let bodies = (0..self.cfg.n_cores)
             .map(|_| {
-                let f = Arc::clone(&f);
+                let f = Rc::clone(&f);
                 body(move |c| f(c))
             })
             .collect();
@@ -242,7 +158,7 @@ impl Machine {
     /// counters are fixed-size scalar structs, so a snapshot is cheap; the
     /// per-core event streams move out via [`Machine::take_events`].
     pub fn stats(&self) -> SimStats {
-        let st = self.shared.lock();
+        let st = self.state.borrow();
         let cores = st
             .cores
             .iter()
@@ -256,13 +172,12 @@ impl Machine {
         SimStats { cores, exec_cycles }
     }
 
-    /// Host-side scheduling counters: cooperative `schedule()` calls, heap
-    /// key updates, parks and the gated ops they elided. These never feed
-    /// back into simulated quantities (and are therefore not part of
-    /// [`Machine::stats`], which cross-scheduler equivalence tests compare
-    /// for equality).
+    /// Host-side scheduling counters: `schedule()` calls, heap key updates,
+    /// parks and the gated ops they elided. These never feed back into
+    /// simulated quantities (and are therefore not part of
+    /// [`Machine::stats`], which elided and polled runs must agree on).
     pub fn sched_stats(&self) -> crate::sched::SchedStats {
-        self.shared.lock().sched_stats
+        self.state.borrow().sched_stats
     }
 
     /// Move out the per-core observability event streams, oldest first
@@ -271,7 +186,7 @@ impl Machine {
     /// at the same capacity. A stream is complete only if its core's
     /// [`Machine::events_dropped`] count is 0.
     pub fn take_events(&self) -> Vec<Vec<ObsEvent>> {
-        let mut st = self.shared.lock();
+        let mut st = self.state.borrow_mut();
         st.cores.iter_mut().map(|c| c.events.take()).collect()
     }
 
@@ -280,16 +195,16 @@ impl Machine {
     /// means that core's stream lost its oldest events, so statistics
     /// derived from it are over a truncated run.
     pub fn events_dropped(&self) -> Vec<u64> {
-        let st = self.shared.lock();
+        let st = self.state.borrow();
         st.cores.iter().map(|c| c.events.dropped()).collect()
     }
 
     /// Test aid: the first of `lines` (line indices) whose coherence-
     /// directory row disagrees with the caches and live transactions, if
-    /// any. Callable from a cooperative core body between its own ops.
+    /// any. Callable from a core body between its own ops.
     #[doc(hidden)]
     pub fn directory_violation(&self, lines: &[u64]) -> Option<String> {
-        self.shared.lock().directory_violation(lines)
+        self.state.borrow().directory_violation(lines)
     }
 
     /// Test aid: make every [`Core::wait_on`] on this machine return 0, so
@@ -297,22 +212,22 @@ impl Machine {
     /// runs are compared against byte for byte. Call before `run`.
     #[doc(hidden)]
     pub fn poll_every_spin(&self) {
-        self.shared.lock().poll_every_spin = true;
+        self.state.borrow_mut().poll_every_spin = true;
     }
 
     /// Host-side allocation for setup (no simulated cycles).
     pub fn host_alloc(&self, words: u64, line_align: bool) -> Addr {
-        self.shared.lock().host_alloc(words, line_align)
+        self.state.borrow_mut().host_alloc(words, line_align)
     }
 
     /// Host-side memory read (setup/validation only).
     pub fn host_load(&self, addr: Addr) -> u64 {
-        self.shared.lock().host_load(addr)
+        self.state.borrow().host_load(addr)
     }
 
     /// Host-side memory write (setup only; unsound during `run`).
     pub fn host_store(&self, addr: Addr, val: u64) {
-        self.shared.lock().host_store(addr, val)
+        self.state.borrow_mut().host_store(addr, val)
     }
 
     /// Register the fallback lock word that hardware commits validate
@@ -320,7 +235,7 @@ impl Machine {
     /// Dice-et-al-style fix). Host-side setup, no simulated cycles;
     /// called by the runtime before threads start.
     pub fn register_commit_lock(&self, addr: Addr) {
-        self.shared.lock().register_commit_lock(addr)
+        self.state.borrow_mut().register_commit_lock(addr)
     }
 }
 
@@ -328,7 +243,7 @@ impl Machine {
 /// core's program; dropping it (body completion or unwind) marks the core
 /// finished so the remaining cores keep running deterministically.
 pub struct Core<'m> {
-    shared: &'m Shared,
+    state: &'m RefCell<SimState>,
     tid: usize,
     /// Locally accumulated compute cycles, folded into the logical clock at
     /// the next gated operation.
@@ -336,10 +251,8 @@ pub struct Core<'m> {
     /// Clock value observed at the last gate (plus pending = `now`).
     last_clock: u64,
     /// Cached [`MachineConfig::record_events`]: when false, [`Core::note`]
-    /// is a single branch (no lock, no allocation).
+    /// is a single branch (no borrow, no allocation).
     record: bool,
-    /// Which driver this core runs under (see [`Drive`]).
-    drive: Drive,
 }
 
 impl<'m> Core<'m> {
@@ -361,9 +274,8 @@ impl<'m> Core<'m> {
 
     /// Advance this core's logical time to at least `cycle` (a no-op when
     /// the deadline already passed). Purely local like [`Core::compute`]
-    /// — it only widens `pending` — so it is deterministic under every
-    /// scheduler. This is how open-loop load generators park a core until
-    /// its next request's arrival timestamp.
+    /// — it only widens `pending`. This is how open-loop load generators
+    /// park a core until its next request's arrival timestamp.
     pub fn idle_until(&mut self, cycle: u64) {
         let now = self.now();
         if cycle > now {
@@ -373,42 +285,23 @@ impl<'m> Core<'m> {
 
     /// Arrive at an order point: fold pending compute cycles (idempotent —
     /// they reset to zero) and report whether this core holds the minimum
-    /// `(clock, id)`. When it does not, the caller suspends; under the
-    /// threaded driver the core that does hold it is woken first.
+    /// `(clock, id)`; when it does not, the caller suspends. Only this
+    /// core's clock can have moved since the event loop resumed it, so
+    /// eligibility is one comparison against the cached runner-up — which
+    /// debug builds check against the linear scan at every gate.
     fn arrive(&mut self, st: &mut SimState) -> bool {
         let tid = self.tid;
         st.cores[tid].clock += self.pending;
         self.pending = 0;
-        match self.drive {
-            // Only this core's clock can have moved since the event loop
-            // resumed it, so eligibility is one comparison against the
-            // cached runner-up.
-            Drive::Coop => (st.cores[tid].clock, tid) <= st.horizon,
-            Drive::Threaded => {
-                let n = st.next_eligible().expect("calling core cannot be finished");
-                self.wake(st, n);
-                n == tid
-            }
-        }
-    }
-
-    /// Threaded driver only: this core just changed the order (ran an op,
-    /// parked, unparked a waiter or retired) — wake whichever core is now
-    /// the minimum if it sleeps on its condvar. Cooperative cores never
-    /// sleep, so no notification is issued there.
-    fn hand_off(&self, st: &SimState) {
-        if matches!(self.drive, Drive::Threaded) {
-            if let Some(n) = st.next_eligible() {
-                self.wake(st, n);
-            }
-        }
-    }
-
-    /// Notify core `n` if it is another core asleep on its condvar.
-    fn wake(&self, st: &SimState, n: usize) {
-        if n != self.tid && st.cores[n].waiting {
-            self.shared.cvs[n].notify_one();
-        }
+        let eligible = (st.cores[tid].clock, tid) <= st.horizon;
+        debug_assert_eq!(
+            eligible,
+            st.next_eligible() == Some(tid),
+            "core {tid} at clock {} tested against a wrong horizon {:?}",
+            st.cores[tid].clock,
+            st.horizon
+        );
+        eligible
     }
 
     /// Perform `f` on the shared state at this core's logical turn; `f`
@@ -425,20 +318,19 @@ impl<'m> Core<'m> {
         &'a mut self,
         writes: Option<Addr>,
         f: F,
-    ) -> impl Future<Output = R> + Send + use<'a, 'm, R, F>
+    ) -> impl Future<Output = R> + use<'a, 'm, R, F>
     where
-        F: FnOnce(&mut SimState, usize) -> (R, u64) + Send + 'a,
+        F: FnOnce(&mut SimState, usize) -> (R, u64) + 'a,
     {
         let mut f = Some(f);
         std::future::poll_fn(move |_cx| {
             let tid = self.tid;
-            let mut st = self.shared.lock();
+            let mut st = self.state.borrow_mut();
             if !self.arrive(&mut st) {
                 return Poll::Pending;
             }
             if let Some(addr) = writes {
                 if st.n_parked != 0 && st.unpark_watchers(tid, line_of(addr)) {
-                    self.hand_off(&st);
                     return Poll::Pending;
                 }
             }
@@ -446,7 +338,6 @@ impl<'m> Core<'m> {
             let (r, lat) = (f.take().expect("gate op polled after completion"))(&mut st, tid);
             st.cores[tid].clock += lat;
             self.last_clock = st.cores[tid].clock;
-            self.hand_off(&st);
             Poll::Ready(r)
         })
     }
@@ -472,11 +363,11 @@ impl<'m> Core<'m> {
         let mut parked = false;
         std::future::poll_fn(move |_cx| {
             let tid = self.tid;
-            let mut st = self.shared.lock();
+            let mut st = self.state.borrow_mut();
             if parked {
-                // Both drivers resume a parked program only once it holds
-                // the minimum key again, unparked by a writer or by its
-                // deadline.
+                // The event loop resumes a parked program only once it
+                // holds the minimum key again, unparked by a writer or by
+                // its deadline.
                 self.last_clock = st.cores[tid].clock;
                 return Poll::Ready(st.cores[tid].elided);
             }
@@ -488,7 +379,6 @@ impl<'m> Core<'m> {
                 return Poll::Ready(0);
             }
             parked = true;
-            self.hand_off(&st);
             Poll::Pending
         })
         .await
@@ -529,19 +419,19 @@ impl<'m> Core<'m> {
     /// Is a transaction currently active (not yet observed-doomed)?
     /// Reads only this core's own state, so it needs no gating.
     pub fn tx_active(&mut self) -> bool {
-        self.shared.lock().tx_active(self.tid)
+        self.state.borrow().tx_active(self.tid)
     }
 
     /// Atomic-block id of the active transaction, if any.
     pub fn tx_ab_id(&mut self) -> Option<u32> {
-        self.shared.lock().tx_ab_id(self.tid)
+        self.state.borrow().tx_ab_id(self.tid)
     }
 
     /// Host-side read of simulated memory for assertions: no gate, no
     /// cycles, no counter, so checking with it cannot change the run.
     #[doc(hidden)]
     pub fn peek(&self, addr: Addr) -> u64 {
-        self.shared.lock().host_load(addr)
+        self.state.borrow().host_load(addr)
     }
 
     // ----- nontransactional API --------------------------------------------
@@ -627,23 +517,20 @@ impl<'m> Core<'m> {
             return;
         }
         let clock = self.now();
-        self.shared.lock().note_at(self.tid, clock, kind);
+        self.state.borrow_mut().note_at(self.tid, clock, kind);
     }
 }
 
 impl Drop for Core<'_> {
-    /// Retire the core: fold any pending compute cycles, mark it finished,
-    /// and wake whichever core becomes the minimum. Running this on drop
-    /// (rather than after a normal body return) also retires cores whose
-    /// bodies unwound, so a panic on one core cannot park the rest forever.
+    /// Retire the core: fold any pending compute cycles and mark it
+    /// finished. Running this on drop (rather than after a normal body
+    /// return) also retires cores whose bodies unwound or were dropped
+    /// unfinished because another core's panic ended the run.
     fn drop(&mut self) {
         let tid = self.tid;
-        let mut st = self.shared.lock();
+        let mut st = self.state.borrow_mut();
         st.cores[tid].clock += self.pending;
-        self.pending = 0;
         st.retire(tid);
-        self.last_clock = st.cores[tid].clock;
-        self.hand_off(&st);
     }
 }
 
@@ -652,73 +539,66 @@ mod tests {
     use super::*;
     use crate::sim::AbortCause;
 
-    /// Every test runs under both drivers via this helper, so the suite
-    /// exercises scheduler equivalence at the unit level too.
-    fn machines(n: usize) -> [Machine; 2] {
-        [Scheduler::Cooperative, Scheduler::Threaded]
-            .map(|s| Machine::new(MachineConfig::cores(n).small().scheduler(s)))
+    fn machine(n: usize) -> Machine {
+        Machine::new(small(n))
     }
 
     #[test]
     fn single_thread_counter() {
-        for m in machines(1) {
-            let a = m.host_alloc(8, true);
-            m.run_uniform(move |mut c| async move {
-                for _ in 0..10 {
-                    c.tx_begin(0).await;
-                    let v = c.tx_load(a, 0x400).await.unwrap();
-                    c.tx_store(a, v + 1, 0x404).await.unwrap();
-                    c.tx_commit().await.unwrap();
-                }
-            });
-            assert_eq!(m.host_load(a), 10);
-            let st = m.stats();
-            assert_eq!(st.aggregate().commits, 10);
-            assert_eq!(st.aggregate().aborts(), 0);
-            assert!(st.exec_cycles > 0);
-            // begin + load + store + commit, 10 iterations.
-            assert_eq!(st.aggregate().gated_ops, 40);
-        }
+        let m = machine(1);
+        let a = m.host_alloc(8, true);
+        m.run_uniform(move |mut c| async move {
+            for _ in 0..10 {
+                c.tx_begin(0).await;
+                let v = c.tx_load(a, 0x400).await.unwrap();
+                c.tx_store(a, v + 1, 0x404).await.unwrap();
+                c.tx_commit().await.unwrap();
+            }
+        });
+        assert_eq!(m.host_load(a), 10);
+        let st = m.stats();
+        assert_eq!(st.aggregate().commits, 10);
+        assert_eq!(st.aggregate().aborts(), 0);
+        assert!(st.exec_cycles > 0);
+        // begin + load + store + commit, 10 iterations.
+        assert_eq!(st.aggregate().gated_ops, 40);
     }
 
     #[test]
     fn concurrent_counter_is_serializable() {
         // 4 cores × 50 increments with retry loops: the final value must be
         // exactly 200 — the fundamental HTM correctness property.
-        for m in machines(4) {
-            let a = m.host_alloc(8, true);
-            m.run_uniform(move |mut c| async move {
-                for _ in 0..50 {
-                    loop {
-                        c.tx_begin(0).await;
-                        let r = match c.tx_load(a, 0x400).await {
-                            Ok(v) => {
-                                c.compute(20); // widen the conflict window
-                                c.tx_store(a, v + 1, 0x404).await
-                            }
-                            Err(e) => Err(e),
-                        };
-                        let committed = match r {
-                            Ok(()) => c.tx_commit().await.is_ok(),
-                            Err(_) => false,
-                        };
-                        if committed {
-                            break;
+        let m = machine(4);
+        let a = m.host_alloc(8, true);
+        m.run_uniform(move |mut c| async move {
+            for _ in 0..50 {
+                loop {
+                    c.tx_begin(0).await;
+                    let r = match c.tx_load(a, 0x400).await {
+                        Ok(v) => {
+                            c.compute(20); // widen the conflict window
+                            c.tx_store(a, v + 1, 0x404).await
                         }
+                        Err(e) => Err(e),
+                    };
+                    let committed = match r {
+                        Ok(()) => c.tx_commit().await.is_ok(),
+                        Err(_) => false,
+                    };
+                    if committed {
+                        break;
                     }
                 }
-            });
-            assert_eq!(m.host_load(a), 200);
-            let agg = m.stats().aggregate();
-            assert_eq!(agg.commits, 200);
-            assert!(agg.aborts() > 0, "contended counter must abort sometimes");
-        }
+            }
+        });
+        assert_eq!(m.host_load(a), 200);
+        let agg = m.stats().aggregate();
+        assert_eq!(agg.commits, 200);
+        assert!(agg.aborts() > 0, "contended counter must abort sometimes");
     }
 
-    fn contended_run(scheduler: Scheduler) -> (u64, u64, u64, Vec<u64>) {
-        let mut cfg = MachineConfig::cores(4).small();
-        cfg.scheduler = scheduler;
-        let m = Machine::new(cfg);
+    fn contended_run() -> (u64, u64, u64, Vec<u64>) {
+        let m = machine(4);
         let a = m.host_alloc(8, true);
         m.run_uniform(move |mut c| async move {
             for i in 0..30u64 {
@@ -751,140 +631,135 @@ mod tests {
     }
 
     #[test]
-    fn determinism_across_runs_and_schedulers() {
-        let a = contended_run(Scheduler::Cooperative);
-        let b = contended_run(Scheduler::Cooperative);
-        assert_eq!(a, b, "simulation must be bit-for-bit deterministic");
-        let c = contended_run(Scheduler::Threaded);
-        assert_eq!(a, c, "schedulers must produce identical simulations");
+    fn determinism_across_runs() {
+        assert_eq!(
+            contended_run(),
+            contended_run(),
+            "simulation must be bit-for-bit deterministic"
+        );
     }
 
     #[test]
     fn disjoint_lines_never_conflict() {
-        for m in machines(4) {
-            let base = m.host_alloc(8 * 8 * 4, true);
-            m.run_uniform(move |mut c| async move {
-                let a = base + (c.tid() as u64) * 64;
-                for _ in 0..25 {
-                    c.tx_begin(0).await;
-                    let v = c.tx_load(a, 0).await.unwrap();
-                    c.tx_store(a, v + 1, 0).await.unwrap();
-                    c.tx_commit().await.unwrap();
-                }
-            });
-            let agg = m.stats().aggregate();
-            assert_eq!(agg.commits, 100);
-            assert_eq!(agg.aborts(), 0);
-        }
+        let m = machine(4);
+        let base = m.host_alloc(8 * 8 * 4, true);
+        m.run_uniform(move |mut c| async move {
+            let a = base + (c.tid() as u64) * 64;
+            for _ in 0..25 {
+                c.tx_begin(0).await;
+                let v = c.tx_load(a, 0).await.unwrap();
+                c.tx_store(a, v + 1, 0).await.unwrap();
+                c.tx_commit().await.unwrap();
+            }
+        });
+        let agg = m.stats().aggregate();
+        assert_eq!(agg.commits, 100);
+        assert_eq!(agg.aborts(), 0);
     }
 
     #[test]
     fn nt_cas_lock_mutual_exclusion() {
         // An advisory-lock-style spinlock built from NT CAS protects a
         // plain (nontransactional) counter.
-        for m in machines(4) {
-            let lock = m.host_alloc(8, true);
-            let counter = m.host_alloc(8, true);
-            m.run_uniform(move |mut c| async move {
-                for _ in 0..25 {
-                    while !c.nt_cas(lock, 0, (c.tid() + 1) as u64).await {
-                        c.compute(20);
-                    }
-                    let v = c.nt_load(counter).await;
-                    c.compute(5);
-                    c.nt_store(counter, v + 1).await;
-                    c.nt_store(lock, 0).await;
+        let m = machine(4);
+        let lock = m.host_alloc(8, true);
+        let counter = m.host_alloc(8, true);
+        m.run_uniform(move |mut c| async move {
+            for _ in 0..25 {
+                while !c.nt_cas(lock, 0, (c.tid() + 1) as u64).await {
+                    c.compute(20);
                 }
-            });
-            assert_eq!(m.host_load(counter), 100);
-        }
+                let v = c.nt_load(counter).await;
+                c.compute(5);
+                c.nt_store(counter, v + 1).await;
+                c.nt_store(lock, 0).await;
+            }
+        });
+        assert_eq!(m.host_load(counter), 100);
     }
 
     #[test]
     fn advisory_lock_inside_transaction() {
         // The paper's core mechanism: acquire an NT lock inside an active
         // transaction; serialized sections stop aborting each other.
-        for m in machines(4) {
-            let lock = m.host_alloc(8, true);
-            let data = m.host_alloc(8, true);
-            m.run_uniform(move |mut c| async move {
-                for _ in 0..20 {
-                    loop {
-                        c.tx_begin(0).await;
-                        // Advisory lock acquire via NT CAS, inside the txn.
-                        let mut spins = 0u64;
-                        while !c.nt_cas(lock, 0, (c.tid() + 1) as u64).await {
-                            c.charge_lock_wait(30).await;
-                            spins += 1;
-                            if spins > 10_000 {
-                                break; // timeout: proceed without the lock
-                            }
-                        }
-                        let r = match c.tx_load(data, 0x100).await {
-                            Ok(v) => {
-                                c.compute(30);
-                                c.tx_store(data, v + 1, 0x104).await
-                            }
-                            Err(e) => Err(e),
-                        };
-                        let committed = match r {
-                            Ok(()) => c.tx_commit().await.is_ok(),
-                            Err(_) => false,
-                        };
-                        // Release even on abort, as the runtime does.
-                        c.nt_store(lock, 0).await;
-                        if committed {
-                            break;
+        let m = machine(4);
+        let lock = m.host_alloc(8, true);
+        let data = m.host_alloc(8, true);
+        m.run_uniform(move |mut c| async move {
+            for _ in 0..20 {
+                loop {
+                    c.tx_begin(0).await;
+                    // Advisory lock acquire via NT CAS, inside the txn.
+                    let mut spins = 0u64;
+                    while !c.nt_cas(lock, 0, (c.tid() + 1) as u64).await {
+                        c.charge_lock_wait(30).await;
+                        spins += 1;
+                        if spins > 10_000 {
+                            break; // timeout: proceed without the lock
                         }
                     }
+                    let r = match c.tx_load(data, 0x100).await {
+                        Ok(v) => {
+                            c.compute(30);
+                            c.tx_store(data, v + 1, 0x104).await
+                        }
+                        Err(e) => Err(e),
+                    };
+                    let committed = match r {
+                        Ok(()) => c.tx_commit().await.is_ok(),
+                        Err(_) => false,
+                    };
+                    // Release even on abort, as the runtime does.
+                    c.nt_store(lock, 0).await;
+                    if committed {
+                        break;
+                    }
                 }
-            });
-            assert_eq!(m.host_load(data), 80);
-            let agg = m.stats().aggregate();
-            assert_eq!(agg.commits, 80);
-            // Staggered by the advisory lock: conflicts should be rare.
-            assert!(
-                agg.aborts() <= 8,
-                "advisory lock should nearly eliminate aborts, got {}",
-                agg.aborts()
-            );
-            assert!(agg.lock_wait_cycles > 0);
-        }
+            }
+        });
+        assert_eq!(m.host_load(data), 80);
+        let agg = m.stats().aggregate();
+        assert_eq!(agg.commits, 80);
+        // Staggered by the advisory lock: conflicts should be rare.
+        assert!(
+            agg.aborts() <= 8,
+            "advisory lock should nearly eliminate aborts, got {}",
+            agg.aborts()
+        );
+        assert!(agg.lock_wait_cycles > 0);
     }
 
     #[test]
     fn explicit_abort_counts() {
-        for m in machines(1) {
-            let a = m.host_alloc(8, true);
-            m.run_uniform(move |mut c| async move {
-                assert_eq!(c.tx_ab_id(), None);
-                c.tx_begin(0).await;
-                assert_eq!(c.tx_ab_id(), Some(0));
-                c.tx_store(a, 5, 0).await.unwrap();
-                let e = c.tx_abort().await;
-                assert_eq!(e.info().cause, AbortCause::Explicit);
-            });
-            assert_eq!(m.host_load(a), 0, "aborted write must roll back");
-            assert_eq!(m.stats().aggregate().explicit_aborts, 1);
-        }
+        let m = machine(1);
+        let a = m.host_alloc(8, true);
+        m.run_uniform(move |mut c| async move {
+            assert_eq!(c.tx_ab_id(), None);
+            c.tx_begin(0).await;
+            assert_eq!(c.tx_ab_id(), Some(0));
+            c.tx_store(a, 5, 0).await.unwrap();
+            let e = c.tx_abort().await;
+            assert_eq!(e.info().cause, AbortCause::Explicit);
+        });
+        assert_eq!(m.host_load(a), 0, "aborted write must roll back");
+        assert_eq!(m.stats().aggregate().explicit_aborts, 1);
     }
 
     #[test]
     fn alloc_in_threads_disjoint() {
-        for m in machines(4) {
-            let out = m.host_alloc(8 * 4, true);
-            m.run_uniform(move |mut c| async move {
-                let p = c.alloc(8, true).await;
-                c.nt_store(p, c.tid() as u64 + 100).await;
-                c.nt_store(out + (c.tid() as u64) * 8, p).await;
-            });
-            let mut ptrs: Vec<u64> = (0..4).map(|i| m.host_load(out + i * 8)).collect();
-            ptrs.sort();
-            ptrs.dedup();
-            assert_eq!(ptrs.len(), 4, "allocations must not alias");
-            for &p in ptrs.iter() {
-                assert!(m.host_load(p) >= 100);
-            }
+        let m = machine(4);
+        let out = m.host_alloc(8 * 4, true);
+        m.run_uniform(move |mut c| async move {
+            let p = c.alloc(8, true).await;
+            c.nt_store(p, c.tid() as u64 + 100).await;
+            c.nt_store(out + (c.tid() as u64) * 8, p).await;
+        });
+        let mut ptrs: Vec<u64> = (0..4).map(|i| m.host_load(out + i * 8)).collect();
+        ptrs.sort();
+        ptrs.dedup();
+        assert_eq!(ptrs.len(), 4, "allocations must not alias");
+        for &p in ptrs.iter() {
+            assert!(m.host_load(p) >= 100);
         }
     }
 
@@ -893,51 +768,48 @@ mod tests {
         // A core that does tiny ops and one that does huge computes: total
         // time is driven by the slow core, and the fast core should not be
         // starved (its ops happen "during" the slow core's computes).
-        for m in machines(2) {
-            let a = m.host_alloc(16, true);
-            m.run(vec![
-                body(move |mut c| async move {
-                    for _ in 0..100 {
-                        let now = c.now();
-                        c.nt_store(a, now).await;
-                    }
-                }),
-                body(move |mut c| async move {
-                    for _ in 0..5 {
-                        c.compute(10_000);
-                        let now = c.now();
-                        c.nt_store(a + 8, now).await;
-                    }
-                }),
-            ]);
-            let st = m.stats();
-            assert!(st.cores[1].total_cycles >= 50_000);
-            assert!(st.cores[0].total_cycles < st.cores[1].total_cycles);
-        }
+        let m = machine(2);
+        let a = m.host_alloc(16, true);
+        m.run(vec![
+            body(move |mut c| async move {
+                for _ in 0..100 {
+                    let now = c.now();
+                    c.nt_store(a, now).await;
+                }
+            }),
+            body(move |mut c| async move {
+                for _ in 0..5 {
+                    c.compute(10_000);
+                    let now = c.now();
+                    c.nt_store(a + 8, now).await;
+                }
+            }),
+        ]);
+        let st = m.stats();
+        assert!(st.cores[1].total_cycles >= 50_000);
+        assert!(st.cores[0].total_cycles < st.cores[1].total_cycles);
     }
 
     #[test]
     fn stats_snapshot_exec_cycles_is_max() {
-        for m in machines(2) {
-            m.run(vec![
-                body(|mut c| async move { c.compute(100) }),
-                body(|mut c| async move { c.compute(500) }),
-            ]);
-            let st = m.stats();
-            assert_eq!(
-                st.exec_cycles,
-                st.cores.iter().map(|c| c.total_cycles).max().unwrap()
-            );
-            assert_eq!(st.exec_cycles, 500);
-        }
+        let m = machine(2);
+        m.run(vec![
+            body(|mut c| async move { c.compute(100) }),
+            body(|mut c| async move { c.compute(500) }),
+        ]);
+        let st = m.stats();
+        assert_eq!(
+            st.exec_cycles,
+            st.cores.iter().map(|c| c.total_cycles).max().unwrap()
+        );
+        assert_eq!(st.exec_cycles, 500);
     }
 
     // ----- event-driven waiting ---------------------------------------------
     //
     // The spin loops below mirror `stagger-core`'s `locks.rs` (this crate
-    // cannot depend on it). Every scenario runs four ways — both drivers,
-    // elided and polled (`poll_every_spin`) — and all four must agree on
-    // stats and event streams.
+    // cannot depend on it). Every scenario runs elided and polled
+    // (`poll_every_spin`), and the two must agree on stats and event streams.
 
     type Artifacts = (SimStats, Vec<Vec<ObsEvent>>);
 
@@ -976,14 +848,14 @@ mod tests {
     }
 
     /// Run the bodies `mk` builds (over a lock line whose first word is
-    /// held by nobody in particular) four ways, assert they agree, and
-    /// return the cooperative elided run's host-side counters.
+    /// held by nobody in particular) elided and polled, assert they agree,
+    /// and return the elided run's host-side counters.
     fn differential(
         cfg: MachineConfig,
         mk: impl for<'m> Fn(&'m Machine, Addr) -> Vec<CoreFn<'m>>,
     ) -> crate::sched::SchedStats {
-        let run = |scheduler, polled: bool| -> (Artifacts, crate::sched::SchedStats) {
-            let m = Machine::new(cfg.clone().record_events().scheduler(scheduler));
+        let run = |polled: bool| -> (Artifacts, crate::sched::SchedStats) {
+            let m = Machine::new(cfg.clone().record_events());
             if polled {
                 m.poll_every_spin();
             }
@@ -992,14 +864,10 @@ mod tests {
             m.run(mk(&m, lock));
             ((m.stats(), m.take_events()), m.sched_stats())
         };
-        let (want, polled) = run(Scheduler::Cooperative, true);
+        let (want, polled) = run(true);
         assert_eq!((polled.parks, polled.elided_ops), (0, 0));
-        let (got, sched) = run(Scheduler::Cooperative, false);
+        let (got, sched) = run(false);
         assert_eq!(got, want, "elided run diverged from the polled one");
-        for polled in [false, true] {
-            let (thr, _) = run(Scheduler::Threaded, polled);
-            assert_eq!(thr, want, "threaded (polled={polled}) diverged");
-        }
         sched
     }
 
@@ -1196,7 +1064,10 @@ mod tests {
 
     /// Core 0 takes the lock and returns without releasing it; core 1 then
     /// waits for it with no timeout. This used to spin the host forever.
-    fn wait_for_a_lock_nobody_releases(m: &Machine) {
+    #[test]
+    #[should_panic(expected = "deadlock: core 1 waits on line")]
+    fn deadlock_is_diagnosed() {
+        let m = machine(2);
         let lock = m.host_alloc(8, true);
         m.run(vec![
             body(move |mut c| async move {
@@ -1209,34 +1080,78 @@ mod tests {
         ]);
     }
 
+    /// A run retires every core, so a second one would be a silent no-op.
     #[test]
-    #[should_panic(expected = "deadlock: core 1 waits on line")]
-    fn deadlock_is_diagnosed_under_cooperative() {
-        wait_for_a_lock_nobody_releases(&machines(2)[0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "deadlock: core 1 waits on line")]
-    fn deadlock_is_diagnosed_under_threaded() {
-        wait_for_a_lock_nobody_releases(&machines(2)[1]);
-    }
-
-    /// A run retires every core, so a second one used to be a silent no-op
-    /// (cooperative) or an `unreachable!` (threaded); both must refuse.
-    fn run_twice(m: &Machine) {
+    #[should_panic(expected = "Machine::run called twice")]
+    fn second_run_panics() {
+        let m = machine(2);
         m.run_uniform(|mut c| async move { c.compute(1) });
         m.run_uniform(|mut c| async move { c.compute(1) });
     }
 
+    // ----- the one driver ---------------------------------------------------
+
+    /// The per-gate check bites: with the cached runner-up forced open,
+    /// core 1 would be admitted at clock 50 although core 0 still waits at
+    /// clock 0.
     #[test]
-    #[should_panic(expected = "Machine::run called twice")]
-    fn second_run_panics_under_cooperative() {
-        run_twice(&machines(2)[0]);
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "tested against a wrong horizon")]
+    fn wrong_horizon_fails_the_per_gate_check() {
+        let m = machine(2);
+        let (a, state) = (m.host_alloc(8, true), &m.state);
+        m.run(vec![
+            body(move |mut c| async move {
+                c.compute(10);
+                c.nt_load(a).await;
+            }),
+            body(move |mut c| async move {
+                c.compute(50);
+                state.borrow_mut().horizon = (u64::MAX, usize::MAX);
+                c.nt_load(a).await;
+            }),
+        ]);
     }
 
+    /// The event loop cannot wake a future that is not a gate, and says so
+    /// instead of spinning.
     #[test]
-    #[should_panic(expected = "Machine::run called twice")]
-    fn second_run_panics_under_threaded() {
-        run_twice(&machines(2)[1]);
+    #[should_panic(expected = "core 0 suspended while eligible")]
+    fn awaiting_a_non_gate_future_panics() {
+        machine(1).run_uniform(|mut c| async move {
+            let mut polled = false;
+            std::future::poll_fn(|_| {
+                if std::mem::replace(&mut polled, true) {
+                    Poll::Ready(())
+                } else {
+                    Poll::Pending
+                }
+            })
+            .await;
+            c.compute(1);
+        });
+    }
+
+    /// A panic inside one core's op (here an out-of-range address, raised
+    /// with the state borrowed) comes out of `run` with its own message,
+    /// and every other core is retired on the way.
+    #[test]
+    fn panic_inside_a_gate_op_retires_the_others_and_re_raises() {
+        let m = machine(3);
+        let a = m.host_alloc(8, true);
+        let run = std::panic::AssertUnwindSafe(|| {
+            m.run_uniform(move |mut c| async move {
+                c.nt_store(a, 1).await;
+                if c.tid() == 1 {
+                    c.nt_load(u64::MAX - 7).await;
+                }
+                c.nt_store(a, 2).await;
+            })
+        });
+        let payload = std::panic::catch_unwind(run).expect_err("core 1 panics");
+        let msg = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert!(msg.contains("out of range"), "{msg}");
+        assert!(m.state.borrow().cores.iter().all(|c| c.finished));
+        assert_eq!(m.stats().cores.len(), 3);
     }
 }

@@ -1,7 +1,7 @@
 //! Indexed min-(key, id) scheduling: a plain binary heap with a position
 //! index.
 //!
-//! The cooperative driver ([`crate::sim::SimState::schedule`]) repeatedly
+//! The event loop ([`crate::sim::SimState::schedule`]) repeatedly
 //! needs "the unfinished core with the minimum `(key, id)`, plus the exact
 //! runner-up". A core's key is its logical clock while it runs and its wake
 //! deadline while it is parked in [`crate::machine::Core::wait_on`], so keys
@@ -22,8 +22,7 @@ const NONE: (u64, usize) = (u64::MAX, usize::MAX);
 /// reported by the `scaling` exhibit and the `--json` reports).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Calls to [`crate::sim::SimState::schedule`] (one per cooperative
-    /// resumption).
+    /// Calls to [`crate::sim::SimState::schedule`] (one per resumption).
     pub schedule_calls: u64,
     /// Heap key updates (the core that just ran, parks, unparks). The name
     /// predates the indexed heap; the benchmark reads it.
@@ -110,8 +109,8 @@ impl MinHeap {
         }
     }
 
-    /// The minimum entry's id plus the exact runner-up pair (the
-    /// cooperative horizon), `(u64::MAX, usize::MAX)` when there is no
+    /// The minimum entry's id plus the exact runner-up pair (the gate
+    /// horizon), `(u64::MAX, usize::MAX)` when there is no
     /// runner-up. Ties order by id, including at key `u64::MAX`, exactly
     /// like the linear reference scan.
     pub(crate) fn min2(&self) -> (Option<usize>, (u64, usize)) {

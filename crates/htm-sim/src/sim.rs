@@ -2,8 +2,9 @@
 //! directory, HTM read/write sets, eager requester-wins conflict resolution,
 //! and logical clocks.
 //!
-//! Everything here lives under the single machine mutex; methods are called
-//! by [`crate::machine::Core`] only when it is the calling core's logical
+//! The machine's event loop is the only user of this state (it sits in the
+//! [`crate::machine::Machine`]'s `RefCell`); methods are called by
+//! [`crate::machine::Core`] only when it is the calling core's logical
 //! turn, so the whole struct is free of internal synchronization.
 
 use crate::addr::{line_of, word_index, Addr, LINE_BYTES, WORD_BYTES};
@@ -257,7 +258,6 @@ struct Park {
 pub(crate) struct CoreState {
     pub clock: u64,
     pub finished: bool,
-    pub waiting: bool,
     /// Set while the core is parked in [`SimState::park`].
     park: Option<Park>,
     l1: CacheArray,
@@ -275,7 +275,7 @@ pub(crate) struct CoreState {
     pub events: EventRing,
 }
 
-/// Everything under the machine mutex.
+/// The whole simulated machine.
 pub(crate) struct SimState {
     pub cfg: MachineConfig,
     mem: Vec<u64>,
@@ -288,13 +288,11 @@ pub(crate) struct SimState {
     /// Derived from `cfg.perm_cache_lines`: direct-mapped permission-cache
     /// slot count (rounded up to a power of two; 0 = fast path disabled).
     perm_slots: usize,
-    /// Cooperative-driver gate horizon: the minimum `(clock, id)` over
-    /// unfinished cores *other than* the one currently resumed (set by
-    /// [`SimState::schedule`]). While that core runs, no other core's
-    /// clock can change, so its gates admit ops with one comparison
-    /// against this pair instead of an `O(n_cores)` [`SimState::next_eligible`]
-    /// scan. The threaded driver never reads it (its cores advance
-    /// concurrently between gates, which would stale the cached pair).
+    /// Gate horizon: the minimum `(clock, id)` over unfinished cores *other
+    /// than* the one currently resumed (set by [`SimState::schedule`]).
+    /// While that core runs, no other core's clock can change, so its
+    /// gates admit ops with one comparison against this pair instead of an
+    /// `O(n_cores)` [`SimState::next_eligible`] scan.
     pub horizon: (u64, usize),
     /// Fallback lock word the hardware validates at commit under
     /// [`FallbackPolicy::LazySubscriptionSafe`] (the Dice-et-al-style
@@ -329,7 +327,6 @@ impl SimState {
             .map(|_| CoreState {
                 clock: 0,
                 finished: false,
-                waiting: false,
                 park: None,
                 l1: CacheArray::new(cfg.l1_sets, cfg.l1_ways),
                 l2: CacheArray::new(cfg.l2_sets, cfg.l2_ways),
@@ -374,10 +371,10 @@ impl SimState {
     /// The core whose turn it is: minimum key among unfinished cores, ties
     /// by id. `None` when every core has finished.
     ///
-    /// An O(n_cores) linear scan: the threaded driver calls it from
-    /// arbitrary interleavings (its cores fold compute cycles into their
-    /// clocks concurrently, with no `sync_key`), and it is the reference the
-    /// indexed [`SimState::schedule`] is property-tested against.
+    /// An O(n_cores) linear scan and the statement of the ordering rule. No
+    /// driver runs on it: it is the reference that debug builds hold every
+    /// gate's horizon test to, and that the indexed [`SimState::schedule`]
+    /// is property-tested against.
     pub fn next_eligible(&self) -> Option<usize> {
         (0..self.cores.len())
             .filter(|&i| !self.cores[i].finished)
@@ -392,8 +389,8 @@ impl SimState {
     }
 
     /// [`SimState::next_eligible`] plus the exact runner-up `(key, id)`
-    /// pair stored into [`SimState::horizon`]. The cooperative event loop
-    /// calls this once per resumption; the chosen core's gates then stay
+    /// pair stored into [`SimState::horizon`]. The event loop calls this
+    /// once per resumption; the chosen core's gates then stay
     /// eligible exactly while their own `(clock, id)` is `<=` the horizon.
     /// A parked core that comes up has reached its deadline and is woken
     /// here ([`SimState::wake_due`]).
@@ -485,7 +482,7 @@ impl SimState {
     /// unpark the cores parked on it, each fast-forwarded over the
     /// iterations whose last gate precedes `tid`'s `(clock, id)`. A woken
     /// core then sits strictly before `tid` in the order, so returns whether
-    /// `tid` lost its turn (the cooperative horizon is lowered to match).
+    /// `tid` lost its turn (the horizon is lowered to match).
     pub fn unpark_watchers(&mut self, tid: usize, line: u64) -> bool {
         let at = self.cores[tid].clock;
         let mut sharers = self.dir.get(line, Role::Sharers);

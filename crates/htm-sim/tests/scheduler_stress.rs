@@ -1,16 +1,17 @@
-//! Randomized cross-scheduler, elided-vs-polled stress test.
+//! Randomized elided-vs-polled stress test.
 //!
 //! 500 short simulations with randomized core counts and per-core op mixes
 //! (transactions with retry, plain and non-transactional accesses, CAS,
 //! compute bursts, observability notes, and spin-waits on a few lock
-//! lines). Every scenario runs under both schedulers, each with spin-waits
-//! elided (`Core::wait_on` parks) and polled (`Machine::poll_every_spin`),
-//! and all four runs must produce byte-identical stats and complete event
-//! streams: the thread-per-core driver is the independent reference for
-//! the cooperative event loop's (clock, id) order, and the polled run is
-//! the reference for what a parked core is charged.
+//! lines). Every scenario runs with spin-waits elided (`Core::wait_on`
+//! parks) and polled (`Machine::poll_every_spin`), and the two runs must
+//! produce byte-identical stats and complete event streams: the polled run
+//! is the reference for what a parked core is charged. The polled runs are
+//! also folded into one digest held to a recorded constant, and in debug
+//! builds every gate of every run checks its admission against the linear
+//! `(clock, id)` scan.
 
-use htm_sim::{Addr, Core, Machine, MachineConfig, ObsEvent, ObsKind, Scheduler, SimStats};
+use htm_sim::{Addr, Core, Machine, MachineConfig, ObsEvent, ObsKind, SimStats};
 use stagger_prng::Xoshiro256StarStar;
 
 const SCENARIOS: u64 = 500;
@@ -93,14 +94,9 @@ fn run_scenario(
     n_cores: usize,
     iters: u64,
     n_lines: u64,
-    scheduler: Scheduler,
     polled: bool,
 ) -> (Artifacts, u64) {
-    let cfg = MachineConfig::cores(n_cores)
-        .small()
-        .record_events()
-        .scheduler(scheduler);
-    let m = Machine::new(cfg);
+    let m = Machine::new(MachineConfig::cores(n_cores).small().record_events());
     if polled {
         m.poll_every_spin();
     }
@@ -116,7 +112,7 @@ fn run_scenario(
                 0 | 1 => {
                     // A small transaction, retried until it commits. Each
                     // retry re-draws addresses; determinism only requires
-                    // that both schedulers see the same abort sequence.
+                    // that both runs see the same abort sequence.
                     loop {
                         c.tx_begin((i % 4) as u32).await;
                         let n_ops = 1 + rng.below(3);
@@ -203,7 +199,7 @@ fn run_scenario(
 }
 
 #[test]
-fn randomized_runs_are_scheduler_invariant() {
+fn randomized_runs_are_elision_invariant() {
     let mut meta = Xoshiro256StarStar::seed_from_u64(0x5EED_2015);
     let (mut gated, mut elided) = (0, 0);
     let mut digest = 0xcbf2_9ce4_8422_2325;
@@ -219,25 +215,16 @@ fn randomized_runs_are_scheduler_invariant() {
         };
         let iters = 1 + meta.below(8);
         let n_lines = 1 + meta.below(3);
-        let run = |sch, polled| run_scenario(seed, n_cores, iters, n_lines, sch, polled);
-        let (want, _) = run(Scheduler::Cooperative, true);
+        let (want, _) = run_scenario(seed, n_cores, iters, n_lines, true);
         gated += want.0.aggregate().gated_ops;
         digest = fnv1a(digest, format!("{want:?}").as_bytes());
-        for (sch, polled) in [
-            (Scheduler::Cooperative, false),
-            (Scheduler::Threaded, false),
-            (Scheduler::Threaded, true),
-        ] {
-            let (got, skipped) = run(sch, polled);
-            if sch == Scheduler::Cooperative {
-                elided += skipped;
-            }
-            assert_eq!(
-                got, want,
-                "scenario {s} (cores={n_cores} iters={iters} lines={n_lines}): \
-                 {sch:?} polled={polled} diverged from cooperative polled"
-            );
-        }
+        let (got, skipped) = run_scenario(seed, n_cores, iters, n_lines, false);
+        elided += skipped;
+        assert_eq!(
+            got, want,
+            "scenario {s} (cores={n_cores} iters={iters} lines={n_lines}): \
+             elided run diverged from the polled one"
+        );
     }
     assert_eq!(
         digest, RECORDED,

@@ -142,7 +142,7 @@ impl<'c> Executor<'c> {
         fid: FuncId,
         ab_id: u32,
         args: &'a [u64],
-    ) -> Pin<Box<dyn Future<Output = u64> + Send + 'a>> {
+    ) -> Pin<Box<dyn Future<Output = u64> + 'a>> {
         Box::pin(async move {
             let gl = self.rt.global_lock();
             let fallback = self.rt.shared().fallback;
@@ -253,7 +253,7 @@ impl<'c> Executor<'c> {
         prepared: &'a Prepared,
         fid: FuncId,
         args: &'a [u64],
-    ) -> Pin<Box<dyn Future<Output = u64> + Send + 'a>> {
+    ) -> Pin<Box<dyn Future<Output = u64> + 'a>> {
         Box::pin(async move {
             let gl = self.rt.global_lock();
             let spin = self.rt.cfg.lock_spin;
@@ -342,7 +342,7 @@ impl<'c> Executor<'c> {
         fid: FuncId,
         args: &'a [u64],
         tx: Option<u32>,
-    ) -> Pin<Box<dyn Future<Output = Result<u64, TxError>> + Send + 'a>> {
+    ) -> Pin<Box<dyn Future<Output = Result<u64, TxError>> + 'a>> {
         Box::pin(async move {
             let f: &PreparedFunc = &prepared.funcs[fid.index()];
             debug_assert_eq!(args.len(), f.n_params as usize, "arity in {}", f.name);

@@ -6,8 +6,8 @@ use crate::prepared::Prepared;
 use htm_sim::{Machine, SchedStats, SimStats};
 use stagger_compiler::Compiled;
 use stagger_core::{RtStats, RuntimeConfig, SharedRt};
+use std::cell::RefCell;
 use std::sync::Arc;
-use std::sync::Mutex;
 use tm_ir::FuncId;
 
 /// What one simulated thread runs: a (normal) entry function and its
@@ -77,8 +77,8 @@ pub fn run_workload_prepared(
         "one thread plan per simulated core"
     );
     let shared = SharedRt::new(machine, rt_cfg);
-    let results: Mutex<Vec<Option<(RtStats, ExecStats, u64)>>> =
-        Mutex::new(vec![None; plans.len()]);
+    let results: RefCell<Vec<Option<(RtStats, ExecStats, u64)>>> =
+        RefCell::new(vec![None; plans.len()]);
 
     let bodies = plans
         .iter()
@@ -97,8 +97,7 @@ pub fn run_workload_prepared(
                     base_seed + tid as u64,
                 );
                 let ret = exec.call(&mut core, plan.func, &plan.args).await;
-                results.lock().unwrap()[tid] =
-                    Some((exec.rt.stats.clone(), exec.stats.clone(), ret));
+                results.borrow_mut()[tid] = Some((exec.rt.stats.clone(), exec.stats.clone(), ret));
             })
         })
         .collect();
@@ -108,7 +107,7 @@ pub fn run_workload_prepared(
     let mut rt = RtStats::default();
     let mut exec = ExecStats::default();
     let mut returns = Vec::with_capacity(plans.len());
-    for r in results.into_inner().unwrap() {
+    for r in results.into_inner() {
         let (r_rt, r_exec, ret) = r.expect("every thread must finish");
         rt.add(&r_rt);
         exec.add(&r_exec);
