@@ -15,7 +15,7 @@
 use htm_sim::{body, FallbackPolicy, Machine, MachineConfig};
 use stagger_core::GlobalLock;
 
-/// Drive the two-core interleaving under `policy`. Returns the machine and
+/// Run the two-core interleaving under `policy`. Returns the machine and
 /// the `(x, y)` view the hardware transaction committed.
 fn committed_view(policy: FallbackPolicy) -> (Machine, (u64, u64)) {
     let machine = Machine::new(MachineConfig::cores(2).small().fallback(policy));
