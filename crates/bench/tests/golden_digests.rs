@@ -75,14 +75,13 @@ fn quick_cells_match_their_recorded_digests() {
         let p = PreparedWorkload::new(w.as_ref());
         for (cores, mode, fallback, bounded) in cells_of(w.name()) {
             let mut cell = format!("{}/{}/{cores}/{}", w.name(), mode.name(), fallback.name());
-            let (reads, writes) = bounded.unwrap_or((0, 0));
-            if bounded.is_some() {
-                cell.push_str(&format!("/bounded-{reads}-{writes}"));
-            }
-            let mcfg = MachineConfig::cores(cores)
+            let mut mcfg = MachineConfig::cores(cores)
                 .fallback(fallback)
-                .bounded_sets(reads, writes)
                 .record_events();
+            if let Some((reads, writes)) = bounded {
+                cell.push_str(&format!("/bounded-{reads}-{writes}"));
+                mcfg = mcfg.bounded_sets(reads, writes);
+            }
             let got = digest_of(&p, mcfg, mode);
             match recorded.get(cell.as_str()) {
                 Some(&want) => {
