@@ -21,23 +21,40 @@ fn vm_rss_kib() -> u64 {
     kib.parse().expect("VmRSS is a number of KiB")
 }
 
-#[test]
-fn idle_default_machines_stay_small() {
+/// `n` idle machines of `cfg` and the KiB of VmRSS that building them cost.
+/// The caller keeps them alive so a later measurement cannot reuse their
+/// freed memory.
+fn idle_machines(n: usize, cfg: MachineConfig) -> (Vec<Machine>, u64) {
     let before = vm_rss_kib();
-    let machines: Vec<Machine> = (0..16)
-        .map(|_| Machine::new(MachineConfig::default()))
-        .collect();
+    let machines: Vec<Machine> = (0..n).map(|_| Machine::new(cfg.clone())).collect();
     // Touch each so nothing about them is deferred past the measurement.
     for m in &machines {
         assert_eq!(m.host_load(4096), 0);
     }
-    let grown = vm_rss_kib().saturating_sub(before);
+    (machines, vm_rss_kib().saturating_sub(before))
+}
+
+#[test]
+fn idle_machines_stay_small() {
+    let (_default, grown) = idle_machines(16, MachineConfig::default());
     eprintln!("16 default machines: VmRSS +{grown} KiB");
     // A memset of either memory-sized array would add 64 MiB or more per
-    // machine, one of the cache set tables 1.2 MiB.
+    // machine. The cache set tables are one u32 per set (64 KiB for the
+    // L3, 8.5 KiB per core for L1 + L2: 200 KiB per 16-core machine),
+    // small enough that the allocator hands most of them out touched:
+    // measured 2.6 MiB here, 3.0 MiB when a set's slot was 16 bytes.
     assert!(
-        grown < 8 * 1024,
-        "16 idle default machines grew VmRSS by {grown} KiB (limit 8 MiB); \
+        grown < 4 * 1024,
+        "16 idle default machines grew VmRSS by {grown} KiB (limit 4 MiB); \
          is something memset at construction again?"
+    );
+
+    let (_wide, grown) = idle_machines(1, MachineConfig::cores(256));
+    eprintln!("one 256-core machine: VmRSS +{grown} KiB");
+    // 256 cores x 8.5 KiB of set tables plus each core's own state:
+    // measured 2.3 MiB.
+    assert!(
+        grown < 4 * 1024,
+        "an idle 256-core machine grew VmRSS by {grown} KiB (limit 4 MiB)"
     );
 }

@@ -5,8 +5,9 @@
 #
 # Steps: format check, release build (workspace root + exhibit binaries),
 # tier-1 tests, workspace tests, the golden run digests in both build
-# profiles, the coherence-directory invariant, machine-footprint,
-# randomized stress and elided-vs-polled wait gates by name, the
+# profiles, the coherence-directory invariant, machine footprint (idle
+# machines under 4 MiB), randomized stress and elided-vs-polled wait gates
+# by name, the
 # benchmark's table check against BENCHMARK.json (host speed is judged by
 # benchmark/run.sh's interleaved pairs, not by an absolute number here), a
 # rerun of every exhibit with a checked-in results/<name>.txt compared
@@ -61,10 +62,10 @@ echo "== coherence-directory invariant (seeded property test)"
 # the workspace suite above too; by name so a break is visible on its own.
 cargo test -q --offline -p htm-sim --test directory
 
-echo "== machine footprint (16 idle default machines stay under 8 MiB)"
-# Guards the zero-page allocation of simulated memory, the directory and
-# the cache set tables: a memset of either of the first two costs 64+ MiB
-# and ~75 ms per Machine::new.
+echo "== machine footprint (16 idle default machines, and one of 256 cores, each stay under 4 MiB)"
+# Guards the zero-page allocation of simulated memory and the directory (a
+# memset of either costs 64+ MiB and ~75 ms per Machine::new) and the
+# size of the cache set tables (one u32 per set).
 cargo test -q --offline -p htm-sim --test footprint
 
 echo "== scheduler_stress (500 random scenarios, elided vs polled waits, recorded digest)"
