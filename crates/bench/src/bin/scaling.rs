@@ -5,9 +5,9 @@
 //! 16..256, the range ROADMAP item 1 targets), and reports both simulated
 //! contention (abort rate) and *host-side* scheduler economics:
 //! `ns_per_inst`, simulated instructions per host second, `schedule()`
-//! calls, heap key updates, and how many gated ops were elided by parked
-//! spin-waits. The per-resumption scheduling cost is O(log n) in cores (an
-//! indexed min-heap over per-core keys, versus the old O(n) scan that made
+//! calls, tree key updates, and how many gated ops were elided by parked
+//! spin-waits. The per-resumption scheduling cost is O(log n) in cores (a
+//! winner tree over per-core keys, versus the old O(n) scan that made
 //! 256-core scheduling quadratic over a run), and a core spinning on a held
 //! lock is parked rather than resumed per poll, so `sched_calls` tracks
 //! lock hand-offs and real work, not waiting time; the residual growth in

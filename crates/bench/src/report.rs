@@ -27,7 +27,7 @@
 //! parked spin-waits instead of being executed one by one. `ns_per_inst` is
 //! host nanoseconds per simulated instruction — all scheduler-overhead
 //! observability, not paper metrics. `sched_calls`/`sched_stale` count the
-//! event loop's `schedule()` calls and heap key updates, and `workers`
+//! event loop's `schedule()` calls and tree key updates, and `workers`
 //! reports per-worker
 //! utilization of the harness job pool (busy_secs over wall time) for runs
 //! routed through [`Report::pool`].
@@ -56,7 +56,7 @@ pub struct RunRecord {
     /// number of such parks (host-side, never simulated quantities).
     pub elided_ops: u64,
     pub parks: u64,
-    /// Indexed-scheduler overhead: `schedule()` calls and heap key
+    /// Indexed-scheduler overhead: `schedule()` calls and tree key
     /// updates (host-side observability, not simulated quantities).
     pub sched_calls: u64,
     pub sched_stale: u64,

@@ -172,7 +172,7 @@ impl Machine {
         SimStats { cores, exec_cycles }
     }
 
-    /// Host-side scheduling counters: `schedule()` calls, heap key updates,
+    /// Host-side scheduling counters: `schedule()` calls, tree key updates,
     /// parks and the gated ops they elided. These never feed back into
     /// simulated quantities (and are therefore not part of
     /// [`Machine::stats`], which elided and polled runs must agree on).
@@ -213,6 +213,17 @@ impl Machine {
     #[doc(hidden)]
     pub fn poll_every_spin(&self) {
         self.state.borrow_mut().poll_every_spin = true;
+    }
+
+    /// Bench aid: one decision of the event loop with no program behind it —
+    /// the core picked last executes `cycles`, then `schedule()` picks again.
+    #[doc(hidden)]
+    pub fn schedule_after(&self, cycles: u64) -> Option<usize> {
+        let mut st = self.state.borrow_mut();
+        if let Some(ran) = st.running {
+            st.cores[ran].clock += cycles;
+        }
+        st.schedule()
     }
 
     /// Host-side allocation for setup (no simulated cycles).
@@ -1078,6 +1089,38 @@ mod tests {
                 spin_acquire(&mut c, lock, 30).await;
             }),
         ]);
+    }
+
+    /// Two cores parked without deadline, on different lines, behind a
+    /// runner: their keys are `u64::MAX`, which the scheduler's tree clamps,
+    /// so `schedule()` orders them by the linear rule. The runner must see
+    /// the lower id as its horizon, and once it retires the diagnosis must
+    /// name both waiters.
+    #[test]
+    fn cores_parked_forever_order_by_id_and_deadlock_together() {
+        let m = machine(3);
+        let [a, b, own] = [(); 3].map(|()| m.host_alloc(8, true));
+        assert_ne!(line_of(a), line_of(b));
+        let state = &m.state;
+        let waiter = |lock| {
+            body(move |mut c| async move {
+                c.compute(5_000);
+                spin_acquire(&mut c, lock, 30).await;
+            })
+        };
+        let runner = body(move |mut c| async move {
+            assert!(c.nt_cas(a, 0, 9).await && c.nt_cas(b, 0, 9).await);
+            c.compute(50_000);
+            c.nt_load(own).await;
+            let st = state.borrow();
+            assert!(st.parked(0) && st.parked(2));
+            assert_eq!(st.horizon, (u64::MAX, 0));
+        });
+        let run = std::panic::AssertUnwindSafe(|| m.run(vec![waiter(a), runner, waiter(b)]));
+        let payload = std::panic::catch_unwind(run).expect_err("nobody releases the locks");
+        let msg = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert!(msg.starts_with("deadlock: core 0 waits on line"), "{msg}");
+        assert!(msg.contains("; core 2 waits on line"), "{msg}");
     }
 
     /// A run retires every core, so a second one would be a silent no-op.

@@ -13,7 +13,7 @@ use crate::config::{FallbackPolicy, HtmProtocol, MachineConfig};
 use crate::coreset::{CoreSet, MAX_CORES};
 use crate::directory::{Directory, Role};
 use crate::obs::{EventRing, ObsEvent, ObsKind};
-use crate::sched::{MinHeap, SchedStats};
+use crate::sched::{SchedStats, WinnerTree};
 use crate::stats::CoreStats;
 
 /// Why a transaction aborted.
@@ -299,12 +299,12 @@ pub(crate) struct SimState {
     /// fix): registered host-side by the runtime before threads start,
     /// `None` otherwise.
     commit_lock_addr: Option<Addr>,
-    /// Indexed min-(key, id) heap backing [`SimState::schedule`], kept
+    /// Min-(key, id) winner tree backing [`SimState::schedule`], kept
     /// current by [`SimState::sync_key`].
-    sched: MinHeap,
+    sched: WinnerTree,
     /// The core [`SimState::schedule`] last picked: the only one whose
     /// clock moves without a `sync_key` of its own.
-    running: Option<usize>,
+    pub running: Option<usize>,
     /// Cores currently parked; lets write gates skip the watcher lookup.
     pub n_parked: usize,
     /// Test aid ([`crate::Machine::poll_every_spin`]): never park.
@@ -353,7 +353,7 @@ impl SimState {
             },
             horizon: (u64::MAX, usize::MAX),
             commit_lock_addr: None,
-            sched: MinHeap::new(cfg.n_cores),
+            sched: WinnerTree::new(cfg.n_cores),
             running: None,
             n_parked: 0,
             poll_every_spin: false,
@@ -373,15 +373,16 @@ impl SimState {
     ///
     /// An O(n_cores) linear scan and the statement of the ordering rule. No
     /// driver runs on it: it is the reference that debug builds hold every
-    /// gate's horizon test to, and that the indexed [`SimState::schedule`]
-    /// is property-tested against.
+    /// gate's horizon test to, that the indexed [`SimState::schedule`] is
+    /// property-tested against, and what `schedule` itself falls back to for
+    /// keys its tree cannot order.
     pub fn next_eligible(&self) -> Option<usize> {
         (0..self.cores.len())
             .filter(|&i| !self.cores[i].finished)
             .min_by_key(|&i| (self.key(i), i))
     }
 
-    /// Bring `i`'s heap entry up to date with its key.
+    /// Bring `i`'s tree entry up to date with its key.
     fn sync_key(&mut self, i: usize) {
         if self.sched.update(i, self.key(i)) {
             self.sched_stats.stale_refreshes += 1;
@@ -399,7 +400,17 @@ impl SimState {
         if let Some(ran) = self.running {
             self.sync_key(ran);
         }
-        let (best, second) = self.sched.min2();
+        let (mut best, mut second) = self.sched.min2();
+        if second.0 == u64::MAX && second.1 != usize::MAX {
+            // The runner-up's key is one the tree clamps (a park without
+            // deadline) and so cannot order: decide by the linear rule.
+            // Every other live core is then parked forever or 2^56 cycles
+            // away, so this is not a path reschedules are made on.
+            best = self.next_eligible();
+            let live = |&i: &usize| !self.cores[i].finished && Some(i) != best;
+            let others = (0..self.cores.len()).filter(live);
+            second = (others.map(|i| (self.key(i), i)).min()).expect("a second live core");
+        }
         self.horizon = second;
         self.running = best;
         if let Some(b) = best {
@@ -1337,11 +1348,43 @@ mod tests {
     }
 
     #[test]
+    fn keys_the_tree_clamps_still_order_exactly() {
+        // The tree stores every key from 2^56 - 2 up as one entry per id;
+        // `schedule()` must order them as the linear scan does all the same.
+        const C: u64 = (1 << 56) - 2;
+        let mut s = state(5);
+        for (c, clock) in s.cores.iter_mut().zip([C + 7, C + 3, 100, u64::MAX, C]) {
+            c.clock = clock;
+        }
+        assert_eq!(reschedule(&mut s), Some(2));
+        assert_eq!(s.horizon, (C, 4), "a key past 2^56 next to a real clock");
+        s.cores[2].finished = true;
+        assert_eq!(reschedule(&mut s), Some(4), "not the lowest id");
+        assert_eq!(s.horizon, (C + 3, 1));
+        s.cores[4].clock = C - 1;
+        assert_eq!(reschedule(&mut s), Some(4));
+        assert_eq!(
+            s.horizon,
+            (C + 3, 1),
+            "an exact winner, a clamped runner-up"
+        );
+        // Parked forever: a live core beats a retired one at equal key, and
+        // a lower id a higher one.
+        for c in s.cores.iter_mut() {
+            c.clock = u64::MAX;
+        }
+        s.cores[0].finished = true;
+        assert_eq!(reschedule(&mut s), Some(1));
+        assert_eq!(s.horizon, (u64::MAX, 3));
+        assert_eq!(s.next_eligible(), Some(1));
+    }
+
+    #[test]
     fn indexed_schedule_matches_linear_reference() {
         // Property test: under random key moves in both directions (clock
         // advances, jumps to u64::MAX, and the decreases an unpark causes)
         // and random retirements, each followed only by the `sync_key` /
-        // `retire` the machine itself issues, the heap-backed `schedule()`
+        // `retire` the machine itself issues, the tree-backed `schedule()`
         // must pick the same core as `next_eligible()` and the same horizon
         // as a linear scan at every step.
         use stagger_prng::Xoshiro256StarStar;

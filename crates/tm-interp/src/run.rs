@@ -29,7 +29,7 @@ pub struct RunOutcome {
     pub exec: ExecStats,
     /// Per-thread return values of the entry functions.
     pub returns: Vec<u64>,
-    /// Host-side scheduling counters (`schedule()` calls, heap key
+    /// Host-side scheduling counters (`schedule()` calls, tree key
     /// updates, parks and the gated ops they elided). Never affects any
     /// simulated quantity.
     pub sched: SchedStats,
