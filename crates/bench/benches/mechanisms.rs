@@ -15,6 +15,7 @@ use stagger_compiler::compile;
 use stagger_core::{
     activate_alpoint, ABContext, AbortHistory, Mode, PolicyConfig, RuntimeConfig, SharedRt,
 };
+use stagger_prng::Xoshiro256StarStar;
 use tm_ir::CodeLayout;
 use workloads::Workload;
 
@@ -26,11 +27,14 @@ fn time_case(label: &str, iters: u32, mut f: impl FnMut()) {
     for _ in 0..iters {
         f();
     }
-    let per = t0.elapsed() / iters;
-    if per.as_secs_f64() >= 1e-3 {
-        println!("{label:<44} {:>12.3} ms/iter", per.as_secs_f64() * 1e3);
+    report(label, (t0.elapsed() / iters).as_secs_f64());
+}
+
+fn report(label: &str, secs_per_iter: f64) {
+    if secs_per_iter >= 1e-3 {
+        println!("{label:<44} {:>12.3} ms/iter", secs_per_iter * 1e3);
     } else {
-        println!("{label:<44} {:>12.0} ns/iter", per.as_secs_f64() * 1e9);
+        println!("{label:<44} {:>12.0} ns/iter", secs_per_iter * 1e9);
     }
 }
 
@@ -120,6 +124,38 @@ fn bench_locks() {
     });
 }
 
+fn bench_scheduler() {
+    // What losing the minimum costs the host. A decision alone: the running
+    // core advances by a seeded 4-43 cycles and the event loop picks again
+    // (one key update + winner and runner-up), with no program to resume.
+    for n in [16, 64, 256] {
+        let machine = Machine::new(MachineConfig::cores(n).small());
+        let mut rng = Xoshiro256StarStar::seed_from_u64(2015);
+        time_case(&format!("sched/decision/{n}_cores"), 5_000_000, || {
+            black_box(machine.schedule_after(4 + rng.below(40)));
+        });
+    }
+    // And in place: every core loads its own line in lock step, so beyond
+    // one core each ~15 ns op also suspends, reschedules and resumes.
+    let lockstep = |n: usize, ops: u64| {
+        let machine = Machine::new(MachineConfig::cores(n).small());
+        let lines = machine.host_alloc(8 * n as u64, true);
+        let t0 = Instant::now();
+        machine.run_uniform(move |mut c| async move {
+            let mine = lines + 64 * c.tid() as u64;
+            for _ in 0..ops {
+                black_box(c.nt_load(mine).await);
+            }
+        });
+        t0.elapsed().as_secs_f64() / (n as u64 * ops) as f64
+    };
+    for n in [1, 16, 64] {
+        lockstep(n, 1_000);
+        let label = format!("sched/lockstep_nt_load/{n}_cores (per op)");
+        report(&label, lockstep(n, 2_000_000 / n as u64));
+    }
+}
+
 fn bench_interpreter() {
     // Raw interpreter throughput: single-core counter loop.
     let w = workloads::ssca2::Ssca2 {
@@ -138,5 +174,6 @@ fn main() {
     bench_anchor_table();
     bench_compile_pass();
     bench_locks();
+    bench_scheduler();
     bench_interpreter();
 }
