@@ -6,10 +6,10 @@
 # Steps: format check, release build (workspace root + exhibit binaries),
 # tier-1 tests, workspace tests, the golden run digests in both build
 # profiles, the coherence-directory invariant, machine footprint (idle
-# machines under 4 MiB), randomized stress and elided-vs-polled wait gates
-# by name, the
-# benchmark's table check against BENCHMARK.json (host speed is judged by
-# benchmark/run.sh's interleaved pairs, not by an absolute number here), a
+# machines under 4 MiB), randomized stress (debug and release) and
+# elided-vs-polled wait gates by name, the benchmark's table check
+# against BENCHMARK.json (host speed is judged by benchmark/run.sh's
+# interleaved pairs, not by an absolute number here), a
 # rerun of every exhibit with a checked-in results/<name>.txt compared
 # against it, a rerun of the four checked-in sweeps compared against
 # their tables and cell caches, a 128-core scaling smoke, a 256-core
@@ -74,6 +74,13 @@ echo "== scheduler_stress (500 random scenarios, elided vs polled waits, recorde
 # steady trickle of 64-core scenarios; being a debug build, every gate
 # also checks its admission against the linear (clock, id) scan.
 cargo test -q --offline -p htm-sim --test scheduler_stress
+
+echo "== htm-sim unit tests and scheduler_stress, release build"
+# The scheduler packs (key, id) into one word: a shift or clamp that only
+# misbehaves where overflow wraps and debug assertions are compiled out
+# shows here, and the stress digest recorded above pins this build too.
+cargo test -q --release --offline -p htm-sim --lib
+cargo test -q --release --offline -p htm-sim --test scheduler_stress
 
 echo "== wait_elision (quick workloads x modes x fallbacks, elided vs polled waits)"
 # The same differential oracle through the real runtime's spin loops: ten
