@@ -2,7 +2,7 @@
 //! across all four execution modes. These measure *host* wall time of a
 //! full simulated run — useful for tracking simulator/runtime performance
 //! regressions; the paper's *simulated-cycle* comparisons come from the
-//! `fig7`/`fig8` binaries.
+//! `paper` binary.
 //!
 //! Plain `fn main` harness (no external bench framework): each case runs a
 //! warm-up pass plus `ITERS` timed iterations and prints the mean wall

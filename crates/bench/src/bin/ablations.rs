@@ -18,28 +18,24 @@
 //! section's runs go through the parallel job runner.
 
 use htm_sim::{HtmProtocol, MachineConfig};
-use stagger_bench::{run_jobs, CommonOpts, Report};
+use stagger_bench::{CommonOpts, Exhibit};
 use stagger_core::{Mode, RuntimeConfig};
-use workloads::PreparedWorkload;
+use workloads::{PreparedWorkload, Workload};
 
 fn main() {
     let opts = CommonOpts::from_args();
-    let report = Report::new("ablations", &opts);
+    let ex = Exhibit::new("ablations", &opts);
+    let report = ex.report();
     let threads = opts.threads;
 
     // Compile each distinct workload once, up front (sections share them).
-    let kmeans = workloads::kmeans::Kmeans::tiny();
-    let list = workloads::list::ListBench::tiny(60, 20);
-    let memcached = workloads::memcached::Memcached::tiny();
-    let ssca2 = workloads::ssca2::Ssca2::tiny();
-    let shared: [&dyn workloads::Workload; 4] = [&kmeans, &list, &memcached, &ssca2];
-    let prepared: Vec<PreparedWorkload> = run_jobs(
-        shared
-            .iter()
-            .map(|&w| move || PreparedWorkload::new(w))
-            .collect(),
-        opts.jobs,
-    );
+    let shared: Vec<Box<dyn Workload>> = vec![
+        Box::new(workloads::kmeans::Kmeans::tiny()),
+        Box::new(workloads::list::ListBench::tiny(60, 20)),
+        Box::new(workloads::memcached::Memcached::tiny()),
+        Box::new(workloads::ssca2::Ssca2::tiny()),
+    ];
+    let prepared = ex.prepare(&shared);
     let (p_kmeans, p_list, p_memcached, p_ssca2) =
         (&prepared[0], &prepared[1], &prepared[2], &prepared[3]);
 
@@ -64,7 +60,6 @@ fn main() {
         cases
             .iter()
             .map(|&(p, proto, mode)| {
-                let report = &report;
                 move || {
                     let mcfg = MachineConfig::cores(threads).protocol(proto);
                     report.run_cfg(p, opts.seed, mcfg, RuntimeConfig::with_mode(mode))
@@ -111,7 +106,6 @@ fn main() {
         )
     }));
     for bits in BITS {
-        let report = &report;
         jobs.push(Box::new(move || {
             let mcfg = MachineConfig::cores(threads).pc_tag_bits(bits);
             report.run_cfg(
@@ -151,7 +145,6 @@ fn main() {
     let runs = report.pool(
         TIMEOUTS
             .map(|timeout| {
-                let report = &report;
                 move || {
                     let mut rt = RuntimeConfig::with_mode(Mode::Staggered);
                     rt.lock_timeout = timeout;
@@ -189,12 +182,7 @@ fn main() {
     let runs = report.pool(
         curves
             .iter()
-            .flat_map(|&(p, mode)| {
-                SCALE_THREADS.map(|t| {
-                    let report = &report;
-                    move || report.run(p, mode, t, opts.seed)
-                })
-            })
+            .flat_map(|&(p, mode)| SCALE_THREADS.map(|t| move || report.run(p, mode, t, opts.seed)))
             .collect(),
     );
     for (&(p, mode), curve) in curves.iter().zip(runs.chunks(SCALE_THREADS.len())) {
@@ -205,5 +193,5 @@ fn main() {
         }
         println!("{row}");
     }
-    report.finish();
+    ex.finish();
 }

@@ -1,31 +1,30 @@
 //! # stagger-bench — harnesses regenerating every table and figure
 //!
-//! One binary per exhibit of the paper's evaluation (Section 6):
+//! The exhibit binaries:
 //!
-//! | binary | regenerates |
+//! | binary | prints |
 //! |---|---|
-//! | `table1` | Table 1 — baseline HTM contention (S, %I, W/U, LA, LP) |
-//! | `table2` | Table 2 — simulator configuration |
-//! | `table3` | Table 3 — instrumentation statistics and accuracy |
-//! | `table4` | Table 4 — benchmark characteristics |
-//! | `fig7` | Figure 7 — speedup of all four modes normalized to HTM |
-//! | `fig8` | Figure 8 — aborts/commit and wasted/useful cycles |
+//! | `paper` | the paper's evaluation (Section 6): Tables 1–4 and Figures 7 and 8 from one run matrix |
+//! | `ablations` | protocol, PC-tag width, lock timeout and thread-scaling ablations |
 //! | `protocols` | protocol matrix — fallback policy × bounded-set HTM across the suite |
+//! | `scaling` | list-hi and memcached from 16 to 256 simulated cores |
+//! | `serve` | open-loop serving scenario: request-latency percentiles against a p99 SLO |
+//! | `profile` | conflict attribution for one workload from the observability stream |
 //! | `sweep` | declarative ablation sweeps over [`RunSpec`] grids |
 //!
 //! Run with `cargo run -p stagger-bench --release --bin <name>`. Common
 //! options (see [`CommonOpts`]): `--threads N`, `--quick`, `--seed N`,
 //! `--jobs N`, `--json`, `--fallback F`; binaries with extra flags
-//! (profile, diag, sweep) extend the set via [`CommonOpts::parse_with`],
-//! so each `--help` lists exactly the flags that binary understands.
-//! Every exhibit compiles each workload once
-//! ([`PreparedWorkload`]) and submits its simulator runs to a parallel job
-//! runner ([`jobs::run_jobs`]); results and output order are deterministic
-//! at any `--jobs` level because each run is an independent deterministic
-//! simulation. Absolute numbers differ from the paper's MARSSx86 testbed;
-//! the *shape* — who wins, by roughly what factor — is the reproduction
-//! target, and each binary prints the paper's numbers alongside for
-//! comparison (see `EXPERIMENTS.md`).
+//! (profile, scaling, serve, sweep) extend the set via
+//! [`CommonOpts::parse_with`], so each `--help` lists exactly the flags
+//! that binary understands. Every exhibit is an [`Exhibit`]: it compiles
+//! each workload once ([`workloads::PreparedWorkload`]) and submits its
+//! simulator runs to a parallel job runner ([`jobs::run_jobs`]); results
+//! and output order are deterministic at any `--jobs` level because each
+//! run is an independent deterministic simulation. Absolute numbers
+//! differ from the paper's MARSSx86 testbed; the *shape* — who wins, by
+//! roughly what factor — is the reproduction target, and `paper` prints
+//! the paper's numbers alongside for comparison (see `EXPERIMENTS.md`).
 //!
 //! Microbenches (`cargo bench`) cover the mechanism costs the paper argues
 //! are negligible: the inactive-ALPoint fast path, policy activation,
@@ -33,7 +32,7 @@
 //! time.
 
 use stagger_core::Mode;
-use workloads::{BenchResult, PreparedWorkload, Workload};
+use workloads::Workload;
 
 pub mod digest;
 pub mod exhibit;
@@ -117,11 +116,6 @@ impl Args {
         }
     }
 
-    /// The binary's name, as invoked.
-    pub fn program(&self) -> &str {
-        &self.program
-    }
-
     /// Print `msg` plus the full usage text and exit with status 2.
     pub fn fail(&self, msg: &str) -> ! {
         eprintln!("{}: {msg}", self.program);
@@ -156,7 +150,7 @@ impl Args {
 }
 
 /// The flags shared by every exhibit binary. Per-binary option sets (e.g.
-/// the profiler's `--workload/--mode/--trace-out` or diag's `--hist`)
+/// the profiler's `--workload/--mode/--trace-out` or scaling's `--cores`)
 /// embed a `CommonOpts` and add their own flags via
 /// [`CommonOpts::parse_with`], so `--help` of each binary lists only the
 /// flags it actually understands.
@@ -259,82 +253,6 @@ pub fn workload_set(quick: bool) -> Vec<Box<dyn Workload>> {
     }
 }
 
-/// Compile + flatten every workload, in parallel, each exactly once. The
-/// returned vector is index-aligned with `set`.
-pub fn prepare_all<'w>(
-    set: &'w [Box<dyn Workload>],
-    n_workers: usize,
-) -> Vec<PreparedWorkload<'w>> {
-    run_jobs(
-        set.iter()
-            .map(|w| move || PreparedWorkload::new(w.as_ref()))
-            .collect(),
-        n_workers,
-    )
-}
-
-/// Run one prepared workload at `threads` in `mode`.
-pub fn run(p: &PreparedWorkload, mode: Mode, threads: usize, seed: u64) -> BenchResult {
-    p.run(mode, threads, seed)
-}
-
-/// Sequential (1-thread, baseline-HTM) reference run.
-pub fn run_sequential(p: &PreparedWorkload, seed: u64) -> BenchResult {
-    p.run(Mode::Htm, 1, seed)
-}
-
-/// Measured numbers for one benchmark in one mode, plus its sequential
-/// reference.
-#[derive(Debug, Clone)]
-pub struct Measured {
-    pub name: &'static str,
-    pub mode: Mode,
-    pub speedup_vs_seq: f64,
-    pub speedup_vs_htm: Option<f64>,
-    pub aborts_per_commit: f64,
-    pub wasted_over_useful: f64,
-    pub irrevocable_frac: f64,
-    pub tm_frac: f64,
-    pub addr_locality: f64,
-    pub pc_locality: f64,
-    pub accuracy: f64,
-    pub result: BenchResult,
-}
-
-/// Run one prepared workload in `mode` and derive the paper's metrics,
-/// given the sequential reference and (optionally) the baseline HTM run at
-/// the same thread count.
-pub fn measure(
-    p: &PreparedWorkload,
-    mode: Mode,
-    threads: usize,
-    seed: u64,
-    seq: &BenchResult,
-    htm: Option<&BenchResult>,
-) -> Measured {
-    measured_from(run(p, mode, threads, seed), seq, htm)
-}
-
-/// Derive the paper's metrics from an already finished run, given the
-/// sequential reference and (optionally) the baseline HTM run at the same
-/// thread count.
-pub fn measured_from(r: BenchResult, seq: &BenchResult, htm: Option<&BenchResult>) -> Measured {
-    Measured {
-        name: r.name,
-        mode: r.mode,
-        speedup_vs_seq: seq.cycles() as f64 / r.cycles() as f64,
-        speedup_vs_htm: htm.map(|h| h.cycles() as f64 / r.cycles() as f64),
-        aborts_per_commit: r.out.sim.aborts_per_commit(),
-        wasted_over_useful: r.out.sim.wasted_over_useful(),
-        irrevocable_frac: r.out.sim.irrevocable_fraction(),
-        tm_frac: r.out.sim.tm_fraction(),
-        addr_locality: r.out.rt.addr_locality(),
-        pc_locality: r.out.rt.pc_locality(),
-        accuracy: r.out.rt.accuracy(),
-        result: r,
-    }
-}
-
 /// Classify a locality share into the paper's Y/N.
 pub fn yn(share: f64) -> &'static str {
     if share >= 0.5 {
@@ -371,6 +289,7 @@ pub fn rule(header: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use workloads::PreparedWorkload;
 
     #[test]
     fn harmonic_mean_basics() {

@@ -1,5 +1,5 @@
 //! Reference values transcribed from the paper, printed next to measured
-//! numbers by the table/figure binaries.
+//! numbers by the `paper` binary.
 
 /// Table 1 rows (baseline eager HTM, 16 threads).
 pub struct Table1Ref {

@@ -7,7 +7,7 @@
 //!
 //! ```json
 //! {
-//!   "exhibit": "fig7", "jobs": 4, "threads": 16, "quick": true,
+//!   "exhibit": "paper", "jobs": 4, "threads": 16, "quick": true,
 //!   "seed": 2015, "wall_secs": 12.3, "total_sim_insts": 45600000,
 //!   "insts_per_sec": 3700000.0,
 //!   "runs": [ { "workload": "genome", "mode": "htm", "threads": 16,
@@ -33,7 +33,7 @@
 //! routed through [`Report::pool`].
 
 use crate::jobs::{run_jobs_timed, WorkerUtil};
-use crate::{CommonOpts, Measured, RunSpec};
+use crate::{CommonOpts, RunSpec};
 use htm_sim::{histogram_of, txn_latencies, LatencySummary, MachineConfig};
 use stagger_core::{Mode, RuntimeConfig};
 use std::path::PathBuf;
@@ -208,27 +208,6 @@ impl Report {
         let r = p.run_cfg(seed, machine_cfg, rt_cfg);
         self.record(&r);
         r
-    }
-
-    /// Sequential (1-thread, baseline-HTM) reference run.
-    pub fn run_sequential(&self, p: &PreparedWorkload, seed: u64) -> BenchResult {
-        self.run(p, Mode::Htm, 1, seed)
-    }
-
-    /// Run and derive the paper's metrics (see [`crate::measure`]).
-    pub fn measure(
-        &self,
-        p: &PreparedWorkload,
-        mode: Mode,
-        threads: usize,
-        seed: u64,
-        seq: &BenchResult,
-        htm: Option<&BenchResult>,
-    ) -> Measured {
-        let r = self.spec(p, mode, threads, seed).run(p);
-        let m = crate::measured_from(r, seq, htm);
-        self.record(&m.result);
-        m
     }
 
     /// Render the machine-readable report. Runs are sorted by

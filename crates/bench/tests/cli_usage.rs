@@ -17,15 +17,15 @@ fn removed_inputs_are_usage_errors() {
         (["--interp", "bytecode"], "unknown option '--interp'"),
         (["--interp", "legacy"], "unknown option '--interp'"),
     ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_fig7"))
+        let out = Command::new(env!("CARGO_BIN_EXE_paper"))
             .arg("--quick")
             .args(args)
             .output()
-            .expect("fig7 binary runs");
+            .expect("paper binary runs");
         assert_eq!(out.status.code(), Some(2), "{args:?}: exit status");
         assert!(out.stdout.is_empty(), "{args:?}: no table before the error");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(complaint), "{args:?}: got {err}");
-        assert!(err.contains("usage: fig7"), "{args:?}: usage on stderr");
+        assert!(err.contains("usage: paper"), "{args:?}: usage on stderr");
     }
 }

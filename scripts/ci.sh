@@ -3,25 +3,36 @@
 #
 #   scripts/ci.sh
 #
-# Steps: format check, release build (workspace root + exhibit binaries),
-# tier-1 tests, workspace tests, the golden run digests in both build
-# profiles, the coherence-directory invariant, machine footprint (idle
-# machines under 4 MiB), randomized stress (debug and release) and
-# elided-vs-polled wait gates by name, the benchmark's table check
-# against BENCHMARK.json (host speed is judged by benchmark/run.sh's
-# interleaved pairs, not by an absolute number here), a
-# rerun of every exhibit with a checked-in results/<name>.txt compared
-# against it, a rerun of the four checked-in sweeps compared against
-# their tables and cell caches, a 128-core scaling smoke, a 256-core
-# scaling run compared against the checked-in simulated columns, a
-# --jobs 1 re-recording of results/BENCH_scaling.json, a parallel-harness
-# smoke run of fig7 --quick whose output (including the machine-readable
-# results/BENCH_fig7.json) is recorded under results/, a profile --quick
-# smoke run whose text report and JSONL event dump are recorded and
-# sanity-checked, a serve smoke compared against results/ci_serve.txt,
-# the lazy-subscription window regression
-# gate, and a protocols-exhibit smoke over the full variant matrix compared
-# against results/protocols.txt.
+# Gates, in order:
+#   - cargo fmt --check and clippy -D warnings;
+#   - release builds of the workspace root and the exhibit binaries;
+#   - tier-1 tests and the workspace tests;
+#   - by name: the golden run digests (debug and release), the
+#     coherence-directory invariant, machine footprint (idle machines
+#     under 4 MiB), scheduler_stress (debug and release, with htm-sim's
+#     unit tests in release) and wait_elision;
+#   - benchmark/run.sh --check (the benchmark's tables == BENCHMARK.json;
+#     host speed is judged by its interleaved pairs, not by a number here);
+#   - paper and ablations --threads 8 cmp'd against results/paper.txt and
+#     results/ablations.txt;
+#   - the four checked-in sweeps recomputed and diffed against
+#     results/sweeps/;
+#   - scaling: a 128-core smoke, and the 256-core simulated columns cmp'd
+#     against results/ci_scaling_256.txt;
+#   - paper --quick --json cmp'd against results/paper_quick.txt, with 60
+#     runs in the JSON report;
+#   - profile --quick cmp'd against results/profile_list-hi.txt, plus
+#     sanity checks of its JSONL event dump;
+#   - serve: a small ramp cmp'd against results/ci_serve.txt (plus JSONL
+#     sanity checks) and the default ramp against results/serve.txt;
+#   - the lazy-subscription window regression test;
+#   - protocols --quick: all 80 cells run, the new abort causes engage,
+#     and the table is cmp'd against results/protocols.txt;
+#   - the sweep cache smoke: a cold and a warm two-cell sweep.
+#
+# Every tracked file under results/ other than README.md is compared
+# here, so a passing run leaves the tree clean. Transcripts of the smoke
+# gates go to target/ci/, JSON reports and event dumps to ignored paths.
 #
 # Everything runs with --offline: the workspace has no external
 # dependencies by design, and CI must not depend on a registry.
@@ -95,10 +106,7 @@ echo "== exhibits vs results/*.txt (checked-in baselines cannot drift)"
 # Every checked-in table and figure is what this tree's binaries print,
 # byte for byte outside the host-timing lines.
 same_as() { grep -v '^harness:' | cmp - "$1"; }
-./target/release/fig7 --jobs 2 | same_as results/fig7.txt
-for exhibit in table1 table2 table3 table4 fig8; do
-    ./target/release/$exhibit --jobs 2 | same_as results/$exhibit.txt
-done
+./target/release/paper --jobs 2 | same_as results/paper.txt
 ./target/release/ablations --threads 8 --jobs 2 | same_as results/ablations.txt
 
 echo "== sweeps vs results/sweeps/*/*.{json,csv} (checked-in tables cannot drift)"
@@ -116,9 +124,10 @@ echo "== scaling 128-core smoke (quick, both modes)"
 # The wide-bitset + indexed-scheduler path past the single-word CoreSet
 # fast path (n_cores > 64) must stay runnable: list-hi and memcached in
 # both modes at 128 cores.
+mkdir -p target/ci
 ./target/release/scaling --quick --cores 128 --jobs 2 \
-  | tee results/ci_scaling_128.txt
-test "$(awk '$3 == 128' results/ci_scaling_128.txt | wc -l)" -eq 4
+  | tee target/ci/scaling_128.txt
+test "$(awk '$3 == 128' target/ci/scaling_128.txt | wc -l)" -eq 4
 
 echo "== scaling 256 cores vs results/ci_scaling_256.txt (simulated columns)"
 # The widest machine, where nine in ten gated ops are spin polls that
@@ -130,20 +139,20 @@ echo "== scaling 256 cores vs results/ci_scaling_256.txt (simulated columns)"
   | awk '$3 == 256 { print $1, $2, $3, $4, $5 }' \
   | cmp - results/ci_scaling_256.txt
 
-echo "== scaling --quick --jobs 1 --json (re-record results/BENCH_scaling.json)"
-# The checked-in ladder is recorded one cell at a time: with more jobs
-# than host CPUs its ns_per_inst column measures oversubscription, not
-# the simulator.
-./target/release/scaling --quick --jobs 1 --json
-grep -q '"jobs": 1,' results/BENCH_scaling.json
+echo "== paper --quick --jobs 2 --json vs results/paper_quick.txt"
+# The only gate on the quick-scale banners (Tables 1, 3 and 4 put
+# " (quick)" mid-line), and on the --json writer: the ignored
+# results/BENCH_paper.json must hold the matrix's 60 runs.
+rm -f results/BENCH_paper.json
+./target/release/paper --quick --jobs 2 --json | same_as results/paper_quick.txt
+test "$(grep -c '"workload"' results/BENCH_paper.json)" -eq 60
 
-echo "== fig7 --quick --jobs 2 --json (harness smoke)"
-mkdir -p results
-./target/release/fig7 --quick --jobs 2 --json | tee results/ci_fig7_quick.txt
-
-echo "== profile --quick --trace-out (observability smoke)"
+echo "== profile --quick --trace-out vs results/profile_list-hi.txt (+ JSONL sanity)"
+# Every line is simulated except the host timings and the "wrote N
+# events to <path>" echo.
 ./target/release/profile --quick --trace-out results/profile_events.jsonl \
-  | tee results/profile_list-hi.txt
+  | grep -v -e '^harness:' -e '^wrote [0-9]* events to ' \
+  | cmp - results/profile_list-hi.txt
 # The JSONL event dump must be non-empty, line-oriented JSON objects
 # carrying the documented keys.
 test -s results/profile_events.jsonl
@@ -153,7 +162,6 @@ if grep -qv '^{.*}$' results/profile_events.jsonl; then
     echo "ci.sh: malformed JSONL line in results/profile_events.jsonl" >&2
     exit 1
 fi
-grep -q 'list_find_prev' results/profile_list-hi.txt
 
 echo "== serve smoke vs results/ci_serve.txt (+ JSONL sanity)"
 # Small open-loop ramp, both modes. The per-request latency table is
@@ -174,6 +182,10 @@ if grep -qv '^{.*}$' results/ci_serve.jsonl; then
     exit 1
 fi
 rm -f results/ci_serve.jsonl
+# The default flash-crowd ramp on 64 cores, every column simulated.
+./target/release/serve --jobs 2 \
+  | grep -v -e '^harness:' -e '^serve: wrote ' \
+  | cmp - results/serve.txt
 
 echo "== lazy-subscription window regression gate"
 # The deliberately unsafe lazy-subscription policy must keep reproducing
@@ -202,9 +214,9 @@ echo "== sweep --quick --spec smoke (ablation-sweep cache smoke)"
 # content-hashed cell cache.
 rm -rf results/sweeps-ci
 ./target/release/sweep --quick --spec smoke --dir results/sweeps-ci \
-  | tee results/ci_sweep_smoke.txt
+  | tee target/ci/sweep_smoke.txt
 grep -q 'sweep smoke: 2 cells total, 0 cached, 2 computed, 0 remaining' \
-  results/ci_sweep_smoke.txt
+  target/ci/sweep_smoke.txt
 test "$(ls results/sweeps-ci/smoke/cells/*.cell | wc -l)" -eq 2
 test -s results/sweeps-ci/smoke/smoke.json
 test -s results/sweeps-ci/smoke/smoke.csv
@@ -213,9 +225,9 @@ test -s results/sweeps-ci/smoke/smoke.csv
 cp results/sweeps-ci/smoke/smoke.json results/sweeps-ci/smoke.json.cold
 cp results/sweeps-ci/smoke/smoke.csv results/sweeps-ci/smoke.csv.cold
 ./target/release/sweep --quick --spec smoke --dir results/sweeps-ci \
-  | tee results/ci_sweep_smoke_rerun.txt
+  | tee target/ci/sweep_smoke_rerun.txt
 grep -q 'sweep smoke: 2 cells total, 2 cached, 0 computed, 0 remaining' \
-  results/ci_sweep_smoke_rerun.txt
+  target/ci/sweep_smoke_rerun.txt
 cmp results/sweeps-ci/smoke/smoke.json results/sweeps-ci/smoke.json.cold
 cmp results/sweeps-ci/smoke/smoke.csv results/sweeps-ci/smoke.csv.cold
 

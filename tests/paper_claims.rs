@@ -1,5 +1,5 @@
 //! Reduced-scale checks of the paper's qualitative results (Section 6):
-//! the full-scale numbers live in `cargo run -p stagger-bench --bin fig7/fig8`
+//! the full-scale numbers live in `cargo run -p stagger-bench --bin paper`
 //! and EXPERIMENTS.md; these tests pin the directional claims so a
 //! regression in the mechanism is caught by `cargo test`.
 
