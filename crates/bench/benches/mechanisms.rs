@@ -1,7 +1,8 @@
 //! Microbenches for the mechanism costs the paper argues are negligible
 //! (Section 6.1): the ALPoint fast path, abort-history bookkeeping, policy
 //! activation, anchor-table lookups, advisory-lock operations, the
-//! compiler pass itself, and raw interpreter throughput.
+//! compiler pass itself, raw interpreter throughput, and the interpreter's
+//! cost per IR call and per resume under a deep call stack.
 //!
 //! Plain `fn main` harness (no external bench framework): each case runs a
 //! calibrated number of iterations and prints mean wall time per iteration.
@@ -16,7 +17,8 @@ use stagger_core::{
     activate_alpoint, ABContext, AbortHistory, Mode, PolicyConfig, RuntimeConfig, SharedRt,
 };
 use stagger_prng::Xoshiro256StarStar;
-use tm_ir::CodeLayout;
+use tm_interp::{run_workload, ThreadPlan};
+use tm_ir::{CodeLayout, FuncBuilder, FuncId, FuncKind, Function, Module, Reg};
 use workloads::Workload;
 
 /// Time `f` over `iters` iterations (after one warm-up call) and print the
@@ -168,6 +170,95 @@ fn bench_interpreter() {
     });
 }
 
+/// Host seconds to run `m`'s `thread_main` on `n` cores of a small HTM
+/// machine, core `t` with arguments `args(t, lines)` where `lines` is one
+/// cache line per core.
+fn time_program(m: &Module, n: usize, args: impl Fn(usize, u64) -> Vec<u64>) -> f64 {
+    let compiled = compile(m);
+    let machine = Machine::new(MachineConfig::cores(n).small());
+    let lines = machine.host_alloc(8 * n as u64, true);
+    let func = compiled.module.expect("thread_main");
+    let plans: Vec<ThreadPlan> = (0..n)
+        .map(|t| ThreadPlan {
+            func,
+            args: args(t, lines),
+        })
+        .collect();
+    let t0 = Instant::now();
+    black_box(run_workload(
+        &machine,
+        &compiled,
+        &RuntimeConfig::with_mode(Mode::Htm),
+        &plans,
+        1,
+    ));
+    t0.elapsed().as_secs_f64()
+}
+
+/// A function of `(p, n)` that runs `body` `n` times.
+fn looping(name: &str, kind: FuncKind, body: impl Fn(&mut FuncBuilder, Reg)) -> Function {
+    let mut b = FuncBuilder::new(name, 2, kind);
+    let (p, n) = (b.param(0), b.param(1));
+    let i = b.const_(0);
+    b.while_(
+        |b| b.lt(i, n),
+        |b| {
+            body(b, p);
+            let nx = b.addi(i, 1);
+            b.assign(i, nx);
+        },
+    );
+    b.ret(None);
+    b.finish()
+}
+
+/// Add `name(p, n)`, which calls `callee(p, n)`.
+fn forward(m: &mut Module, name: &str, kind: FuncKind, callee: FuncId) -> FuncId {
+    let mut b = FuncBuilder::new(name, 2, kind);
+    b.call_void(callee, &[b.param(0), b.param(1)]);
+    b.ret(None);
+    m.add_function(b.finish())
+}
+
+fn bench_interp_layer() {
+    // One IR call and return: a loop on one core calling a leaf whose only
+    // instruction is `ret`.
+    let mut m = Module::new();
+    let mut b = FuncBuilder::new("leaf", 0, FuncKind::Normal);
+    b.ret(None);
+    let leaf = m.add_function(b.finish());
+    let calls = m.add_function(looping("calls", FuncKind::Normal, |b, _| {
+        b.call_void(leaf, &[]);
+    }));
+    forward(&mut m, "thread_main", FuncKind::Normal, calls);
+    let n = 2_000_000;
+    time_program(&m, 1, |_, _| vec![0, 1_000]);
+    let secs = time_program(&m, 1, |_, _| vec![0, n]);
+    report("interp/call_leaf (per call)", secs / n as f64);
+
+    // A resume under `depth` IR frames: 16 cores in lock step, each in one
+    // long transaction whose `depth`-th nested helper loads the core's own
+    // line in a loop, so that every load suspends the core and resumes it
+    // with the same instructions between loads at every depth.
+    for depth in [1, 4] {
+        let mut m = Module::new();
+        let mut inner = m.add_function(looping("h1", FuncKind::Normal, |b, p| {
+            b.load(p, 0);
+        }));
+        for d in 2..=depth {
+            inner = forward(&mut m, &format!("h{d}"), FuncKind::Normal, inner);
+        }
+        let tx = forward(&mut m, "tx", FuncKind::Atomic { ab_id: 0 }, inner);
+        forward(&mut m, "thread_main", FuncKind::Normal, tx);
+        let loads = 20_000;
+        let args = |n| move |t: usize, lines: u64| vec![lines + 64 * t as u64, n];
+        time_program(&m, 16, args(1_000));
+        let secs = time_program(&m, 16, args(loads));
+        let label = format!("interp/lockstep_tx_load/depth_{depth} (per op)");
+        report(&label, secs / (16 * loads) as f64);
+    }
+}
+
 fn main() {
     bench_history();
     bench_policy();
@@ -176,4 +267,5 @@ fn main() {
     bench_locks();
     bench_scheduler();
     bench_interpreter();
+    bench_interp_layer();
 }

@@ -4,7 +4,7 @@
 //! compare against.
 
 use htm_sim::{CoreStats, ObsEvent, ObsKind};
-use stagger_core::RtStats;
+use stagger_core::{Hist, RtStats};
 use tm_interp::ExecStats;
 use workloads::BenchResult;
 
@@ -32,13 +32,10 @@ impl Fnv {
         vs.iter().for_each(|&v| self.word(v));
     }
 
-    /// A histogram in key order (hash-map iteration order depends on the
-    /// insertion history, which is not a simulated quantity).
-    fn hist<K: Copy + Ord + Into<u64>>(&mut self, m: &htm_sim::FxHashMap<K, u64>) {
-        let mut kv: Vec<(K, u64)> = m.iter().map(|(&k, &v)| (k, v)).collect();
-        kv.sort_unstable();
-        self.word(kv.len() as u64);
-        for (k, v) in kv {
+    /// A histogram, in key order.
+    fn hist<K: Copy + Ord + Into<u64>>(&mut self, h: &Hist<K>) {
+        self.word(h.iter().len() as u64);
+        for (k, v) in h.iter() {
             self.words(&[k.into(), v]);
         }
     }

@@ -31,12 +31,14 @@
 //! invokes all of this is in the `tm-interp` crate.
 
 pub mod context;
+pub mod hist;
 pub mod history;
 pub mod locks;
 pub mod policy;
 pub mod runtime;
 
 pub use context::{ABContext, Activation};
+pub use hist::Hist;
 pub use history::AbortHistory;
 pub use htm_sim::obs;
 pub use locks::{GlobalLock, LockTable};

@@ -1,6 +1,7 @@
 //! Per-thread runtime state and the ALPoint fast path (paper Section 5).
 
 use crate::context::{ABContext, Activation};
+use crate::hist::Hist;
 use crate::locks::{GlobalLock, LockTable};
 use crate::policy::{activate_alpoint, PolicyConfig};
 use htm_sim::fx::FxHashMap;
@@ -215,10 +216,10 @@ impl SharedRt {
 pub struct RtStats {
     /// Histogram of conflicting (line) addresses over contention aborts —
     /// drives the paper's Table 1 "LA" locality classification.
-    pub addr_hist: FxHashMap<u64, u64>,
+    pub addr_hist: Hist<u64>,
     /// Histogram of true first-access PCs over contention aborts — drives
     /// the Table 1 "LP" classification.
-    pub pc_hist: FxHashMap<u64, u64>,
+    pub pc_hist: Hist<u64>,
     /// Contention aborts processed by the policy.
     pub contention_aborts: u64,
     /// Of those, aborts where an anchor was identified at all.
@@ -235,19 +236,15 @@ pub struct RtStats {
     /// Dynamic count of executed ALPoints.
     pub alps_executed: u64,
     /// Which lock words were acquired (diagnostics).
-    pub lock_word_hist: FxHashMap<u64, u64>,
+    pub lock_word_hist: Hist<u64>,
     /// Which anchors were activated (diagnostics).
-    pub anchor_hist: FxHashMap<u32, u64>,
+    pub anchor_hist: Hist<u32>,
 }
 
 impl RtStats {
     pub fn add(&mut self, o: &RtStats) {
-        for (&k, &v) in &o.addr_hist {
-            *self.addr_hist.entry(k).or_insert(0) += v;
-        }
-        for (&k, &v) in &o.pc_hist {
-            *self.pc_hist.entry(k).or_insert(0) += v;
-        }
+        self.addr_hist.add(&o.addr_hist);
+        self.pc_hist.add(&o.pc_hist);
         self.contention_aborts += o.contention_aborts;
         self.anchor_identified += o.anchor_identified;
         self.anchor_correct += o.anchor_correct;
@@ -257,12 +254,8 @@ impl RtStats {
         self.act_coarse += o.act_coarse;
         self.act_training += o.act_training;
         self.alps_executed += o.alps_executed;
-        for (&k, &v) in &o.lock_word_hist {
-            *self.lock_word_hist.entry(k).or_insert(0) += v;
-        }
-        for (&k, &v) in &o.anchor_hist {
-            *self.anchor_hist.entry(k).or_insert(0) += v;
-        }
+        self.lock_word_hist.add(&o.lock_word_hist);
+        self.anchor_hist.add(&o.anchor_hist);
     }
 
     /// Table 3 "Accuracy": fraction of contention aborts whose anchor was
@@ -287,12 +280,12 @@ impl RtStats {
         Self::top_share(&self.pc_hist)
     }
 
-    fn top_share(h: &FxHashMap<u64, u64>) -> f64 {
-        let total: u64 = h.values().sum();
+    fn top_share(h: &Hist<u64>) -> f64 {
+        let total: u64 = h.iter().map(|(_, n)| n).sum();
         if total == 0 {
             return 0.0;
         }
-        *h.values().max().unwrap() as f64 / total as f64
+        h.iter().map(|(_, n)| n).max().unwrap() as f64 / total as f64
     }
 }
 
@@ -455,7 +448,7 @@ impl<'c> ThreadRuntime<'c> {
             Some(w) => {
                 self.held_locks.push(w);
                 self.stats.locks_acquired += 1;
-                *self.stats.lock_word_hist.entry(w).or_insert(0) += 1;
+                self.stats.lock_word_hist.bump(w);
             }
             None => self.stats.lock_timeouts += 1,
         }
@@ -523,8 +516,8 @@ impl<'c> ThreadRuntime<'c> {
         self.release_lock(core).await;
         // Locality histograms are recorded in every mode (offline analysis
         // for Table 1, independent of the policy).
-        *self.stats.addr_hist.entry(info.conf_addr).or_insert(0) += 1;
-        *self.stats.pc_hist.entry(info.true_first_pc).or_insert(0) += 1;
+        self.stats.addr_hist.bump(info.conf_addr);
+        self.stats.pc_hist.bump(info.true_first_pc);
         if self.cfg.mode == Mode::Htm {
             return;
         }
@@ -600,7 +593,7 @@ impl<'c> ThreadRuntime<'c> {
         }
         let act_anchor = ctx.activation.anchor();
         if act_anchor != 0 {
-            *self.stats.anchor_hist.entry(act_anchor).or_insert(0) += 1;
+            self.stats.anchor_hist.bump(act_anchor);
         }
     }
 

@@ -4,10 +4,8 @@
 use crate::prepared::{Prepared, PreparedFunc};
 use htm_sim::{AbortCause, Addr, Core, FallbackPolicy, TxError};
 use stagger_core::{RuntimeConfig, SharedRt, ThreadRuntime};
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::Arc;
-use tm_ir::{FuncId, FuncKind, Inst};
+use tm_ir::{FuncId, FuncKind, Inst, Pc, Reg};
 
 /// Sentinel "PC" used for the transactional global-lock subscription read.
 /// Odd on purpose: real instruction PCs are 4-byte aligned, so the 12-bit
@@ -64,6 +62,53 @@ impl ExecStats {
     }
 }
 
+/// A suspended caller: where it resumes, its register base, and the
+/// register that receives the callee's return value.
+struct Frame<'p> {
+    f: &'p PreparedFunc,
+    insts: &'p [(Inst, Pc)],
+    ip: usize,
+    base: usize,
+    dst: Option<Reg>,
+}
+
+/// How the open atomic call's attempt runs. Both fallbacks hold the global
+/// lock since cycle `t0`. On the hybrid-TM software path (Brown & Ravi
+/// style) it is only a software-software mutex — stripes are claimed in
+/// encounter order, so two software paths could deadlock without it — and
+/// hardware transactions keep committing beside it except on lines whose
+/// stripe it owns.
+enum TxMode {
+    Hw,
+    Irrevocable { t0: u64 },
+    Sw { t0: u64 },
+}
+
+/// The open atomic call (at most one: the verifier rejects atomic functions
+/// that reach another), to which an abort at any depth unwinds. `depth` and
+/// `base` are `frames.len()` and `bp` while the atomic function runs.
+struct Txn<'p> {
+    f: &'p PreparedFunc,
+    ab_id: u32,
+    depth: usize,
+    base: usize,
+    attempt: u32,
+    mode: TxMode,
+}
+
+impl<'p> Txn<'p> {
+    fn new(f: &'p PreparedFunc, ab_id: u32, depth: usize, base: usize) -> Self {
+        Txn {
+            f,
+            ab_id,
+            depth,
+            base,
+            attempt: 0,
+            mode: TxMode::Hw,
+        }
+    }
+}
+
 /// One simulated thread's interpreter + Staggered Transactions runtime.
 pub struct Executor<'c> {
     prepared: Arc<Prepared>,
@@ -72,12 +117,10 @@ pub struct Executor<'c> {
     pub stats: ExecStats,
     attempt_insts: u64,
     attempt_anchors: u64,
-    /// True while executing the hybrid-TM *software* fallback path: plain
-    /// memory accesses then go through the per-line ownership-stripe
-    /// instrumentation instead of raw coherence ops.
-    sw_fallback: bool,
-    /// Ownership-stripe words held by the current software fallback.
-    sw_stripes: Vec<Addr>,
+    /// While the hybrid-TM *software* fallback path runs, the ownership
+    /// stripes it holds: its plain memory accesses go through the per-line
+    /// stripe instrumentation instead of raw coherence ops.
+    sw_stripes: Option<Vec<Addr>>,
 }
 
 impl<'c> Executor<'c> {
@@ -99,8 +142,7 @@ impl<'c> Executor<'c> {
             stats: ExecStats::default(),
             attempt_insts: 0,
             attempt_anchors: 0,
-            sw_fallback: false,
-            sw_stripes: Vec::new(),
+            sw_stripes: None,
         }
     }
 
@@ -117,170 +159,289 @@ impl<'c> Executor<'c> {
     /// protocol; normal functions execute plainly (and must not be
     /// transactional-only helpers invoked outside a transaction — they run
     /// with plain coherence semantics in that case).
+    ///
+    /// One flat future for the whole call tree: the running frame in locals
+    /// (`tx` is the atomic block id while speculating), its callers on
+    /// `frames`, and all their registers in `regs`, the running frame's on
+    /// top from `bp`.
     pub async fn call(&mut self, core: &mut Core<'_>, fid: FuncId, args: &[u64]) -> u64 {
         let prepared = self.prepared.clone();
-        let f = &prepared.funcs[fid.index()];
-        match f.kind {
-            FuncKind::Atomic { ab_id } => self.run_txn(core, &prepared, fid, ab_id, args).await,
-            FuncKind::Normal => self
-                .exec_function(core, &prepared, fid, args, None)
-                .await
-                .expect("plain execution cannot abort"),
+        let funcs = &prepared.funcs;
+        let mut f = &funcs[fid.index()];
+        assert_eq!(args.len(), f.n_params as usize, "arity of {}", f.name);
+        let mut frames: Vec<Frame> = Vec::new();
+        let mut regs = args.to_vec();
+        regs.resize(f.n_regs as usize, 0);
+        // The open atomic call's first registers, reloaded by every attempt.
+        let mut tx_regs = regs.clone();
+        let mut txn = match f.kind {
+            FuncKind::Atomic { ab_id } => Some(Txn::new(f, ab_id, 0, 0)),
+            FuncKind::Normal => None,
+        };
+        let (mut insts, mut ip, mut bp, mut tx) = (&f.blocks[f.entry.index()][..], 0, 0, None);
+
+        loop {
+            if let Some(t) = &mut txn {
+                frames.truncate(t.depth);
+                regs.truncate(t.base);
+                regs.extend_from_slice(&tx_regs);
+                tx = self.start_attempt(core, t).await;
+                (f, insts, ip, bp) = (t.f, &t.f.blocks[t.f.entry.index()], 0, t.base);
+            }
+            // The running frame's registers, re-taken whenever `regs`
+            // changes length. The loop ends with `Some` on an abort and
+            // with `None` when the open `Txn` is to (re)start.
+            let mut r = &mut regs[bp..];
+            let abort = loop {
+                let (inst, pc) = &insts[ip];
+                ip += 1;
+                // One cycle per µ-op, except the ALPoint pseudo-instruction
+                // whose cost is owned by the runtime (zero in baseline mode).
+                if !matches!(inst, Inst::AlPoint { .. }) {
+                    core.compute(1);
+                    self.stats.insts += 1;
+                    if tx.is_some() {
+                        self.attempt_insts += 1;
+                    }
+                }
+                match *inst {
+                    Inst::Const { dst, value } => r[dst.index()] = value,
+                    Inst::Mov { dst, src } => r[dst.index()] = r[src.index()],
+                    Inst::Bin { op, dst, a, b } => {
+                        r[dst.index()] = op.eval(r[a.index()], r[b.index()]).unwrap_or_else(|| {
+                            panic!("division by zero in {} at pc {pc:#x}", f.name)
+                        });
+                    }
+                    Inst::Cmp { op, dst, a, b } => {
+                        r[dst.index()] = op.eval(r[a.index()], r[b.index()]);
+                    }
+                    Inst::Load { dst, .. } | Inst::LoadIdx { dst, .. } => {
+                        let addr = effective(&f.name, r, inst);
+                        match self.access(core, addr, None, *pc, tx).await {
+                            Ok(v) => r[dst.index()] = v,
+                            Err(e) => break Some(e),
+                        }
+                    }
+                    Inst::Store { src, .. } | Inst::StoreIdx { src, .. } => {
+                        let (addr, v) = (effective(&f.name, r, inst), r[src.index()]);
+                        if let Err(e) = self.access(core, addr, Some(v), *pc, tx).await {
+                            break Some(e);
+                        }
+                    }
+                    Inst::Gep {
+                        dst,
+                        base,
+                        index,
+                        offset,
+                    } => {
+                        r[dst.index()] = r[base.index()]
+                            .wrapping_add((r[index.index()].wrapping_add(offset as u64)) * 8);
+                    }
+                    Inst::Alloc {
+                        dst,
+                        words,
+                        line_align,
+                    } => {
+                        r[dst.index()] = core.alloc(r[words.index()], line_align).await;
+                    }
+                    Inst::Call {
+                        func,
+                        args: ref call_args,
+                        dst,
+                    } => {
+                        let callee = &funcs[func.index()];
+                        let base = regs.len();
+                        for a in call_args {
+                            regs.push(regs[bp + a.index()]);
+                        }
+                        regs.resize(base + callee.n_regs as usize, 0);
+                        frames.push(Frame {
+                            f,
+                            insts,
+                            ip,
+                            base: bp,
+                            dst,
+                        });
+                        // A call to an atomic function from plain code opens
+                        // a hardware transaction.
+                        if let FuncKind::Atomic { ab_id } = callee.kind {
+                            debug_assert!(txn.is_none(), "nested atomic call");
+                            tx_regs.clear();
+                            tx_regs.extend_from_slice(&regs[base..]);
+                            txn = Some(Txn::new(callee, ab_id, frames.len(), base));
+                            break None;
+                        }
+                        (f, insts, ip, bp) =
+                            (callee, &callee.blocks[callee.entry.index()], 0, base);
+                        r = &mut regs[bp..];
+                    }
+                    Inst::Ret { val } => {
+                        let v = val.map_or(0, |x| r[x.index()]);
+                        if let Some(t) = txn.as_mut().filter(|t| t.depth == frames.len()) {
+                            if !self.finish_attempt(core, t).await {
+                                t.attempt += 1;
+                                break None;
+                            }
+                            (txn, tx) = (None, None);
+                        }
+                        regs.truncate(bp);
+                        let Some(caller) = frames.pop() else { return v };
+                        (f, insts, ip, bp) = (caller.f, caller.insts, caller.ip, caller.base);
+                        r = &mut regs[bp..];
+                        if let Some(d) = caller.dst {
+                            r[d.index()] = v;
+                        }
+                    }
+                    Inst::Br { target } => (insts, ip) = (&f.blocks[target.index()], 0),
+                    Inst::CondBr {
+                        cond,
+                        then_b,
+                        else_b,
+                    } => {
+                        let b = if r[cond.index()] != 0 { then_b } else { else_b };
+                        (insts, ip) = (&f.blocks[b.index()], 0);
+                    }
+                    Inst::Compute { cycles } => core.compute(cycles as u64),
+                    Inst::IdleUntil { cycle } => core.idle_until(r[cycle.index()]),
+                    Inst::Rand { dst, bound } => {
+                        let b = r[bound.index()];
+                        assert!(b > 0, "rand with zero bound in {}", f.name);
+                        r[dst.index()] = self.rand_below(b);
+                    }
+                    Inst::AlPoint {
+                        anchor,
+                        base,
+                        index,
+                        offset,
+                    } => {
+                        let idx = index.map_or(0, |x| r[x.index()]);
+                        let addr = r[base.index()].wrapping_add((idx + offset as u64) * 8);
+                        if tx.is_some() {
+                            self.attempt_anchors += 1;
+                        }
+                        self.rt
+                            .alpoint(core, tx.unwrap_or(0), anchor, addr, tx.is_some())
+                            .await;
+                    }
+                }
+            };
+            if let Some(e) = abort {
+                let t = txn.as_mut().expect("only a hardware attempt aborts");
+                self.handle_abort(core, t.ab_id, e, t.attempt).await;
+                t.attempt += 1;
+            }
         }
     }
 
-    /// The retry protocol of paper Section 6: up to `max_retries` hardware
-    /// attempts with polite backoff, global-lock subscription immediately
-    /// before commit, then irrevocable execution under the global lock.
-    ///
-    /// Boxed future: `run_txn` and [`Self::exec_function`] are mutually
-    /// recursive, so neither can be a plain `async fn`.
-    fn run_txn<'a, 'm>(
-        &'a mut self,
-        core: &'a mut Core<'m>,
-        prepared: &'a Prepared,
-        fid: FuncId,
-        ab_id: u32,
-        args: &'a [u64],
-    ) -> Pin<Box<dyn Future<Output = u64> + 'a>> {
-        Box::pin(async move {
-            let gl = self.rt.global_lock();
-            let fallback = self.rt.shared().fallback;
-            let spin = self.rt.cfg.lock_spin;
-            let max_retries = self.rt.cfg.max_retries;
-            let mut attempt: u32 = 0;
-            loop {
-                if attempt >= max_retries {
-                    if fallback == FallbackPolicy::HybridStm {
-                        return self.run_sw_fallback(core, prepared, fid, args).await;
-                    }
-                    // Irrevocable mode: acquire the global lock and run
-                    // non-speculatively. Plain stores doom any racing
-                    // speculative readers/writers (requester wins).
-                    gl.acquire(core, spin).await;
-                    let t0 = core.now();
-                    core.note(htm_sim::obs::ObsKind::IrrevocableEnter);
-                    let r = self
-                        .exec_function(core, prepared, fid, args, None)
-                        .await
-                        .expect("irrevocable execution cannot abort");
-                    let dt = core.now().saturating_sub(t0);
-                    // Stamp the exit before the release/stat ops advance the
-                    // clock, so the event's [clock - cycles, clock] span is
-                    // exactly the lock-held execution window.
-                    core.note(htm_sim::obs::ObsKind::IrrevocableExit { cycles: dt });
-                    gl.release(core).await;
-                    core.record_irrevocable(dt).await;
-                    self.stats.irrevocable_txns += 1;
-                    return r;
-                }
-                // Note: the paper's runtime does NOT test the global lock
-                // before starting an attempt — transactions subscribe to it
-                // only "immediately before attempting to commit". Speculative
-                // attempts racing an irrevocable transaction therefore run to
-                // completion and waste their work, which is a real (and
-                // reproduced) component of the baseline's collapse under heavy
-                // contention.
-                self.attempt_insts = 0;
-                self.attempt_anchors = 0;
-                core.tx_begin(ab_id).await;
-                self.rt.txn_start(core, ab_id).await;
-                match self
-                    .exec_function(core, prepared, fid, args, Some(ab_id))
-                    .await
-                {
-                    Ok(v) => {
-                        // Subscribe to the global lock immediately before
-                        // commit: its line joins our read set, so a racing
-                        // irrevocable acquisition dooms us. The two
-                        // lazy-subscription policies elide this read — the
-                        // unsafe one relies on nothing else (and can commit
-                        // torn views of an in-flight fallback writer), the
-                        // safe one on the hardware's commit-time validation
-                        // of the registered lock word. Hybrid mode has no
-                        // stop-the-world writer to subscribe to; safety
-                        // comes from the per-access stripe reads instead.
-                        let sub = if fallback == FallbackPolicy::Irrevocable {
-                            core.tx_load(gl.addr(), GLOBAL_LOCK_SUB_PC).await
-                        } else {
-                            Ok(0)
-                        };
-                        match sub {
-                            Ok(0) => match core.tx_commit().await {
-                                Ok(()) => {
-                                    self.rt.on_commit(core, ab_id, attempt).await;
-                                    self.stats.committed_txns += 1;
-                                    self.stats.committed_insts += self.attempt_insts;
-                                    self.stats.committed_anchors += self.attempt_anchors;
-                                    return v;
-                                }
-                                Err(e) => self.handle_abort(core, ab_id, e, attempt).await,
-                            },
-                            Ok(_held) => {
-                                // Global lock held: we must not commit. The
-                                // attempt's work is already wasted (the lemming
-                                // effect of lazy subscription); spin until the
-                                // irrevocable transaction finishes so retries
-                                // aren't burned against the same holder.
-                                core.tx_abort().await;
-                                self.stats.aborted_attempts += 1;
-                                self.rt.on_other_abort(core).await;
-                                gl.wait_until_free(core, spin).await;
-                            }
-                            Err(e) => self.handle_abort(core, ab_id, e, attempt).await,
-                        }
-                    }
-                    Err(e) => self.handle_abort(core, ab_id, e, attempt).await,
-                }
-                attempt += 1;
-            }
-        })
+    /// Begin attempt `t.attempt` of the open atomic call — the retry
+    /// protocol of paper Section 6: up to `max_retries` hardware attempts
+    /// (polite backoff between them, in [`Self::handle_abort`]), then
+    /// irrevocable execution under the global lock, or the hybrid software
+    /// path. Returns the atomic block id if the attempt is speculative.
+    async fn start_attempt(&mut self, core: &mut Core<'_>, t: &mut Txn<'_>) -> Option<u32> {
+        if t.attempt < self.rt.cfg.max_retries {
+            // Note: the paper's runtime does NOT test the global lock before
+            // starting an attempt — transactions subscribe to it only
+            // "immediately before attempting to commit". Speculative attempts
+            // racing an irrevocable transaction therefore run to completion
+            // and waste their work, which is a real (and reproduced)
+            // component of the baseline's collapse under heavy contention.
+            self.attempt_insts = 0;
+            self.attempt_anchors = 0;
+            core.tx_begin(t.ab_id).await;
+            self.rt.txn_start(core, t.ab_id).await;
+            t.mode = TxMode::Hw;
+            return Some(t.ab_id);
+        }
+        // Irrevocable mode runs non-speculatively under the global lock:
+        // plain stores doom any racing speculative readers/writers
+        // (requester wins).
+        let gl = self.rt.global_lock();
+        gl.acquire(core, self.rt.cfg.lock_spin).await;
+        let t0 = core.now();
+        core.note(htm_sim::obs::ObsKind::IrrevocableEnter);
+        t.mode = if self.rt.shared().fallback == FallbackPolicy::HybridStm {
+            self.sw_stripes = Some(Vec::new());
+            TxMode::Sw { t0 }
+        } else {
+            TxMode::Irrevocable { t0 }
+        };
+        None
     }
 
-    /// The hybrid-TM software fallback (Brown & Ravi style): instead of
-    /// stopping the world under the global lock, run an *instrumented*
-    /// software path whose per-line ownership stripes are visible to
-    /// concurrent hardware transactions. The global lock is reused purely
-    /// as a software-software mutex (stripe acquisition order is the
-    /// execution's encounter order, so two concurrent software
-    /// transactions could deadlock without it); hardware transactions do
-    /// NOT subscribe to it in this mode and keep committing throughout,
-    /// except where they touch a line whose stripe the software
-    /// transaction owns.
-    fn run_sw_fallback<'a, 'm>(
-        &'a mut self,
-        core: &'a mut Core<'m>,
-        prepared: &'a Prepared,
-        fid: FuncId,
-        args: &'a [u64],
-    ) -> Pin<Box<dyn Future<Output = u64> + 'a>> {
-        Box::pin(async move {
-            let gl = self.rt.global_lock();
-            let spin = self.rt.cfg.lock_spin;
-            gl.acquire(core, spin).await;
-            let t0 = core.now();
-            core.note(htm_sim::obs::ObsKind::IrrevocableEnter);
-            self.sw_fallback = true;
-            let r = self
-                .exec_function(core, prepared, fid, args, None)
-                .await
-                .expect("software fallback cannot abort");
-            self.sw_fallback = false;
-            // Releasing the stripes publishes the commit; the window below
-            // therefore includes them, like the irrevocable path's stores.
-            while let Some(w) = self.sw_stripes.pop() {
-                core.nt_store(w, 0).await;
+    /// End attempt `t` at its atomic function's `Ret`: subscribe and commit
+    /// a hardware attempt, or leave the fallback path. Returns false if the
+    /// hardware attempt aborted instead, and is to be retried.
+    async fn finish_attempt(&mut self, core: &mut Core<'_>, t: &Txn<'_>) -> bool {
+        let gl = self.rt.global_lock();
+        let t0 = match t.mode {
+            TxMode::Hw => {
+                // Subscribe to the global lock immediately before commit:
+                // its line joins our read set, so a racing irrevocable
+                // acquisition dooms us. The two lazy-subscription policies
+                // elide this read — the unsafe one relies on nothing else
+                // (and can commit torn views of an in-flight fallback
+                // writer), the safe one on the hardware's commit-time
+                // validation of the registered lock word. Hybrid mode has no
+                // stop-the-world writer to subscribe to; safety comes from
+                // the per-access stripe reads instead.
+                let sub = if self.rt.shared().fallback == FallbackPolicy::Irrevocable {
+                    core.tx_load(gl.addr(), GLOBAL_LOCK_SUB_PC).await
+                } else {
+                    Ok(0)
+                };
+                let e = match sub {
+                    Ok(0) => match core.tx_commit().await {
+                        Ok(()) => {
+                            self.rt.on_commit(core, t.ab_id, t.attempt).await;
+                            self.stats.committed_txns += 1;
+                            self.stats.committed_insts += self.attempt_insts;
+                            self.stats.committed_anchors += self.attempt_anchors;
+                            return true;
+                        }
+                        Err(e) => e,
+                    },
+                    Ok(_held) => {
+                        // Global lock held: we must not commit. The
+                        // attempt's work is already wasted (the lemming
+                        // effect of lazy subscription); spin until the
+                        // irrevocable transaction finishes so retries
+                        // aren't burned against the same holder.
+                        core.tx_abort().await;
+                        self.stats.aborted_attempts += 1;
+                        self.rt.on_other_abort(core).await;
+                        gl.wait_until_free(core, self.rt.cfg.lock_spin).await;
+                        return false;
+                    }
+                    Err(e) => e,
+                };
+                self.handle_abort(core, t.ab_id, e, t.attempt).await;
+                return false;
             }
-            let dt = core.now().saturating_sub(t0);
-            core.note(htm_sim::obs::ObsKind::IrrevocableExit { cycles: dt });
-            gl.release(core).await;
-            // Software-path completions share the irrevocable counters
-            // ("fallback commits"): same role in aborts-per-commit and the
-            // %I fraction, and sweep cell schemas stay unchanged.
-            core.record_irrevocable(dt).await;
-            self.stats.irrevocable_txns += 1;
-            r
-        })
+            TxMode::Irrevocable { t0 } => t0,
+            TxMode::Sw { t0 } => {
+                // Releasing the stripes (last claimed first) publishes the
+                // commit; the window below therefore includes them, like
+                // the irrevocable path's stores.
+                let stripes = self.sw_stripes.take().expect("software path holds stripes");
+                for w in stripes.into_iter().rev() {
+                    core.nt_store(w, 0).await;
+                }
+                t0
+            }
+        };
+        let dt = core.now().saturating_sub(t0);
+        // Stamp the exit before the release/stat ops advance the clock, so
+        // the event's [clock - cycles, clock] span is exactly the lock-held
+        // execution window.
+        core.note(htm_sim::obs::ObsKind::IrrevocableExit { cycles: dt });
+        gl.release(core).await;
+        // Software-path completions share the irrevocable counters
+        // ("fallback commits"): same role in aborts-per-commit and the %I
+        // fraction, and sweep cell schemas stay unchanged.
+        core.record_irrevocable(dt).await;
+        self.stats.irrevocable_txns += 1;
+        true
     }
 
     /// Per-access instrumentation of the software fallback: read the
@@ -304,7 +465,7 @@ impl<'c> Executor<'c> {
                 core.charge_lock_wait(spin).await;
                 core.wait_on(&[word], spin, u64::MAX).await;
             }
-            self.sw_stripes.push(word);
+            self.sw_stripes.as_mut().expect("software path").push(word);
         }
     }
 
@@ -328,185 +489,6 @@ impl<'c> Executor<'c> {
         }
     }
 
-    /// Interpret one function: walk its `Prepared` blocks of
-    /// `(instruction, PC)` pairs. `tx` is the atomic-block id when running
-    /// speculatively; `None` for plain (non-transactional or irrevocable)
-    /// execution.
-    ///
-    /// Boxed future: recursive through `Inst::Call` (and mutually with
-    /// [`Self::run_txn`]).
-    fn exec_function<'a, 'm>(
-        &'a mut self,
-        core: &'a mut Core<'m>,
-        prepared: &'a Prepared,
-        fid: FuncId,
-        args: &'a [u64],
-        tx: Option<u32>,
-    ) -> Pin<Box<dyn Future<Output = Result<u64, TxError>> + 'a>> {
-        Box::pin(async move {
-            let f: &PreparedFunc = &prepared.funcs[fid.index()];
-            debug_assert_eq!(args.len(), f.n_params as usize, "arity in {}", f.name);
-            let mut regs = vec![0u64; f.n_regs as usize];
-            regs[..args.len()].copy_from_slice(args);
-            let mut bid = f.entry;
-
-            'blocks: loop {
-                let block = &f.blocks[bid.index()];
-                for (inst, pc) in block {
-                    // One cycle per µ-op, except the ALPoint pseudo-instruction
-                    // whose cost is owned by the runtime (zero in baseline mode).
-                    if !matches!(inst, Inst::AlPoint { .. }) {
-                        core.compute(1);
-                        self.stats.insts += 1;
-                        if tx.is_some() {
-                            self.attempt_insts += 1;
-                        }
-                    }
-                    match *inst {
-                        Inst::Const { dst, value } => regs[dst.index()] = value,
-                        Inst::Mov { dst, src } => regs[dst.index()] = regs[src.index()],
-                        Inst::Bin { op, dst, a, b } => {
-                            regs[dst.index()] = op
-                                .eval(regs[a.index()], regs[b.index()])
-                                .unwrap_or_else(|| {
-                                    panic!("division by zero in {} at pc {pc:#x}", f.name)
-                                });
-                        }
-                        Inst::Cmp { op, dst, a, b } => {
-                            regs[dst.index()] = op.eval(regs[a.index()], regs[b.index()]);
-                        }
-                        Inst::Load { dst, base, offset } => {
-                            let addr = self.effective(&f.name, regs[base.index()], 0, offset);
-                            regs[dst.index()] = self.mem_load(core, addr, *pc, tx).await?;
-                        }
-                        Inst::Store { src, base, offset } => {
-                            let addr = self.effective(&f.name, regs[base.index()], 0, offset);
-                            self.mem_store(core, addr, regs[src.index()], *pc, tx)
-                                .await?;
-                        }
-                        Inst::LoadIdx {
-                            dst,
-                            base,
-                            index,
-                            offset,
-                        } => {
-                            let addr = self.effective(
-                                &f.name,
-                                regs[base.index()],
-                                regs[index.index()],
-                                offset,
-                            );
-                            regs[dst.index()] = self.mem_load(core, addr, *pc, tx).await?;
-                        }
-                        Inst::StoreIdx {
-                            src,
-                            base,
-                            index,
-                            offset,
-                        } => {
-                            let addr = self.effective(
-                                &f.name,
-                                regs[base.index()],
-                                regs[index.index()],
-                                offset,
-                            );
-                            self.mem_store(core, addr, regs[src.index()], *pc, tx)
-                                .await?;
-                        }
-                        Inst::Gep {
-                            dst,
-                            base,
-                            index,
-                            offset,
-                        } => {
-                            regs[dst.index()] = regs[base.index()].wrapping_add(
-                                (regs[index.index()].wrapping_add(offset as u64)) * 8,
-                            );
-                        }
-                        Inst::Alloc {
-                            dst,
-                            words,
-                            line_align,
-                        } => {
-                            regs[dst.index()] = core.alloc(regs[words.index()], line_align).await;
-                        }
-                        Inst::Call {
-                            func,
-                            args: ref call_args,
-                            dst,
-                        } => {
-                            let vals: Vec<u64> =
-                                call_args.iter().map(|r| regs[r.index()]).collect();
-                            let r = match prepared.funcs[func.index()].kind {
-                                // A call to an atomic function from plain code
-                                // opens a hardware transaction (the verifier
-                                // rejects atomic-from-atomic).
-                                FuncKind::Atomic { ab_id } => {
-                                    debug_assert!(tx.is_none(), "nested atomic call");
-                                    self.run_txn(core, prepared, func, ab_id, &vals).await
-                                }
-                                FuncKind::Normal => {
-                                    self.exec_function(core, prepared, func, &vals, tx).await?
-                                }
-                            };
-                            if let Some(d) = dst {
-                                regs[d.index()] = r;
-                            }
-                        }
-                        Inst::Ret { val } => {
-                            return Ok(val.map_or(0, |r| regs[r.index()]));
-                        }
-                        Inst::Br { target } => {
-                            bid = target;
-                            continue 'blocks;
-                        }
-                        Inst::CondBr {
-                            cond,
-                            then_b,
-                            else_b,
-                        } => {
-                            bid = if regs[cond.index()] != 0 {
-                                then_b
-                            } else {
-                                else_b
-                            };
-                            continue 'blocks;
-                        }
-                        Inst::Compute { cycles } => core.compute(cycles as u64),
-                        Inst::IdleUntil { cycle } => core.idle_until(regs[cycle.index()]),
-                        Inst::Rand { dst, bound } => {
-                            let b = regs[bound.index()];
-                            assert!(b > 0, "rand with zero bound in {}", f.name);
-                            regs[dst.index()] = self.rand_below(b);
-                        }
-                        Inst::AlPoint {
-                            anchor,
-                            base,
-                            index,
-                            offset,
-                        } => {
-                            let idx = index.map_or(0, |r| regs[r.index()]);
-                            let addr = regs[base.index()].wrapping_add((idx + offset as u64) * 8);
-                            if tx.is_some() {
-                                self.attempt_anchors += 1;
-                            }
-                            self.rt
-                                .alpoint(core, tx.unwrap_or(0), anchor, addr, tx.is_some())
-                                .await;
-                        }
-                    }
-                }
-                unreachable!("block without terminator survived verification");
-            }
-        })
-    }
-
-    #[inline]
-    fn effective(&self, fname: &str, base: u64, index: u64, offset: u32) -> Addr {
-        assert!(base != 0, "null dereference in {fname}");
-        base.wrapping_add(index.wrapping_add(offset as u64) * 8)
-    }
-
     /// Hybrid-mode instrumentation of a *hardware* transactional access:
     /// transactionally read the line's ownership stripe — it joins the
     /// read set, so a software fallback's claiming CAS dooms us — and
@@ -521,49 +503,40 @@ impl<'c> Executor<'c> {
         Ok(())
     }
 
-    async fn mem_load(
+    /// One data access of the program: a store of `val`, or a load
+    /// (`None`) that returns the value read.
+    async fn access(
         &mut self,
         core: &mut Core<'_>,
         addr: Addr,
-        pc: u64,
+        val: Option<u64>,
+        pc: Pc,
         tx: Option<u32>,
     ) -> Result<u64, TxError> {
-        match tx {
-            Some(_) => {
-                self.hw_stripe_check(core, addr).await?;
-                core.tx_load(addr, pc).await
-            }
-            None => {
-                if self.sw_fallback {
-                    self.sw_own(core, addr).await;
-                }
-                Ok(core.plain_load(addr).await)
-            }
+        if tx.is_some() {
+            self.hw_stripe_check(core, addr).await?;
+            return match val {
+                Some(v) => core.tx_store(addr, v, pc).await.map(|()| v),
+                None => core.tx_load(addr, pc).await,
+            };
         }
+        if self.sw_stripes.is_some() {
+            self.sw_own(core, addr).await;
+        }
+        let Some(v) = val else {
+            return Ok(core.plain_load(addr).await);
+        };
+        core.plain_store(addr, v).await;
+        Ok(v)
     }
+}
 
-    async fn mem_store(
-        &mut self,
-        core: &mut Core<'_>,
-        addr: Addr,
-        val: u64,
-        pc: u64,
-        tx: Option<u32>,
-    ) -> Result<(), TxError> {
-        match tx {
-            Some(_) => {
-                self.hw_stripe_check(core, addr).await?;
-                core.tx_store(addr, val, pc).await
-            }
-            None => {
-                if self.sw_fallback {
-                    self.sw_own(core, addr).await;
-                }
-                core.plain_store(addr, val).await;
-                Ok(())
-            }
-        }
-    }
+/// The address memory access `inst` touches: `base + (index + offset) * 8`.
+fn effective(fname: &str, r: &[u64], inst: &Inst) -> Addr {
+    let (base, index, offset) = inst.mem_operands().expect("a memory access");
+    let (base, index) = (r[base.index()], index.map_or(0, |x| r[x.index()]));
+    assert!(base != 0, "null dereference in {fname}");
+    base.wrapping_add(index.wrapping_add(offset as u64) * 8)
 }
 
 #[cfg(test)]
@@ -654,7 +627,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic] // "division by zero" on the scoped sim thread
+    #[should_panic(expected = "division by zero")]
     fn division_by_zero_panics_with_context() {
         let build = |m: &mut Module| {
             let mut b = FuncBuilder::new("thread_main", 1, FuncKind::Normal);
@@ -668,7 +641,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic] // "null dereference" on the scoped sim thread
+    #[should_panic(expected = "null dereference")]
     fn null_dereference_panics_with_context() {
         let build = |m: &mut Module| {
             let mut b = FuncBuilder::new("thread_main", 0, FuncKind::Normal);
@@ -720,6 +693,113 @@ mod tests {
         };
         let (r, _) = eval(build, vec![40]);
         assert_eq!(r, 42);
+    }
+
+    #[test]
+    fn deep_normal_call_chain_returns_through_its_frames() {
+        // d0(x) = x and d_i(x) = d_{i-1}(x + 1) + x: every level's own `x`
+        // must survive the 32 frames above it.
+        let build = |m: &mut Module| {
+            let mut b = FuncBuilder::new("d0", 1, FuncKind::Normal);
+            b.ret(Some(b.param(0)));
+            let mut below = m.add_function(b.finish());
+            for i in 1..=32 {
+                let mut b = FuncBuilder::new(&format!("d{i}"), 1, FuncKind::Normal);
+                let x = b.param(0);
+                let x1 = b.addi(x, 1);
+                let y = b.call(below, &[x1]);
+                let s = b.add(y, x);
+                b.ret(Some(s));
+                below = m.add_function(b.finish());
+            }
+            let mut b = FuncBuilder::new("thread_main", 1, FuncKind::Normal);
+            let r = b.call(below, &[b.param(0)]);
+            b.ret(Some(r));
+            m.add_function(b.finish());
+        };
+        let want = (100..132).sum::<u64>() + 132;
+        assert_eq!(eval(build, vec![100]).0, want);
+    }
+
+    #[test]
+    fn atomic_entry_function_runs_as_one_transaction() {
+        let build = |m: &mut Module| {
+            let mut b = FuncBuilder::new("inc", 1, FuncKind::Normal);
+            let v = b.addi(b.param(0), 1);
+            b.ret(Some(v));
+            let inc = m.add_function(b.finish());
+            let mut b = FuncBuilder::new("thread_main", 1, FuncKind::Atomic { ab_id: 0 });
+            let p = b.alloc_const(1, true);
+            let v = b.call(inc, &[b.param(0)]);
+            b.store(v, p, 0);
+            let w = b.load(p, 0);
+            b.ret(Some(w));
+            m.add_function(b.finish());
+        };
+        let (r, machine) = eval(build, vec![41]);
+        assert_eq!(r, 42);
+        let agg = machine.stats().aggregate();
+        assert_eq!((agg.commits, agg.irrevocable_commits), (1, 0));
+        // The store, the load and the global-lock subscription all ran in
+        // the transaction: it did not commit when `inc` returned.
+        assert_eq!((agg.tx_mem_ops, agg.nt_mem_ops), (3, 0));
+    }
+
+    #[test]
+    fn abort_in_a_helper_retries_with_the_original_arguments() {
+        // tx_add(p, k) adds k to *p through a helper; both functions
+        // overwrite their own parameters before using copies of them, and
+        // the helper's read-modify-write window invites conflict aborts.
+        let mut m = Module::new();
+        let mut b = FuncBuilder::new("add_to", 2, FuncKind::Normal);
+        let (p, k) = (b.param(0), b.param(1));
+        let (q, d) = (b.mov(p), b.mov(k));
+        b.assign_const(p, 0);
+        b.assign_const(k, 0);
+        let v = b.load(q, 0);
+        b.compute(30);
+        let v2 = b.add(v, d);
+        b.store(v2, q, 0);
+        b.ret(None);
+        let add_to = m.add_function(b.finish());
+        let mut b = FuncBuilder::new("tx_add", 2, FuncKind::Atomic { ab_id: 0 });
+        let (p, k) = (b.param(0), b.param(1));
+        let (q, d) = (b.mov(p), b.mov(k));
+        b.assign_const(p, 0);
+        b.assign_const(k, 0);
+        b.call_void(add_to, &[q, d]);
+        b.ret(None);
+        let tx_add = m.add_function(b.finish());
+        let mut b = FuncBuilder::new("thread_main", 3, FuncKind::Normal);
+        let (p, k, n) = (b.param(0), b.param(1), b.param(2));
+        let i = b.const_(0);
+        b.while_(
+            |b| b.lt(i, n),
+            |b| {
+                b.call_void(tx_add, &[p, k]);
+                let nx = b.addi(i, 1);
+                b.assign(i, nx);
+            },
+        );
+        b.ret(None);
+        m.add_function(b.finish());
+
+        let compiled = compile(&m);
+        let machine = Machine::new(MachineConfig::cores(2).small());
+        let counter = machine.host_alloc(8, true);
+        let plan = ThreadPlan {
+            func: compiled.module.expect("thread_main"),
+            args: vec![counter, 3, 40],
+        };
+        let out = run_workload(
+            &machine,
+            &compiled,
+            &RuntimeConfig::with_mode(Mode::Htm),
+            &[plan.clone(), plan],
+            5,
+        );
+        assert!(out.sim.aggregate().conflict_aborts > 0, "the cores contend");
+        assert_eq!(machine.host_load(counter), 2 * 40 * 3);
     }
 
     #[test]

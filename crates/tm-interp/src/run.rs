@@ -77,18 +77,21 @@ pub fn run_workload_prepared(
         "one thread plan per simulated core"
     );
     let shared = SharedRt::new(machine, rt_cfg);
-    let results: RefCell<Vec<Option<(RtStats, ExecStats, u64)>>> =
-        RefCell::new(vec![None; plans.len()]);
+    // Threads fold their statistics in as they finish, so a run keeps one
+    // aggregate `RtStats`, not one per thread.
+    let rt = RefCell::new(RtStats::default());
+    let exec = RefCell::new(ExecStats::default());
+    let returns = RefCell::new(vec![None; plans.len()]);
 
     let bodies = plans
         .iter()
         .enumerate()
         .map(|(tid, plan)| {
             let prepared = prepared.clone();
-            let results = &results;
+            let (rt, exec, returns) = (&rt, &exec, &returns);
             let rt_cfg = rt_cfg.clone();
             htm_sim::body(move |mut core| async move {
-                let mut exec = Executor::new(
+                let mut e = Executor::new(
                     compiled,
                     prepared,
                     rt_cfg,
@@ -96,29 +99,25 @@ pub fn run_workload_prepared(
                     tid,
                     base_seed + tid as u64,
                 );
-                let ret = exec.call(&mut core, plan.func, &plan.args).await;
-                results.borrow_mut()[tid] = Some((exec.rt.stats.clone(), exec.stats.clone(), ret));
+                let ret = e.call(&mut core, plan.func, &plan.args).await;
+                rt.borrow_mut().add(&e.rt.stats);
+                exec.borrow_mut().add(&e.stats);
+                returns.borrow_mut()[tid] = Some(ret);
             })
         })
         .collect();
 
     machine.run(bodies);
 
-    let mut rt = RtStats::default();
-    let mut exec = ExecStats::default();
-    let mut returns = Vec::with_capacity(plans.len());
-    for r in results.into_inner() {
-        let (r_rt, r_exec, ret) = r.expect("every thread must finish");
-        rt.add(&r_rt);
-        exec.add(&r_exec);
-        returns.push(ret);
-    }
-
     RunOutcome {
         sim: machine.stats(),
-        rt,
-        exec,
-        returns,
+        rt: rt.into_inner(),
+        exec: exec.into_inner(),
+        returns: returns
+            .into_inner()
+            .into_iter()
+            .map(|r| r.expect("every thread must finish"))
+            .collect(),
         sched: machine.sched_stats(),
     }
 }
@@ -222,13 +221,15 @@ mod tests {
     }
 
     /// Build and run the 9-lines-one-L1-set workload (always a capacity
-    /// overflow) under `fallback`; returns the machine, the array base,
-    /// the stride in words, and the outcome.
+    /// overflow, raised in a helper of the atomic function) under
+    /// `fallback`, then `tail_stores` plain stores; returns the machine,
+    /// the array base, the stride in words, and the outcome.
     fn run_capacity_overflow(
         fallback: htm_sim::FallbackPolicy,
+        tail_stores: u32,
     ) -> (Machine, u64, u64, RunOutcome, u32) {
         let mut m = Module::new();
-        let mut b = FuncBuilder::new("tx_big", 2, FuncKind::Atomic { ab_id: 0 });
+        let mut b = FuncBuilder::new("touch_9", 2, FuncKind::Normal);
         let (base, stride_lines) = (b.param(0), b.param(1));
         let i = b.const_(0);
         let n = b.const_(9);
@@ -245,9 +246,16 @@ mod tests {
             },
         );
         b.ret(None);
+        let touch_9 = m.add_function(b.finish());
+        let mut b = FuncBuilder::new("tx_big", 2, FuncKind::Atomic { ab_id: 0 });
+        b.call_void(touch_9, &[b.param(0), b.param(1)]);
+        b.ret(None);
         let tx = m.add_function(b.finish());
         let mut b = FuncBuilder::new("main", 2, FuncKind::Normal);
         b.call_void(tx, &[b.param(0), b.param(1)]);
+        for _ in 0..tail_stores {
+            b.store_const(5, b.param(0), 1);
+        }
         b.ret(None);
         m.add_function(b.finish());
 
@@ -279,7 +287,7 @@ mod tests {
         // 8 ways every attempt; after max_retries it must complete
         // irrevocably.
         let (machine, base, stride_words, out, max_retries) =
-            run_capacity_overflow(htm_sim::FallbackPolicy::Irrevocable);
+            run_capacity_overflow(htm_sim::FallbackPolicy::Irrevocable, 0);
         assert_eq!(out.exec.irrevocable_txns, 1);
         assert_eq!(out.exec.committed_txns, 0);
         let agg = out.sim.aggregate();
@@ -297,7 +305,7 @@ mod tests {
         // transaction must complete on the instrumented software path
         // (accounted as a fallback commit), with identical data results.
         let (machine, base, stride_words, out, max_retries) =
-            run_capacity_overflow(htm_sim::FallbackPolicy::HybridStm);
+            run_capacity_overflow(htm_sim::FallbackPolicy::HybridStm, 0);
         assert_eq!(out.exec.irrevocable_txns, 1, "one software-path commit");
         assert_eq!(out.exec.committed_txns, 0);
         let agg = out.sim.aggregate();
@@ -305,6 +313,19 @@ mod tests {
         assert_eq!(agg.irrevocable_commits, 1);
         for i in 0..9u64 {
             assert_eq!(machine.host_load(base + i * stride_words * 8), 1);
+        }
+    }
+
+    #[test]
+    fn fallback_path_ends_with_its_atomic_call() {
+        // A plain store after the fallback is one gated op: no ownership
+        // stripe claimed for it (hybrid), no lock (irrevocable).
+        for fb in [
+            htm_sim::FallbackPolicy::Irrevocable,
+            htm_sim::FallbackPolicy::HybridStm,
+        ] {
+            let ops = |tail| run_capacity_overflow(fb, tail).3.sim.cores[0].gated_ops;
+            assert_eq!(ops(1), ops(0) + 1, "{}", fb.name());
         }
     }
 
