@@ -15,17 +15,19 @@
 //! Run with: `cargo run -p stagger-bench --release --bin ablations`
 //!
 //! Each workload is compiled once and shared across sections; each
-//! section's runs go through the parallel job runner.
+//! section's runs go through the parallel job runner. Every run carries
+//! the common flags (`--fallback` included) plus the one knob its section
+//! varies.
 
-use htm_sim::{HtmProtocol, MachineConfig};
+use htm_sim::HtmProtocol;
 use stagger_bench::{CommonOpts, Exhibit};
-use stagger_core::{Mode, RuntimeConfig};
+use stagger_core::Mode;
 use workloads::{PreparedWorkload, Workload};
 
 fn main() {
     let opts = CommonOpts::from_args();
     let ex = Exhibit::new("ablations", &opts);
-    let report = ex.report();
+    let ex = &ex;
     let threads = opts.threads;
 
     // Compile each distinct workload once, up front (sections share them).
@@ -56,13 +58,14 @@ fn main() {
                 })
         })
         .collect();
-    let runs = report.pool(
+    let runs = ex.pool(
         cases
             .iter()
             .map(|&(p, proto, mode)| {
                 move || {
-                    let mcfg = MachineConfig::cores(threads).protocol(proto);
-                    report.run_cfg(p, opts.seed, mcfg, RuntimeConfig::with_mode(mode))
+                    let mut spec = ex.spec(p, mode, threads);
+                    spec.machine.protocol = proto;
+                    ex.run(p, &spec)
                 }
             })
             .collect(),
@@ -96,27 +99,18 @@ fn main() {
     const BITS: [u32; 5] = [2, 4, 6, 8, 12];
     // Job 0 is the eager baseline (abort-cut reference); jobs 1.. sweep
     // the tag width under Staggered.
-    let mut jobs: Vec<Box<dyn FnOnce() -> workloads::BenchResult + Send>> = Vec::new();
-    jobs.push(Box::new(|| {
-        report.run_cfg(
-            p_memcached,
-            opts.seed,
-            MachineConfig::cores(threads),
-            RuntimeConfig::with_mode(Mode::Htm),
-        )
-    }));
+    let mut specs = vec![ex.spec(p_memcached, Mode::Htm, threads)];
     for bits in BITS {
-        jobs.push(Box::new(move || {
-            let mcfg = MachineConfig::cores(threads).pc_tag_bits(bits);
-            report.run_cfg(
-                p_memcached,
-                opts.seed,
-                mcfg,
-                RuntimeConfig::with_mode(Mode::Staggered),
-            )
-        }));
+        let mut spec = ex.spec(p_memcached, Mode::Staggered, threads);
+        spec.machine.pc_tag_bits = bits;
+        specs.push(spec);
     }
-    let runs = report.pool(jobs);
+    let runs = ex.pool(
+        specs
+            .iter()
+            .map(|spec| move || ex.run(p_memcached, spec))
+            .collect(),
+    );
     let base_abts = runs[0].out.sim.aborts_per_commit();
     for (bits, stag) in BITS.iter().zip(&runs[1..]) {
         let cut = if base_abts > 0.0 {
@@ -142,14 +136,14 @@ fn main() {
         "timeout", "cycles", "abts/c", "timeouts"
     );
     const TIMEOUTS: [u64; 5] = [500, 2_000, 10_000, 50_000, 200_000];
-    let runs = report.pool(
+    let runs = ex.pool(
         TIMEOUTS
             .map(|timeout| {
                 move || {
-                    let mut rt = RuntimeConfig::with_mode(Mode::Staggered);
-                    rt.lock_timeout = timeout;
-                    rt.min_conflict_rate = 0.3;
-                    report.run_cfg(p_list, opts.seed, MachineConfig::cores(threads), rt)
+                    let mut spec = ex.spec(p_list, Mode::Staggered, threads);
+                    spec.runtime.lock_timeout = timeout;
+                    spec.runtime.min_conflict_rate = 0.3;
+                    ex.run(p_list, &spec)
                 }
             })
             .into_iter()
@@ -179,10 +173,10 @@ fn main() {
         (p_kmeans, Mode::Htm),
         (p_kmeans, Mode::Staggered),
     ];
-    let runs = report.pool(
+    let runs = ex.pool(
         curves
             .iter()
-            .flat_map(|&(p, mode)| SCALE_THREADS.map(|t| move || report.run(p, mode, t, opts.seed)))
+            .flat_map(|&(p, mode)| SCALE_THREADS.map(|t| move || ex.run(p, &ex.spec(p, mode, t))))
             .collect(),
     );
     for (&(p, mode), curve) in curves.iter().zip(runs.chunks(SCALE_THREADS.len())) {

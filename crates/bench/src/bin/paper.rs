@@ -45,20 +45,20 @@ fn main() {
     let ex = Exhibit::new("paper", &opts);
     let set = ex.workload_set();
     let prepared = ex.prepare(&set);
-    let report = ex.report();
+    let ex = &ex;
 
     let t = opts.threads;
     let matrix: Vec<(Mode, usize)> = std::iter::once((Mode::Htm, 1))
         .chain(Mode::ALL.map(|m| (m, t)))
         .chain([(Mode::Staggered, 1)])
         .collect();
-    let runs = report.pool(
+    let runs = ex.pool(
         prepared
             .iter()
             .flat_map(|p| {
                 matrix
                     .iter()
-                    .map(move |&(mode, threads)| move || report.run(p, mode, threads, opts.seed))
+                    .map(move |&(mode, threads)| move || ex.run(p, &ex.spec(p, mode, threads)))
             })
             .collect(),
     );
@@ -76,17 +76,17 @@ fn main() {
     // Tables 1, 3 and 4 put the quick tag mid-banner, so every section
     // places it itself instead of going through `Exhibit::banner`.
     let q = if opts.quick { " (quick)" } else { "" };
-    table1(&ex, &rows, q);
+    table1(ex, &rows, q);
     println!();
     table2();
     println!();
-    table3(&ex, &rows, q);
+    table3(ex, &rows, q);
     println!();
-    table4(&ex, &rows, q);
+    table4(ex, &rows, q);
     println!();
-    fig7(&ex, &rows, q);
+    fig7(ex, &rows, q);
     println!();
-    fig8(&ex, &rows, q);
+    fig8(ex, &rows, q);
     ex.finish();
 }
 

@@ -10,10 +10,9 @@
 //! (schema: `htm-sim`'s obs module docs / EXPERIMENTS.md).
 
 use htm_sim::obs::{log2_bucket, write_jsonl, AbortBreakdown, ConflictMatrix, WaitHistogram};
-use htm_sim::Machine;
 use stagger_bench::profiling::{conflict_pairs, describe_tag};
-use stagger_bench::{parse_mode, Args, CommonOpts, Exhibit, Report};
-use stagger_core::{Mode, RuntimeConfig};
+use stagger_bench::{Args, CommonOpts, Exhibit};
+use stagger_core::Mode;
 use workloads::PreparedWorkload;
 
 /// profile's option set: the common flags plus the profiling target.
@@ -42,7 +41,7 @@ impl ProfileOpts {
                 }
                 "--mode" => {
                     let v = a.value("--mode");
-                    mode = parse_mode(&v)
+                    mode = Mode::parse(&v)
                         .unwrap_or_else(|| a.fail(&format!("invalid --mode value '{v}'")));
                     true
                 }
@@ -71,11 +70,9 @@ fn main() {
     let w = ex.workload(name);
     let p = PreparedWorkload::new(w.as_ref());
 
-    let machine = Machine::new(ex.recording_machine(opts.common.threads));
-    let mut r = p.run_on(&machine, &RuntimeConfig::with_mode(mode), opts.common.seed);
-    r.events = machine.take_events();
-    r.events_dropped = machine.events_dropped();
-    ex.report().record(&r);
+    let mut spec = ex.spec(&p, mode, opts.common.threads);
+    spec.machine.record_events = true;
+    let r = ex.run(&p, &spec);
     let streams = &r.events;
     let n_events: usize = streams.iter().map(|s| s.len()).sum();
 
@@ -87,7 +84,7 @@ fn main() {
         r.cycles(),
         n_events
     ));
-    Report::warn_dropped_events(&r);
+    Exhibit::warn_dropped_events(&r);
 
     let b = AbortBreakdown::from_events(streams);
     println!(

@@ -46,29 +46,9 @@ fn main() {
         "vs irrev"
     ));
 
-    // One prepared workload per suite entry, shared across its cells.
-    let names: Vec<&str> = spec.axes[0].values.iter().map(|s| s.as_str()).collect();
-    let set = ex.workload_list(&names);
-    let prepared = ex.prepare(&set);
-    let report = ex.report();
-
-    // One job per grid cell; submission order == grid order, so rows
-    // print variant-grouped at any --jobs level.
-    let runs = report.pool(
-        grid.iter()
-            .map(|cell| {
-                let p = &prepared[names
-                    .iter()
-                    .position(|n| *n == cell.spec.workload)
-                    .expect("grid workloads come from the axis")];
-                move || {
-                    let r = cell.spec.run(p);
-                    report.record(&r);
-                    r
-                }
-            })
-            .collect(),
-    );
+    // One job per grid cell; results are in grid order, so rows print
+    // variant-grouped at any --jobs level.
+    let runs = ex.run_grid(&grid);
 
     // The variant axis is the fastest, so each chunk is one (workload,
     // mode) group with the irrevocable baseline first.
@@ -76,16 +56,6 @@ fn main() {
         let base_cycles = group[0].cycles();
         for (cell, r) in cells.iter().zip(group) {
             let agg = r.out.sim.aggregate();
-            let commits = agg.commits + agg.irrevocable_commits;
-            let aborts = agg.conflict_aborts
-                + agg.capacity_aborts
-                + agg.explicit_aborts
-                + agg.subscription_aborts;
-            let apc = if commits > 0 {
-                aborts as f64 / commits as f64
-            } else {
-                0.0
-            };
             let variant = &cell.coords.last().expect("variant coordinate").1;
             println!(
                 "{:<10} {:<10} {:<22} {:>12} {:>8} {:>7} {:>8.2} {:>5} {:>5} {:>8.2}x",
@@ -95,7 +65,7 @@ fn main() {
                 r.cycles(),
                 agg.commits,
                 agg.irrevocable_commits,
-                apc,
+                r.out.sim.aborts_per_commit(),
                 agg.capacity_aborts,
                 agg.subscription_aborts,
                 base_cycles as f64 / r.cycles().max(1) as f64,

@@ -15,29 +15,33 @@
 //! rate. `sched_stale` / `sched_calls` ~= 1.2: one key update for the core
 //! that ran plus one per park and unpark.
 //!
-//! `--json` dumps every run to `results/BENCH_scaling.json`.
+//! The grid is the `scaling` built-in sweep's (`sweep --spec scaling`
+//! persists its contention metrics), with `--cores` replacing its
+//! `threads` axis. `--json` dumps every run to
+//! `results/BENCH_scaling.json`.
 
+use stagger_bench::sweep::builtin_sweep;
 use stagger_bench::{Args, CommonOpts, Exhibit};
-use stagger_core::Mode;
 
-/// scaling's option set: the common flags plus the core-count ladder.
+/// scaling's option set: the common flags plus the core-count ladder
+/// (`None` keeps the built-in sweep's).
 struct ScalingOpts {
     common: CommonOpts,
-    cores: Vec<usize>,
+    cores: Option<Vec<String>>,
 }
 
 impl ScalingOpts {
     fn from_args() -> ScalingOpts {
-        let mut cores: Vec<usize> = vec![16, 32, 64, 128, 256];
+        let mut cores = None;
         let common = CommonOpts::parse_with(
             "[--cores LIST]",
             "scaling options:\n  \
              --cores LIST     comma-separated core counts to sweep\n                   \
-             (default 16,32,64,128,256)",
+             (default: the scaling sweep's, 16 to 256)",
             |a: &mut Args, flag: &str| match flag {
                 "--cores" => {
                     let v = a.value("--cores");
-                    cores = v
+                    let ladder: Vec<String> = v
                         .split(',')
                         .map(|t| {
                             let n: usize = t.trim().parse().unwrap_or_else(|_| {
@@ -49,12 +53,10 @@ impl ScalingOpts {
                                     htm_sim::MAX_CORES
                                 ));
                             }
-                            n
+                            n.to_string()
                         })
                         .collect();
-                    if cores.is_empty() {
-                        a.fail("--cores needs at least one core count");
-                    }
+                    cores = Some(ladder);
                     true
                 }
                 _ => false,
@@ -64,17 +66,20 @@ impl ScalingOpts {
     }
 }
 
-/// The exhibit's workload pair: the two highest-contention benchmarks.
-const WORKLOADS: [&str; 2] = ["list-hi", "memcached"];
-const MODES: [Mode; 2] = [Mode::Htm, Mode::Staggered];
-
 fn main() {
     let opts = ScalingOpts::from_args();
     let ex = Exhibit::new("scaling", &opts.common);
+    let mut spec = builtin_sweep("scaling", &opts.common).expect("built-in");
+    if let Some(cores) = opts.cores {
+        spec.axes.last_mut().expect("threads axis").values = cores;
+    }
+    let [workloads, _, ladder] = &spec.axes[..] else {
+        unreachable!("scaling sweeps workload x mode x threads");
+    };
     ex.banner(&format!(
-        "Core-count scaling: {} x {{HTM, Staggered}} at n_cores in {:?}",
-        WORKLOADS.join(", "),
-        opts.cores
+        "Core-count scaling: {} x {{HTM, Staggered}} at n_cores in [{}]",
+        workloads.values.join(", "),
+        ladder.values.join(", ")
     ));
     ex.header(&format!(
         "{:<10} {:<10} {:>6} {:>14} {:>10} {:>9} {:>10} {:>12} {:>11} {:>12} {:>9}",
@@ -91,46 +96,18 @@ fn main() {
         "parks"
     ));
 
-    let set = ex.workload_list(&WORKLOADS);
-    let prepared = ex.prepare(&set);
-    let report = ex.report();
-
-    // One job per (workload, mode, cores) cell; the pool keeps results in
-    // submission order, so rows print ladder-ordered at any --jobs level.
-    let runs = report.pool(
-        prepared
-            .iter()
-            .flat_map(|p| {
-                let cores = &opts.cores;
-                let seed = opts.common.seed;
-                MODES.into_iter().flat_map(move |mode| {
-                    cores
-                        .iter()
-                        .map(move |&n| move || report.run(p, mode, n, seed))
-                })
-            })
-            .collect(),
-    );
-
-    for r in &runs {
-        let agg = r.out.sim.aggregate();
-        let commits = agg.commits + agg.irrevocable_commits;
-        let aborts = agg.conflict_aborts
-            + agg.capacity_aborts
-            + agg.explicit_aborts
-            + agg.subscription_aborts;
-        let apc = if commits > 0 {
-            aborts as f64 / commits as f64
-        } else {
-            0.0
-        };
+    // One job per (workload, mode, cores) cell, ladder-ordered.
+    let grid = spec
+        .cells()
+        .expect("--cores values are valid thread counts");
+    for r in &ex.run_grid(&grid) {
         println!(
             "{:<10} {:<10} {:>6} {:>14} {:>10.3} {:>9.1} {:>10.2} {:>12} {:>11} {:>12} {:>9}",
             r.name,
             r.mode.name(),
             r.n_threads,
             r.cycles(),
-            apc,
+            r.out.sim.aborts_per_commit(),
             r.ns_per_inst(),
             r.insts_per_sec() / 1e6,
             r.out.sched.schedule_calls,

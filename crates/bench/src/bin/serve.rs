@@ -17,8 +17,8 @@
 //! dominant blame) as JSON Lines; `--json` dumps the harness report to
 //! `results/BENCH_serve.json`.
 
-use stagger_bench::{Args, CommonOpts, Exhibit, Report};
-use stagger_core::{Mode, RuntimeConfig};
+use stagger_bench::{Args, CommonOpts, Exhibit};
+use stagger_core::Mode;
 use std::io::Write as _;
 use workloads::serve::Serve;
 
@@ -112,7 +112,6 @@ const MODES: [Mode; 2] = [Mode::Htm, Mode::Staggered];
 fn main() {
     let opts = ServeOpts::from_args();
     let ex = Exhibit::new("serve", &opts.common);
-    let report = ex.report();
     ex.banner(&format!(
         "Serving scenario: serve-{} open-loop ramp x {{HTM, Staggered}} on {} cores, \
          p99 SLO {} cycles",
@@ -158,21 +157,19 @@ fn main() {
         })
         .collect();
 
-    // Run every (mode, load) cell through the pool; event recording on.
-    let runs = report.pool(
+    // Run every (mode, load) cell through the pool with event recording
+    // on. Recorded below with request-level latency, so not through
+    // `Exhibit::run`, which would add a transaction-level digest.
+    let runs = ex.pool(
         MODES
             .iter()
             .flat_map(|&mode| {
                 let ex = &ex;
-                let opts = &opts;
+                let cores = opts.cores;
                 prepared.iter().map(move |p| {
-                    move || {
-                        p.run_cfg(
-                            opts.common.seed,
-                            ex.recording_machine(opts.cores),
-                            RuntimeConfig::with_mode(mode),
-                        )
-                    }
+                    let mut spec = ex.spec(p, mode, cores);
+                    spec.machine.record_events = true;
+                    move || spec.run(p)
                 })
             })
             .collect(),
@@ -193,7 +190,7 @@ fn main() {
         let reqs = htm_sim::request_latencies(&r.events, &arrivals[rung]);
         let hist = htm_sim::histogram_of(&reqs);
         let s = hist.summary();
-        report.record_with_latency(r, s);
+        ex.record_with_latency(r, s);
 
         if let Some(w) = jsonl.as_mut() {
             for q in &reqs {
@@ -230,7 +227,7 @@ fn main() {
             let entry = &mut sustained[i / opts.loads.len()].1;
             *entry = Some(entry.map_or(ia, |best: u64| best.min(ia)));
         }
-        Report::warn_dropped_events(r);
+        Exhibit::warn_dropped_events(r);
         let cycles = r.cycles().max(1);
         let req_per_mcyc = s.count * 1_000_000 / cycles;
         println!(

@@ -15,12 +15,13 @@
 //! (contention metrics of the core-count and offered-load grids),
 //! `protocols` (the protocol matrix: workload × mode × execution
 //! variant — the `protocols` binary renders the same grid as an
-//! exhibit), and `smoke` (a two-cell sweep for CI cache checks).
+//! exhibit), and `smoke` (a two-cell sweep for CI cache checks, run only
+//! when named).
 
 use stagger_bench::sweep::{
-    builtin_sweep, builtin_sweep_names, cell_dir, run_sweep, write_tables, SweepSpec,
+    builtin_sweep, builtin_sweep_names, cell_dir, run_sweep, write_tables, CellResult,
 };
-use stagger_bench::{Args, CommonOpts, Exhibit, RunSpec};
+use stagger_bench::{Args, CommonOpts, Exhibit};
 use stagger_core::Mode;
 use std::path::PathBuf;
 
@@ -76,34 +77,13 @@ impl SweepOpts {
     }
 }
 
-/// The CI smoke sweep: two cells (mode × ssca2), small enough to run in
-/// seconds and exercise the whole cache/resume machinery.
-fn smoke_sweep(opts: &CommonOpts) -> SweepSpec {
-    SweepSpec {
-        name: "smoke".to_string(),
-        base: RunSpec::from_opts(opts, "ssca2", Mode::Htm),
-        axes: vec![stagger_bench::sweep::Axis::new(
-            "mode",
-            &["HTM", "Staggered"],
-        )],
-    }
-}
-
-fn resolve(name: &str, opts: &CommonOpts) -> Option<SweepSpec> {
-    if name == "smoke" {
-        Some(smoke_sweep(opts))
-    } else {
-        builtin_sweep(name, opts)
-    }
-}
-
 fn main() {
     let opts = SweepOpts::from_args();
     let ex = Exhibit::new("sweep", &opts.common);
 
     if opts.list {
-        for &name in builtin_sweep_names().iter().chain(&["smoke"]) {
-            let spec = resolve(name, &opts.common).expect("built-in");
+        for &name in builtin_sweep_names() {
+            let spec = builtin_sweep(name, &opts.common).expect("built-in");
             let cells = spec.cells().expect("built-in sweeps expand");
             println!("{name}: {} cells", cells.len());
             println!("  base: {} [{}]", spec.base.workload, spec.base.mode.name());
@@ -117,6 +97,7 @@ fn main() {
     let names: Vec<String> = if opts.specs.is_empty() {
         builtin_sweep_names()
             .iter()
+            .filter(|&&s| s != "smoke")
             .map(|s| s.to_string())
             .collect()
     } else {
@@ -125,9 +106,9 @@ fn main() {
 
     let mut all_complete = true;
     for name in &names {
-        let Some(spec) = resolve(name, &opts.common) else {
+        let Some(spec) = builtin_sweep(name, &opts.common) else {
             eprintln!("sweep: unknown sweep '{name}'");
-            eprintln!("available: {} smoke", builtin_sweep_names().join(" "));
+            eprintln!("available: {}", builtin_sweep_names().join(" "));
             std::process::exit(2);
         };
         let grid = spec.cells().expect("built-in sweeps expand");
@@ -142,7 +123,7 @@ fn main() {
             &opts.dir,
             opts.common.jobs,
             opts.max_cells,
-            Some(ex.report()),
+            Some(&ex),
         )
         .unwrap_or_else(|e| {
             eprintln!("sweep: {e}");
@@ -199,7 +180,7 @@ fn main() {
         }
 
         if name == "pc-tags" {
-            pc_tag_analysis(&spec, &grid, &cells);
+            pc_tag_analysis(&cells);
         }
         println!();
     }
@@ -213,16 +194,12 @@ fn main() {
 /// The paper's Section 4 claim, checked against the grid: anchor
 /// identification degrades as tags narrow below 12 bits, and 12 bits is
 /// already within noise of 16.
-fn pc_tag_analysis(
-    spec: &SweepSpec,
-    grid: &[stagger_bench::sweep::GridCell],
-    cells: &[&stagger_bench::sweep::CellResult],
-) {
+fn pc_tag_analysis(cells: &[&CellResult]) {
     println!();
     println!("PC-tag sensitivity (Staggered cells, accuracy by width):");
     // Group staggered cells by workload; axis order guarantees bits ascend.
     let mut by_workload: Vec<(String, Vec<(u32, f64)>)> = Vec::new();
-    for (cell, res) in grid.iter().zip(cells) {
+    for res in cells {
         if res.spec.mode != Mode::Staggered {
             continue;
         }
@@ -235,7 +212,6 @@ fn pc_tag_analysis(
             Some((_, v)) => v.push((bits, acc)),
             None => by_workload.push((res.spec.workload.clone(), vec![(bits, acc)])),
         }
-        let _ = cell;
     }
     for (w, curve) in &by_workload {
         let pts: Vec<String> = curve
@@ -253,5 +229,4 @@ fn pc_tag_analysis(
             }
         );
     }
-    let _ = spec;
 }

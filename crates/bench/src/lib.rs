@@ -5,19 +5,20 @@
 //! | binary | prints |
 //! |---|---|
 //! | `paper` | the paper's evaluation (Section 6): Tables 1–4 and Figures 7 and 8 from one run matrix |
-//! | `ablations` | protocol, PC-tag width, lock timeout and thread-scaling ablations |
-//! | `protocols` | protocol matrix — fallback policy × bounded-set HTM across the suite |
-//! | `scaling` | list-hi and memcached from 16 to 256 simulated cores |
+//! | `ablations` | protocol, PC-tag width, lock timeout and thread-scaling ablations, each under the common flags |
+//! | `protocols` | protocol matrix — fallback policy × bounded-set HTM across the suite (the `protocols` sweep's grid) |
+//! | `scaling` | list-hi and memcached from 16 to 256 simulated cores (the `scaling` sweep's grid) |
 //! | `serve` | open-loop serving scenario: request-latency percentiles against a p99 SLO |
 //! | `profile` | conflict attribution for one workload from the observability stream |
-//! | `sweep` | declarative ablation sweeps over [`RunSpec`] grids |
+//! | `sweep` | declarative ablation sweeps over [`RunSpec`] grids ([`sweep::builtin_sweep`]) |
 //!
 //! Run with `cargo run -p stagger-bench --release --bin <name>`. Common
 //! options (see [`CommonOpts`]): `--threads N`, `--quick`, `--seed N`,
 //! `--jobs N`, `--json`, `--fallback F`; binaries with extra flags
 //! (profile, scaling, serve, sweep) extend the set via
 //! [`CommonOpts::parse_with`], so each `--help` lists exactly the flags
-//! that binary understands. Every exhibit is an [`Exhibit`]: it compiles
+//! that binary understands. Every exhibit is an [`Exhibit`] and every
+//! run it makes is a [`RunSpec`] built from the common flags: it compiles
 //! each workload once ([`workloads::PreparedWorkload`]) and submits its
 //! simulator runs to a parallel job runner ([`jobs::run_jobs`]); results
 //! and output order are deterministic at any `--jobs` level because each
@@ -31,7 +32,6 @@
 //! advisory-lock acquire/release, anchor-table lookups, and compile-pass
 //! time.
 
-use stagger_core::Mode;
 use workloads::Workload;
 
 pub mod digest;
@@ -39,13 +39,11 @@ pub mod exhibit;
 pub mod jobs;
 pub mod paper;
 pub mod profiling;
-pub mod report;
 pub mod sweep;
 
 pub use digest::run_digest;
 pub use exhibit::Exhibit;
 pub use jobs::run_jobs;
-pub use report::Report;
 pub use sweep::RunSpec;
 
 const COMMON_USAGE: &str = "\
@@ -65,13 +63,6 @@ common options:
 
 const COMMON_USAGE_LINE: &str = "[--threads N] [--quick] [--seed N] [--jobs N] [--json] \
      [--fallback F]";
-
-/// Parse a [`Mode`] by its display name, case-insensitively; `+` may be
-/// omitted ("staggeredsw" ≡ "Staggered+SW"). Thin wrapper over
-/// [`Mode::parse`].
-pub fn parse_mode(s: &str) -> Option<Mode> {
-    Mode::parse(s)
-}
 
 /// Cursor over `argv` shared by the common-flag parser and each binary's
 /// extra flags. Extra-flag closures pull values through [`Args::value`] /
@@ -233,8 +224,12 @@ impl CommonOpts {
             }
             a.i += 1;
         }
-        if o.threads == 0 {
-            a.fail("--threads must be at least 1");
+        if !(1..=htm_sim::MAX_CORES).contains(&o.threads) {
+            a.fail(&format!(
+                "--threads must be in 1..={}, got {}",
+                htm_sim::MAX_CORES,
+                o.threads
+            ));
         }
         if o.jobs == 0 {
             a.fail("--jobs must be at least 1");
@@ -286,9 +281,26 @@ pub fn rule(header: &str) {
     println!("{}", "-".repeat(header.len()));
 }
 
+/// JSON string literal with minimal escaping (names here are ASCII).
+pub(crate) fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stagger_core::Mode;
     use workloads::PreparedWorkload;
 
     #[test]
@@ -308,16 +320,6 @@ mod tests {
         assert_eq!(contention_class(4.8), "high");
         assert_eq!(yn(0.8), "Y");
         assert_eq!(yn(0.2), "N");
-    }
-
-    #[test]
-    fn mode_names_parse_back() {
-        for m in Mode::ALL {
-            assert_eq!(parse_mode(m.name()), Some(m));
-            assert_eq!(parse_mode(&m.name().to_lowercase()), Some(m));
-        }
-        assert_eq!(parse_mode("staggeredsw"), Some(Mode::StaggeredSw));
-        assert_eq!(parse_mode("nonsense"), None);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! sensitivity curves: PC-tag width (`pc-tags`) and advisory-lock
 //! timeout × backoff (`lock-tuning`). The `sweep` binary drives them.
 
-use crate::{jobs::run_jobs, CommonOpts};
+use crate::{jobs::run_jobs, json_str, CommonOpts, Exhibit};
 use htm_sim::MachineConfig;
 use stagger_core::{Mode, RuntimeConfig};
 use std::collections::BTreeMap;
@@ -113,7 +113,14 @@ impl RunSpec {
             "threads" => {
                 self.threads = value
                     .parse()
-                    .map_err(|_| format!("threads: invalid value '{value}'"))?;
+                    .ok()
+                    .filter(|n| (1..=htm_sim::MAX_CORES).contains(n))
+                    .ok_or_else(|| {
+                        format!(
+                            "threads: invalid value '{value}' (must be in 1..={})",
+                            htm_sim::MAX_CORES
+                        )
+                    })?;
             }
             "seed" => {
                 self.seed = value
@@ -298,6 +305,7 @@ pub struct CellMetrics {
     pub conflict_aborts: u64,
     pub capacity_aborts: u64,
     pub explicit_aborts: u64,
+    pub subscription_aborts: u64,
     pub useful_tx_cycles: u64,
     pub wasted_tx_cycles: u64,
     pub lock_wait_cycles: u64,
@@ -322,6 +330,7 @@ impl CellMetrics {
             conflict_aborts: agg.conflict_aborts,
             capacity_aborts: agg.capacity_aborts,
             explicit_aborts: agg.explicit_aborts,
+            subscription_aborts: agg.subscription_aborts,
             useful_tx_cycles: agg.useful_tx_cycles,
             wasted_tx_cycles: agg.wasted_tx_cycles,
             lock_wait_cycles: agg.lock_wait_cycles,
@@ -333,8 +342,12 @@ impl CellMetrics {
         }
     }
 
+    /// Every abort, whatever its cause (as `CoreStats::aborts`).
     pub fn aborts(&self) -> u64 {
-        self.conflict_aborts + self.capacity_aborts + self.explicit_aborts
+        self.conflict_aborts
+            + self.capacity_aborts
+            + self.explicit_aborts
+            + self.subscription_aborts
     }
 
     /// Aborts per commit (irrevocable executions count as commits).
@@ -357,7 +370,7 @@ impl CellMetrics {
         }
     }
 
-    const KEYS: [&'static str; 15] = [
+    const KEYS: [&'static str; 16] = [
         "sim_cycles",
         "sim_insts",
         "commits",
@@ -365,6 +378,7 @@ impl CellMetrics {
         "conflict_aborts",
         "capacity_aborts",
         "explicit_aborts",
+        "subscription_aborts",
         "useful_tx_cycles",
         "wasted_tx_cycles",
         "lock_wait_cycles",
@@ -375,7 +389,7 @@ impl CellMetrics {
         "anchor_correct",
     ];
 
-    fn values(&self) -> [u64; 15] {
+    fn values(&self) -> [u64; 16] {
         [
             self.sim_cycles,
             self.sim_insts,
@@ -384,6 +398,7 @@ impl CellMetrics {
             self.conflict_aborts,
             self.capacity_aborts,
             self.explicit_aborts,
+            self.subscription_aborts,
             self.useful_tx_cycles,
             self.wasted_tx_cycles,
             self.lock_wait_cycles,
@@ -409,6 +424,7 @@ impl CellMetrics {
             conflict_aborts: get("conflict_aborts")?,
             capacity_aborts: get("capacity_aborts")?,
             explicit_aborts: get("explicit_aborts")?,
+            subscription_aborts: get("subscription_aborts")?,
             useful_tx_cycles: get("useful_tx_cycles")?,
             wasted_tx_cycles: get("wasted_tx_cycles")?,
             lock_wait_cycles: get("lock_wait_cycles")?,
@@ -516,16 +532,17 @@ pub fn cell_dir(dir: &Path, sweep: &str) -> PathBuf {
 /// Execute `spec`, reusing every cell already persisted under `dir` and
 /// computing at most `max_cells` missing cells (`None` = all) through the
 /// job pool. Each distinct workload is compiled once and shared across
-/// its cells; freshly computed cells are recorded in `report` (cached
+/// its cells; freshly computed cells are recorded in `exhibit` (cached
 /// cells are not — they cost no simulation time). Cell files are written
-/// atomically (tmp + rename), so a killed sweep never leaves a corrupt
-/// cache entry.
+/// atomically (tmp + rename), so a killed sweep never leaves a partial
+/// cache entry; a cell file that does not parse (corrupt, or written
+/// before a counter was added) is recomputed and rewritten.
 pub fn run_sweep(
     spec: &SweepSpec,
     dir: &Path,
     jobs: usize,
     max_cells: Option<usize>,
-    report: Option<&crate::Report>,
+    exhibit: Option<&Exhibit>,
 ) -> Result<SweepOutcome, String> {
     let grid = spec.cells()?;
     let cache = cell_dir(dir, &spec.name);
@@ -535,23 +552,24 @@ pub fn run_sweep(
     // Load what the cache already has; collect the missing cell indices.
     let mut cells: Vec<Option<CellResult>> = Vec::with_capacity(grid.len());
     let mut missing: Vec<usize> = Vec::new();
-    let mut cached = 0usize;
     for (i, cell) in grid.iter().enumerate() {
         let key = cell.spec.run_key();
         let path = cache.join(format!("{key}.cell"));
-        match std::fs::read_to_string(&path) {
-            Ok(text) => {
-                let parsed = CellResult::parse(&text, &key)
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
-                cached += 1;
-                cells.push(Some(parsed));
+        let parsed = std::fs::read_to_string(&path).ok().and_then(|text| {
+            match CellResult::parse(&text, &key) {
+                Ok(res) => Some(res),
+                Err(e) => {
+                    eprintln!("sweep: recomputing {}: {e}", path.display());
+                    None
+                }
             }
-            Err(_) => {
-                missing.push(i);
-                cells.push(None);
-            }
+        });
+        if parsed.is_none() {
+            missing.push(i);
         }
+        cells.push(parsed);
     }
+    let cached = grid.len() - missing.len();
 
     // Honor the interruption budget: compute only the first `max_cells`
     // missing cells this invocation.
@@ -598,8 +616,8 @@ pub fn run_sweep(
                 let cache = &cache;
                 move || {
                     let r = cell.spec.run(p);
-                    if let Some(rep) = report {
-                        rep.record(&r);
+                    if let Some(ex) = exhibit {
+                        ex.record(&r);
                     }
                     let res = CellResult {
                         spec: cell.spec.clone(),
@@ -745,24 +763,17 @@ pub fn write_tables(
     Ok((json_path, csv_path))
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Names of the built-in sweeps, in presentation order.
+/// Names of the built-in sweeps, in presentation order. The `sweep`
+/// binary runs all but the last, `smoke`, by default.
 pub fn builtin_sweep_names() -> &'static [&'static str] {
-    &["pc-tags", "lock-tuning", "scaling", "serve", "protocols"]
+    &[
+        "pc-tags",
+        "lock-tuning",
+        "scaling",
+        "serve",
+        "protocols",
+        "smoke",
+    ]
 }
 
 /// The built-in sweeps behind the paper's two headline sensitivity
@@ -789,6 +800,8 @@ pub fn builtin_sweep_names() -> &'static [&'static str] {
 ///   `bounded-set` read/write-set-limited HTM). The deliberately unsafe
 ///   `lazy-subscription` variant is excluded: its torn commits would trip
 ///   workload validation (it lives in the regression tests instead).
+/// * `smoke` — mode on `ssca2`: two cells, small enough for CI to
+///   exercise the cell cache and resume in seconds.
 pub fn builtin_sweep(name: &str, opts: &CommonOpts) -> Option<SweepSpec> {
     match name {
         "pc-tags" => Some(SweepSpec {
@@ -874,6 +887,11 @@ pub fn builtin_sweep(name: &str, opts: &CommonOpts) -> Option<SweepSpec> {
                 ),
             ],
         }),
+        "smoke" => Some(SweepSpec {
+            name: "smoke".to_string(),
+            base: RunSpec::from_opts(opts, "ssca2", Mode::Htm),
+            axes: vec![Axis::new("mode", &["HTM", "Staggered"])],
+        }),
         _ => None,
     }
 }
@@ -916,6 +934,11 @@ mod tests {
         assert!(s.set_field("machine.n_cores", "4").is_err());
         assert!(s.set_field("mystery", "1").is_err());
         assert!(s.set_field("mode", "psychic").is_err());
+        // A core count the machine cannot build is an error here, not a
+        // panic inside a pool worker later.
+        assert!(s.set_field("threads", "0").is_err());
+        assert!(s.set_field("threads", "257").is_err());
+        assert_eq!(s.threads, 8);
         assert!(RunSpec::parse("no equals sign").is_err());
         assert!(RunSpec::parse("quick=false\n").is_err(), "missing workload");
         // Knobs of removed drivers are errors, not silently ignored.
@@ -1004,6 +1027,7 @@ mod tests {
                 conflict_aborts: 3,
                 capacity_aborts: 0,
                 explicit_aborts: 1,
+                subscription_aborts: 2,
                 useful_tx_cycles: 50,
                 wasted_tx_cycles: 20,
                 lock_wait_cycles: 5,
@@ -1112,6 +1136,14 @@ mod tests {
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), 10 * 2 * 4);
+        assert_eq!(
+            builtin_sweep("smoke", &opts)
+                .unwrap()
+                .cells()
+                .unwrap()
+                .len(),
+            2
+        );
         assert!(builtin_sweep("nope", &opts).is_none());
     }
 }

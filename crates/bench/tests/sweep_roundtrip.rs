@@ -7,9 +7,12 @@
 //! 2. **Byte-identical resume** — a sweep interrupted mid-grid
 //!    (`max_cells`) and then resumed produces the exact same JSON/CSV
 //!    tables as an uninterrupted sweep, and the resumed invocation does
-//!    zero recomputation for cached cells.
+//!    zero recomputation for cached cells; a cell file that does not parse
+//!    is recomputed.
 
-use stagger_bench::sweep::{run_sweep, sweep_csv, sweep_json, Axis, SweepSpec};
+use stagger_bench::sweep::{
+    cell_dir, run_sweep, sweep_csv, sweep_json, Axis, CellMetrics, CellResult, SweepSpec,
+};
 use stagger_bench::RunSpec;
 use stagger_core::Mode;
 use std::path::PathBuf;
@@ -51,7 +54,9 @@ fn run_spec_round_trips_through_text_to_identical_cycles() {
 /// keys — and every sweep-cache cell addressed by them — stay valid.
 #[test]
 fn fallback_and_capacity_fields_round_trip_through_runs() {
-    let mut base = RunSpec::new("ssca2", Mode::Htm, 4, 11);
+    // Contended enough that the safe lazy-subscription run has commit-time
+    // subscription aborts.
+    let mut base = RunSpec::new("memcached", Mode::Htm, 8, 11);
     base.quick = true;
     let canon = base.canon();
     assert!(
@@ -84,6 +89,25 @@ fn fallback_and_capacity_fields_round_trip_through_runs() {
         assert_eq!(a.cycles(), b.cycles(), "parsed spec simulates identically");
         assert_eq!(a.sim_insts(), b.sim_insts());
         assert_eq!(a.out.exec.committed_txns, b.out.exec.committed_txns);
+
+        if value == "lazy-subscription-safe" {
+            // The table's `aborts` counts every cause the run's stats
+            // count, commit-time subscription aborts included.
+            let cell = CellResult {
+                spec: spec.clone(),
+                metrics: CellMetrics::from_result(&a),
+            };
+            let one = SweepSpec {
+                name: "one".to_string(),
+                base: spec.clone(),
+                axes: Vec::new(),
+            };
+            let json = sweep_json(&one, &one.cells().unwrap(), &[&cell]);
+            let agg = a.out.sim.aggregate();
+            assert!(agg.subscription_aborts > 0);
+            let aborts = agg.aborts();
+            assert!(json.contains(&format!("\"aborts\": {aborts},")), "{json}");
+        }
     }
 }
 
@@ -139,4 +163,47 @@ fn interrupted_sweep_resumes_to_byte_identical_tables() {
 
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
+}
+
+/// A cell file that does not parse — written before a counter was
+/// persisted, or cut short — is recomputed and rewritten, and the tables
+/// come out as from a clean cache.
+#[test]
+fn unparsable_cells_are_recomputed() {
+    let mut base = RunSpec::new("ssca2", Mode::Htm, 4, 11);
+    base.quick = true;
+    let spec = SweepSpec {
+        name: "corrupt-test".to_string(),
+        base,
+        axes: vec![Axis::new("mode", &["HTM", "Staggered"])],
+    };
+    let grid = spec.cells().unwrap();
+    let dir = scratch_dir("corrupt");
+    let clean = run_sweep(&spec, &dir, 2, None, None).unwrap();
+    let json = sweep_json(&spec, &grid, &clean.complete_cells());
+
+    let cells = cell_dir(&dir, &spec.name);
+    let paths: Vec<PathBuf> = grid
+        .iter()
+        .map(|c| cells.join(format!("{}.cell", c.spec.run_key())))
+        .collect();
+    let good: Vec<String> = paths
+        .iter()
+        .map(|p| std::fs::read_to_string(p).unwrap())
+        .collect();
+    let old_format: String = good[0]
+        .lines()
+        .filter(|l| !l.starts_with("result.subscription_aborts="))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    std::fs::write(&paths[0], old_format).unwrap();
+    std::fs::write(&paths[1], &good[1][..good[1].len() / 2]).unwrap();
+
+    let again = run_sweep(&spec, &dir, 2, None, None).unwrap();
+    assert_eq!((again.cached, again.computed), (0, 2));
+    assert_eq!(sweep_json(&spec, &grid, &again.complete_cells()), json);
+    for (p, text) in paths.iter().zip(&good) {
+        assert_eq!(&std::fs::read_to_string(p).unwrap(), text, "rewritten");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

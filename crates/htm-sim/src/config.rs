@@ -346,12 +346,22 @@ impl MachineConfig {
     }
 
     /// Set one knob by its canonical key. Returns a descriptive error for
-    /// an unknown key or an unparsable value.
+    /// an unknown key, an unparsable value, or a value the machine cannot
+    /// be built with (a PC tag outside 1..=16 bits — the width `AbortInfo`
+    /// carries — or a cache set count that is not a power of two).
     pub fn set_kv(&mut self, key: &str, value: &str) -> Result<(), String> {
         fn num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
             value
                 .parse()
                 .map_err(|_| format!("machine.{key}: invalid value '{value}'"))
+        }
+        fn sets(key: &str, value: &str) -> Result<usize, String> {
+            let n: usize = num(key, value)?;
+            if n.is_power_of_two() {
+                Ok(n)
+            } else {
+                Err(format!("machine.{key}: {n} is not a power of two"))
+            }
         }
         match key {
             "n_cores" => self.n_cores = num(key, value)?,
@@ -360,18 +370,24 @@ impl MachineConfig {
             "l2_latency" => self.l2_latency = num(key, value)?,
             "l3_latency" => self.l3_latency = num(key, value)?,
             "mem_latency" => self.mem_latency = num(key, value)?,
-            "l1_sets" => self.l1_sets = num(key, value)?,
+            "l1_sets" => self.l1_sets = sets(key, value)?,
             "l1_ways" => self.l1_ways = num(key, value)?,
-            "l2_sets" => self.l2_sets = num(key, value)?,
+            "l2_sets" => self.l2_sets = sets(key, value)?,
             "l2_ways" => self.l2_ways = num(key, value)?,
-            "l3_sets" => self.l3_sets = num(key, value)?,
+            "l3_sets" => self.l3_sets = sets(key, value)?,
             "l3_ways" => self.l3_ways = num(key, value)?,
             "tx_begin_cost" => self.tx_begin_cost = num(key, value)?,
             "tx_commit_cost" => self.tx_commit_cost = num(key, value)?,
             "tx_abort_cost" => self.tx_abort_cost = num(key, value)?,
             "alloc_cost_per_word" => self.alloc_cost_per_word = num(key, value)?,
             "arena_chunk_words" => self.arena_chunk_words = num(key, value)?,
-            "pc_tag_bits" => self.pc_tag_bits = num(key, value)?,
+            "pc_tag_bits" => {
+                let bits: u32 = num(key, value)?;
+                if !(1..=16).contains(&bits) {
+                    return Err(format!("machine.pc_tag_bits: {bits} is outside 1..=16"));
+                }
+                self.pc_tag_bits = bits;
+            }
             "protocol" => {
                 self.protocol = HtmProtocol::parse(value)
                     .ok_or_else(|| format!("machine.protocol: invalid value '{value}'"))?;
@@ -504,6 +520,27 @@ mod tests {
             c.set_kv("perm_cache_lines", "64").is_err(),
             "perm_cache_lines is host-only and must not enter run keys"
         );
+    }
+
+    #[test]
+    fn kv_rejects_knobs_the_machine_cannot_be_built_with() {
+        let mut c = MachineConfig::default();
+        for bits in ["0", "17", "64"] {
+            let err = c.set_kv("pc_tag_bits", bits).unwrap_err();
+            assert!(err.starts_with("machine.pc_tag_bits: "), "{err}");
+        }
+        for bits in ["1", "16"] {
+            c.set_kv("pc_tag_bits", bits).unwrap();
+        }
+        assert_eq!(c.pc_tag_mask(), 0xFFFF);
+        for key in ["l1_sets", "l2_sets", "l3_sets"] {
+            for v in ["0", "100", "3"] {
+                let err = c.set_kv(key, v).unwrap_err();
+                assert!(err.starts_with(&format!("machine.{key}: ")), "{err}");
+            }
+            c.set_kv(key, "64").unwrap();
+        }
+        assert_eq!((c.l1_sets, c.l2_sets, c.l3_sets), (64, 64, 64));
     }
 
     #[test]

@@ -6,7 +6,10 @@
 # Gates, in order:
 #   - cargo fmt --check and clippy -D warnings;
 #   - release builds of the workspace root and the exhibit binaries;
-#   - tier-1 tests and the workspace tests;
+#   - tier-1 tests and the workspace tests, among them cli_usage (removed
+#     flags and --threads 0 / 257 on paper, scaling, serve, profile and
+#     sweep print usage and exit 2) and ablations_fallback (--fallback
+#     reaches every ablation);
 #   - by name: the golden run digests (debug and release), the
 #     coherence-directory invariant, machine footprint (idle machines
 #     under 4 MiB), scheduler_stress (debug and release, with htm-sim's
@@ -28,16 +31,20 @@
 #   - the lazy-subscription window regression test;
 #   - protocols --quick: all 80 cells run, the new abort causes engage,
 #     and the table is cmp'd against results/protocols.txt;
-#   - the sweep cache smoke: a cold and a warm two-cell sweep.
+#   - the sweep cache smoke: a cold and a warm two-cell sweep;
+#   - the working tree: `git status --porcelain` at the end equals what
+#     it was at the start.
 #
 # Every tracked file under results/ other than README.md is compared
-# here, so a passing run leaves the tree clean. Transcripts of the smoke
-# gates go to target/ci/, JSON reports and event dumps to ignored paths.
+# here, so a passing run leaves the tree clean, and the last gate checks
+# that it did. Transcripts of the smoke gates go to target/ci/, JSON
+# reports and event dumps to ignored paths.
 #
 # Everything runs with --offline: the workspace has no external
 # dependencies by design, and CI must not depend on a registry.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+tree_before="$(git status --porcelain)"
 
 echo "== cargo fmt --check"
 cargo fmt --all --check
@@ -233,5 +240,13 @@ grep -q 'sweep smoke: 2 cells total, 2 cached, 0 computed, 0 remaining' \
   target/ci/sweep_smoke_rerun.txt
 cmp results/sweeps-ci/smoke/smoke.json results/sweeps-ci/smoke.json.cold
 cmp results/sweeps-ci/smoke/smoke.csv results/sweeps-ci/smoke.csv.cold
+
+echo "== working tree unchanged (git status --porcelain)"
+tree_after="$(git status --porcelain)"
+if [ "$tree_after" != "$tree_before" ]; then
+    echo "ci.sh: the run changed the working tree:" >&2
+    diff <(echo "$tree_before") <(echo "$tree_after") >&2 || true
+    exit 1
+fi
 
 echo "== ci.sh: all gates passed"
