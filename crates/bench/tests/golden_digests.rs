@@ -126,7 +126,7 @@ fn digest_covers_stats_events_returns_and_counters() {
     assert!(moves(&|m| m.events[1].truncate(1)), "event count");
     assert!(moves(&|m| m.out.returns[0] ^= 1), "thread returns");
     assert!(
-        moves(&|m| m.out.rt.anchor_hist.bump(u32::MAX)),
+        moves(&|m| m.out.rt.addr_hist.bump(u64::MAX)),
         "runtime histograms"
     );
     assert!(
