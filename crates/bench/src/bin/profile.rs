@@ -2,17 +2,20 @@
 //!
 //! Runs one workload (`--workload`, default `list-hi`) in one mode
 //! (`--mode`, default HTM) with event recording on, then prints what the
-//! paper's Section 3 profiling pass consumes: the abort-cause breakdown,
-//! the top conflicting PC-tag pairs resolved to IR functions/instructions
-//! (via the compiled program's anchor tables and `CodeLayout`), the
-//! victim×aborter conflict matrix, and per-lock-word wait histograms.
+//! paper's Section 3 profiling pass consumes: the abort-cause breakdown
+//! (the run's `SimStats`, the tally every table prints), the top
+//! conflicting PC-tag pairs resolved to IR functions/instructions (via the
+//! compiled program's anchor tables and `CodeLayout`), the victim×aborter
+//! conflict matrix, and per-lock-word wait percentiles.
 //! `--trace-out FILE` additionally dumps the raw event stream as JSONL
 //! (schema: `htm-sim`'s obs module docs / EXPERIMENTS.md).
 
-use htm_sim::obs::{log2_bucket, write_jsonl, AbortBreakdown, ConflictMatrix, WaitHistogram};
-use stagger_bench::profiling::{conflict_pairs, describe_tag};
+use htm_sim::obs::write_jsonl;
+use stagger_bench::profiling::{conflict_pairs, describe_tag, lock_waits};
 use stagger_bench::{Args, CommonOpts, Exhibit};
 use stagger_core::Mode;
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 use workloads::PreparedWorkload;
 
 /// profile's option set: the common flags plus the profiling target.
@@ -86,16 +89,18 @@ fn main() {
     ));
     Exhibit::warn_dropped_events(&r);
 
-    let b = AbortBreakdown::from_events(streams);
+    let sim = &r.out.sim;
+    let a = sim.aggregate();
     println!(
         "aborts: {} conflict, {} capacity, {} explicit, {} subscription \
-         ({} commits, {:.2} aborts/commit)",
-        b.conflict,
-        b.capacity,
-        b.explicit,
-        b.subscription,
-        b.commits,
-        b.aborts() as f64 / (b.commits.max(1)) as f64
+         ({} hardware + {} irrevocable commits, {:.2} aborts/commit)",
+        a.conflict_aborts,
+        a.capacity_aborts,
+        a.explicit_aborts,
+        a.subscription_aborts,
+        a.commits,
+        a.irrevocable_commits,
+        sim.aborts_per_commit()
     );
 
     // Top conflicting PC pairs, resolved through the compiled program.
@@ -123,42 +128,40 @@ fn main() {
         println!("{:36} <- {}", "", describe_tag(c, pr.ab_id, pr.aborter_tag));
     }
 
-    // The raw victim×aborter matrix (top cells).
-    let matrix = ConflictMatrix::from_events(streams);
+    // The victim×aborter matrix: the pairs above summed over atomic
+    // blocks, heaviest cells first.
+    let mut cells: BTreeMap<(u16, u16), u64> = BTreeMap::new();
+    for pr in &pairs {
+        *cells.entry((pr.victim_tag, pr.aborter_tag)).or_insert(0) += pr.count;
+    }
+    let total: u64 = cells.values().sum();
+    let mut cells: Vec<_> = cells.into_iter().collect();
+    cells.sort_by_key(|&((vt, at), count)| (Reverse(count), vt, at));
     println!();
     println!(
-        "conflict matrix: {} distinct (victim, aborter) tag cells, {} conflict aborts",
-        matrix.len(),
-        matrix.total()
+        "conflict matrix: {} distinct (victim, aborter) tag cells, {total} conflict aborts",
+        cells.len()
     );
-    for ((vt, at), count) in matrix.top(10) {
+    for ((vt, at), count) in cells.into_iter().take(10) {
         println!("  victim {vt:>#5x} x aborter {at:>#5x} : {count}");
     }
 
-    // Per-lock-word wait histograms (advisory locks only exist in the
+    // Per-lock-word wait percentiles (advisory locks only exist in the
     // staggered modes; HTM runs simply have no lock events).
-    let waits = WaitHistogram::from_events(streams);
+    let waits = lock_waits(streams);
     println!();
     if waits.is_empty() {
         println!("lock-wait histograms: no advisory-lock events in this mode");
     } else {
-        println!("lock-wait histograms (log2 buckets, cycles)");
-        for (word, w) in waits.words_by_traffic().into_iter().take(8) {
-            let attempts = w.acquires + w.timeouts;
-            print!(
-                "  word {word:#8x}: {attempts} attempts ({} timeouts), {} total wait cycles |",
-                w.timeouts, w.total_wait
+        println!("lock-wait histograms (cycles waited per acquire attempt)");
+        for w in waits.iter().take(8) {
+            let s = w.waits.summary();
+            println!(
+                "  word {:#8x}: {} attempts ({} timeouts), {} total wait cycles | \
+                 p50 {} p90 {} p99 {} max {}",
+                w.word, s.count, w.timeouts, s.total, s.p50, s.p90, s.p99, s.max
             );
-            let hi = w.buckets.iter().rposition(|&n| n != 0).unwrap_or(0);
-            for (k, &n) in w.buckets.iter().enumerate().take(hi + 1) {
-                if n != 0 {
-                    let lo = if k == 0 { 0 } else { 1u64 << (k - 1) };
-                    print!(" [{lo}+]:{n}");
-                }
-            }
-            println!();
         }
-        debug_assert!(log2_bucket(0) == 0);
     }
 
     if let Some(path) = &opts.trace_out {

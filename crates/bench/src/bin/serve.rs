@@ -220,8 +220,6 @@ fn main() {
             }
         }
 
-        // Blame the tail: the dominant component among requests at or
-        // above p99 (deterministic — derived from simulated quantities).
         let ok = s.p99 <= opts.slo;
         if ok {
             let entry = &mut sustained[i / opts.loads.len()].1;

@@ -43,7 +43,7 @@
 use crate::jobs::{run_jobs_timed, WorkerUtil};
 use crate::sweep::GridCell;
 use crate::{json_str, CommonOpts, RunSpec};
-use htm_sim::{histogram_of, txn_latencies, LatencySummary};
+use htm_sim::{histogram_of, request_latencies, LatencySummary};
 use stagger_core::Mode;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -226,8 +226,8 @@ impl Exhibit {
     /// a transaction-level latency digest; exhibits that know request
     /// arrivals (serve) use [`Exhibit::record_with_latency`] instead.
     pub fn record(&self, r: &BenchResult) {
-        let latency =
-            (!r.events.is_empty()).then(|| histogram_of(&txn_latencies(&r.events)).summary());
+        let latency = (!r.events.is_empty())
+            .then(|| histogram_of(&request_latencies(&r.events, &[])).summary());
         self.record_with(r, latency);
     }
 

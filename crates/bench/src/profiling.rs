@@ -4,14 +4,15 @@
 //! The simulator's event stream carries 12-bit PC tags (what the hardware
 //! delivers); this module aggregates them per atomic block and resolves
 //! them back to IR functions and instructions through the compiled
-//! program's unified anchor tables and [`CodeLayout`] — exactly the
-//! information an anchor-selection pass would consume.
+//! program's unified anchor tables and code layout — exactly the
+//! information an anchor-selection pass would consume — and folds
+//! advisory-lock waits per lock word.
 
 use htm_sim::obs::{ObsEvent, ObsKind};
-use htm_sim::{AbortCause, FxHashMap};
+use htm_sim::{AbortCause, Addr, FxHashMap, LogHistogram};
 use stagger_compiler::Compiled;
 use tm_ir::display::format_inst;
-use tm_ir::{Pc, INST_BYTES, TEXT_BASE};
+use tm_ir::Pc;
 
 /// One aggregated conflicting-PC-tag pair, keyed by the victim's atomic
 /// block (known from the enclosing `TxBegin`, so the victim tag can be
@@ -71,6 +72,41 @@ pub fn conflict_pairs(streams: &[Vec<ObsEvent>]) -> Vec<ConflictPair> {
     v
 }
 
+/// Advisory-lock waits on one lock word: one sample per acquire attempt,
+/// successful or timed out.
+#[derive(Debug, Clone)]
+pub struct LockWaits {
+    pub word: Addr,
+    /// Attempts that gave up (advisory semantics: the transaction ran on
+    /// without the lock).
+    pub timeouts: u64,
+    /// Cycles each attempt waited.
+    pub waits: LogHistogram,
+}
+
+/// Fold `LockAcquire`/`LockTimeout` events per lock word, busiest word
+/// first (ties by address — deterministic).
+pub fn lock_waits(streams: &[Vec<ObsEvent>]) -> Vec<LockWaits> {
+    let mut per_word: FxHashMap<Addr, LockWaits> = FxHashMap::default();
+    for e in streams.iter().flatten() {
+        let (word, waited, timed_out) = match e.kind {
+            ObsKind::LockAcquire { word, waited } => (word, waited, false),
+            ObsKind::LockTimeout { word, waited } => (word, waited, true),
+            _ => continue,
+        };
+        let w = per_word.entry(word).or_insert_with(|| LockWaits {
+            word,
+            timeouts: 0,
+            waits: LogHistogram::new(),
+        });
+        w.waits.record(waited);
+        w.timeouts += u64::from(timed_out);
+    }
+    let mut v: Vec<LockWaits> = per_word.into_values().collect();
+    v.sort_by_key(|w| (std::cmp::Reverse(w.waits.count()), w.word));
+    v
+}
+
 /// A PC tag resolved back to the program: full PC, owning function,
 /// instruction text and (when the access sits in an anchor table) its
 /// anchor id.
@@ -81,16 +117,16 @@ pub struct ResolvedTag {
     pub offset: u64,
     pub inst: String,
     /// Anchor id from the unified anchor table (0 when the entry has no
-    /// anchor or the tag resolved outside any table).
+    /// anchor).
     pub anchor_id: u32,
     pub is_anchor: bool,
 }
 
 /// Resolve a 12-bit tag to the program, preferring `ab_id`'s unified
 /// anchor table (the lookup the runtime itself performs on abort), then
-/// any other block's table (ascending id), then a [`CodeLayout`] scan over
-/// the tag's aliasing class. `None` when no laid-out instruction matches
-/// (e.g. tag 0 from a nontransactional aborter).
+/// any other block's table (ascending id). Every transactional access sits
+/// in its block's table, so `None` means no transactional access carries
+/// the tag — e.g. tag 0, which nontransactional aborters report.
 pub fn resolve_tag(c: &Compiled, ab_id: u32, tag: u16) -> Option<ResolvedTag> {
     let from_entry = |pc: Pc, anchor_id: u32, is_anchor: bool| {
         let fid = c.layout.func_at(pc)?;
@@ -120,16 +156,6 @@ pub fn resolve_tag(c: &Compiled, ab_id: u32, tag: u16) -> Option<ResolvedTag> {
         if let Some(e) = c.tables[&i].search_by_pc_tag(tag) {
             return from_entry(e.pc, e.anchor_id, e.is_anchor);
         }
-    }
-    // Fall back to scanning the tag's aliasing class in the layout
-    // (TEXT_BASE is 4096-aligned, so candidates step by one page).
-    debug_assert_eq!(TEXT_BASE % 4096, 0);
-    let mut pc = TEXT_BASE + tag as u64;
-    while pc < c.layout.text_end() {
-        if pc.is_multiple_of(INST_BYTES) && c.layout.inst_at(pc).is_some() {
-            return from_entry(pc, 0, false);
-        }
-        pc += 4096;
     }
     None
 }
@@ -211,14 +237,52 @@ mod tests {
         assert_eq!(pairs[1].count, 1);
     }
 
+    fn list_hi() -> Compiled {
+        use workloads::Workload;
+        stagger_compiler::compile(&workloads::list::ListBench::hi().build_module())
+    }
+
+    #[test]
+    fn lock_waits_fold_attempts_per_word() {
+        let acquire = |clock, word, waited| ObsEvent {
+            clock,
+            kind: ObsKind::LockAcquire { word, waited },
+        };
+        let streams = vec![
+            vec![acquire(10, 0x2000, 0), acquire(50, 0x1000, 40)],
+            vec![
+                acquire(60, 0x1000, 7),
+                ObsEvent {
+                    clock: 900,
+                    kind: ObsKind::LockTimeout {
+                        word: 0x1000,
+                        waited: 800,
+                    },
+                },
+                ObsEvent {
+                    clock: 950,
+                    kind: ObsKind::LockRelease {
+                        word: 0x1000,
+                        contended: true,
+                    },
+                },
+            ],
+        ];
+        let waits = lock_waits(&streams);
+        let words: Vec<Addr> = waits.iter().map(|w| w.word).collect();
+        assert_eq!(words, [0x1000, 0x2000], "busiest word first");
+        let s = waits[0].waits.summary();
+        assert_eq!((s.count, waits[0].timeouts, s.total), (3, 1, 847));
+        assert_eq!((s.p50, s.max), (40, 800));
+        assert_eq!(waits[1].waits.count(), 1);
+        assert!(lock_waits(&[Vec::new()]).is_empty());
+    }
+
     #[test]
     fn resolve_tag_finds_list_traversal() {
-        // Compile the real list workload and resolve a tag taken from its
-        // own anchor table: the round trip must name the same function.
-        let w = workloads::list::ListBench::hi();
-        use workloads::Workload;
-        let module = w.build_module();
-        let c = stagger_compiler::compile(&module);
+        // Resolve a tag taken from list-hi's own anchor table: the round
+        // trip must name the same function.
+        let c = list_hi();
         let (&ab_id, table) = c
             .tables
             .iter()
@@ -232,5 +296,17 @@ mod tests {
         assert!(!r.inst.is_empty());
         let d = describe_tag(&c, ab_id, tag);
         assert!(d.contains(&r.func));
+    }
+
+    #[test]
+    fn nontransactional_tag_zero_is_unresolved() {
+        // list_find_prev starts with an ALPoint at tag 0, which cannot
+        // conflict: tag 0 names no transactional access in any block.
+        let c = list_hi();
+        assert!(!c.tables.is_empty());
+        for &ab_id in c.tables.keys() {
+            assert!(resolve_tag(&c, ab_id, 0).is_none(), "block {ab_id}");
+            assert_eq!(describe_tag(&c, ab_id, 0), "<unresolved>");
+        }
     }
 }

@@ -13,7 +13,7 @@
 //! Keys here are attacker-free simulator-internal integers, so the lack of
 //! DoS resistance is irrelevant.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// 2^64 / φ, the multiplicative-hashing constant.
@@ -79,9 +79,6 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` using [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
-
-/// A `HashSet` using [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {

@@ -7,8 +7,7 @@
 //! recording on or off — into request latencies, attributes each tail
 //! request to the span that dominated it (lock waits, abort retries,
 //! backoff, queueing), and aggregates into HDR-style log-bucketed
-//! histograms whose merge is associative and commutative, so per-core
-//! (or per-shard) histograms combine deterministically.
+//! histograms.
 //!
 //! ## Segmentation model
 //!
@@ -70,13 +69,8 @@ pub fn bucket_upper(i: usize) -> u64 {
     }
 }
 
-/// Streaming log-bucketed (HDR-style) latency histogram.
-///
-/// `merge` is element-wise addition plus a max/count/total fold, so it is
-/// associative and commutative and a merged histogram is byte-identical
-/// no matter how the inputs were sharded — the property the serve
-/// exhibit's deterministic tables rest on. The maximum is tracked
-/// exactly (not quantized).
+/// Streaming log-bucketed (HDR-style) histogram of cycle counts. The
+/// maximum is tracked exactly (not quantized).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogHistogram {
     counts: Vec<u64>,
@@ -106,15 +100,6 @@ impl LogHistogram {
         self.count += 1;
         self.total = self.total.saturating_add(v);
         self.max = self.max.max(v);
-    }
-
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.total = self.total.saturating_add(other.total);
-        self.max = self.max.max(other.max);
     }
 
     pub fn count(&self) -> u64 {
@@ -358,13 +343,6 @@ pub fn request_latencies(streams: &[Vec<ObsEvent>], arrivals: &[Vec<u64>]) -> Ve
     out
 }
 
-/// Per-transaction latencies (first begin → completion, aborted attempts
-/// included) when no arrival schedule exists — the digest every `--json`
-/// report can expose for any workload run with event recording on.
-pub fn txn_latencies(streams: &[Vec<ObsEvent>]) -> Vec<RequestLatency> {
-    request_latencies(streams, &[])
-}
-
 /// Fold request latencies into a [`LogHistogram`] of end-to-end totals.
 pub fn histogram_of(requests: &[RequestLatency]) -> LogHistogram {
     let mut h = LogHistogram::new();
@@ -458,36 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_is_associative_and_commutative() {
-        let mut state = 7u64;
-        let parts: Vec<LogHistogram> = (0..4)
-            .map(|_| {
-                let mut h = LogHistogram::new();
-                for _ in 0..200 {
-                    h.record(splitmix(&mut state) % 1_000_000);
-                }
-                h
-            })
-            .collect();
-        // ((a+b)+c)+d == (d+c)+(b+a), and merging equals recording the
-        // union directly.
-        let mut left = parts[0].clone();
-        left.merge(&parts[1]);
-        left.merge(&parts[2]);
-        left.merge(&parts[3]);
-        let mut right = parts[3].clone();
-        right.merge(&parts[2]);
-        let mut ba = parts[1].clone();
-        ba.merge(&parts[0]);
-        right.merge(&ba);
-        assert_eq!(left, right);
-        for (num, den) in [(50, 100), (99, 100), (999, 1000)] {
-            assert_eq!(left.quantile(num, den), right.quantile(num, den));
-        }
-        assert_eq!(left.summary(), right.summary());
-    }
-
-    #[test]
     fn empty_histogram_is_harmless() {
         let h = LogHistogram::new();
         assert_eq!(h.quantile(99, 100), 0);
@@ -576,7 +524,7 @@ mod tests {
             ev(300, ObsKind::TxBegin { ab_id: 0 }),
             ev(450, ObsKind::TxCommit),
         ];
-        let reqs = txn_latencies(&[stream]);
+        let reqs = request_latencies(&[stream], &[]);
         assert_eq!(reqs.len(), 1);
         assert_eq!(reqs[0].arrival, 300);
         assert_eq!(reqs[0].total(), 150);

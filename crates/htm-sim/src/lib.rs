@@ -52,14 +52,10 @@ pub mod trace;
 pub use addr::{line_addr, line_of, Addr, LINE_BYTES, WORDS_PER_LINE, WORD_BYTES};
 pub use config::{FallbackPolicy, HtmProtocol, MachineConfig};
 pub use coreset::MAX_CORES;
-pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use latency::{
-    histogram_of, request_latencies, txn_latencies, LatencySummary, LogHistogram, RequestLatency,
-};
+pub use fx::FxHashMap;
+pub use latency::{histogram_of, request_latencies, LatencySummary, LogHistogram, RequestLatency};
 pub use machine::{body, Core, CoreBody, CoreFn, Machine};
-pub use obs::{
-    AbortBreakdown, ConflictMatrix, EventRing, ObsEvent, ObsKind, WaitHistogram, WordWaits,
-};
+pub use obs::{EventRing, ObsEvent, ObsKind};
 pub use sched::SchedStats;
 pub use sim::{AbortCause, AbortInfo, TxError};
 pub use stats::{CoreStats, SimStats};

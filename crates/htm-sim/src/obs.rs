@@ -49,7 +49,6 @@
 //! their span, so the span is `[clock - duration, clock]`.
 
 use crate::addr::Addr;
-use crate::fx::FxHashMap;
 use crate::sim::AbortCause;
 use std::io::Write;
 
@@ -152,194 +151,6 @@ impl EventRing {
     }
 }
 
-/// Bucket index of `v` in a log2 histogram: bucket 0 holds exactly 0,
-/// bucket `k >= 1` holds `[2^(k-1), 2^k - 1]` — so `log2_bucket(2^k)`
-/// is `k + 1` and `log2_bucket(2^k - 1)` is `k` (exact at boundaries).
-pub fn log2_bucket(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        64 - v.leading_zeros() as usize
-    }
-}
-
-/// Number of log2 buckets (`log2_bucket(u64::MAX) == 64`).
-pub const N_LOG2_BUCKETS: usize = 65;
-
-/// The victim-PC-tag × aborter-PC-tag conflict matrix — the paper's
-/// "which static access aborted which" profiling signal, aggregated over
-/// all conflict-abort events.
-#[derive(Debug, Default, Clone)]
-pub struct ConflictMatrix {
-    cells: FxHashMap<(u16, u16), u64>,
-}
-
-impl ConflictMatrix {
-    pub fn record(&mut self, victim_tag: u16, aborter_tag: u16) {
-        *self.cells.entry((victim_tag, aborter_tag)).or_insert(0) += 1;
-    }
-
-    /// Build from per-core event streams (conflict aborts only).
-    pub fn from_events(streams: &[Vec<ObsEvent>]) -> ConflictMatrix {
-        let mut m = ConflictMatrix::default();
-        for stream in streams {
-            for e in stream {
-                if let ObsKind::TxAbort {
-                    cause: AbortCause::Conflict,
-                    victim_pc_tag,
-                    aborter_pc_tag,
-                    ..
-                } = e.kind
-                {
-                    m.record(victim_pc_tag, aborter_pc_tag);
-                }
-            }
-        }
-        m
-    }
-
-    pub fn get(&self, victim_tag: u16, aborter_tag: u16) -> u64 {
-        self.cells
-            .get(&(victim_tag, aborter_tag))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = ((u16, u16), u64)> + '_ {
-        self.cells.iter().map(|(&k, &v)| (k, v))
-    }
-
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    pub fn total(&self) -> u64 {
-        self.cells.values().sum()
-    }
-
-    /// The `n` heaviest cells, count-descending (ties by tag pair, so the
-    /// order is deterministic).
-    pub fn top(&self, n: usize) -> Vec<((u16, u16), u64)> {
-        let mut v: Vec<_> = self.iter().collect();
-        v.sort_by_key(|&((vt, at), c)| (std::cmp::Reverse(c), vt, at));
-        v.truncate(n);
-        v
-    }
-}
-
-/// Per-lock-word wait-time statistics with log2-bucketed histograms.
-#[derive(Debug, Default, Clone)]
-pub struct WaitHistogram {
-    per_word: FxHashMap<Addr, WordWaits>,
-}
-
-/// Wait statistics of one advisory lock word.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WordWaits {
-    /// `buckets[log2_bucket(waited)]` counts acquire attempts (successful
-    /// or timed out) by wait duration.
-    pub buckets: [u64; N_LOG2_BUCKETS],
-    pub acquires: u64,
-    pub timeouts: u64,
-    pub total_wait: u64,
-}
-
-impl Default for WordWaits {
-    fn default() -> Self {
-        WordWaits {
-            buckets: [0; N_LOG2_BUCKETS],
-            acquires: 0,
-            timeouts: 0,
-            total_wait: 0,
-        }
-    }
-}
-
-impl WaitHistogram {
-    pub fn record(&mut self, word: Addr, waited: u64, timed_out: bool) {
-        let w = self.per_word.entry(word).or_default();
-        w.buckets[log2_bucket(waited)] += 1;
-        if timed_out {
-            w.timeouts += 1;
-        } else {
-            w.acquires += 1;
-        }
-        w.total_wait += waited;
-    }
-
-    /// Build from per-core event streams (lock acquire/timeout events).
-    pub fn from_events(streams: &[Vec<ObsEvent>]) -> WaitHistogram {
-        let mut h = WaitHistogram::default();
-        for stream in streams {
-            for e in stream {
-                match e.kind {
-                    ObsKind::LockAcquire { word, waited } => h.record(word, waited, false),
-                    ObsKind::LockTimeout { word, waited } => h.record(word, waited, true),
-                    _ => {}
-                }
-            }
-        }
-        h
-    }
-
-    pub fn word(&self, word: Addr) -> Option<&WordWaits> {
-        self.per_word.get(&word)
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.per_word.is_empty()
-    }
-
-    /// Lock words ordered by traffic (attempts descending, ties by
-    /// address — deterministic).
-    pub fn words_by_traffic(&self) -> Vec<(Addr, &WordWaits)> {
-        let mut v: Vec<_> = self.per_word.iter().map(|(&w, s)| (w, s)).collect();
-        v.sort_by_key(|&(w, s)| (std::cmp::Reverse(s.acquires + s.timeouts), w));
-        v
-    }
-}
-
-/// Abort-cause breakdown of one workload run, from the event stream.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct AbortBreakdown {
-    pub commits: u64,
-    pub conflict: u64,
-    pub capacity: u64,
-    pub explicit: u64,
-    /// Commit-time fallback-lock validation aborts (safe lazy
-    /// subscription).
-    pub subscription: u64,
-}
-
-impl AbortBreakdown {
-    pub fn from_events(streams: &[Vec<ObsEvent>]) -> AbortBreakdown {
-        let mut b = AbortBreakdown::default();
-        for stream in streams {
-            for e in stream {
-                match e.kind {
-                    ObsKind::TxCommit => b.commits += 1,
-                    ObsKind::TxAbort { cause, .. } => match cause {
-                        AbortCause::Conflict => b.conflict += 1,
-                        AbortCause::Capacity => b.capacity += 1,
-                        AbortCause::Explicit => b.explicit += 1,
-                        AbortCause::SubscriptionValidation => b.subscription += 1,
-                    },
-                    _ => {}
-                }
-            }
-        }
-        b
-    }
-
-    pub fn aborts(&self) -> u64 {
-        self.conflict + self.capacity + self.explicit + self.subscription
-    }
-}
-
 fn cause_str(c: AbortCause) -> &'static str {
     match c {
         AbortCause::Conflict => "conflict",
@@ -405,36 +216,6 @@ mod tests {
     use crate::{body, Machine, MachineConfig};
 
     #[test]
-    fn log2_bucketing_exact_at_boundaries() {
-        assert_eq!(log2_bucket(0), 0);
-        assert_eq!(log2_bucket(1), 1);
-        for k in 1..63 {
-            // 2^k - 1 falls in bucket k; 2^k starts bucket k + 1.
-            assert_eq!(log2_bucket((1u64 << k) - 1), k, "below boundary 2^{k}");
-            assert_eq!(log2_bucket(1u64 << k), k + 1, "at boundary 2^{k}");
-        }
-        assert_eq!(log2_bucket(u64::MAX), 64);
-    }
-
-    #[test]
-    fn wait_histogram_buckets_and_counts() {
-        let mut h = WaitHistogram::default();
-        h.record(0x1000, 0, false);
-        h.record(0x1000, 7, false); // bucket 3: [4, 7]
-        h.record(0x1000, 8, false); // bucket 4: [8, 15]
-        h.record(0x1000, 200_000, true);
-        let w = h.word(0x1000).unwrap();
-        assert_eq!(w.buckets[0], 1);
-        assert_eq!(w.buckets[3], 1);
-        assert_eq!(w.buckets[4], 1);
-        assert_eq!(w.buckets[log2_bucket(200_000)], 1);
-        assert_eq!(w.acquires, 3);
-        assert_eq!(w.timeouts, 1);
-        assert_eq!(w.total_wait, 200_015);
-        assert!(h.word(0x2000).is_none());
-    }
-
-    #[test]
     fn ring_bounds_and_preserves_order() {
         let mut r = EventRing::new(3);
         for clock in 0..5 {
@@ -457,11 +238,11 @@ mod tests {
         assert_eq!(z.dropped(), 1);
     }
 
-    /// The tentpole attribution test: a hand-built two-core conflict must
-    /// land in exactly the (victim PC tag, aborter PC tag) cell of the
-    /// conflict matrix, with the aborter core identified.
+    /// A hand-built two-core conflict is recorded with the victim's and
+    /// the aborter's PC tags and the aborter core, and the stream agrees
+    /// with the statistics on what happened.
     #[test]
-    fn conflict_matrix_attributes_two_core_conflict() {
+    fn conflict_abort_names_both_tags_and_the_aborter() {
         let mut cfg = MachineConfig::cores(2).small();
         cfg.record_events = true;
         let m = Machine::new(cfg);
@@ -495,13 +276,10 @@ mod tests {
             })
             .expect("victim records a conflict abort");
         assert_eq!(abort, (0x111, 0x222, 1), "12-bit tags + aborter core");
-        let matrix = ConflictMatrix::from_events(&streams);
-        assert_eq!(matrix.get(0x111, 0x222), 1);
-        assert_eq!(matrix.total(), 1);
-        assert_eq!(matrix.top(4), vec![((0x111, 0x222), 1)]);
-        let b = AbortBreakdown::from_events(&streams);
-        assert_eq!(b.conflict, 1);
-        assert_eq!(b.commits, 1, "the aborter commits");
+        let st = m.stats().aggregate();
+        assert_eq!(st.conflict_aborts, 1);
+        assert_eq!(st.commits, 1, "the aborter commits");
+        assert!(streams[1].iter().any(|e| e.kind == ObsKind::TxCommit));
     }
 
     #[test]

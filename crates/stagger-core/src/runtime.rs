@@ -235,10 +235,6 @@ pub struct RtStats {
     pub act_training: u64,
     /// Dynamic count of executed ALPoints.
     pub alps_executed: u64,
-    /// Which lock words were acquired (diagnostics).
-    pub lock_word_hist: Hist<u64>,
-    /// Which anchors were activated (diagnostics).
-    pub anchor_hist: Hist<u32>,
 }
 
 impl RtStats {
@@ -254,8 +250,6 @@ impl RtStats {
         self.act_coarse += o.act_coarse;
         self.act_training += o.act_training;
         self.alps_executed += o.alps_executed;
-        self.lock_word_hist.add(&o.lock_word_hist);
-        self.anchor_hist.add(&o.anchor_hist);
     }
 
     /// Table 3 "Accuracy": fraction of contention aborts whose anchor was
@@ -448,7 +442,6 @@ impl<'c> ThreadRuntime<'c> {
             Some(w) => {
                 self.held_locks.push(w);
                 self.stats.locks_acquired += 1;
-                self.stats.lock_word_hist.bump(w);
             }
             None => self.stats.lock_timeouts += 1,
         }
@@ -590,10 +583,6 @@ impl<'c> ThreadRuntime<'c> {
             Activation::Precise { .. } => self.stats.act_precise += 1,
             Activation::Coarse { .. } => self.stats.act_coarse += 1,
             Activation::Training => self.stats.act_training += 1,
-        }
-        let act_anchor = ctx.activation.anchor();
-        if act_anchor != 0 {
-            self.stats.anchor_hist.bump(act_anchor);
         }
     }
 

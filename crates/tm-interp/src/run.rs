@@ -35,13 +35,6 @@ pub struct RunOutcome {
     pub sched: SchedStats,
 }
 
-impl RunOutcome {
-    /// Wall-clock proxy: the maximum core clock.
-    pub fn exec_cycles(&self) -> u64 {
-        self.sim.exec_cycles
-    }
-}
-
 /// Run `plans` (one per core of `machine`) against `compiled` under the
 /// given runtime configuration. Deterministic for fixed seeds: thread `t`
 /// uses workload seed `base_seed + t`.

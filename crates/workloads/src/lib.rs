@@ -36,7 +36,7 @@ pub mod ssca2;
 pub mod tsp;
 pub mod vacation;
 
-pub use runner::{run_benchmark, run_benchmark_cfg, BenchResult, PreparedWorkload};
+pub use runner::{run_benchmark, BenchResult, PreparedWorkload};
 
 use htm_sim::Machine;
 use tm_interp::RunOutcome;

@@ -206,29 +206,5 @@ impl<'w> PreparedWorkload<'w> {
 /// failure means the HTM or runtime broke serializability, which is never
 /// acceptable.
 pub fn run_benchmark(w: &dyn Workload, mode: Mode, n_threads: usize, seed: u64) -> BenchResult {
-    run_benchmark_cfg(
-        w,
-        seed,
-        MachineConfig::cores(n_threads),
-        RuntimeConfig::with_mode(mode),
-    )
-}
-
-/// Like [`run_benchmark`], with explicit machine and runtime configuration
-/// (used by ablation studies: lazy protocol, PC-tag width, lock timeouts,
-/// policy thresholds, ...).
-pub fn run_benchmark_cfg(
-    w: &dyn Workload,
-    seed: u64,
-    machine_cfg: MachineConfig,
-    rt_cfg: RuntimeConfig,
-) -> BenchResult {
-    PreparedWorkload::new(w).run_cfg(seed, machine_cfg, rt_cfg)
-}
-
-/// Speedup of `result` relative to a sequential (1-thread) run of the same
-/// workload in baseline HTM mode — the paper's "S" metric.
-pub fn speedup_vs_sequential(w: &dyn Workload, result: &BenchResult, seed: u64) -> f64 {
-    let seq = run_benchmark(w, Mode::Htm, 1, seed);
-    seq.cycles() as f64 / result.cycles() as f64
+    PreparedWorkload::new(w).run(mode, n_threads, seed)
 }

@@ -25,7 +25,8 @@
 #   - paper --quick --json cmp'd against results/paper_quick.txt, with 60
 #     runs in the JSON report;
 #   - profile --quick cmp'd against results/profile_list-hi.txt, plus
-#     sanity checks of its JSONL event dump;
+#     sanity checks of its JSONL event dump, and a profile --quick --mode
+#     Staggered smoke that must print lock-wait percentiles;
 #   - serve: a small ramp cmp'd against results/ci_serve.txt (plus JSONL
 #     sanity checks) and the default ramp against results/serve.txt;
 #   - the lazy-subscription window regression test;
@@ -172,6 +173,14 @@ if grep -qv '^{.*}$' results/profile_events.jsonl; then
     echo "ci.sh: malformed JSONL line in results/profile_events.jsonl" >&2
     exit 1
 fi
+
+echo "== profile --quick --mode Staggered smoke (lock-wait percentiles)"
+# Only the staggered modes take advisory locks, so no gated file holds the
+# lock-wait section: at least one lock word must print with percentiles.
+./target/release/profile --quick --mode Staggered \
+  | tee target/ci/profile_staggered.txt
+grep -Eq '^  word +0x[0-9a-f]+: [0-9]+ attempts .* p50 [0-9]+ p90 [0-9]+ p99 [0-9]+ max [0-9]+$' \
+  target/ci/profile_staggered.txt
 
 echo "== serve smoke vs results/ci_serve.txt (+ JSONL sanity)"
 # Small open-loop ramp, both modes. The per-request latency table is
