@@ -944,17 +944,24 @@ mod tests {
         // Knobs of removed drivers are errors, not silently ignored.
         assert!(RunSpec::parse("workload=list-hi\nmachine.host_threads=2\n").is_err());
         assert!(RunSpec::parse("workload=list-hi\nruntime.lock_spin=0\n").is_err());
+        // The multi-lock budget went with the extension: one lock per
+        // transaction, as in the paper.
+        assert!(RunSpec::parse("workload=list-hi\nruntime.max_locks_per_txn=2\n").is_err());
     }
 
     #[test]
     fn cells_recorded_with_removed_keys_fail_closed() {
         // The spec text of one pc-tags cell as committed before each key
         // left the spec; hashing to that cell's file name shows it is that
-        // text byte for byte. Neither parses, and neither is found.
+        // text byte for byte. None parses, and none is found.
         let mut now = RunSpec::new("list-hi", Mode::Htm, 16, 2015);
         now.quick = true;
         now.machine = now.machine.pc_tag_bits(4);
-        let with_scheduler = now.canon().replace(
+        let with_lock_budget = now.canon().replace(
+            "runtime.sw_alp_overhead=12\n",
+            "runtime.sw_alp_overhead=12\nruntime.max_locks_per_txn=1\n",
+        );
+        let with_scheduler = with_lock_budget.replace(
             "runtime.pc_thr=",
             "machine.scheduler=cooperative\nruntime.pc_thr=",
         );
@@ -972,6 +979,11 @@ mod tests {
                 with_trace,
                 "00bf75a1e9fc95b8",
                 "machine.record_trace: unknown key",
+            ),
+            (
+                with_lock_budget,
+                "7d491f87a42a70be",
+                "runtime.max_locks_per_txn: unknown key",
             ),
         ] {
             assert_eq!(format!("{:016x}", fnv1a64(old.as_bytes())), old_key);

@@ -1,5 +1,5 @@
 //! Event-driven waiting is invisible: a run whose spin-waits are parked and
-//! fast-forwarded (`Core::wait_on`) must be *byte-identical* to the same run
+//! fast-forwarded (`Core::spin_wait`) must be *byte-identical* to the same run
 //! polling every iteration (`Machine::poll_every_spin`) — per-core
 //! statistics, complete cycle-stamped observability event streams, runtime
 //! statistics and thread return values. The polled run is the semantics;

@@ -21,7 +21,7 @@
 //!
 //! **Event-driven waiting.** A core spinning on a lock word polls a line
 //! whose contents cannot change until some core writes it, so the polls in
-//! between need not run. [`Core::wait_on`] *parks* such a core: it leaves
+//! between need not run. [`Core::spin_wait`] *parks* such a core: it leaves
 //! the order (its scheduling key becomes its timeout deadline) and, when a
 //! gate is about to write the line or the deadline comes up, it is put back
 //! at the exact iteration boundary it would have reached by polling, with
@@ -207,7 +207,7 @@ impl Machine {
         self.state.borrow().directory_violation(lines)
     }
 
-    /// Test aid: make every [`Core::wait_on`] on this machine return 0, so
+    /// Test aid: make every [`Core::spin_wait`] on this machine return 0, so
     /// spin loops poll each iteration for real — the reference that elided
     /// runs are compared against byte for byte. Call before `run`.
     #[doc(hidden)]
@@ -321,7 +321,7 @@ impl<'m> Core<'m> {
     /// either runs the op, if this core is the minimum, or suspends.
     ///
     /// `writes` names the line the op may write. Cores parked on that line
-    /// ([`Core::wait_on`]) are unparked *before* the op is admitted, each
+    /// ([`Core::spin_wait`]) are unparked *before* the op is admitted, each
     /// fast-forwarded to its last iteration boundary ahead of this core's
     /// `(clock, id)`: they now precede it, so this gate suspends and they
     /// poll against pre-write memory, exactly as if they had never parked.
@@ -353,24 +353,27 @@ impl<'m> Core<'m> {
         })
     }
 
-    /// Skip the predictable part of a spin-wait. Call it after a *real*
-    /// failed iteration of a loop whose every iteration is one
-    /// nontransactional read (`nt_load`, or an `nt_cas(_, 0, _)` that fails)
-    /// of each of `words` — all on one cache line — followed by
-    /// `charge_lock_wait(quantum)`, and which keeps spinning while every
-    /// word is non-zero. Returns how many whole iterations were accounted
-    /// without being executed (at most `max_iters`, the number the caller
-    /// could still run before its own timeout; `u64::MAX` for none), each
-    /// charged exactly what polling it would have: clock, `gated_ops`,
-    /// `nt_mem_ops`, `lock_wait_cycles`. The caller advances its own
-    /// bookkeeping by that many and goes on polling.
+    /// End a *real* failed iteration of a spin loop whose every iteration
+    /// is one nontransactional read (`nt_load`, or an `nt_cas(_, 0, _)` that
+    /// fails) of each of `words` — all on one cache line — followed by this
+    /// call, and which keeps spinning while every word is non-zero.
+    ///
+    /// The call charges the iteration's wait: `quantum` cycles, counted in
+    /// `lock_wait_cycles`, and one gated op. Then it skips the predictable
+    /// part of the wait. Returns how many further whole iterations were
+    /// accounted without being executed (at most `max_iters`, the number
+    /// the caller could still run before its own timeout; `u64::MAX` for
+    /// none), each charged exactly what polling it would have: clock,
+    /// `gated_ops`, `nt_mem_ops`, `lock_wait_cycles`. The caller advances
+    /// its own bookkeeping by that many and goes on polling.
     ///
     /// Returns 0 — poll as usual — unless every word is non-zero and the
     /// line is in this core's L1 (so each skipped read is an L1 hit that
     /// fails). Otherwise the core parks until a gate about to write the line
     /// unparks it (see [`Core::gate`]) or `max_iters` iterations have
-    /// passed. Not itself a gated op: it costs no cycles and counts nowhere.
-    pub async fn wait_on(&mut self, words: &[Addr], quantum: u64, max_iters: u64) -> u64 {
+    /// passed.
+    pub async fn spin_wait(&mut self, words: &[Addr], quantum: u64, max_iters: u64) -> u64 {
+        self.compute(quantum);
         let mut parked = false;
         std::future::poll_fn(move |_cx| {
             let tid = self.tid;
@@ -385,6 +388,11 @@ impl<'m> Core<'m> {
             if !self.arrive(&mut st) {
                 return Poll::Pending;
             }
+            // The charge is a gated op of zero latency that writes nothing,
+            // so the park below is tried at the same `(clock, id)`.
+            let stats = &mut st.cores[tid].stats;
+            stats.gated_ops += 1;
+            stats.lock_wait_cycles += quantum;
             self.last_clock = st.cores[tid].clock;
             if !st.park(tid, words, quantum, max_iters) {
                 return Poll::Ready(0);
@@ -433,11 +441,6 @@ impl<'m> Core<'m> {
         self.state.borrow().tx_active(self.tid)
     }
 
-    /// Atomic-block id of the active transaction, if any.
-    pub fn tx_ab_id(&mut self) -> Option<u32> {
-        self.state.borrow().tx_ab_id(self.tid)
-    }
-
     /// Host-side read of simulated memory for assertions: no gate, no
     /// cycles, no counter, so checking with it cannot change the run.
     #[doc(hidden)]
@@ -459,12 +462,6 @@ impl<'m> Core<'m> {
         self.gate(None, |st, tid| st.plain_load(tid, addr)).await
     }
 
-    /// Plain non-speculative store — identical coherence behaviour to
-    /// [`Core::nt_store`] (dooms all speculative owners of the line).
-    pub async fn plain_store(&mut self, addr: Addr, val: u64) {
-        self.nt_store(addr, val).await
-    }
-
     /// Nontransactional store (immediately visible; aborts conflicting
     /// speculative owners on other cores).
     pub async fn nt_store(&mut self, addr: Addr, val: u64) {
@@ -484,17 +481,6 @@ impl<'m> Core<'m> {
     pub async fn alloc(&mut self, words: u64, line_align: bool) -> Addr {
         self.gate(None, |st, tid| st.alloc(tid, words, line_align))
             .await
-    }
-
-    /// Charge advisory-lock wait cycles (runtime bookkeeping: advances the
-    /// clock like `compute` and records the amount in the core's stats).
-    pub async fn charge_lock_wait(&mut self, cycles: u64) {
-        self.compute(cycles);
-        self.gate(None, move |st, tid| {
-            st.cores[tid].stats.lock_wait_cycles += cycles;
-            ((), 0)
-        })
-        .await
     }
 
     /// Charge retry-backoff cycles.
@@ -703,8 +689,7 @@ mod tests {
                     // Advisory lock acquire via NT CAS, inside the txn.
                     let mut spins = 0u64;
                     while !c.nt_cas(lock, 0, (c.tid() + 1) as u64).await {
-                        c.charge_lock_wait(30).await;
-                        spins += 1;
+                        spins += 1 + c.spin_wait(&[lock], 30, 10_000 - spins).await;
                         if spins > 10_000 {
                             break; // timeout: proceed without the lock
                         }
@@ -745,9 +730,7 @@ mod tests {
         let m = machine(1);
         let a = m.host_alloc(8, true);
         m.run_uniform(move |mut c| async move {
-            assert_eq!(c.tx_ab_id(), None);
             c.tx_begin(0).await;
-            assert_eq!(c.tx_ab_id(), Some(0));
             c.tx_store(a, 5, 0).await.unwrap();
             let e = c.tx_abort().await;
             assert_eq!(e.info().cause, AbortCause::Explicit);
@@ -828,8 +811,7 @@ mod tests {
     async fn spin_acquire(c: &mut Core<'_>, word: Addr, quantum: u64) {
         let me = c.tid() as u64 + 1;
         while !c.nt_cas(word, 0, me).await {
-            c.charge_lock_wait(quantum).await;
-            c.wait_on(&[word], quantum, u64::MAX).await;
+            c.spin_wait(&[word], quantum, u64::MAX).await;
         }
         c.note(ObsKind::LockAcquire { word, waited: 0 });
     }
@@ -851,10 +833,9 @@ mod tests {
                 c.note(ObsKind::LockTimeout { word, waited });
                 return false;
             }
-            c.charge_lock_wait(quantum).await;
             waited += quantum;
             let left = (timeout.saturating_sub(waited)).div_ceil(quantum);
-            waited += quantum * c.wait_on(&[word, word + 8], quantum, left).await;
+            waited += quantum * c.spin_wait(&[word, word + 8], quantum, left).await;
         }
     }
 
@@ -1025,7 +1006,7 @@ mod tests {
                 body(move |mut c| async move {
                     while c.nt_load(lock).await != 0 {
                         c.compute(1); // keeps the polled loop advancing
-                        assert_eq!(c.wait_on(&[lock], 0, u64::MAX).await, 0);
+                        assert_eq!(c.spin_wait(&[lock], 0, u64::MAX).await, 0);
                     }
                 }),
                 body(move |mut c| async move {

@@ -3,7 +3,7 @@
 //! The event loop ([`crate::sim::SimState::schedule`]) repeatedly
 //! needs "the unfinished core with the minimum `(key, id)`, plus the exact
 //! runner-up". A core's key is its logical clock while it runs and its wake
-//! deadline while it is parked in [`crate::machine::Core::wait_on`], so keys
+//! deadline while it is parked in [`crate::machine::Core::spin_wait`], so keys
 //! move both ways: they rise as a core executes or parks, and *fall* when a
 //! writer unparks a waiter. [`WinnerTree`] keeps core `id`'s entry,
 //! `key << 8 | id`, at a fixed leaf and in every internal node the smaller
@@ -41,7 +41,7 @@ pub struct SchedStats {
     /// Tree key updates (the core that just ran, parks, unparks). The name
     /// predates the indexed structures; the benchmark reads it.
     pub stale_refreshes: u64,
-    /// Times a core parked in [`crate::machine::Core::wait_on`].
+    /// Times a core parked in [`crate::machine::Core::spin_wait`].
     pub parks: u64,
     /// Gated operations accounted by fast-forwarding a parked core instead
     /// of executing them (included in `CoreStats::gated_ops`).

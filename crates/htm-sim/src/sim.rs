@@ -96,7 +96,6 @@ struct TxLine {
 /// transactions on the same core ([`TxState::reset`]).
 #[derive(Debug, Default)]
 struct TxState {
-    ab_id: u32,
     start_clock: u64,
     /// Speculative lines touched, sorted by line index.
     lines: Vec<TxLine>,
@@ -125,8 +124,7 @@ struct TxState {
 impl TxState {
     /// Clear for reuse by a fresh transaction, keeping the allocations.
     /// `perm_slots` is the (power-of-two or zero) permission-cache size.
-    fn reset(&mut self, ab_id: u32, start_clock: u64, perm_slots: usize) {
-        self.ab_id = ab_id;
+    fn reset(&mut self, start_clock: u64, perm_slots: usize) {
         self.start_clock = start_clock;
         self.lines.clear();
         self.undo.clear();
@@ -238,7 +236,7 @@ struct Doomed {
 /// A core parked in a spin loop whose every poll has a known outcome: all
 /// watched words are non-zero and their line sits in the core's L1, so until
 /// some core writes that line each iteration is `ops - 1` L1-hit loads plus
-/// one `charge_lock_wait(quantum)`, `period` cycles in all.
+/// the `spin_wait` call that charges `quantum`, `period` cycles in all.
 #[derive(Debug, Clone, Copy)]
 struct Park {
     line: u64,
@@ -267,7 +265,7 @@ pub(crate) struct CoreState {
     /// transaction, reused by the next `tx_begin` to avoid reallocation.
     spare_tx: Option<TxState>,
     doomed: Option<Doomed>,
-    /// Iterations the core's last park elided (what `wait_on` returns).
+    /// Iterations the core's last park elided (what `spin_wait` returns).
     pub elided: u64,
     pub stats: CoreStats,
     arena_next: Addr,
@@ -433,7 +431,7 @@ impl SimState {
 
     /// Park `tid` if every poll of its spin loop is predictable: `words`
     /// (all on one line) are non-zero and the line is in `tid`'s L1. Returns
-    /// whether it parked; see [`crate::machine::Core::wait_on`].
+    /// whether it parked; see [`crate::machine::Core::spin_wait`].
     pub fn park(&mut self, tid: usize, words: &[Addr], quantum: u64, max_iters: u64) -> bool {
         let Some(&first) = words.first() else {
             return false;
@@ -441,7 +439,7 @@ impl SimState {
         let line = line_of(first);
         assert!(
             words.iter().all(|&w| line_of(w) == line),
-            "wait_on words must share a cache line"
+            "spin_wait words must share a cache line"
         );
         let ops = words.len() as u64 + 1;
         let period = (ops - 1) * self.cfg.l1_latency + quantum;
@@ -882,7 +880,7 @@ impl SimState {
         // on cannot exist: check_doomed consumed it. Defensive clear:
         core.doomed = None;
         let mut tx = core.spare_tx.take().unwrap_or_default();
-        tx.reset(ab_id, core.clock, perm_slots);
+        tx.reset(core.clock, perm_slots);
         core.tx = Some(tx);
         self.cfg.tx_begin_cost
     }
@@ -890,11 +888,6 @@ impl SimState {
     /// Is a transaction active (and not yet observed-doomed)?
     pub fn tx_active(&self, tid: usize) -> bool {
         self.cores[tid].tx.is_some()
-    }
-
-    /// The atomic-block id of the active transaction.
-    pub fn tx_ab_id(&self, tid: usize) -> Option<u32> {
-        self.cores[tid].tx.as_ref().map(|t| t.ab_id)
     }
 
     /// Transactional load.

@@ -3,7 +3,7 @@
 //! 500 short simulations with randomized core counts and per-core op mixes
 //! (transactions with retry, plain and non-transactional accesses, CAS,
 //! compute bursts, observability notes, and spin-waits on a few lock
-//! lines). Every scenario runs with spin-waits elided (`Core::wait_on`
+//! lines). Every scenario runs with spin-waits elided (`Core::spin_wait`
 //! parks) and polled (`Machine::poll_every_spin`), and the two runs must
 //! produce byte-identical stats and complete event streams: the polled run
 //! is the reference for what a parked core is charged. The polled runs are
@@ -52,10 +52,9 @@ async fn timed_acquire(c: &mut Core<'_>, word: Addr, timeout: u64, quantum: u64)
             c.note(ObsKind::LockTimeout { word, waited });
             return false;
         }
-        c.charge_lock_wait(quantum).await;
         waited += quantum;
         let left = (timeout.saturating_sub(waited)).div_ceil(quantum);
-        waited += quantum * c.wait_on(&[word, word + 8], quantum, left).await;
+        waited += quantum * c.spin_wait(&[word, word + 8], quantum, left).await;
     }
 }
 
@@ -63,16 +62,14 @@ async fn timed_acquire(c: &mut Core<'_>, word: Addr, timeout: u64, quantum: u64)
 async fn acquire(c: &mut Core<'_>, word: Addr, quantum: u64) {
     let me = c.tid() as u64 + 1;
     while !c.nt_cas(word, 0, me).await {
-        c.charge_lock_wait(quantum).await;
-        c.wait_on(&[word], quantum, u64::MAX).await;
+        c.spin_wait(&[word], quantum, u64::MAX).await;
     }
 }
 
 /// `GlobalLock::wait_until_free`.
 async fn wait_until_free(c: &mut Core<'_>, word: Addr, quantum: u64) {
     while c.nt_load(word).await != 0 {
-        c.charge_lock_wait(quantum).await;
-        c.wait_on(&[word], quantum, u64::MAX).await;
+        c.spin_wait(&[word], quantum, u64::MAX).await;
     }
 }
 
@@ -137,7 +134,7 @@ fn run_scenario(
                 2 => {
                     let a = line(&mut rng);
                     let v = c.plain_load(a).await;
-                    c.plain_store(a, v.wrapping_add(1)).await;
+                    c.nt_store(a, v.wrapping_add(1)).await;
                 }
                 3 => {
                     let a = line(&mut rng);

@@ -85,12 +85,6 @@ pub struct RuntimeConfig {
     pub alp_inactive_cost: u64,
     /// Extra per-ALP cost of maintaining the software conflicting-PC map.
     pub sw_alp_overhead: u64,
-    /// Maximum advisory locks one transaction may hold. The paper fixes
-    /// this at 1 ("we acquire only one per transaction in this paper");
-    /// higher values enable the multi-lock extension: the first lock is
-    /// acquired blocking, later ones with a non-blocking try (so two
-    /// multi-lock transactions can never deadlock on each other).
-    pub max_locks_per_txn: usize,
 }
 
 impl RuntimeConfig {
@@ -112,7 +106,6 @@ impl RuntimeConfig {
             ("backoff_base", self.backoff_base.to_string()),
             ("alp_inactive_cost", self.alp_inactive_cost.to_string()),
             ("sw_alp_overhead", self.sw_alp_overhead.to_string()),
-            ("max_locks_per_txn", self.max_locks_per_txn.to_string()),
         ]
     }
 
@@ -142,7 +135,6 @@ impl RuntimeConfig {
             "backoff_base" => self.backoff_base = num(key, value)?,
             "alp_inactive_cost" => self.alp_inactive_cost = num(key, value)?,
             "sw_alp_overhead" => self.sw_alp_overhead = num(key, value)?,
-            "max_locks_per_txn" => self.max_locks_per_txn = num(key, value)?,
             other => return Err(format!("runtime.{other}: unknown key")),
         }
         Ok(())
@@ -161,7 +153,6 @@ impl RuntimeConfig {
             backoff_base: 25,
             alp_inactive_cost: 1,
             sw_alp_overhead: 12,
-            max_locks_per_txn: 1,
         }
     }
 }
@@ -289,7 +280,9 @@ pub struct ThreadRuntime<'c> {
     compiled: &'c Compiled,
     shared: SharedRt,
     ctxs: FxHashMap<u32, ABContext>,
-    held_locks: Vec<Addr>,
+    /// The advisory lock this transaction holds: at most one, as in the
+    /// paper ("we acquire only one per transaction").
+    held_lock: Option<Addr>,
     /// Software conflicting-PC map (Section 4): line → anchor id, set at
     /// each executed ALP if absent.
     sw_map: FxHashMap<u64, u32>,
@@ -305,7 +298,7 @@ impl<'c> ThreadRuntime<'c> {
             compiled,
             shared,
             ctxs: FxHashMap::default(),
-            held_locks: Vec::new(),
+            held_lock: None,
             sw_map: FxHashMap::default(),
             rng: 0x9E37_79B9 ^ ((tid as u64 + 1) << 32) | 1,
             stats: RtStats::default(),
@@ -357,12 +350,12 @@ impl<'c> ThreadRuntime<'c> {
         // conflicts and commits accumulated), the learned activation goes
         // *dormant* — the pattern knowledge is kept but no lock is taken.
         // If contention returns, new aborts raise the rate and the
-        // activation resumes. The /2 provides hysteresis.
+        // activation resumes. Going dormant only below 0.7 ×
+        // `min_conflict_rate` provides hysteresis.
         if ctx.active_anchor != 0 && ctx.conflict_rate() < dormant_below {
             ctx.active_anchor = 0;
             return;
         }
-        let _ = &dormant_below;
         if addr_only {
             if let Activation::Precise {
                 anchor: BLOCK_START_ANCHOR,
@@ -407,64 +400,41 @@ impl<'c> ThreadRuntime<'c> {
         let ctx = self.ctx_mut(ab_id);
         if ctx.active_anchor == anchor && ctx.address_matches(addr) {
             self.acquire_lock_for(core, addr).await;
-            // With the paper's configuration (max_locks_per_txn = 1) the
-            // anchor is consumed after the first acquisition; the
-            // multi-lock extension keeps it active until the budget is
-            // exhausted.
-            if self.held_locks.len() >= self.cfg.max_locks_per_txn {
+            // One lock per transaction: the anchor is consumed once held.
+            if self.held_lock.is_some() {
                 self.ctx_mut(ab_id).active_anchor = 0;
             }
         }
     }
 
+    /// Blocking acquire with timeout, unless a lock is already held.
     async fn acquire_lock_for(&mut self, core: &mut Core<'_>, addr: Addr) {
-        if self.held_locks.len() >= self.cfg.max_locks_per_txn {
+        if self.held_lock.is_some() {
             return;
         }
-        let word = self.shared.locks.lock_addr_for(addr);
-        if self.held_locks.contains(&word) {
-            return; // already ours (hash collision with an earlier address)
-        }
-        let got = if self.held_locks.is_empty() {
-            // First lock: blocking acquire with timeout.
-            self.shared
-                .locks
-                .acquire(core, addr, self.cfg.lock_timeout, self.cfg.lock_spin)
-                .await
-        } else {
-            // Additional locks: non-blocking only — two transactions each
-            // holding one lock and trying for the other's can then never
-            // deadlock; the loser simply proceeds unprotected (advisory
-            // semantics make that safe).
-            self.shared.locks.try_acquire(core, addr).await
-        };
+        let got = self
+            .shared
+            .locks
+            .acquire(core, addr, self.cfg.lock_timeout, self.cfg.lock_spin)
+            .await;
         match got {
-            Some(w) => {
-                self.held_locks.push(w);
-                self.stats.locks_acquired += 1;
-            }
+            Some(_) => self.stats.locks_acquired += 1,
             None => self.stats.lock_timeouts += 1,
         }
+        self.held_lock = got;
     }
 
-    /// Release all held advisory locks — on commit *and* on abort (paper
-    /// Section 5.1). Returns `Some(contended)` if any lock was held, where
-    /// `contended` is true when any of them saw waiters.
+    /// Release the held advisory lock — on commit *and* on abort (paper
+    /// Section 5.1). Returns `Some(contended)` if a lock was held, where
+    /// `contended` is true when it saw waiters.
     pub async fn release_lock(&mut self, core: &mut Core<'_>) -> Option<bool> {
-        if self.held_locks.is_empty() {
-            return None;
-        }
-        let mut contended = false;
-        // Release in reverse acquisition order.
-        while let Some(w) = self.held_locks.pop() {
-            contended |= self.shared.locks.release(core, w).await;
-        }
-        Some(contended)
+        let w = self.held_lock.take()?;
+        Some(self.shared.locks.release(core, w).await)
     }
 
     /// Whether an advisory lock is currently held.
     pub fn holds_lock(&self) -> bool {
-        !self.held_locks.is_empty()
+        self.held_lock.is_some()
     }
 
     /// Attribute a contention abort to an anchor, per mode. Returns
@@ -834,78 +804,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_lock_extension_acquires_up_to_budget() {
-        let c = compiled_simple();
-        let machine = Machine::new(MachineConfig::cores(1).small());
-        let mut cfg = RuntimeConfig::with_mode(Mode::Staggered);
-        cfg.max_locks_per_txn = 2;
-        let shared = SharedRt::new(&machine, &cfg);
-        machine.run(vec![body(move |mut core| async move {
-            let mut rt = ThreadRuntime::new(cfg, &c, shared, core.tid());
-            rt.ctx_mut(0).activation = Activation::Coarse { anchor: 1 };
-            rt.ctx_mut(0).window_aborts = 8;
-            rt.txn_start(&mut core, 0).await;
-            // Two different lines -> two locks.
-            rt.alpoint(&mut core, 0, 1, 0x4000, true).await;
-            assert_eq!(rt.stats.locks_acquired, 1);
-            assert_ne!(rt.ctx(0).unwrap().active_anchor, 0, "budget not spent");
-            rt.alpoint(&mut core, 0, 1, 0x9000, true).await;
-            assert_eq!(rt.stats.locks_acquired, 2);
-            assert_eq!(rt.ctx(0).unwrap().active_anchor, 0, "budget spent");
-            // A third attempt does nothing.
-            rt.alpoint(&mut core, 0, 1, 0xC000, true).await;
-            assert_eq!(rt.stats.locks_acquired, 2);
-            // Release drops both.
-            assert!(rt.holds_lock());
-            rt.release_lock(&mut core).await;
-            assert!(!rt.holds_lock());
-        })]);
-    }
-
-    #[test]
-    fn multi_lock_second_acquire_is_try_only() {
-        // A lock held by thread 0 must not block thread 1's *second*
-        // acquisition — it just proceeds without it (deadlock freedom).
-        let c = compiled_simple();
-        let machine = Machine::new(MachineConfig::cores(2).small());
-        let mut cfg = RuntimeConfig::with_mode(Mode::Staggered);
-        cfg.max_locks_per_txn = 2;
-        let shared = SharedRt::new(&machine, &cfg);
-        let flag = machine.host_alloc(8, true);
-        let c2 = c.clone();
-        let cfg2 = cfg.clone();
-        machine.run(vec![
-            body(move |mut core| async move {
-                let mut rt = ThreadRuntime::new(cfg, &c, shared, core.tid());
-                rt.ctx_mut(0).activation = Activation::Coarse { anchor: 1 };
-                rt.ctx_mut(0).window_aborts = 8;
-                rt.txn_start(&mut core, 0).await;
-                rt.alpoint(&mut core, 0, 1, 0x4000, true).await; // grab lock A
-                core.nt_store(flag, 1).await;
-                core.compute(400_000); // hold it for a long time
-                rt.release_lock(&mut core).await;
-            }),
-            body(move |mut core| async move {
-                let mut rt = ThreadRuntime::new(cfg2, &c2, shared, core.tid());
-                while core.nt_load(flag).await == 0 {
-                    core.compute(50);
-                }
-                rt.ctx_mut(0).activation = Activation::Coarse { anchor: 1 };
-                rt.ctx_mut(0).window_aborts = 8;
-                rt.txn_start(&mut core, 0).await;
-                rt.alpoint(&mut core, 0, 1, 0x9000, true).await; // lock B: blocking, free
-                assert_eq!(rt.stats.locks_acquired, 1);
-                let before = core.now();
-                rt.alpoint(&mut core, 0, 1, 0x4000, true).await; // lock A held: try-only
-                assert_eq!(rt.stats.locks_acquired, 1, "must not block");
-                assert_eq!(rt.stats.lock_timeouts, 1);
-                assert!(core.now() - before < 1_000, "try must be instant");
-                rt.release_lock(&mut core).await;
-            }),
-        ]);
-    }
-
-    #[test]
     fn backoff_is_deterministic_and_grows() {
         let c = compiled_simple();
         let machine = Machine::new(MachineConfig::cores(1).small());
@@ -949,6 +847,7 @@ mod tests {
             d.set_kv(k, &v).unwrap();
         }
         assert_eq!(c.to_kv(), d.to_kv());
+        assert_eq!(c.to_kv().len(), 12);
     }
 
     #[test]
@@ -960,6 +859,10 @@ mod tests {
             "the removed interpreter selection is an unknown key"
         );
         assert!(c.set_kv("lock_timeout", "soon").is_err());
+        assert!(
+            c.set_kv("max_locks_per_txn", "1").is_err(),
+            "the removed multi-lock budget is an unknown key"
+        );
         assert!(
             c.set_kv("lock_spin", "0").is_err(),
             "a zero spin quantum makes lock_timeout unreachable"

@@ -33,10 +33,10 @@ fn committed_view(policy: FallbackPolicy) -> (Machine, (u64, u64)) {
         // window between them.
         body(move |mut c| async move {
             gl.acquire(&mut c, 30).await;
-            c.plain_store(x, 1).await;
+            c.nt_store(x, 1).await;
             c.nt_store(fx, 1).await;
             c.compute(50_000);
-            c.plain_store(y, 1).await;
+            c.nt_store(y, 1).await;
             gl.release(&mut c).await;
         }),
         // Hardware transaction: begins after the first store, never

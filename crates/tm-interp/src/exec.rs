@@ -462,8 +462,7 @@ impl<'c> Executor<'c> {
         if core.nt_load(word).await != me {
             let spin = self.rt.cfg.lock_spin;
             while !core.nt_cas(word, 0, me).await {
-                core.charge_lock_wait(spin).await;
-                core.wait_on(&[word], spin, u64::MAX).await;
+                core.spin_wait(&[word], spin, u64::MAX).await;
             }
             self.sw_stripes.as_mut().expect("software path").push(word);
         }
@@ -526,7 +525,7 @@ impl<'c> Executor<'c> {
         let Some(v) = val else {
             return Ok(core.plain_load(addr).await);
         };
-        core.plain_store(addr, v).await;
+        core.nt_store(addr, v).await;
         Ok(v)
     }
 }

@@ -6,14 +6,11 @@
 //! offered load*. This workload keeps memcached's data structures and
 //! contention source (the global statistics block updated mid-transaction,
 //! Table 1's "statistics information") and replaces the unthrottled
-//! `rand`-driven loop with a request schedule generated host-side at setup:
-//!
-//! * **Open loop** — each request carries an arrival timestamp in simulated
-//!   cycles; the serving core parks on [`tm_ir::Inst::IdleUntil`] until the
-//!   arrival, so queueing delay (arrival → first attempt) is real and
-//!   latency diverges when service time exceeds the interarrival gap.
-//! * **Closed loop** — arrivals are all zero and the core instead spends a
-//!   fixed think time between requests; latency is then pure service time.
+//! `rand`-driven loop with a request schedule generated host-side at setup.
+//! The load is open loop: each request carries an arrival timestamp in
+//! simulated cycles; the serving core parks on [`tm_ir::Inst::IdleUntil`]
+//! until the arrival, so queueing delay (arrival → first attempt) is real
+//! and latency diverges when service time exceeds the interarrival gap.
 //!
 //! Key-choice distributions (all integer-only and seeded from the in-tree
 //! PRNG, so a schedule is a pure function of the config and core id):
@@ -79,7 +76,7 @@ impl Dist {
 /// latency observer needs back (`arrival`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
-    /// Arrival timestamp in simulated cycles (0 in closed loop).
+    /// Arrival timestamp in simulated cycles.
     pub arrival: u64,
     pub is_get: bool,
     pub key: u64,
@@ -91,13 +88,8 @@ pub struct Request {
 #[derive(Debug, Clone)]
 pub struct Serve {
     pub dist: Dist,
-    /// Open loop: park until each request's arrival. Closed loop: fixed
-    /// think time between requests.
-    pub open_loop: bool,
-    /// Mean interarrival gap per core, simulated cycles (open loop).
+    /// Mean interarrival gap per core, simulated cycles.
     pub interarrival: u64,
-    /// Think time per request, simulated cycles (closed loop).
-    pub think: u64,
     pub requests_per_core: u64,
     pub n_tenants: u64,
     pub keys_per_tenant: u64,
@@ -115,10 +107,8 @@ pub struct Serve {
 }
 
 impl Serve {
-    /// Parse a registry name of the form `serve-<dist>-i<cycles>` (open
-    /// loop, mean interarrival `<cycles>`) or `serve-<dist>-c<cycles>`
-    /// (closed loop, think time `<cycles>`), with `<dist>` one of
-    /// `zipf`/`hot`/`flash`. `quick` shrinks the per-core request count
+    /// Parse a registry name of the form `serve-<dist>-i<cycles>` (mean
+    /// interarrival `<cycles>`), with `<dist>` one of `zipf`/`hot`/`flash`. `quick` shrinks the per-core request count
     /// to smoke scale.
     pub fn parse_name(name: &str, quick: bool) -> Option<Serve> {
         let rest = name.strip_prefix("serve-")?;
@@ -129,20 +119,13 @@ impl Serve {
             "flash" => Dist::Flash,
             _ => return None,
         };
-        let cycles: u64 = load_s[1..].parse().ok()?;
-        if cycles == 0 {
+        let interarrival: u64 = load_s.strip_prefix('i')?.parse().ok()?;
+        if interarrival == 0 {
             return None;
         }
-        let (open_loop, interarrival, think) = match load_s.as_bytes()[0] {
-            b'i' => (true, cycles, 0),
-            b'c' => (false, 0, cycles),
-            _ => return None,
-        };
         Some(Serve {
             dist,
-            open_loop,
             interarrival,
-            think,
             requests_per_core: if quick { 24 } else { 96 },
             n_tenants: 4,
             keys_per_tenant: if quick { 256 } else { 1024 },
@@ -202,18 +185,14 @@ impl Serve {
                     };
                     tenant * self.keys_per_tenant + local
                 };
-                let arrival = if self.open_loop {
-                    // Jittered gap with mean ~`base`: base/2 + U[0, base).
-                    let base = if flash {
-                        (self.interarrival / 4).max(1)
-                    } else {
-                        self.interarrival
-                    };
-                    t += base / 2 + rng.below(base.max(1));
-                    t
+                // Jittered gap with mean ~`base`: base/2 + U[0, base).
+                let base = if flash {
+                    (self.interarrival / 4).max(1)
                 } else {
-                    0
+                    self.interarrival
                 };
+                t += base / 2 + rng.below(base.max(1));
+                let arrival = t;
                 // The flash crowd is a pure read burst (a viral key):
                 // with the paper's one-advisory-lock-per-transaction
                 // limit, keeping the burst read-only on the item line
@@ -342,9 +321,9 @@ impl Workload for Serve {
         // thread_main(ht, stats, reqs, n_reqs, slot) -> n_reqs
         //
         // The serving loop: read the next request record from this core's
-        // schedule array, park until its arrival (open loop) or burn the
-        // think time (closed loop), dispatch to tx_get/tx_set, then a
-        // small response-serialization cost outside the transaction.
+        // schedule array, park until its arrival, dispatch to
+        // tx_get/tx_set, then a small response-serialization cost outside
+        // the transaction.
         let mut b = FuncBuilder::new("thread_main", 5, FuncKind::Normal);
         let ht = b.param(0);
         let stats = b.param(1);
@@ -363,11 +342,7 @@ impl Workload for Serve {
                 let is_get_v = b.load_idx(reqs, rec, 1);
                 let key = b.load_idx(reqs, rec, 2);
                 let val = b.load_idx(reqs, rec, 3);
-                if self.open_loop {
-                    b.idle_until(arrival);
-                } else if self.think > 0 {
-                    b.compute(self.think as u32);
-                }
+                b.idle_until(arrival);
                 b.compute(100); // request parsing, outside the txn
                 let is_get = b.nei(is_get_v, 0);
                 b.if_else(
@@ -500,16 +475,13 @@ mod tests {
 
     #[test]
     fn serve_names_parse_and_reject() {
-        for (name, open) in [
-            ("serve-flash-i800", true),
-            ("serve-zipf-c200", false),
-            ("serve-hot-i1500", true),
-        ] {
+        for name in ["serve-flash-i800", "serve-hot-i1500"] {
             let w = Serve::parse_name(name, true).expect(name);
             assert_eq!(w.name(), name);
-            assert_eq!(w.open_loop, open);
         }
         for bad in [
+            // The removed closed-loop load.
+            "serve-zipf-c200",
             "serve",
             "serve-",
             "serve-flash",
@@ -554,18 +526,16 @@ mod tests {
     }
 
     #[test]
-    fn serve_correct_in_all_modes_open_and_closed() {
-        for name in ["serve-flash-i600", "serve-zipf-c150"] {
-            let w = Serve::parse_name(name, true).unwrap();
-            for mode in Mode::ALL {
-                let r = run_benchmark(&w, mode, 4, 51);
-                assert_eq!(
-                    r.out.exec.committed_txns + r.out.exec.irrevocable_txns,
-                    4 * w.requests_per_core,
-                    "{name} under {}",
-                    mode.name()
-                );
-            }
+    fn serve_correct_in_all_modes() {
+        let w = Serve::parse_name("serve-flash-i600", true).unwrap();
+        for mode in Mode::ALL {
+            let r = run_benchmark(&w, mode, 4, 51);
+            assert_eq!(
+                r.out.exec.committed_txns + r.out.exec.irrevocable_txns,
+                4 * w.requests_per_core,
+                "under {}",
+                mode.name()
+            );
         }
     }
 }

@@ -12,8 +12,8 @@
 #     reaches every ablation);
 #   - by name: the golden run digests (debug and release), the
 #     coherence-directory invariant, machine footprint (idle machines
-#     under 4 MiB), scheduler_stress (debug and release, with htm-sim's
-#     and tm-interp's unit tests in release) and wait_elision;
+#     under 4 MiB), scheduler_stress (debug and release, with htm-sim's,
+#     tm-interp's and stagger-core's tests in release) and wait_elision;
 #   - benchmark/run.sh --check (the benchmark's tables == BENCHMARK.json;
 #     host speed is judged by its interleaved pairs, not by a number here);
 #   - paper and ablations --threads 8 cmp'd against results/paper.txt and
@@ -94,14 +94,16 @@ echo "== scheduler_stress (500 random scenarios, elided vs polled waits, recorde
 # also checks its admission against the linear (clock, id) scan.
 cargo test -q --offline -p htm-sim --test scheduler_stress
 
-echo "== htm-sim and tm-interp unit tests and scheduler_stress, release build"
+echo "== htm-sim, tm-interp and stagger-core tests and scheduler_stress, release build"
 # The scheduler packs (key, id) into one word and the interpreter
 # addresses every frame's registers as base + reg: a shift, clamp or index
 # that only misbehaves where overflow wraps and debug assertions are
 # compiled out shows here, and the stress digest recorded above pins this
-# build too.
+# build too. The runtime's lock loops end in Core::spin_wait, and the
+# results are printed by release builds, so its tests run here too.
 cargo test -q --release --offline -p htm-sim --lib
 cargo test -q --release --offline -p tm-interp
+cargo test -q --release --offline -p stagger-core
 cargo test -q --release --offline -p htm-sim --test scheduler_stress
 
 echo "== wait_elision (quick workloads x modes x fallbacks, elided vs polled waits)"
