@@ -2,11 +2,143 @@
 //! moves: the regression witness checked in as golden digests
 //! (`tests/golden_digests.rs`), in place of a second implementation to
 //! compare against.
+//!
+//! The recorded file, `tests/golden/quick.digests`, is also the list of
+//! golden cells: [`golden_cells`] parses its cell names, and every test
+//! that recomputes digests picks its cells from it.
 
-use htm_sim::{CoreStats, ObsEvent, ObsKind};
-use stagger_core::{Hist, RtStats};
+use htm_sim::{CoreStats, FallbackPolicy, MachineConfig, ObsEvent, ObsKind};
+use stagger_core::{Hist, Mode, RtStats, RuntimeConfig};
+use std::collections::BTreeMap;
+use std::fmt;
 use tm_interp::ExecStats;
-use workloads::BenchResult;
+use workloads::{BenchResult, PreparedWorkload};
+
+/// The seed every golden cell runs with.
+const GOLDEN_SEED: u64 = 2015;
+
+/// One golden cell, named `<workload>/<mode>/<cores>/<fallback>` with an
+/// optional `/bounded-<read>-<write>`: the quick-scale workload at seed
+/// 2015, with event recording on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GoldenCell {
+    pub workload: String,
+    pub mode: Mode,
+    pub cores: usize,
+    pub fallback: FallbackPolicy,
+    /// `MachineConfig::bounded_sets` arguments, if the sets are bounded.
+    pub bounded: Option<(usize, usize)>,
+}
+
+impl fmt::Display for GoldenCell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (mode, fallback) = (self.mode.name(), self.fallback.name());
+        write!(f, "{}/{mode}/{}/{fallback}", self.workload, self.cores)?;
+        match self.bounded {
+            Some((reads, writes)) => write!(f, "/bounded-{reads}-{writes}"),
+            None => Ok(()),
+        }
+    }
+}
+
+impl GoldenCell {
+    /// Parse a cell name. Only the canonical spelling — the one
+    /// [`GoldenCell`]'s `Display` prints — is accepted.
+    pub fn parse(name: &str) -> Result<GoldenCell, String> {
+        let bad =
+            || format!("'{name}': not <workload>/<mode>/<cores>/<fallback>[/bounded-<r>-<w>]");
+        let num = |s: &str| s.parse::<usize>().map_err(|_| bad());
+        let mut parts = name.split('/');
+        let (Some(workload), Some(mode), Some(cores), Some(fallback)) =
+            (parts.next(), parts.next(), parts.next(), parts.next())
+        else {
+            return Err(bad());
+        };
+        let bounded = match (parts.next(), parts.next()) {
+            (None, _) => None,
+            (Some(b), None) => {
+                let rw = b.strip_prefix("bounded-").and_then(|rw| rw.split_once('-'));
+                let (reads, writes) = rw.ok_or_else(bad)?;
+                Some((num(reads)?, num(writes)?))
+            }
+            _ => return Err(bad()),
+        };
+        let cell = GoldenCell {
+            workload: workload.to_string(),
+            mode: Mode::parse(mode).ok_or_else(bad)?,
+            cores: num(cores)?,
+            fallback: FallbackPolicy::parse(fallback).ok_or_else(bad)?,
+            bounded,
+        };
+        if cell.to_string() != name {
+            return Err(format!("'{name}': not spelled as '{cell}'"));
+        }
+        Ok(cell)
+    }
+
+    /// Run this cell on `p`, the quick workload it names, and return its
+    /// [`run_digest`] as 16 hex digits. A wrapped event ring is an error:
+    /// the digest would cover a truncated stream.
+    pub fn digest(&self, p: &PreparedWorkload) -> Result<String, String> {
+        let mut mcfg = MachineConfig::cores(self.cores)
+            .fallback(self.fallback)
+            .record_events();
+        if let Some((reads, writes)) = self.bounded {
+            mcfg = mcfg.bounded_sets(reads, writes);
+        }
+        let r = p.run_cfg(GOLDEN_SEED, mcfg, RuntimeConfig::with_mode(self.mode));
+        if r.events_dropped.iter().any(|&d| d != 0) {
+            return Err(format!("{self}: an event ring wrapped"));
+        }
+        Ok(format!("{:016x}", run_digest(&r)))
+    }
+}
+
+/// The `(cell, recorded digest)` lines of a digests file, in file order;
+/// blank lines and `#` comments are skipped. A malformed or repeated
+/// cell name is an error.
+pub fn golden_cells(text: &str) -> Result<Vec<(GoldenCell, &str)>, String> {
+    let mut cells: Vec<(GoldenCell, &str)> = Vec::new();
+    for line in text
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+    {
+        let (name, digest) = line
+            .split_once(' ')
+            .ok_or_else(|| format!("'{line}': not `<cell> <digest>`"))?;
+        let cell = GoldenCell::parse(name)?;
+        if cells.iter().any(|(c, _)| *c == cell) {
+            return Err(format!("{cell}: recorded twice"));
+        }
+        cells.push((cell, digest));
+    }
+    Ok(cells)
+}
+
+/// Recompute each cell's digest, preparing each workload once, and
+/// describe every cell whose digest differs from the recorded one.
+pub fn golden_mismatches<'a>(
+    cells: impl IntoIterator<Item = &'a (GoldenCell, &'a str)>,
+) -> Vec<String> {
+    let set = workloads::quick_workloads();
+    let mut prepared: BTreeMap<&str, PreparedWorkload> = BTreeMap::new();
+    let mut bad = Vec::new();
+    for (cell, want) in cells {
+        let Some(w) = set.iter().find(|w| w.name() == cell.workload) else {
+            bad.push(format!("{cell}: unknown workload"));
+            continue;
+        };
+        let p = prepared
+            .entry(w.name())
+            .or_insert_with(|| PreparedWorkload::new(w.as_ref()));
+        match cell.digest(p) {
+            Ok(got) if got == *want => {}
+            Ok(got) => bad.push(format!("{cell}: recorded {want}, computed {got}")),
+            Err(e) => bad.push(e),
+        }
+    }
+    bad
+}
 
 /// Streaming FNV-1a 64 (also behind `RunSpec::run_key`).
 pub(crate) struct Fnv(pub u64);
@@ -169,4 +301,37 @@ pub fn run_digest(r: &BenchResult) -> u64 {
         irrevocable_txns,
     ]);
     h.0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn golden_cell_names_round_trip_and_bad_ones_fail_closed() {
+        for name in [
+            "list-hi/Staggered+SW/64/irrevocable",
+            "memcached/HTM/4/irrevocable/bounded-16-8",
+            "list-hi/Staggered/16/lazy-subscription-safe",
+        ] {
+            assert_eq!(GoldenCell::parse(name).unwrap().to_string(), name);
+        }
+        for bad in [
+            "list-hi/HTM/4",
+            "list-hi/HTM/four/irrevocable",
+            "list-hi/Psychic/4/irrevocable",
+            "list-hi/HTM/4/optimism",
+            "list-hi/HTM/4/irrevocable/bounded-16",
+            "list-hi/HTM/4/irrevocable/bounded-16-8/extra",
+            "list-hi/staggeredsw/4/irrevocable",
+        ] {
+            assert!(GoldenCell::parse(bad).is_err(), "{bad}");
+        }
+        let cells = golden_cells("# header\n\nssca2/HTM/4/irrevocable 00\n").unwrap();
+        assert_eq!(cells.len(), 1);
+        assert_eq!(cells[0].1, "00");
+        assert!(golden_cells("ssca2/HTM/4/irrevocable\n").is_err());
+        let twice = "ssca2/HTM/4/irrevocable 00\nssca2/HTM/4/irrevocable 01\n";
+        assert!(golden_cells(twice).is_err());
+    }
 }

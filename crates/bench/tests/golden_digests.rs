@@ -6,100 +6,25 @@
 //! keeps the file byte for byte. A change that means to move a cell edits
 //! its line by hand, from the digest the failure prints.
 
-use htm_sim::{FallbackPolicy, MachineConfig};
+use htm_sim::MachineConfig;
+use stagger_bench::digest::{golden_cells, golden_mismatches};
 use stagger_bench::{run_digest, workload_set};
 use stagger_core::{Mode, RuntimeConfig};
-use std::collections::BTreeMap;
 use workloads::{BenchResult, PreparedWorkload};
 
 const RECORDED: &str = include_str!("golden/quick.digests");
 const SEED: u64 = 2015;
 
-/// `(cores, mode, fallback, bounded_sets arguments)`.
-type Cell = (usize, Mode, FallbackPolicy, Option<(usize, usize)>);
-
-/// The cells of one quick workload: all four modes at 4 and 16 cores; the
-/// two `scaling` workloads also under the two fallback policies that wait
-/// differently, with bounded read/write sets at 4 cores, and at 64 cores
-/// (list-hi in all four modes).
-fn cells_of(workload: &str) -> Vec<Cell> {
-    let mut cells = Vec::new();
-    for cores in [4, 16] {
-        for mode in Mode::ALL {
-            cells.push((cores, mode, FallbackPolicy::Irrevocable, None));
-        }
-    }
-    if workload == "list-hi" || workload == "memcached" {
-        for mode in [Mode::Htm, Mode::Staggered] {
-            for fallback in [
-                FallbackPolicy::HybridStm,
-                FallbackPolicy::LazySubscriptionSafe,
-            ] {
-                cells.push((16, mode, fallback, None));
-            }
-            cells.push((4, mode, FallbackPolicy::Irrevocable, Some((16, 8))));
-        }
-        let at_64: &[Mode] = if workload == "list-hi" {
-            &Mode::ALL
-        } else {
-            &[Mode::Htm, Mode::Staggered]
-        };
-        for &mode in at_64 {
-            cells.push((64, mode, FallbackPolicy::Irrevocable, None));
-        }
-    }
-    cells
-}
-
-fn digest_of(p: &PreparedWorkload, mcfg: MachineConfig, mode: Mode) -> String {
-    let r = p.run_cfg(SEED, mcfg, RuntimeConfig::with_mode(mode));
-    assert!(
-        r.events_dropped.iter().all(|&d| d == 0),
-        "{}: an event ring wrapped, the digest would cover a truncated stream",
-        p.name()
-    );
-    format!("{:016x}", run_digest(&r))
-}
-
+/// Every cell the file records: all four modes at 4 and 16 cores for each
+/// quick workload; list-hi and memcached also under the two fallback
+/// policies that wait differently, with bounded read/write sets at 4
+/// cores, and at 64 cores (list-hi in all four modes).
 #[test]
 fn quick_cells_match_their_recorded_digests() {
-    let recorded: BTreeMap<&str, &str> = RECORDED
-        .lines()
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| l.split_once(' ').expect("line is `<cell> <digest>`"))
-        .collect();
-
-    let mut seen = 0;
-    let mut bad = Vec::new();
-    for w in workload_set(true) {
-        let p = PreparedWorkload::new(w.as_ref());
-        for (cores, mode, fallback, bounded) in cells_of(w.name()) {
-            let mut cell = format!("{}/{}/{cores}/{}", w.name(), mode.name(), fallback.name());
-            let mut mcfg = MachineConfig::cores(cores)
-                .fallback(fallback)
-                .record_events();
-            if let Some((reads, writes)) = bounded {
-                cell.push_str(&format!("/bounded-{reads}-{writes}"));
-                mcfg = mcfg.bounded_sets(reads, writes);
-            }
-            let got = digest_of(&p, mcfg, mode);
-            match recorded.get(cell.as_str()) {
-                Some(&want) => {
-                    seen += 1;
-                    if want != got {
-                        bad.push(format!("{cell}: recorded {want}, computed {got}"));
-                    }
-                }
-                None => bad.push(format!("{cell}: not recorded, computed {got}")),
-            }
-        }
-    }
-    if seen != recorded.len() {
-        bad.push(format!(
-            "{} recorded cells are no longer run",
-            recorded.len() - seen
-        ));
-    }
+    let cells = golden_cells(RECORDED).unwrap();
+    // A cell leaves the file only by a deliberate edit of this count.
+    assert_eq!(cells.len(), 98);
+    let bad = golden_mismatches(&cells);
     assert!(bad.is_empty(), "golden digests differ:\n{}", bad.join("\n"));
 }
 

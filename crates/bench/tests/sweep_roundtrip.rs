@@ -8,7 +8,7 @@
 //!    (`max_cells`) and then resumed produces the exact same JSON/CSV
 //!    tables as an uninterrupted sweep, and the resumed invocation does
 //!    zero recomputation for cached cells; a cell file that does not parse
-//!    is recomputed.
+//!    is recomputed, and one that cannot be saved fails the sweep.
 
 use stagger_bench::sweep::{
     cell_dir, run_sweep, sweep_csv, sweep_json, Axis, CellMetrics, CellResult, SweepSpec,
@@ -49,20 +49,13 @@ fn run_spec_round_trips_through_text_to_identical_cycles() {
 
 /// The protocol-matrix fields ride the same contract: a spec carrying a
 /// non-default fallback policy or bounded read/write sets serializes,
-/// parses back, and the parsed spec simulates bit-identically. A default
-/// spec's canon omits the new keys entirely, so pre-protocol-matrix run
-/// keys — and every sweep-cache cell addressed by them — stay valid.
+/// parses back, and the parsed spec simulates bit-identically.
 #[test]
 fn fallback_and_capacity_fields_round_trip_through_runs() {
     // Contended enough that the safe lazy-subscription run has commit-time
     // subscription aborts.
     let mut base = RunSpec::new("memcached", Mode::Htm, 8, 11);
     base.quick = true;
-    let canon = base.canon();
-    assert!(
-        !canon.contains("fallback") && !canon.contains("max_read_lines"),
-        "defaults must not serialize — old run keys would shift"
-    );
 
     for (key, value) in [
         ("machine.fallback", "hybrid-stm"),
@@ -91,8 +84,7 @@ fn fallback_and_capacity_fields_round_trip_through_runs() {
         assert_eq!(a.out.exec.committed_txns, b.out.exec.committed_txns);
 
         if value == "lazy-subscription-safe" {
-            // The table's `aborts` counts every cause the run's stats
-            // count, commit-time subscription aborts included.
+            // The table carries the run's commit-time subscription aborts.
             let cell = CellResult {
                 spec: spec.clone(),
                 metrics: CellMetrics::from_result(&a),
@@ -105,8 +97,11 @@ fn fallback_and_capacity_fields_round_trip_through_runs() {
             let json = sweep_json(&one, &one.cells().unwrap(), &[&cell]);
             let agg = a.out.sim.aggregate();
             assert!(agg.subscription_aborts > 0);
-            let aborts = agg.aborts();
-            assert!(json.contains(&format!("\"aborts\": {aborts},")), "{json}");
+            let n = agg.subscription_aborts;
+            assert!(
+                json.contains(&format!("\"subscription_aborts\": {n},")),
+                "{json}"
+            );
         }
     }
 }
@@ -134,6 +129,28 @@ fn interrupted_sweep_resumes_to_byte_identical_tables() {
     let cells_a = full.complete_cells();
     let json_a = sweep_json(&spec, &grid, &cells_a);
     let csv_a = sweep_csv(&spec, &grid, &cells_a);
+
+    // Both tables carry every counter a cell holds, one column each, plus
+    // the two derived ratios.
+    let header: Vec<&str> = csv_a.lines().next().unwrap().split(',').collect();
+    let metrics = &header[5 + spec.axes.len()..];
+    assert_eq!(metrics.len(), CellMetrics::KEYS.len() + 2, "{header:?}");
+    assert_eq!(&metrics[..CellMetrics::KEYS.len()], CellMetrics::KEYS);
+    assert_eq!(
+        &metrics[CellMetrics::KEYS.len()..],
+        ["aborts_per_commit", "accuracy"]
+    );
+    let rows: Vec<&str> = json_a.lines().filter(|l| l.contains("run_key")).collect();
+    assert_eq!(rows.len(), grid.len());
+    for row in rows {
+        for key in CellMetrics::KEYS {
+            assert_eq!(
+                row.matches(&format!("\"{key}\": ")).count(),
+                1,
+                "{key}: {row}"
+            );
+        }
+    }
 
     // Interrupted run: one cell per invocation, four invocations.
     let dir_b = scratch_dir("interrupted");
@@ -205,5 +222,30 @@ fn unparsable_cells_are_recomputed() {
     for (p, text) in paths.iter().zip(&good) {
         assert_eq!(&std::fs::read_to_string(p).unwrap(), text, "rewritten");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cell that cannot be saved is an error naming its path, not a panic
+/// inside a pool worker.
+#[test]
+fn unsavable_cell_is_an_error() {
+    let mut base = RunSpec::new("ssca2", Mode::Htm, 4, 11);
+    base.quick = true;
+    let spec = SweepSpec {
+        name: "unsavable-test".to_string(),
+        base,
+        axes: vec![Axis::new("mode", &["HTM", "Staggered"])],
+    };
+    let dir = scratch_dir("unsavable");
+    let cells = cell_dir(&dir, &spec.name);
+    let key = spec.cells().unwrap()[1].spec.run_key();
+    std::fs::create_dir_all(cells.join(format!("{key}.tmp"))).unwrap();
+
+    let err = run_sweep(&spec, &dir, 2, None, None).err().expect("fails");
+    let path = cells.join(format!("{key}.cell"));
+    assert!(
+        err.starts_with(&format!("cannot persist {}: ", path.display())),
+        "{err}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

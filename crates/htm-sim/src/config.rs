@@ -303,14 +303,8 @@ impl MachineConfig {
     /// Serialize every knob as canonical `(key, value)` pairs, in a fixed
     /// order. The inverse of [`Self::set_kv`]; experiment specs embed
     /// these under a `machine.` prefix.
-    ///
-    /// Keys added after the sweep cache shipped (`fallback`,
-    /// `max_read_lines`, `max_write_lines`) are emitted only when they
-    /// deviate from their defaults, so every pre-existing spec
-    /// serializes to the same canonical text (and the same run key) it
-    /// always did — absent means default.
     pub fn to_kv(&self) -> Vec<(&'static str, String)> {
-        let mut kv = vec![
+        vec![
             ("n_cores", self.n_cores.to_string()),
             ("mem_words", self.mem_words.to_string()),
             ("l1_latency", self.l1_latency.to_string()),
@@ -332,17 +326,10 @@ impl MachineConfig {
             ("protocol", self.protocol.name().to_string()),
             ("record_events", self.record_events.to_string()),
             ("event_ring_capacity", self.event_ring_capacity.to_string()),
-        ];
-        if self.fallback != FallbackPolicy::Irrevocable {
-            kv.push(("fallback", self.fallback.name().to_string()));
-        }
-        if self.max_read_lines != 0 {
-            kv.push(("max_read_lines", self.max_read_lines.to_string()));
-        }
-        if self.max_write_lines != 0 {
-            kv.push(("max_write_lines", self.max_write_lines.to_string()));
-        }
-        kv
+            ("fallback", self.fallback.name().to_string()),
+            ("max_read_lines", self.max_read_lines.to_string()),
+            ("max_write_lines", self.max_write_lines.to_string()),
+        ]
     }
 
     /// Set one knob by its canonical key. Returns a descriptive error for
@@ -484,28 +471,6 @@ mod tests {
             d.set_kv(k, &v).unwrap();
         }
         assert_eq!(c.to_kv(), d.to_kv());
-    }
-
-    #[test]
-    fn default_fallback_and_bounds_stay_out_of_the_kv() {
-        // Pre-existing specs must keep serializing to the exact canonical
-        // text (and hence run key) they had before the fallback/bounded-set
-        // knobs existed: the new keys only appear when non-default.
-        let kv = MachineConfig::cores(2).to_kv();
-        assert!(kv.iter().all(|(k, _)| {
-            *k != "fallback" && *k != "max_read_lines" && *k != "max_write_lines"
-        }));
-        // But parsing them back in is always accepted.
-        let mut c = MachineConfig::default();
-        c.set_kv("fallback", "lazy-subscription-safe").unwrap();
-        c.set_kv("max_read_lines", "16").unwrap();
-        c.set_kv("max_write_lines", "8").unwrap();
-        assert_eq!(c.fallback, FallbackPolicy::LazySubscriptionSafe);
-        assert_eq!((c.max_read_lines, c.max_write_lines), (16, 8));
-        let kv = c.to_kv();
-        assert!(kv
-            .iter()
-            .any(|(k, v)| *k == "fallback" && v == "lazy-subscription-safe"));
     }
 
     #[test]

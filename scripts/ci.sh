@@ -6,7 +6,8 @@
 # Gates, in order:
 #   - cargo fmt --check and clippy -D warnings;
 #   - release builds of the workspace root and the exhibit binaries;
-#   - tier-1 tests and the workspace tests, among them cli_usage (removed
+#   - tier-1 tests (among them golden_quick: 26 of the golden run
+#     digests) and the workspace tests, among them cli_usage (removed
 #     flags and --threads 0 / 257 on paper, scaling, serve, profile and
 #     sweep print usage and exit 2) and ablations_fallback (--fallback
 #     reaches every ablation);
@@ -18,8 +19,9 @@
 #     host speed is judged by its interleaved pairs, not by a number here);
 #   - paper and ablations --threads 8 cmp'd against results/paper.txt and
 #     results/ablations.txt;
-#   - the four checked-in sweeps recomputed and diffed against
-#     results/sweeps/;
+#   - the four checked-in sweeps recomputed from nothing, each one's
+#     .json and .csv tables (every simulated counter of every cell) cmp'd
+#     against results/sweeps/<name>/;
 #   - scaling: a 128-core smoke, and the 256-core simulated columns cmp'd
 #     against results/ci_scaling_256.txt;
 #   - paper --quick --json cmp'd against results/paper_quick.txt, with 60
@@ -124,13 +126,16 @@ same_as() { grep -v '^harness:' | cmp - "$1"; }
 
 echo "== sweeps vs results/sweeps/*/*.{json,csv} (checked-in tables cannot drift)"
 # The four checked-in sweeps are recomputed from nothing into a scratch
-# directory; their tables (run keys included) must equal the checked-in
-# ones, and every cell file the checked-in cache holds.
+# directory; both tables (run keys and all 16 counters of every cell
+# included) must equal the checked-in ones. A cell cache a local run left
+# under results/sweeps/*/cells/ is ignored, and neither read nor compared.
 rm -rf results/sweeps-ci
 for sweep in pc-tags lock-tuning scaling serve; do
     ./target/release/sweep --quick --jobs 2 --spec $sweep --dir results/sweeps-ci \
       > /dev/null
-    diff -r results/sweeps/$sweep results/sweeps-ci/$sweep
+    for table in $sweep.json $sweep.csv; do
+        cmp results/sweeps/$sweep/$table results/sweeps-ci/$sweep/$table
+    done
 done
 
 echo "== scaling 128-core smoke (quick, both modes)"
