@@ -2,16 +2,19 @@
 //!
 //! Used three ways: per-core L1 presence (latency + speculative capacity),
 //! per-core L2 presence, and shared L3 presence. Only line indices are
-//! tracked — data lives in the flat simulated memory; this structure decides
-//! *hit level*, and for the L1, *when a transaction overflows* (a 9th
-//! speculative line mapping to an 8-way set).
+//! tracked — data lives in the simulated memory's rows; this structure
+//! decides *hit level*, and for the L1, *when a transaction overflows* (a
+//! 9th speculative line mapping to an 8-way set).
 //!
 //! Host layout: a level is a table of `u32` set handles plus one pool of
-//! ways the touched sets take groups from, so an idle level is zeroed pages
-//! and a used one is two allocations whatever the run touched.
+//! 4-byte ways the touched sets take groups from, so an idle level is
+//! zeroed pages and a used one is two allocations whatever the run touched.
+//! A group keeps its lines in recency order — most recent first, empty ways
+//! last — so the order itself is the LRU state: no stamps.
 
-/// One way of a set: `(line, last-use stamp)`; stamp 0 marks it empty.
-type Way = (u64, u64);
+/// An empty way: memory holds fewer lines, and the machine range-checks a
+/// line before its caches.
+const EMPTY: u32 = u32::MAX;
 
 /// Ways in a set's first group; a set that fills it moves to a full group.
 const FIRST_GROUP: usize = 4;
@@ -29,19 +32,32 @@ pub struct CacheArray {
     /// first fill, a group of all `ways` once that is full (the group it
     /// leaves stays behind, unreferenced). One block per array, so a level
     /// is freed in one call however many sets a run touched.
-    pool: Vec<Way>,
+    pool: Vec<u32>,
     ways: usize,
-    stamp: u64,
+}
+
+fn key(line: u64) -> u32 {
+    debug_assert!(line < EMPTY as u64, "simulated line {line:#x} out of range");
+    line as u32
+}
+
+/// Move `ways[at]` to the front, replacing it by `k`: the ways before it
+/// shift back by one.
+fn to_front(ways: &mut [u32], at: usize, k: u32) {
+    for i in (0..at).rev() {
+        ways[i + 1] = ways[i];
+    }
+    ways[0] = k;
 }
 
 impl CacheArray {
     pub fn new(n_sets: usize, ways: usize) -> Self {
         assert!(n_sets.is_power_of_two(), "set count must be a power of two");
+        assert!(ways > 0, "a cache level needs at least one way");
         CacheArray {
             sets: vec![0; n_sets],
             pool: Vec::new(),
             ways,
-            stamp: 0,
         }
     }
 
@@ -71,32 +87,19 @@ impl CacheArray {
         start..start + self.group_len(h & 1 == 1)
     }
 
-    /// The occupied ways of `line`'s set.
-    fn set(&self, line: u64) -> impl Iterator<Item = &Way> {
-        let ways = &self.pool[self.group(self.set_of(line))];
-        ways.iter().filter(|w| w.1 != 0)
-    }
-
-    /// `line`'s way, if present.
-    fn way_mut(&mut self, line: u64) -> Option<&mut Way> {
-        let g = self.group(self.set_of(line));
-        let ways = &mut self.pool[g];
-        ways.iter_mut().find(|w| w.1 != 0 && w.0 == line)
-    }
-
     /// Is `line` present? (Does not update LRU.)
     pub fn contains(&self, line: u64) -> bool {
-        self.set(line).any(|w| w.0 == line)
+        self.pool[self.group(self.set_of(line))].contains(&key(line))
     }
 
     /// Touch `line`: returns `true` on hit (LRU updated). On miss the line
     /// is *not* inserted; call [`Self::insert`].
     pub fn touch(&mut self, line: u64) -> bool {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        match self.way_mut(line) {
-            Some(w) => {
-                w.1 = stamp;
+        let (k, g) = (key(line), self.group(self.set_of(line)));
+        let ways = &mut self.pool[g];
+        match ways.iter().position(|&w| w == k) {
+            Some(at) => {
+                to_front(ways, at, k);
                 true
             }
             None => false,
@@ -113,50 +116,54 @@ impl CacheArray {
         line: u64,
         is_pinned: impl Fn(u64) -> bool,
     ) -> Result<Option<u64>, ()> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        if let Some(w) = self.way_mut(line) {
-            w.1 = stamp;
-            return Ok(None);
-        }
-        let s = self.set_of(line);
+        let (k, s) = (key(line), self.set_of(line));
         let g = self.group(s);
-        if let Some(free) = self.pool[g.clone()].iter_mut().find(|w| w.1 == 0) {
-            *free = (line, stamp);
+        let ways = &mut self.pool[g.clone()];
+        // Occupied ways come first, so this finds `line` if present, else
+        // the first empty way.
+        if let Some(at) = ways.iter().position(|&w| w == k || w == EMPTY) {
+            to_front(ways, at, k);
             return Ok(None);
         }
-        if g.len() < self.ways {
+        if ways.len() < self.ways {
             // Move the set to a fresh group at the end of the pool.
             let start = self.pool.len();
             let grown = !g.is_empty();
+            self.pool.push(k);
             self.pool.extend_from_within(g);
-            self.pool.push((line, stamp));
-            self.pool.resize(start + self.group_len(grown), (0, 0));
+            self.pool.resize(start + self.group_len(grown), EMPTY);
             self.sets[s] = u32::try_from((start + 1) << 1 | usize::from(grown))
                 .expect("cache way pool outgrew its u32 handles");
             return Ok(None);
         }
-        let ways = &mut self.pool[g];
-        // Choose the least-recently-used unpinned way.
-        let victim = (ways.iter_mut())
-            .filter(|w| !is_pinned(w.0))
-            .min_by_key(|w| w.1)
-            .ok_or(())?;
-        let evicted = victim.0;
-        *victim = (line, stamp);
-        Ok(Some(evicted))
+        // The least-recently-used unpinned way.
+        let at = ways.iter().rposition(|&w| !is_pinned(w.into())).ok_or(())?;
+        let evicted = ways[at];
+        to_front(ways, at, k);
+        Ok(Some(evicted.into()))
     }
 
-    /// Remove a specific line (e.g., invalidation on cross-core write).
+    /// Remove a specific line (e.g., invalidation on cross-core write),
+    /// closing the gap it leaves.
     pub fn remove(&mut self, line: u64) {
-        if let Some(w) = self.way_mut(line) {
-            w.1 = 0;
+        let (k, g) = (key(line), self.group(self.set_of(line)));
+        let ways = &mut self.pool[g];
+        if let Some(at) = ways.iter().position(|&w| w == k) {
+            for i in at + 1..ways.len() {
+                ways[i - 1] = ways[i];
+            }
+            ways[ways.len() - 1] = EMPTY;
         }
     }
 
     /// Total lines currently present.
     pub fn len(&self) -> usize {
-        let occupied = |s| self.pool[self.group(s)].iter().filter(|w| w.1 != 0).count();
+        let occupied = |s| {
+            self.pool[self.group(s)]
+                .iter()
+                .filter(|&&w| w != EMPTY)
+                .count()
+        };
         (0..self.sets.len()).map(occupied).sum()
     }
 
@@ -168,6 +175,109 @@ impl CacheArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stagger_prng::Xoshiro256StarStar;
+
+    /// Reference model: per-set `(line, last-use stamp)` ways, stamp 0 for
+    /// empty, the victim the unpinned way with the smallest stamp.
+    struct StampLru {
+        sets: Vec<Vec<(u64, u64)>>,
+        stamp: u64,
+    }
+
+    impl StampLru {
+        fn new(n_sets: usize, ways: usize) -> Self {
+            StampLru {
+                sets: vec![vec![(0, 0); ways]; n_sets],
+                stamp: 0,
+            }
+        }
+
+        fn set(&mut self, line: u64) -> &mut Vec<(u64, u64)> {
+            let n = self.sets.len();
+            &mut self.sets[line as usize & (n - 1)]
+        }
+
+        fn contains(&self, line: u64) -> bool {
+            let set = &self.sets[line as usize & (self.sets.len() - 1)];
+            set.iter().any(|w| w.1 != 0 && w.0 == line)
+        }
+
+        fn touch(&mut self, line: u64) -> bool {
+            self.stamp += 1;
+            let stamp = self.stamp;
+            let way = self.set(line).iter_mut().find(|w| w.1 != 0 && w.0 == line);
+            way.map(|w| w.1 = stamp).is_some()
+        }
+
+        fn insert(
+            &mut self,
+            line: u64,
+            is_pinned: impl Fn(u64) -> bool,
+        ) -> Result<Option<u64>, ()> {
+            if self.touch(line) {
+                return Ok(None);
+            }
+            let stamp = self.stamp;
+            let set = self.set(line);
+            if let Some(free) = set.iter_mut().find(|w| w.1 == 0) {
+                *free = (line, stamp);
+                return Ok(None);
+            }
+            let victim = (set.iter_mut())
+                .filter(|w| !is_pinned(w.0))
+                .min_by_key(|w| w.1)
+                .ok_or(())?;
+            Ok(Some(std::mem::replace(victim, (line, stamp)).0))
+        }
+
+        fn remove(&mut self, line: u64) {
+            if let Some(w) = self.set(line).iter_mut().find(|w| w.1 != 0 && w.0 == line) {
+                w.1 = 0;
+            }
+        }
+
+        fn len(&self) -> usize {
+            self.sets.iter().flatten().filter(|w| w.1 != 0).count()
+        }
+    }
+
+    #[test]
+    fn recency_order_is_the_stamp_lru() {
+        for (n_sets, ways) in [(1, 1), (1, 2), (2, 8), (4, 4), (128, 8)] {
+            let mut rng = Xoshiro256StarStar::seed_from_u64((n_sets * 100 + ways) as u64);
+            let (mut c, mut m) = (CacheArray::new(n_sets, ways), StampLru::new(n_sets, ways));
+            // Enough distinct lines to keep every set overfull.
+            let lines = 3 * (n_sets * ways) as u64;
+            for step in 0..20_000 {
+                let line = rng.below(lines);
+                let at = format!("{n_sets}x{ways}, step {step}, line {line}");
+                match rng.below(10) {
+                    0..=2 => assert_eq!(c.touch(line), m.touch(line), "touch, {at}"),
+                    3..=6 => {
+                        // A random predicate: pins about a third of lines.
+                        let salt = rng.next_u64();
+                        let pinned = |l: u64| {
+                            (l ^ salt)
+                                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                                .is_multiple_of(3)
+                        };
+                        assert_eq!(
+                            c.insert(line, pinned),
+                            m.insert(line, pinned),
+                            "insert, {at}"
+                        );
+                    }
+                    7 => {
+                        c.remove(line);
+                        m.remove(line);
+                    }
+                    8 => assert_eq!(c.contains(line), m.contains(line), "contains, {at}"),
+                    _ => assert_eq!(c.len(), m.len(), "len, {at}"),
+                }
+            }
+            assert_eq!(c.len(), m.len());
+        }
+    }
 
     #[test]
     fn hit_after_insert() {

@@ -1,5 +1,7 @@
 //! Machine configuration — the reproduction of the paper's Table 2.
 
+use crate::directory::fits;
+
 /// HTM conflict-resolution protocol (paper Section 7 taxonomy).
 ///
 /// The paper evaluates on an eager requester-wins design and names lazy
@@ -334,35 +336,38 @@ impl MachineConfig {
 
     /// Set one knob by its canonical key. Returns a descriptive error for
     /// an unknown key, an unparsable value, or a value the machine cannot
-    /// be built with (a PC tag outside 1..=16 bits — the width `AbortInfo`
-    /// carries — or a cache set count that is not a power of two).
+    /// be built with: a PC tag outside 1..=16 bits (the width `AbortInfo`
+    /// carries), a set count that is not a power of two, zero ways, or a
+    /// memory of zero words or of `u32::MAX` lines (caches key by `u32`).
     pub fn set_kv(&mut self, key: &str, value: &str) -> Result<(), String> {
         fn num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
             value
                 .parse()
                 .map_err(|_| format!("machine.{key}: invalid value '{value}'"))
         }
-        fn sets(key: &str, value: &str) -> Result<usize, String> {
-            let n: usize = num(key, value)?;
-            if n.is_power_of_two() {
-                Ok(n)
-            } else {
-                Err(format!("machine.{key}: {n} is not a power of two"))
-            }
+        fn checked(key: &str, v: &str, ok: fn(usize) -> bool, why: &str) -> Result<usize, String> {
+            let n: usize = num(key, v)?;
+            ok(n)
+                .then_some(n)
+                .ok_or(format!("machine.{key}: {n} {why}"))
         }
+        let sets = |k, v| checked(k, v, usize::is_power_of_two, "is not a power of two");
+        let ways = |k, v| checked(k, v, |n| n > 0, "ways: a level needs one or more");
         match key {
             "n_cores" => self.n_cores = num(key, value)?,
-            "mem_words" => self.mem_words = num(key, value)?,
+            "mem_words" => {
+                self.mem_words = checked(key, value, fits, "words: not 1..2^32-1 lines")?
+            }
             "l1_latency" => self.l1_latency = num(key, value)?,
             "l2_latency" => self.l2_latency = num(key, value)?,
             "l3_latency" => self.l3_latency = num(key, value)?,
             "mem_latency" => self.mem_latency = num(key, value)?,
             "l1_sets" => self.l1_sets = sets(key, value)?,
-            "l1_ways" => self.l1_ways = num(key, value)?,
+            "l1_ways" => self.l1_ways = ways(key, value)?,
             "l2_sets" => self.l2_sets = sets(key, value)?,
-            "l2_ways" => self.l2_ways = num(key, value)?,
+            "l2_ways" => self.l2_ways = ways(key, value)?,
             "l3_sets" => self.l3_sets = sets(key, value)?,
-            "l3_ways" => self.l3_ways = num(key, value)?,
+            "l3_ways" => self.l3_ways = ways(key, value)?,
             "tx_begin_cost" => self.tx_begin_cost = num(key, value)?,
             "tx_commit_cost" => self.tx_commit_cost = num(key, value)?,
             "tx_abort_cost" => self.tx_abort_cost = num(key, value)?,
@@ -506,6 +511,47 @@ mod tests {
             c.set_kv(key, "64").unwrap();
         }
         assert_eq!((c.l1_sets, c.l2_sets, c.l3_sets), (64, 64, 64));
+    }
+
+    #[test]
+    fn kv_rejects_zero_mem_words() {
+        let mut c = MachineConfig::default();
+        let err = c.set_kv("mem_words", "0").unwrap_err();
+        assert!(err.starts_with("machine.mem_words: 0 words: "), "{err}");
+        assert_eq!(c.mem_words, MachineConfig::default().mem_words);
+        c.set_kv("mem_words", "1").unwrap();
+    }
+
+    #[test]
+    fn kv_rejects_mem_words_of_u32_max_lines() {
+        // Caches key lines by `u32`, with `u32::MAX` marking an empty way.
+        let mut c = MachineConfig::default();
+        let most = 8 * (u32::MAX as u64 - 1);
+        for words in [most + 1, 8 * u32::MAX as u64, u64::MAX] {
+            let err = c.set_kv("mem_words", &words.to_string()).unwrap_err();
+            assert!(
+                err.starts_with(&format!("machine.mem_words: {words} words: ")),
+                "{err}"
+            );
+        }
+        c.set_kv("mem_words", &most.to_string()).unwrap();
+        assert_eq!(c.mem_words as u64, most);
+    }
+
+    #[test]
+    fn kv_rejects_zero_ways() {
+        // A zero-way level would turn every speculative access into a
+        // capacity abort.
+        let mut c = MachineConfig::default();
+        for key in ["l1_ways", "l2_ways", "l3_ways"] {
+            let err = c.set_kv(key, "0").unwrap_err();
+            assert!(
+                err.starts_with(&format!("machine.{key}: 0 ways: ")),
+                "{err}"
+            );
+            c.set_kv(key, "1").unwrap();
+        }
+        assert_eq!((c.l1_ways, c.l2_ways, c.l3_ways), (1, 1, 1));
     }
 
     #[test]

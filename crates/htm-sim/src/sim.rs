@@ -7,7 +7,7 @@
 //! [`crate::machine::Core`] only when it is the calling core's logical
 //! turn, so the whole struct is free of internal synchronization.
 
-use crate::addr::{line_of, word_index, Addr, LINE_BYTES, WORD_BYTES};
+use crate::addr::{line_of, Addr, LINE_BYTES, WORD_BYTES};
 use crate::cache::CacheArray;
 use crate::config::{FallbackPolicy, HtmProtocol, MachineConfig};
 use crate::coreset::{CoreSet, MAX_CORES};
@@ -276,11 +276,11 @@ pub(crate) struct CoreState {
 /// The whole simulated machine.
 pub(crate) struct SimState {
     pub cfg: MachineConfig,
-    mem: Vec<u64>,
     l3: CacheArray,
     pub cores: Vec<CoreState>,
-    /// Per-line speculative owners and cache sharers. Invariant: a line's
-    /// `Sharers` are exactly the cores whose L1 or L2 holds it.
+    /// Simulated memory with each line's speculative owners and cache
+    /// sharers. Invariant: a line's `Sharers` are exactly the cores whose
+    /// L1 or L2 holds it.
     dir: Directory,
     heap_next: Addr,
     /// Derived from `cfg.perm_cache_lines`: direct-mapped permission-cache
@@ -339,10 +339,9 @@ impl SimState {
             })
             .collect();
         SimState {
-            mem: vec![0; cfg.mem_words],
             l3: CacheArray::new(cfg.l3_sets, cfg.l3_ways),
             cores,
-            dir: Directory::new(cfg.mem_words),
+            dir: Directory::new(cfg.mem_words, cfg.n_cores),
             heap_next: HEAP_BASE,
             perm_slots: if cfg.perm_cache_lines == 0 {
                 0
@@ -447,7 +446,7 @@ impl SimState {
             || max_iters == 0
             || period == 0
             || !self.cores[tid].l1.contains(line)
-            || words.iter().any(|&w| self.read_word(w) == 0)
+            || words.iter().any(|&w| self.dir.load(w) == 0)
         {
             return false;
         }
@@ -555,31 +554,11 @@ impl SimState {
 
     // ----- memory & caches ----------------------------------------------
 
-    fn read_word(&self, addr: Addr) -> u64 {
-        let i = word_index(addr);
-        assert!(
-            i < self.mem.len(),
-            "simulated address {addr:#x} out of range"
-        );
-        self.mem[i]
-    }
-
     fn write_word(&mut self, addr: Addr, val: u64) {
-        let i = word_index(addr);
-        assert!(
-            i < self.mem.len(),
-            "simulated address {addr:#x} out of range"
-        );
+        self.dir.store(addr, val);
         if self.n_parked != 0 {
             self.assert_unwatched(line_of(addr));
         }
-        self.mem[i] = val;
-    }
-
-    /// True when no line has a speculative owner (test aid).
-    #[cfg(test)]
-    fn owners_empty(&self) -> bool {
-        self.dir.owners_empty()
     }
 
     /// Charge cache latency for `tid` touching `line`. If `speculative`,
@@ -594,6 +573,8 @@ impl SimState {
         let cfg_l2 = self.cfg.l2_latency;
         let cfg_l3 = self.cfg.l3_latency;
         let cfg_mem = self.cfg.mem_latency;
+        // Range-check before the caches, which key lines by `u32`.
+        self.dir.row(line);
 
         // L1 hit?
         if self.cores[tid].l1.touch(line) {
@@ -922,7 +903,7 @@ impl SimState {
                 "cached permission without an ownership bit"
             );
             return (
-                Ok(buffered.unwrap_or_else(|| self.read_word(addr))),
+                Ok(buffered.unwrap_or_else(|| self.dir.load(addr))),
                 self.cfg.l1_latency,
             );
         }
@@ -944,7 +925,7 @@ impl SimState {
                 // Lazy: our own buffered write shadows memory.
                 let buffered = tx.buffered(addr);
                 self.dir.update(line, Role::Readers, |s| s.insert(tid));
-                (Ok(buffered.unwrap_or_else(|| self.read_word(addr))), lat)
+                (Ok(buffered.unwrap_or_else(|| self.dir.load(addr))), lat)
             }
             Err(()) => (Err(self.self_abort(tid, AbortCause::Capacity)), 0),
         }
@@ -991,7 +972,7 @@ impl SimState {
             if eager {
                 // In place, undo-logged, exclusive — identical memory
                 // effects, in the same order, as the slow path below.
-                let old = self.read_word(addr);
+                let old = self.dir.load(addr);
                 self.cores[tid].tx.as_mut().unwrap().undo.push((addr, old));
                 self.write_word(addr, val);
                 self.invalidate_others(tid, line);
@@ -1007,7 +988,7 @@ impl SimState {
         }
         match self.touch_caches(tid, line, true) {
             Ok(lat) => {
-                let old = self.read_word(addr);
+                let old = self.dir.load(addr);
                 let core = &mut self.cores[tid];
                 let tx = core.tx.as_mut().unwrap();
                 tx.touch_line(line, pc, true);
@@ -1083,7 +1064,7 @@ impl SimState {
         // and never joins the read set.
         if self.cfg.fallback == FallbackPolicy::LazySubscriptionSafe {
             if let Some(lock) = self.commit_lock_addr {
-                if self.read_word(lock) != 0 {
+                if self.dir.load(lock) != 0 {
                     return (
                         Err(self.self_abort(tid, AbortCause::SubscriptionValidation)),
                         0,
@@ -1148,7 +1129,7 @@ impl SimState {
             .touch_caches(tid, line, false)
             .expect("nontransactional fills cannot overflow");
         self.cores[tid].stats.nt_mem_ops += 1;
-        (self.read_word(addr), lat)
+        (self.dir.load(addr), lat)
     }
 
     /// Nontransactional (or plain non-speculative) store: immediately
@@ -1179,7 +1160,7 @@ impl SimState {
     /// operation's latency either way.
     pub fn nt_cas(&mut self, tid: usize, addr: Addr, old: u64, new: u64) -> (bool, u64) {
         let line = line_of(addr);
-        let cur = self.read_word(addr);
+        let cur = self.dir.load(addr);
         if cur == old {
             self.resolve_conflicts(tid, addr, true, 0);
             let lat = self.touch_caches(tid, line, false).unwrap();
@@ -1214,7 +1195,7 @@ impl SimState {
             // aligned so arenas of different threads never share lines).
             let base = (self.heap_next + LINE_BYTES - 1) & !(LINE_BYTES - 1);
             assert!(
-                (base + chunk) / WORD_BYTES <= self.mem.len() as u64,
+                (base + chunk) / WORD_BYTES <= self.dir.mem_words as u64,
                 "simulated heap exhausted"
             );
             self.heap_next = base + chunk;
@@ -1237,7 +1218,7 @@ impl SimState {
             base = (base + LINE_BYTES - 1) & !(LINE_BYTES - 1);
         }
         assert!(
-            (base + bytes) / WORD_BYTES <= self.mem.len() as u64,
+            (base + bytes) / WORD_BYTES <= self.dir.mem_words as u64,
             "simulated heap exhausted"
         );
         self.heap_next = base + bytes;
@@ -1246,7 +1227,7 @@ impl SimState {
 
     /// Host-side read (no cycles, no coherence effects).
     pub fn host_load(&self, addr: Addr) -> u64 {
-        self.read_word(addr)
+        self.dir.load(addr)
     }
 
     /// Host-side write (no cycles, no coherence effects). Only sound while
@@ -1259,6 +1240,13 @@ impl SimState {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// True when no line has a speculative reader or writer.
+    fn owners_empty(s: &SimState) -> bool {
+        let idle =
+            |l| s.dir.get(l, Role::Readers).is_empty() && s.dir.get(l, Role::Writers).is_empty();
+        (0..s.cfg.mem_words.div_ceil(8) as u64).all(idle)
+    }
 
     fn state(n: usize) -> SimState {
         SimState::new(MachineConfig::cores(n).small())
@@ -1446,7 +1434,7 @@ mod tests {
         assert!(s.tx_commit(0).0.is_err());
         s.tx_commit(32).0.unwrap();
         assert_eq!(s.host_load(a), 4);
-        assert!(s.owners_empty());
+        assert!(owners_empty(&s));
     }
 
     #[test]
@@ -1466,7 +1454,7 @@ mod tests {
         assert_eq!(e.info().cause, AbortCause::Conflict);
         s.tx_commit(1).0.unwrap();
         assert_eq!((s.host_load(a), s.host_load(a + 2 * WORD_BYTES)), (0, 2));
-        assert!(s.owners_empty());
+        assert!(owners_empty(&s));
     }
 
     #[test]
@@ -1489,7 +1477,7 @@ mod tests {
         }
         s.tx_commit(9).0.unwrap();
         assert_eq!(s.host_load(a), 8);
-        assert!(s.owners_empty());
+        assert!(owners_empty(&s));
     }
 
     #[test]
@@ -1501,6 +1489,46 @@ mod tests {
         let mut cfg = MachineConfig::cores(1).small();
         cfg.set_kv("n_cores", &(MAX_CORES + 1).to_string()).unwrap();
         let _ = SimState::new(cfg);
+    }
+
+    // Struct literals bypass `set_kv`'s checks; SimState::new is the
+    // backstop for each.
+
+    #[test]
+    #[should_panic(expected = "mem_words must be positive")]
+    fn zero_mem_words_is_rejected() {
+        let _ = SimState::new(MachineConfig {
+            mem_words: 0,
+            ..MachineConfig::cores(1)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer than u32::MAX lines")]
+    fn mem_words_of_u32_max_lines_is_rejected() {
+        // Asserted before anything is allocated.
+        let _ = SimState::new(MachineConfig {
+            mem_words: 8 * (u32::MAX as usize - 1) + 1,
+            ..MachineConfig::cores(1)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one way")]
+    fn zero_way_level_is_rejected() {
+        let _ = SimState::new(MachineConfig {
+            l2_ways: 0,
+            ..MachineConfig::cores(1).small()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "simulated address 0x3fffffffc0 out of range")]
+    fn line_at_the_empty_cache_key_is_out_of_range() {
+        // Line u32::MAX would truncate to the caches' empty-way marker; the
+        // range check must come first.
+        let mut s = state(1);
+        s.nt_load(0, u32::MAX as u64 * LINE_BYTES);
     }
 
     #[test]
@@ -1521,7 +1549,7 @@ mod tests {
         s.tx_commit(0).0.unwrap();
         assert_eq!(s.host_load(a), 7);
         assert_eq!(s.cores[0].stats.commits, 1);
-        assert!(s.owners_empty(), "ownership released on commit");
+        assert!(owners_empty(&s), "ownership released on commit");
     }
 
     #[test]
@@ -1594,7 +1622,7 @@ mod tests {
         let err = s.tx_load(0, base + 2 * LINE_BYTES, 0x10C).0.unwrap_err();
         assert_eq!(err.info().cause, AbortCause::Capacity);
         assert_eq!(s.cores[0].stats.capacity_aborts, 1);
-        assert!(s.owners_empty());
+        assert!(owners_empty(&s));
     }
 
     #[test]
@@ -1636,7 +1664,7 @@ mod tests {
         s.tx_store(0, a, 7, 0x100).0.unwrap();
         s.tx_commit(0).0.unwrap();
         assert_eq!(s.host_load(a), 7);
-        assert!(s.owners_empty());
+        assert!(owners_empty(&s));
     }
 
     #[test]
@@ -1971,7 +1999,7 @@ mod tests {
         assert_eq!(s.cores[0].stats.tx_mem_ops, 3);
         s.tx_commit(0).0.unwrap();
         assert_eq!(s.host_load(a), 2);
-        assert!(s.owners_empty());
+        assert!(owners_empty(&s));
     }
 
     #[test]

@@ -13,8 +13,10 @@
 #     reaches every ablation);
 #   - by name: the golden run digests (debug and release), the
 #     coherence-directory invariant, machine footprint (idle machines
-#     under 4 MiB), scheduler_stress (debug and release, with htm-sim's,
-#     tm-interp's and stagger-core's tests in release) and wait_elision;
+#     under 4 MiB, 65,536 lines stored on 16 cores under 9 MiB and
+#     131,072 on 256 under 32 MiB), scheduler_stress (debug and release,
+#     with htm-sim's, tm-interp's and stagger-core's tests in release) and
+#     wait_elision;
 #   - benchmark/run.sh --check (the benchmark's tables == BENCHMARK.json;
 #     host speed is judged by its interleaved pairs, not by a number here);
 #   - paper and ablations --threads 8 cmp'd against results/paper.txt and
@@ -83,10 +85,12 @@ echo "== coherence-directory invariant (seeded property test)"
 # the workspace suite above too; by name so a break is visible on its own.
 cargo test -q --offline -p htm-sim --test directory
 
-echo "== machine footprint (16 idle default machines, and one of 256 cores, each stay under 4 MiB)"
-# Guards the zero-page allocation of simulated memory and the directory (a
-# memset of either costs 64+ MiB and ~75 ms per Machine::new) and the
-# size of the cache set tables (one u32 per set).
+echo "== machine footprint (idle machines under 4 MiB; 65,536 lines stored on 16 cores under 9 MiB, 131,072 on 256 under 32 MiB)"
+# Guards the zero-page allocation of the memory-sized rows that hold each
+# line's data and directory sets (a memset costs 88+ MiB per
+# Machine::new), the size of the cache set tables (one u32 per set), and
+# the bytes behind each touched line: an 88- or 160-byte row and 4-byte
+# cache ways.
 cargo test -q --offline -p htm-sim --test footprint
 
 echo "== scheduler_stress (500 random scenarios, elided vs polled waits, recorded digest)"
