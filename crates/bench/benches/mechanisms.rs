@@ -1,8 +1,9 @@
 //! Microbenches for the mechanism costs the paper argues are negligible
 //! (Section 6.1): the ALPoint fast path, abort-history bookkeeping, policy
 //! activation, anchor-table lookups, advisory-lock operations, the
-//! compiler pass itself, raw interpreter throughput, and the interpreter's
-//! cost per IR call and per resume under a deep call stack.
+//! compiler pass itself, the simulator's transactional access path, raw
+//! interpreter throughput, and the interpreter's cost per IR call and per
+//! resume under a deep call stack.
 //!
 //! Plain `fn main` harness (no external bench framework): each case runs a
 //! calibrated number of iterations and prints mean wall time per iteration.
@@ -158,6 +159,27 @@ fn bench_scheduler() {
     }
 }
 
+fn bench_tx_access() {
+    // One core in one long transaction re-loading 8 lines it already
+    // holds. With no other core no gate suspends, so the row times one
+    // gate and the simulator's load of a held line, nothing else.
+    let held = |ops: u64| {
+        let machine = Machine::new(MachineConfig::cores(1).small());
+        let lines = machine.host_alloc(8 * 8, true);
+        let t0 = Instant::now();
+        machine.run_uniform(move |mut c| async move {
+            c.tx_begin(0).await;
+            for i in 0..ops {
+                black_box(c.tx_load(lines + 64 * (i % 8), 0).await.unwrap());
+            }
+            c.tx_commit().await.unwrap();
+        });
+        t0.elapsed().as_secs_f64() / ops as f64
+    };
+    held(1_000);
+    report("sim/tx_load_held (per op)", held(4_000_000));
+}
+
 fn bench_interpreter() {
     // Raw interpreter throughput: single-core counter loop.
     let w = workloads::ssca2::Ssca2 {
@@ -266,6 +288,7 @@ fn main() {
     bench_compile_pass();
     bench_locks();
     bench_scheduler();
+    bench_tx_access();
     bench_interpreter();
     bench_interp_layer();
 }

@@ -1,5 +1,6 @@
 //! Machine configuration — the reproduction of the paper's Table 2.
 
+use crate::coreset::MAX_CORES;
 use crate::directory::fits;
 
 /// HTM conflict-resolution protocol (paper Section 7 taxonomy).
@@ -181,16 +182,6 @@ pub struct MachineConfig {
     /// ring fills, the oldest events are overwritten (and counted as
     /// dropped). 0 disables buffering entirely even with `record_events`.
     pub event_ring_capacity: usize,
-    /// Capacity (in lines, rounded up to a power of two; 0 disables) of
-    /// the per-core line-permission cache: per transaction attempt, the
-    /// simulator remembers lines whose read/write ownership bits it has
-    /// already set so repeat accesses skip the coherence-directory probe.
-    /// Host-only: under requester-wins conflict resolution a held
-    /// permission can only be revoked by dooming this core (which clears
-    /// the cache), so simulated cycles, stats and events are bit-identical
-    /// at any size. The knob is therefore excluded from `to_kv`/`set_kv` so
-    /// experiment-spec run keys never depend on it.
-    pub perm_cache_lines: usize,
 }
 
 impl Default for MachineConfig {
@@ -220,7 +211,6 @@ impl Default for MachineConfig {
             max_write_lines: 0,
             record_events: false,
             event_ring_capacity: 1 << 20,
-            perm_cache_lines: 32,
         }
     }
 }
@@ -291,12 +281,6 @@ impl MachineConfig {
         self
     }
 
-    /// Size the per-core line-permission cache (0 disables the fast path).
-    pub fn perm_cache_lines(mut self, lines: usize) -> Self {
-        self.perm_cache_lines = lines;
-        self
-    }
-
     /// Mask for the PC tag.
     pub fn pc_tag_mask(&self) -> u64 {
         (1u64 << self.pc_tag_bits) - 1
@@ -336,8 +320,9 @@ impl MachineConfig {
 
     /// Set one knob by its canonical key. Returns a descriptive error for
     /// an unknown key, an unparsable value, or a value the machine cannot
-    /// be built with: a PC tag outside 1..=16 bits (the width `AbortInfo`
-    /// carries), a set count that is not a power of two, zero ways, or a
+    /// be built with: a core count outside 1..=[`MAX_CORES`], a PC tag
+    /// outside 1..=16 bits (the width `AbortInfo` carries), a set count
+    /// that is not a power of two, zero ways, a zero-word arena chunk, or a
     /// memory of zero words or of `u32::MAX` lines (caches key by `u32`).
     pub fn set_kv(&mut self, key: &str, value: &str) -> Result<(), String> {
         fn num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
@@ -354,7 +339,13 @@ impl MachineConfig {
         let sets = |k, v| checked(k, v, usize::is_power_of_two, "is not a power of two");
         let ways = |k, v| checked(k, v, |n| n > 0, "ways: a level needs one or more");
         match key {
-            "n_cores" => self.n_cores = num(key, value)?,
+            "n_cores" => {
+                let n: usize = num(key, value)?;
+                if !(1..=MAX_CORES).contains(&n) {
+                    return Err(format!("machine.n_cores: {n} cores: not 1..={MAX_CORES}"));
+                }
+                self.n_cores = n;
+            }
             "mem_words" => {
                 self.mem_words = checked(key, value, fits, "words: not 1..2^32-1 lines")?
             }
@@ -372,7 +363,10 @@ impl MachineConfig {
             "tx_commit_cost" => self.tx_commit_cost = num(key, value)?,
             "tx_abort_cost" => self.tx_abort_cost = num(key, value)?,
             "alloc_cost_per_word" => self.alloc_cost_per_word = num(key, value)?,
-            "arena_chunk_words" => self.arena_chunk_words = num(key, value)?,
+            "arena_chunk_words" => {
+                let why = "words: a chunk needs one or more";
+                self.arena_chunk_words = checked(key, value, |n| n > 0, why)?
+            }
             "pc_tag_bits" => {
                 let bits: u32 = num(key, value)?;
                 if !(1..=16).contains(&bits) {
@@ -392,9 +386,6 @@ impl MachineConfig {
             "max_write_lines" => self.max_write_lines = num(key, value)?,
             "record_events" => self.record_events = num(key, value)?,
             "event_ring_capacity" => self.event_ring_capacity = num(key, value)?,
-            // `perm_cache_lines` is intentionally not settable here: it
-            // cannot change simulated results, so it is not part of the
-            // experiment spec (accepting it would silently fork run keys).
             other => return Err(format!("machine.{other}: unknown key")),
         }
         Ok(())
@@ -488,7 +479,7 @@ mod tests {
         assert!(c.set_kv("max_read_lines", "many").is_err());
         assert!(
             c.set_kv("perm_cache_lines", "64").is_err(),
-            "perm_cache_lines is host-only and must not enter run keys"
+            "the removed line-permission cache knob must fail closed"
         );
     }
 
@@ -539,6 +530,42 @@ mod tests {
     }
 
     #[test]
+    fn kv_rejects_core_counts_outside_1_to_max_cores() {
+        // `SimState::new` would panic on these; the spec route must not get
+        // that far.
+        let mut c = MachineConfig::default();
+        for n in ["0", "257"] {
+            let err = c.set_kv("n_cores", n).unwrap_err();
+            assert!(
+                err.starts_with(&format!("machine.n_cores: {n} cores: ")),
+                "{err}"
+            );
+        }
+        assert_eq!(c.n_cores, MachineConfig::default().n_cores);
+        for n in [1, MAX_CORES] {
+            c.set_kv("n_cores", &n.to_string()).unwrap();
+            assert_eq!(c.n_cores, n);
+        }
+    }
+
+    #[test]
+    fn kv_rejects_zero_arena_chunk() {
+        // A zero-word chunk would fail every simulated allocation.
+        let mut c = MachineConfig::default();
+        let err = c.set_kv("arena_chunk_words", "0").unwrap_err();
+        assert!(
+            err.starts_with("machine.arena_chunk_words: 0 words: "),
+            "{err}"
+        );
+        assert_eq!(
+            c.arena_chunk_words,
+            MachineConfig::default().arena_chunk_words
+        );
+        c.set_kv("arena_chunk_words", "1").unwrap();
+        assert_eq!(c.arena_chunk_words, 1);
+    }
+
+    #[test]
     fn kv_rejects_zero_ways() {
         // A zero-way level would turn every speculative access into a
         // capacity abort.
@@ -583,15 +610,6 @@ mod tests {
             );
         }
         assert!(c.to_kv().iter().all(|(k, _)| *k != "record_trace"));
-    }
-
-    #[test]
-    fn perm_cache_is_a_host_knob_outside_the_spec() {
-        let c = MachineConfig::cores(2).perm_cache_lines(64);
-        assert_eq!(c.perm_cache_lines, 64);
-        // Varying it must not change the serialized spec (and hence no
-        // sweep-cell run key).
-        assert_eq!(c.to_kv(), MachineConfig::cores(2).to_kv());
     }
 
     #[test]

@@ -93,7 +93,9 @@ struct TxLine {
 /// capacity, typically a few dozen lines), so the read/write sets and the
 /// lazy write buffer live in sorted vectors probed by binary search — no
 /// hashing, no per-entry allocation, and the buffers are recycled across
-/// transactions on the same core ([`TxState::reset`]).
+/// transactions on the same core ([`TxState::reset`]). `lines` mirrors the
+/// attempt's `Readers`/`Writers` bits in the directory rows, adding the
+/// first-access PC.
 #[derive(Debug, Default)]
 struct TxState {
     start_clock: u64,
@@ -107,68 +109,16 @@ struct TxState {
     write_buffer: Vec<(Addr, u64)>,
     /// Lines already rolled back by a remote requester.
     rolled_back: bool,
-    /// Line-permission cache: a direct-mapped table over lines whose
-    /// read (`perm_write[i] == false` suffices) or write ownership bits
-    /// this attempt has already set, letting repeat accesses skip the
-    /// coherence-directory probe. Sound under requester-wins resolution: any
-    /// remote access that would revoke a held permission dooms this core
-    /// first, and a doomed core aborts (via `check_doomed`) before its next
-    /// access — so a non-doomed attempt's cached permissions are always
-    /// current. `u64::MAX` marks an empty slot; cleared by `reset` (every
-    /// attempt starts cold) and defensively on `doom`.
-    perm_lines: Vec<u64>,
-    /// Write-permission bit per `perm_lines` slot.
-    perm_write: Vec<bool>,
 }
 
 impl TxState {
     /// Clear for reuse by a fresh transaction, keeping the allocations.
-    /// `perm_slots` is the (power-of-two or zero) permission-cache size.
-    fn reset(&mut self, start_clock: u64, perm_slots: usize) {
+    fn reset(&mut self, start_clock: u64) {
         self.start_clock = start_clock;
         self.lines.clear();
         self.undo.clear();
         self.write_buffer.clear();
         self.rolled_back = false;
-        if self.perm_lines.len() == perm_slots {
-            self.perm_lines.fill(u64::MAX);
-            self.perm_write.fill(false);
-        } else {
-            self.perm_lines = vec![u64::MAX; perm_slots];
-            self.perm_write = vec![false; perm_slots];
-        }
-    }
-
-    /// Does this attempt hold a cached permission for `line` (write
-    /// permission if `write`)?
-    #[inline]
-    fn perm_has(&self, line: u64, write: bool) -> bool {
-        if self.perm_lines.is_empty() {
-            return false;
-        }
-        let i = (line as usize) & (self.perm_lines.len() - 1);
-        self.perm_lines[i] == line && (!write || self.perm_write[i])
-    }
-
-    /// Cache a granted permission (upgrades read → write in place; a
-    /// colliding line simply evicts the previous occupant).
-    #[inline]
-    fn perm_insert(&mut self, line: u64, write: bool) {
-        if self.perm_lines.is_empty() {
-            return;
-        }
-        let i = (line as usize) & (self.perm_lines.len() - 1);
-        if self.perm_lines[i] == line {
-            self.perm_write[i] |= write;
-        } else {
-            self.perm_lines[i] = line;
-            self.perm_write[i] = write;
-        }
-    }
-
-    fn perm_clear(&mut self) {
-        self.perm_lines.fill(u64::MAX);
-        self.perm_write.fill(false);
     }
 
     fn find(&self, line: u64) -> Result<usize, usize> {
@@ -283,9 +233,6 @@ pub(crate) struct SimState {
     /// L1 or L2 holds it.
     dir: Directory,
     heap_next: Addr,
-    /// Derived from `cfg.perm_cache_lines`: direct-mapped permission-cache
-    /// slot count (rounded up to a power of two; 0 = fast path disabled).
-    perm_slots: usize,
     /// Gate horizon: the minimum `(clock, id)` over unfinished cores *other
     /// than* the one currently resumed (set by [`SimState::schedule`]).
     /// While that core runs, no other core's clock can change, so its
@@ -321,6 +268,10 @@ impl SimState {
             "n_cores must be in 1..={MAX_CORES}, got {}",
             cfg.n_cores
         );
+        assert!(
+            cfg.arena_chunk_words > 0,
+            "arena_chunk_words must be positive"
+        );
         let cores = (0..cfg.n_cores)
             .map(|_| CoreState {
                 clock: 0,
@@ -343,11 +294,6 @@ impl SimState {
             cores,
             dir: Directory::new(cfg.mem_words, cfg.n_cores),
             heap_next: HEAP_BASE,
-            perm_slots: if cfg.perm_cache_lines == 0 {
-                0
-            } else {
-                cfg.perm_cache_lines.next_power_of_two()
-            },
             horizon: (u64::MAX, usize::MAX),
             commit_lock_addr: None,
             sched: WinnerTree::new(cfg.n_cores),
@@ -736,12 +682,6 @@ impl SimState {
         let first = tx.first_pc_of(line);
         let lines = std::mem::take(&mut tx.lines);
         tx.rolled_back = true;
-        // The doomed attempt's cached permissions are void the instant its
-        // ownership bits are released below. Strictly, no access can use
-        // them anyway — the victim's next transactional op consumes the
-        // doom in `check_doomed` before reaching the fast path — but
-        // clearing here keeps the invariant local.
-        tx.perm_clear();
         core.doomed = Some(Doomed {
             info: AbortInfo {
                 cause: AbortCause::Conflict,
@@ -820,9 +760,8 @@ impl SimState {
     /// when `write`) push `tid`'s attempt past `max_read_lines` (distinct
     /// touched lines) or `max_write_lines` (distinct written lines)?
     /// Zero-cost when both knobs are 0, the default. An access to a line
-    /// whose permission the attempt already holds can never trip a bound
-    /// (the line is already counted), which is why the permission-cache
-    /// fast paths legitimately skip this check.
+    /// the attempt already holds with the access's own bit can never trip
+    /// a bound: the line is already counted.
     fn set_bound_exceeded(&self, tid: usize, line: u64, write: bool) -> bool {
         let cfg = &self.cfg;
         if cfg.max_read_lines == 0 && cfg.max_write_lines == 0 {
@@ -851,7 +790,6 @@ impl SimState {
     /// Begin a hardware transaction on `tid`.
     pub fn tx_begin(&mut self, tid: usize, ab_id: u32) -> u64 {
         self.note(tid, ObsKind::TxBegin { ab_id });
-        let perm_slots = self.perm_slots;
         let core = &mut self.cores[tid];
         assert!(
             core.tx.is_none(),
@@ -861,7 +799,7 @@ impl SimState {
         // on cannot exist: check_doomed consumed it. Defensive clear:
         core.doomed = None;
         let mut tx = core.spare_tx.take().unwrap_or_default();
-        tx.reset(core.clock, perm_slots);
+        tx.reset(core.clock);
         core.tx = Some(tx);
         self.cfg.tx_begin_cost
     }
@@ -872,46 +810,29 @@ impl SimState {
     }
 
     /// Transactional load.
+    ///
+    /// A line this attempt already holds (its core is in the line's
+    /// `Readers` or `Writers`) needs no conflict check and no footprint or
+    /// directory update: under requester-wins, any remote access that
+    /// could have revoked the bit doomed this core, and `check_doomed`
+    /// has just consumed any doom. The caches are touched either way.
     pub fn tx_load(&mut self, tid: usize, addr: Addr, pc: u64) -> (Result<u64, TxError>, u64) {
         if let Err(e) = self.check_doomed(tid) {
             return (Err(e), 0);
         }
-        let line = line_of(addr);
-        // Fast path: the attempt already holds (at least read) permission
-        // for the line, so the conflict probe and directory/footprint
-        // updates are provably no-ops — any remote access that could have
-        // revoked the permission would have doomed us, and we just passed
-        // `check_doomed`. The L1 is consulted with the side-effect-free
-        // `contains` first, then touched exactly once, matching the slow
-        // path's single LRU stamp on its L1-hit arm.
-        let fast = {
-            let core = &mut self.cores[tid];
-            match core.tx.as_mut() {
-                Some(tx) if tx.perm_has(line, false) && core.l1.contains(line) => {
-                    debug_assert!(tx.spec_contains(line));
-                    core.l1.touch(line);
-                    core.stats.tx_mem_ops += 1;
-                    Some(tx.buffered(addr))
-                }
-                _ => None,
-            }
-        };
-        if let Some(buffered) = fast {
-            debug_assert!(
-                self.dir.get(line, Role::Readers).contains(tid)
-                    || self.dir.get(line, Role::Writers).contains(tid),
-                "cached permission without an ownership bit"
-            );
-            return (
-                Ok(buffered.unwrap_or_else(|| self.dir.load(addr))),
-                self.cfg.l1_latency,
-            );
-        }
         assert!(self.tx_active(tid), "tx_load outside transaction");
+        let line = line_of(addr);
+        let held = self.dir.get(line, Role::Readers).contains(tid)
+            || self.dir.get(line, Role::Writers).contains(tid);
+        debug_assert_eq!(
+            held,
+            self.cores[tid].tx.as_ref().unwrap().spec_contains(line),
+            "directory bits of line {line:#x} disagree with core {tid}'s read set"
+        );
         if self.set_bound_exceeded(tid, line, false) {
             return (Err(self.self_abort(tid, AbortCause::Capacity)), 0);
         }
-        if self.cfg.protocol == HtmProtocol::Eager {
+        if !held && self.cfg.protocol == HtmProtocol::Eager {
             // Eager: a read request aborts any remote speculative writer.
             self.resolve_conflicts(tid, addr, false, pc);
         }
@@ -919,12 +840,13 @@ impl SimState {
             Ok(lat) => {
                 let core = &mut self.cores[tid];
                 let tx = core.tx.as_mut().unwrap();
-                tx.touch_line(line, pc, false);
-                tx.perm_insert(line, false);
                 core.stats.tx_mem_ops += 1;
                 // Lazy: our own buffered write shadows memory.
                 let buffered = tx.buffered(addr);
-                self.dir.update(line, Role::Readers, |s| s.insert(tid));
+                if !held {
+                    tx.touch_line(line, pc, false);
+                    self.dir.update(line, Role::Readers, |s| s.insert(tid));
+                }
                 (Ok(buffered.unwrap_or_else(|| self.dir.load(addr))), lat)
             }
             Err(()) => (Err(self.self_abort(tid, AbortCause::Capacity)), 0),
@@ -932,6 +854,10 @@ impl SimState {
     }
 
     /// Transactional store (eager versioning: in place, undo-logged).
+    ///
+    /// Held means in the line's `Writers`: a read-held line being upgraded
+    /// may share the line with remote readers, whom the conflict check
+    /// must doom. See `tx_load` for why a held line skips it.
     pub fn tx_store(
         &mut self,
         tid: usize,
@@ -942,59 +868,31 @@ impl SimState {
         if let Err(e) = self.check_doomed(tid) {
             return (Err(e), 0);
         }
+        assert!(self.tx_active(tid), "tx_store outside transaction");
         let eager = self.cfg.protocol == HtmProtocol::Eager;
         let line = line_of(addr);
-        // Fast path: *write* permission already held (read permission is
-        // not enough — remote readers may legitimately coexist with it,
-        // and the slow path's conflict resolution must doom them). See
-        // `tx_load` for the revocation-implies-doom argument.
-        let fast = {
-            let core = &mut self.cores[tid];
-            match core.tx.as_mut() {
-                Some(tx) if tx.perm_has(line, true) && core.l1.contains(line) => {
-                    debug_assert!(tx.spec_contains(line));
-                    core.l1.touch(line);
-                    core.stats.tx_mem_ops += 1;
-                    if !eager {
-                        // Private buffer; published at commit.
-                        tx.buffer_store(addr, val);
-                    }
-                    true
-                }
-                _ => false,
-            }
-        };
-        if fast {
-            debug_assert!(
-                self.dir.get(line, Role::Writers).contains(tid),
-                "cached write permission without the writer bit"
-            );
-            if eager {
-                // In place, undo-logged, exclusive — identical memory
-                // effects, in the same order, as the slow path below.
-                let old = self.dir.load(addr);
-                self.cores[tid].tx.as_mut().unwrap().undo.push((addr, old));
-                self.write_word(addr, val);
-                self.invalidate_others(tid, line);
-            }
-            return (Ok(()), self.cfg.l1_latency);
-        }
-        assert!(self.tx_active(tid), "tx_store outside transaction");
+        let held = self.dir.get(line, Role::Writers).contains(tid);
+        debug_assert_eq!(
+            held,
+            (self.cores[tid].tx.as_ref())
+                .is_some_and(|t| t.find(line).is_ok_and(|i| t.lines[i].written)),
+            "directory bits of line {line:#x} disagree with core {tid}'s write set"
+        );
         if self.set_bound_exceeded(tid, line, true) {
             return (Err(self.self_abort(tid, AbortCause::Capacity)), 0);
         }
-        if eager {
+        if !held && eager {
             self.resolve_conflicts(tid, addr, true, pc);
         }
         match self.touch_caches(tid, line, true) {
             Ok(lat) => {
                 let old = self.dir.load(addr);
                 let core = &mut self.cores[tid];
-                let tx = core.tx.as_mut().unwrap();
-                tx.touch_line(line, pc, true);
-                tx.perm_insert(line, true);
                 core.stats.tx_mem_ops += 1;
-                self.dir.update(line, Role::Writers, |s| s.insert(tid));
+                if !held {
+                    core.tx.as_mut().unwrap().touch_line(line, pc, true);
+                    self.dir.update(line, Role::Writers, |s| s.insert(tid));
+                }
                 let tx = self.cores[tid].tx.as_mut().unwrap();
                 if eager {
                     // In place, undo-logged, exclusive.
@@ -1480,19 +1378,26 @@ mod tests {
         assert!(owners_empty(&s));
     }
 
+    // Struct literals bypass `set_kv`'s checks; SimState::new is the
+    // backstop for each.
+
     #[test]
     #[should_panic(expected = "n_cores")]
     fn more_than_max_cores_is_rejected() {
-        // Through set_kv (the experiment-spec route), which bypasses the
-        // `MachineConfig::cores` builder assert — SimState::new is the
-        // backstop.
-        let mut cfg = MachineConfig::cores(1).small();
-        cfg.set_kv("n_cores", &(MAX_CORES + 1).to_string()).unwrap();
-        let _ = SimState::new(cfg);
+        let _ = SimState::new(MachineConfig {
+            n_cores: MAX_CORES + 1,
+            ..MachineConfig::cores(1).small()
+        });
     }
 
-    // Struct literals bypass `set_kv`'s checks; SimState::new is the
-    // backstop for each.
+    #[test]
+    #[should_panic(expected = "arena_chunk_words must be positive")]
+    fn zero_arena_chunk_is_rejected() {
+        let _ = SimState::new(MachineConfig {
+            arena_chunk_words: 0,
+            ..MachineConfig::cores(1).small()
+        });
+    }
 
     #[test]
     #[should_panic(expected = "mem_words must be positive")]
@@ -1976,17 +1881,16 @@ mod tests {
     }
 
     #[test]
-    fn perm_cache_repeat_accesses_hit_l1_latency() {
+    fn repeat_accesses_to_a_held_line_hit_l1_latency() {
         let mut s = state(2);
-        assert!(s.perm_slots > 0, "default config enables the fast path");
         let a = s.host_alloc(8, true);
         s.tx_begin(0, 1);
-        // First store goes the slow way (directory probe + fill).
+        // First store: conflict check, fill, footprint and directory.
         let (r, first_lat) = s.tx_store(0, a, 1, 0x400);
         r.unwrap();
         assert!(first_lat > s.cfg.l1_latency);
-        // Repeats hold write permission: L1-latency fast path, same value
-        // flow and footprint as the slow path.
+        // Repeats find the line held and in the L1: L1 latency, and the
+        // values flow as for the first access.
         let (r, lat) = s.tx_store(0, a, 2, 0x400);
         r.unwrap();
         assert_eq!(lat, s.cfg.l1_latency);
@@ -2003,59 +1907,25 @@ mod tests {
     }
 
     #[test]
-    fn perm_cache_conflicts_still_detected_after_fast_hits() {
+    fn conflicts_still_detected_after_repeat_accesses() {
         let mut s = state(2);
         let a = s.host_alloc(8, true);
         s.host_store(a, 5);
         s.tx_begin(0, 1);
         s.tx_store(0, a, 10, 0x400).0.unwrap();
-        s.tx_store(0, a, 11, 0x400).0.unwrap(); // fast path
-                                                // A remote writer must still doom core 0 exactly as before.
+        s.tx_store(0, a, 11, 0x400).0.unwrap(); // held
+                                                // A remote writer must still doom core 0.
         s.tx_begin(1, 1);
         s.tx_store(1, a, 20, 0x500).0.unwrap();
         assert_eq!(s.host_load(a), 20, "core 0's writes rolled back");
-        // The doomed core cannot sneak a fast-path access past the doom.
+        // The doomed core cannot sneak a held-line access past the doom.
         let (r, _) = s.tx_load(0, a, 0x404);
         assert_eq!(r.unwrap_err().info().cause, AbortCause::Conflict);
         s.tx_commit(1).0.unwrap();
-        // The permission cache died with the attempt: a fresh attempt by
-        // core 0 probes the directory again and succeeds normally.
+        // The doom released core 0's bits: a fresh attempt by core 0 takes
+        // the line anew and succeeds normally.
         s.tx_begin(0, 2);
         assert_eq!(s.tx_load(0, a, 0x408).0.unwrap(), 20);
         s.tx_commit(0).0.unwrap();
-    }
-
-    #[test]
-    fn perm_cache_off_is_bit_identical() {
-        // The same scripted contention schedule, with and without the
-        // permission cache: every latency, stat and memory value matches.
-        let run = |perm_lines: usize| {
-            let mut s = SimState::new(MachineConfig::cores(2).small().perm_cache_lines(perm_lines));
-            let a = s.host_alloc(16, true);
-            let mut lats = Vec::new();
-            s.tx_begin(0, 1);
-            for i in 0..4 {
-                let (r, lat) = s.tx_store(0, a, i, 0x400);
-                r.unwrap();
-                lats.push(lat);
-                let (r, lat) = s.tx_load(0, a, 0x404);
-                r.unwrap();
-                lats.push(lat);
-            }
-            s.tx_begin(1, 2);
-            let (r, lat) = s.tx_store(1, a, 99, 0x500);
-            r.unwrap();
-            lats.push(lat);
-            assert!(s.tx_commit(0).0.is_err());
-            s.tx_commit(1).0.unwrap();
-            s.tx_begin(0, 1);
-            let (r, lat) = s.tx_load(0, a, 0x408);
-            lats.push(lat);
-            assert_eq!(r.unwrap(), 99);
-            s.tx_commit(0).0.unwrap();
-            let stats: Vec<CoreStats> = s.cores.iter().map(|c| c.stats.clone()).collect();
-            (lats, stats, s.host_load(a))
-        };
-        assert_eq!(run(0), run(32));
     }
 }
