@@ -108,23 +108,31 @@ fn bench_compile_pass() {
 }
 
 fn bench_locks() {
-    // Measure the simulated-machine path end to end (host wall time of a
-    // sequence of lock ops on one core).
-    time_case("locks/acquire_release_uncontended", 200, || {
+    // Acquire/release pairs of the runtime's lock table on one core, over
+    // 100 lock words, timed as one run: the machine and the lock table are
+    // built before the clock starts, so the row is the cost of one pair.
+    let pairs = |n: u64| {
         let machine = Machine::new(MachineConfig::cores(1).small());
         let cfg = RuntimeConfig::with_mode(Mode::Staggered);
         let shared = SharedRt::new(&machine, &cfg);
+        let t0 = Instant::now();
         machine.run(vec![body(move |mut core| async move {
-            for i in 0..100u64 {
+            for i in 0..n {
                 let w = shared
                     .locks
-                    .acquire(&mut core, 0x1000 + i * 64, 1000, 30)
+                    .acquire(&mut core, 0x1000 + (i % 100) * 64, 1000, 30)
                     .await
                     .unwrap();
                 shared.locks.release(&mut core, w).await;
             }
         })]);
-    });
+        t0.elapsed().as_secs_f64() / n as f64
+    };
+    pairs(1_000);
+    report(
+        "locks/acquire_release_uncontended (per pair)",
+        pairs(1_000_000),
+    );
 }
 
 fn bench_scheduler() {

@@ -172,10 +172,10 @@ fn main() {
                 "{:<44} {:>12} {:>8} {:>8.2} {:>9.2} {:>8}",
                 coords.join(" / "),
                 m.sim_cycles,
-                m.commits + m.irrevocable_commits,
-                m.aborts_per_commit(),
-                m.accuracy(),
-                m.lock_timeouts
+                m.core.commits + m.core.irrevocable_commits,
+                m.core.aborts_per_commit(),
+                m.rt.accuracy(),
+                m.rt.lock_timeouts
             );
         }
 
@@ -204,7 +204,7 @@ fn pc_tag_analysis(cells: &[&CellResult]) {
             continue;
         }
         let bits = res.spec.machine.pc_tag_bits;
-        let acc = res.metrics.accuracy();
+        let acc = res.metrics.rt.accuracy();
         match by_workload
             .iter_mut()
             .find(|(w, _)| *w == res.spec.workload)

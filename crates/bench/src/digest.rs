@@ -7,11 +7,10 @@
 //! golden cells: [`golden_cells`] parses its cell names, and every test
 //! that recomputes digests picks its cells from it.
 
-use htm_sim::{CoreStats, FallbackPolicy, MachineConfig, ObsEvent, ObsKind};
-use stagger_core::{Hist, Mode, RtStats, RuntimeConfig};
+use htm_sim::{FallbackPolicy, MachineConfig, ObsEvent, ObsKind};
+use stagger_core::{Hist, Mode, RuntimeConfig};
 use std::collections::BTreeMap;
 use std::fmt;
-use tm_interp::ExecStats;
 use workloads::{BenchResult, PreparedWorkload};
 
 /// The seed every golden cell runs with.
@@ -174,52 +173,22 @@ impl Fnv {
 }
 
 /// Digest of everything a finished run's simulation determined: every
-/// per-core [`CoreStats`] field, every recorded [`ObsEvent`] (clock and
-/// payload), the thread return values, [`RtStats`] and [`ExecStats`]. Host
-/// timings and scheduler counters are left out. Run with
-/// `MachineConfig::record_events` for the event streams to take part.
+/// per-core `CoreStats` counter, every recorded [`ObsEvent`] (clock and
+/// payload), the thread return values, `RtStats` (its two histograms,
+/// then its counters) and `ExecStats`. Host timings and scheduler counters
+/// are left out. Run with `MachineConfig::record_events` for the event
+/// streams to take part.
 ///
-/// The structs are destructured without `..`, so a field added later fails
-/// to compile here instead of silently escaping the digest.
+/// The digest covers every counter because it hashes each record's
+/// `values()`, the list the record's struct is generated from
+/// (`htm_sim::stats_record!`): a counter added later is hashed with no
+/// edit here.
 pub fn run_digest(r: &BenchResult) -> u64 {
     let mut h = Fnv::new();
 
     h.words(&[r.out.sim.exec_cycles, r.out.sim.cores.len() as u64]);
     for c in &r.out.sim.cores {
-        let CoreStats {
-            commits,
-            conflict_aborts,
-            capacity_aborts,
-            explicit_aborts,
-            subscription_aborts,
-            irrevocable_commits,
-            useful_tx_cycles,
-            wasted_tx_cycles,
-            lock_wait_cycles,
-            backoff_cycles,
-            irrevocable_cycles,
-            total_cycles,
-            tx_mem_ops,
-            nt_mem_ops,
-            gated_ops,
-        } = *c;
-        h.words(&[
-            commits,
-            conflict_aborts,
-            capacity_aborts,
-            explicit_aborts,
-            subscription_aborts,
-            irrevocable_commits,
-            useful_tx_cycles,
-            wasted_tx_cycles,
-            lock_wait_cycles,
-            backoff_cycles,
-            irrevocable_cycles,
-            total_cycles,
-            tx_mem_ops,
-            nt_mem_ops,
-            gated_ops,
-        ]);
+        h.words(&c.values());
     }
 
     h.word(r.events.len() as u64);
@@ -257,49 +226,11 @@ pub fn run_digest(r: &BenchResult) -> u64 {
     h.word(r.out.returns.len() as u64);
     h.words(&r.out.returns);
 
-    let RtStats {
-        addr_hist,
-        pc_hist,
-        contention_aborts,
-        anchor_identified,
-        anchor_correct,
-        locks_acquired,
-        lock_timeouts,
-        act_precise,
-        act_coarse,
-        act_training,
-        alps_executed,
-    } = &r.out.rt;
-    h.hist(addr_hist);
-    h.hist(pc_hist);
-    h.words(&[
-        *contention_aborts,
-        *anchor_identified,
-        *anchor_correct,
-        *locks_acquired,
-        *lock_timeouts,
-        *act_precise,
-        *act_coarse,
-        *act_training,
-        *alps_executed,
-    ]);
-
-    let ExecStats {
-        insts,
-        committed_txns,
-        committed_insts,
-        committed_anchors,
-        aborted_attempts,
-        irrevocable_txns,
-    } = r.out.exec;
-    h.words(&[
-        insts,
-        committed_txns,
-        committed_insts,
-        committed_anchors,
-        aborted_attempts,
-        irrevocable_txns,
-    ]);
+    let rt = &r.out.rt;
+    h.hist(&rt.addr_hist);
+    h.hist(&rt.pc_hist);
+    h.words(&rt.values());
+    h.words(&r.out.exec.values());
     h.0
 }
 

@@ -20,7 +20,8 @@
 //!   "seed": 2015, "wall_secs": 12.3, "total_sim_insts": 45600000,
 //!   "insts_per_sec": 3700000.0,
 //!   "runs": [ { "workload": "genome", "mode": "htm", "threads": 16,
-//!               "sim_cycles": 1, "sim_insts": 2, "gated_ops": 1,
+//!               "sim_cycles": 1, "sim_insts": 2, "commits": 1, ...,
+//!               "gated_ops": 1, ..., "alps_executed": 0,
 //!               "elided_ops": 0, "parks": 0,
 //!               "sched_calls": 9, "sched_stale": 3,
 //!               "events_complete": true, "lat_count": 4, "lat_p50": 100, ...,
@@ -31,8 +32,11 @@
 //! }
 //! ```
 //!
-//! `gated_ops` counts the shared-memory operations simulated through the
-//! scheduler gate; `elided_ops` of them were fast-forwarded by `parks`
+//! A run's simulated counters are the columns of a sweep table
+//! ([`CellMetrics::keys`]): `sim_cycles`, `sim_insts`, then every counter
+//! of the aggregate `CoreStats` and of `RtStats`, by field name. Among
+//! them, `gated_ops` counts the shared-memory operations simulated through
+//! the scheduler gate; `elided_ops` of them were fast-forwarded by `parks`
 //! parked spin-waits instead of being executed one by one. `ns_per_inst` is
 //! host nanoseconds per simulated instruction — all scheduler-overhead
 //! observability, not paper metrics. `sched_calls`/`sched_stale` count the
@@ -41,7 +45,7 @@
 //! wall time) for work routed through [`Exhibit::pool`].
 
 use crate::jobs::{run_jobs_timed, WorkerUtil};
-use crate::sweep::GridCell;
+use crate::sweep::{CellMetrics, GridCell};
 use crate::{json_str, CommonOpts, RunSpec};
 use htm_sim::{histogram_of, request_latencies, LatencySummary};
 use stagger_core::Mode;
@@ -56,11 +60,8 @@ pub struct RunRecord {
     pub workload: &'static str,
     pub mode: &'static str,
     pub threads: usize,
-    pub sim_cycles: u64,
-    pub sim_insts: u64,
-    /// Shared-memory ops simulated through the scheduler gate;
-    /// `elided_ops` of them were fast-forwarded.
-    pub gated_ops: u64,
+    /// The run's simulated counters, the columns of a sweep table.
+    pub metrics: CellMetrics,
     /// Gated ops accounted by fast-forwarding a parked spin-wait, and the
     /// number of such parks (host-side, never simulated quantities).
     pub elided_ops: u64,
@@ -82,7 +83,7 @@ pub struct RunRecord {
 impl RunRecord {
     pub fn insts_per_sec(&self) -> f64 {
         if self.host_secs > 0.0 {
-            self.sim_insts as f64 / self.host_secs
+            self.metrics.sim_insts as f64 / self.host_secs
         } else {
             0.0
         }
@@ -90,8 +91,8 @@ impl RunRecord {
 
     /// Host nanoseconds spent per simulated instruction.
     pub fn ns_per_inst(&self) -> f64 {
-        if self.sim_insts > 0 {
-            self.host_secs * 1e9 / self.sim_insts as f64
+        if self.metrics.sim_insts > 0 {
+            self.host_secs * 1e9 / self.metrics.sim_insts as f64
         } else {
             0.0
         }
@@ -242,9 +243,7 @@ impl Exhibit {
             workload: r.name,
             mode: r.mode.name(),
             threads: r.n_threads,
-            sim_cycles: r.cycles(),
-            sim_insts: r.sim_insts(),
-            gated_ops: r.gated_ops(),
+            metrics: CellMetrics::from_result(r),
             elided_ops: r.out.sched.elided_ops,
             parks: r.out.sched.parks,
             sched_calls: r.out.sched.schedule_calls,
@@ -273,7 +272,7 @@ impl Exhibit {
         let mut recs = self.records.lock().unwrap().clone();
         recs.sort_by(|a, b| (a.workload, a.mode, a.threads).cmp(&(b.workload, b.mode, b.threads)));
         let wall = self.started.elapsed().as_secs_f64();
-        let total_insts: u64 = recs.iter().map(|r| r.sim_insts).sum();
+        let total_insts: u64 = recs.iter().map(|r| r.metrics.sim_insts).sum();
         let ips = if wall > 0.0 {
             total_insts as f64 / wall
         } else {
@@ -311,19 +310,20 @@ impl Exhibit {
                 ),
                 None => String::new(),
             };
+            let counters: String = r
+                .metrics
+                .counters()
+                .map(|(k, v)| format!("{}: {v}, ", json_str(k)))
+                .collect();
             s.push_str(&format!(
                 "    {{ \"workload\": {}, \"mode\": {}, \"threads\": {}, \
-                 \"sim_cycles\": {}, \"sim_insts\": {}, \"gated_ops\": {}, \
-                 \"elided_ops\": {}, \"parks\": {}, \
+                 {counters}\"elided_ops\": {}, \"parks\": {}, \
                  \"sched_calls\": {}, \"sched_stale\": {}, {lat}\
                  \"host_secs\": {:.6}, \"insts_per_sec\": {:.1}, \
                  \"ns_per_inst\": {:.2} }}{}\n",
                 json_str(r.workload),
                 json_str(r.mode),
                 r.threads,
-                r.sim_cycles,
-                r.sim_insts,
-                r.gated_ops,
                 r.elided_ops,
                 r.parks,
                 r.sched_calls,
@@ -357,13 +357,13 @@ impl Exhibit {
     pub fn finish(&self) {
         let recs = self.records.lock().unwrap();
         let n = recs.len();
-        let total_insts: u64 = recs.iter().map(|r| r.sim_insts).sum();
+        let total_insts: u64 = recs.iter().map(|r| r.metrics.sim_insts).sum();
         // `.max(0.0)` normalizes the empty-sum -0.0 so a zero-run report
         // prints "0.00" rather than "-0.00".
         let run_secs: f64 = recs.iter().map(|r| r.host_secs).sum::<f64>().max(0.0);
         let sched_calls: u64 = recs.iter().map(|r| r.sched_calls).sum();
         let sched_stale: u64 = recs.iter().map(|r| r.sched_stale).sum();
-        let gated: u64 = recs.iter().map(|r| r.gated_ops).sum();
+        let gated: u64 = recs.iter().map(|r| r.metrics.core.gated_ops).sum();
         let elided: u64 = recs.iter().map(|r| r.elided_ops).sum();
         let parks: u64 = recs.iter().map(|r| r.parks).sum();
         drop(recs);
@@ -428,6 +428,16 @@ mod tests {
     use htm_sim::{FallbackPolicy, MachineConfig};
     use stagger_core::RuntimeConfig;
 
+    fn counters(sim_cycles: u64, sim_insts: u64, gated_ops: u64) -> CellMetrics {
+        let mut m = CellMetrics {
+            sim_cycles,
+            sim_insts,
+            ..Default::default()
+        };
+        m.core.gated_ops = gated_ops;
+        m
+    }
+
     #[test]
     fn json_escapes_and_sorts() {
         let opts = CommonOpts::default_for_tests();
@@ -436,9 +446,7 @@ mod tests {
             workload: "zeta",
             mode: "htm",
             threads: 4,
-            sim_cycles: 10,
-            sim_insts: 20,
-            gated_ops: 7,
+            metrics: counters(10, 20, 7),
             elided_ops: 5,
             parks: 2,
             sched_calls: 9,
@@ -459,9 +467,7 @@ mod tests {
             workload: "alpha",
             mode: "htm",
             threads: 4,
-            sim_cycles: 1,
-            sim_insts: 2,
-            gated_ops: 1,
+            metrics: counters(1, 2, 1),
             elided_ops: 0,
             parks: 0,
             sched_calls: 0,

@@ -21,7 +21,7 @@
 //!   and the final tables are byte-identical to an uninterrupted run
 //!   because cells persist only simulated (deterministic) quantities.
 //! * [`sweep_json`] / [`sweep_csv`] — deterministic result tables, each
-//!   carrying every counter a cell holds ([`CellMetrics::KEYS`]).
+//!   carrying every counter a cell holds ([`CellMetrics::keys`]).
 //!
 //! The built-in sweeps ([`builtin_sweep`]) are six grids, among them the
 //! paper's two sensitivity curves: PC-tag width (`pc-tags`) and
@@ -29,8 +29,8 @@
 //! drives them.
 
 use crate::{jobs::run_jobs, json_str, CommonOpts, Exhibit};
-use htm_sim::MachineConfig;
-use stagger_core::{Mode, RuntimeConfig};
+use htm_sim::{CoreStats, MachineConfig};
+use stagger_core::{Mode, RtStats, RuntimeConfig};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use workloads::{BenchResult, PreparedWorkload};
@@ -300,144 +300,63 @@ impl SweepSpec {
 /// byte-identical tables.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CellMetrics {
+    /// Execution time: the latest core clock.
     pub sim_cycles: u64,
+    /// Interpreted instructions, all cores.
     pub sim_insts: u64,
-    pub commits: u64,
-    pub irrevocable_commits: u64,
-    pub conflict_aborts: u64,
-    pub capacity_aborts: u64,
-    pub explicit_aborts: u64,
-    pub subscription_aborts: u64,
-    pub useful_tx_cycles: u64,
-    pub wasted_tx_cycles: u64,
-    pub lock_wait_cycles: u64,
-    pub backoff_cycles: u64,
-    pub locks_acquired: u64,
-    pub lock_timeouts: u64,
-    /// Contention aborts processed by the policy / of those, correctly
-    /// attributed — together the paper's Table 3 accuracy, kept as exact
-    /// integers.
-    pub contention_aborts: u64,
-    pub anchor_correct: u64,
+    /// The cores' counters, aggregated (`SimStats::aggregate`).
+    pub core: CoreStats,
+    /// The runtime's counters; its histograms are not kept.
+    pub rt: RtStats,
 }
 
 impl CellMetrics {
     pub fn from_result(r: &BenchResult) -> CellMetrics {
-        let agg = r.out.sim.aggregate();
-        CellMetrics {
+        let mut m = CellMetrics {
             sim_cycles: r.cycles(),
             sim_insts: r.sim_insts(),
-            commits: agg.commits,
-            irrevocable_commits: agg.irrevocable_commits,
-            conflict_aborts: agg.conflict_aborts,
-            capacity_aborts: agg.capacity_aborts,
-            explicit_aborts: agg.explicit_aborts,
-            subscription_aborts: agg.subscription_aborts,
-            useful_tx_cycles: agg.useful_tx_cycles,
-            wasted_tx_cycles: agg.wasted_tx_cycles,
-            lock_wait_cycles: agg.lock_wait_cycles,
-            backoff_cycles: agg.backoff_cycles,
-            locks_acquired: r.out.rt.locks_acquired,
-            lock_timeouts: r.out.rt.lock_timeouts,
-            contention_aborts: r.out.rt.contention_aborts,
-            anchor_correct: r.out.rt.anchor_correct,
+            core: r.out.sim.aggregate(),
+            rt: RtStats::default(),
+        };
+        for (v, x) in m.rt.values_mut().into_iter().zip(r.out.rt.values()) {
+            *v = x;
         }
+        m
     }
 
-    /// Every abort, whatever its cause (as `CoreStats::aborts`).
-    pub fn aborts(&self) -> u64 {
-        self.conflict_aborts
-            + self.capacity_aborts
-            + self.explicit_aborts
-            + self.subscription_aborts
+    /// The counters' names: `sim_cycles`, `sim_insts`, then
+    /// `CoreStats::KEYS` and `RtStats::KEYS`. The one field list behind
+    /// the cell text, both result tables and the `--json` run records.
+    pub fn keys() -> impl Iterator<Item = &'static str> {
+        ["sim_cycles", "sim_insts"]
+            .into_iter()
+            .chain(CoreStats::KEYS)
+            .chain(RtStats::KEYS)
     }
 
-    /// Aborts per commit (irrevocable executions count as commits).
-    pub fn aborts_per_commit(&self) -> f64 {
-        let commits = self.commits + self.irrevocable_commits;
-        if commits == 0 {
-            0.0
-        } else {
-            self.aborts() as f64 / commits as f64
-        }
+    /// Each counter of [`Self::keys`] with its value.
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        let values = [self.sim_cycles, self.sim_insts]
+            .into_iter()
+            .chain(self.core.values())
+            .chain(self.rt.values());
+        Self::keys().zip(values)
     }
 
-    /// Anchor-identification accuracy (1.0 with no contention aborts,
-    /// matching `RtStats::accuracy`).
-    pub fn accuracy(&self) -> f64 {
-        if self.contention_aborts == 0 {
-            1.0
-        } else {
-            self.anchor_correct as f64 / self.contention_aborts as f64
-        }
-    }
-
-    /// The counters' names, in the order of [`CellMetrics::values`]: the
-    /// one field list behind the cell text and both result tables.
-    pub const KEYS: [&'static str; 16] = [
-        "sim_cycles",
-        "sim_insts",
-        "commits",
-        "irrevocable_commits",
-        "conflict_aborts",
-        "capacity_aborts",
-        "explicit_aborts",
-        "subscription_aborts",
-        "useful_tx_cycles",
-        "wasted_tx_cycles",
-        "lock_wait_cycles",
-        "backoff_cycles",
-        "locks_acquired",
-        "lock_timeouts",
-        "contention_aborts",
-        "anchor_correct",
-    ];
-
-    fn values(&self) -> [u64; 16] {
-        [
-            self.sim_cycles,
-            self.sim_insts,
-            self.commits,
-            self.irrevocable_commits,
-            self.conflict_aborts,
-            self.capacity_aborts,
-            self.explicit_aborts,
-            self.subscription_aborts,
-            self.useful_tx_cycles,
-            self.wasted_tx_cycles,
-            self.lock_wait_cycles,
-            self.backoff_cycles,
-            self.locks_acquired,
-            self.lock_timeouts,
-            self.contention_aborts,
-            self.anchor_correct,
-        ]
+    /// The counters of [`Self::keys`], in order, to set.
+    fn values_mut(&mut self) -> impl Iterator<Item = &mut u64> + '_ {
+        [&mut self.sim_cycles, &mut self.sim_insts]
+            .into_iter()
+            .chain(self.core.values_mut())
+            .chain(self.rt.values_mut())
     }
 
     fn from_map(m: &BTreeMap<&str, u64>) -> Result<CellMetrics, String> {
-        let get = |k: &str| -> Result<u64, String> {
-            m.get(k)
-                .copied()
-                .ok_or_else(|| format!("cell missing result.{k}"))
-        };
-        Ok(CellMetrics {
-            sim_cycles: get("sim_cycles")?,
-            sim_insts: get("sim_insts")?,
-            commits: get("commits")?,
-            irrevocable_commits: get("irrevocable_commits")?,
-            conflict_aborts: get("conflict_aborts")?,
-            capacity_aborts: get("capacity_aborts")?,
-            explicit_aborts: get("explicit_aborts")?,
-            subscription_aborts: get("subscription_aborts")?,
-            useful_tx_cycles: get("useful_tx_cycles")?,
-            wasted_tx_cycles: get("wasted_tx_cycles")?,
-            lock_wait_cycles: get("lock_wait_cycles")?,
-            backoff_cycles: get("backoff_cycles")?,
-            locks_acquired: get("locks_acquired")?,
-            lock_timeouts: get("lock_timeouts")?,
-            contention_aborts: get("contention_aborts")?,
-            anchor_correct: get("anchor_correct")?,
-        })
+        let mut cell = CellMetrics::default();
+        for (k, v) in Self::keys().zip(cell.values_mut()) {
+            *v = *m.get(k).ok_or_else(|| format!("cell missing result.{k}"))?;
+        }
+        Ok(cell)
     }
 }
 
@@ -454,7 +373,7 @@ impl CellResult {
     pub fn to_text(&self) -> String {
         let mut s = String::from("# sweep cell v1\n");
         s.push_str(&self.spec.canon());
-        for (k, v) in CellMetrics::KEYS.iter().zip(self.metrics.values()) {
+        for (k, v) in self.metrics.counters() {
             s.push_str(&format!("result.{k}={v}\n"));
         }
         s
@@ -474,9 +393,8 @@ impl CellResult {
                 let (k, v) = rest
                     .split_once('=')
                     .ok_or_else(|| format!("malformed result line '{line}'"))?;
-                let k = CellMetrics::KEYS
-                    .iter()
-                    .find(|&&kk| kk == k.trim())
+                let k = CellMetrics::keys()
+                    .find(|&kk| kk == k.trim())
                     .ok_or_else(|| format!("unknown result counter '{k}'"))?;
                 let v = v
                     .trim()
@@ -655,16 +573,15 @@ pub fn run_sweep(
 }
 
 /// The metric columns of both tables, in order: every counter of
-/// [`CellMetrics::KEYS`], then the two derived ratios (fixed-format, so
+/// [`CellMetrics::keys`], then the two derived ratios (fixed-format, so
 /// the tables stay byte-deterministic).
 fn metric_columns(m: &CellMetrics) -> impl Iterator<Item = (&'static str, String)> {
     let derived = [
-        ("aborts_per_commit", m.aborts_per_commit()),
-        ("accuracy", m.accuracy()),
+        ("aborts_per_commit", m.core.aborts_per_commit()),
+        ("accuracy", m.rt.accuracy()),
     ];
-    CellMetrics::KEYS
-        .into_iter()
-        .zip(m.values().map(|v| v.to_string()))
+    m.counters()
+        .map(|(k, v)| (k, v.to_string()))
         .chain(derived.map(|(k, x)| (k, format!("{x:.6}"))))
 }
 
@@ -713,11 +630,15 @@ pub fn sweep_json(spec: &SweepSpec, grid: &[GridCell], cells: &[&CellResult]) ->
 }
 
 /// The deterministic CSV result table: axis coordinates plus the same
-/// per-cell metrics as [`sweep_json`], one row per cell in grid order.
+/// per-cell metrics as [`sweep_json`], one row per cell in grid order. An
+/// axis over a key that already has a leading column (`workload`, `mode`,
+/// `threads`, `seed`) is not written a second time.
 pub fn sweep_csv(spec: &SweepSpec, grid: &[GridCell], cells: &[&CellResult]) -> String {
     assert_eq!(grid.len(), cells.len());
+    const LEADING: [&str; 4] = ["workload", "mode", "threads", "seed"];
+    let own_column = |key: &String| !LEADING.contains(&key.as_str());
     let mut s = String::from("run_key,workload,mode,threads,seed");
-    for ax in &spec.axes {
+    for ax in spec.axes.iter().filter(|ax| own_column(&ax.key)) {
         s.push_str(&format!(",{}", ax.key));
     }
     for (k, _) in metric_columns(&CellMetrics::default()) {
@@ -733,7 +654,7 @@ pub fn sweep_csv(spec: &SweepSpec, grid: &[GridCell], cells: &[&CellResult]) -> 
             res.spec.threads,
             res.spec.seed
         ));
-        for (_, v) in &cell.coords {
+        for (_, v) in cell.coords.iter().filter(|(k, _)| own_column(k)) {
             s.push_str(&format!(",{v}"));
         }
         for (_, v) in metric_columns(&res.metrics) {
@@ -1033,26 +954,13 @@ mod tests {
     #[test]
     fn cell_text_round_trips() {
         let spec = RunSpec::new("ssca2", Mode::Staggered, 4, 7);
+        let mut metrics = CellMetrics::default();
+        for (i, v) in metrics.values_mut().enumerate() {
+            *v = 7 * i as u64 + 3;
+        }
         let res = CellResult {
             spec: spec.clone(),
-            metrics: CellMetrics {
-                sim_cycles: 123,
-                sim_insts: 456,
-                commits: 7,
-                irrevocable_commits: 1,
-                conflict_aborts: 3,
-                capacity_aborts: 0,
-                explicit_aborts: 1,
-                subscription_aborts: 2,
-                useful_tx_cycles: 50,
-                wasted_tx_cycles: 20,
-                lock_wait_cycles: 5,
-                backoff_cycles: 2,
-                locks_acquired: 4,
-                lock_timeouts: 1,
-                contention_aborts: 3,
-                anchor_correct: 2,
-            },
+            metrics,
         };
         let text = res.to_text();
         let back = CellResult::parse(&text, &spec.run_key()).unwrap();
@@ -1060,6 +968,41 @@ mod tests {
         assert_eq!(back.spec.canon(), spec.canon());
         // Key mismatch is detected.
         assert!(CellResult::parse(&text, "0000000000000000").is_err());
+
+        // A cell holding only the 16 counters cells carried before the
+        // tables took every `CoreStats` and `RtStats` counter fails
+        // closed, so `run_sweep` recomputes it.
+        let parent_keys = [
+            "sim_cycles",
+            "sim_insts",
+            "commits",
+            "irrevocable_commits",
+            "conflict_aborts",
+            "capacity_aborts",
+            "explicit_aborts",
+            "subscription_aborts",
+            "useful_tx_cycles",
+            "wasted_tx_cycles",
+            "lock_wait_cycles",
+            "backoff_cycles",
+            "locks_acquired",
+            "lock_timeouts",
+            "contention_aborts",
+            "anchor_correct",
+        ];
+        let parent: String = text
+            .lines()
+            .filter(|l| match l.strip_prefix("result.") {
+                Some(kv) => parent_keys.contains(&kv.split('=').next().unwrap()),
+                None => true,
+            })
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_eq!(parent.matches("result.").count(), 16);
+        assert_eq!(
+            CellResult::parse(&parent, &spec.run_key()).unwrap_err(),
+            "cell missing result.irrevocable_cycles"
+        );
     }
 
     #[test]

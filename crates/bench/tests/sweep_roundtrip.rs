@@ -131,19 +131,23 @@ fn interrupted_sweep_resumes_to_byte_identical_tables() {
     let csv_a = sweep_csv(&spec, &grid, &cells_a);
 
     // Both tables carry every counter a cell holds, one column each, plus
-    // the two derived ratios.
+    // the two derived ratios. The `mode` axis has a leading column of its
+    // own, so the CSV does not repeat it.
+    let keys: Vec<&str> = CellMetrics::keys().collect();
     let header: Vec<&str> = csv_a.lines().next().unwrap().split(',').collect();
-    let metrics = &header[5 + spec.axes.len()..];
-    assert_eq!(metrics.len(), CellMetrics::KEYS.len() + 2, "{header:?}");
-    assert_eq!(&metrics[..CellMetrics::KEYS.len()], CellMetrics::KEYS);
-    assert_eq!(
-        &metrics[CellMetrics::KEYS.len()..],
-        ["aborts_per_commit", "accuracy"]
-    );
+    assert_eq!(header[5], "machine.pc_tag_bits", "{header:?}");
+    let metrics = &header[6..];
+    assert_eq!(metrics.len(), keys.len() + 2, "{header:?}");
+    assert_eq!(&metrics[..keys.len()], keys);
+    assert_eq!(&metrics[keys.len()..], ["aborts_per_commit", "accuracy"]);
+    let mut unique = header.clone();
+    unique.sort();
+    unique.dedup();
+    assert_eq!(unique.len(), header.len(), "a repeated column: {header:?}");
     let rows: Vec<&str> = json_a.lines().filter(|l| l.contains("run_key")).collect();
     assert_eq!(rows.len(), grid.len());
     for row in rows {
-        for key in CellMetrics::KEYS {
+        for key in &keys {
             assert_eq!(
                 row.matches(&format!("\"{key}\": ")).count(),
                 1,
@@ -192,7 +196,7 @@ fn unparsable_cells_are_recomputed() {
     let spec = SweepSpec {
         name: "corrupt-test".to_string(),
         base,
-        axes: vec![Axis::new("mode", &["HTM", "Staggered"])],
+        axes: vec![Axis::new("mode", &["HTM", "Staggered", "Staggered+SW"])],
     };
     let grid = spec.cells().unwrap();
     let dir = scratch_dir("corrupt");
@@ -215,9 +219,39 @@ fn unparsable_cells_are_recomputed() {
         .collect();
     std::fs::write(&paths[0], old_format).unwrap();
     std::fs::write(&paths[1], &good[1][..good[1].len() / 2]).unwrap();
+    // The 16 counters a cell carried before it held every `CoreStats` and
+    // `RtStats` counter.
+    let parent_keys = [
+        "sim_cycles",
+        "sim_insts",
+        "commits",
+        "irrevocable_commits",
+        "conflict_aborts",
+        "capacity_aborts",
+        "explicit_aborts",
+        "subscription_aborts",
+        "useful_tx_cycles",
+        "wasted_tx_cycles",
+        "lock_wait_cycles",
+        "backoff_cycles",
+        "locks_acquired",
+        "lock_timeouts",
+        "contention_aborts",
+        "anchor_correct",
+    ];
+    let parent_format: String = good[2]
+        .lines()
+        .filter(|l| match l.strip_prefix("result.") {
+            Some(kv) => parent_keys.contains(&kv.split('=').next().unwrap()),
+            None => true,
+        })
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(parent_format.matches("result.").count(), 16);
+    std::fs::write(&paths[2], parent_format).unwrap();
 
     let again = run_sweep(&spec, &dir, 2, None, None).unwrap();
-    assert_eq!((again.cached, again.computed), (0, 2));
+    assert_eq!((again.cached, again.computed), (0, 3));
     assert_eq!(sweep_json(&spec, &grid, &again.complete_cells()), json);
     for (p, text) in paths.iter().zip(&good) {
         assert_eq!(&std::fs::read_to_string(p).unwrap(), text, "rewritten");

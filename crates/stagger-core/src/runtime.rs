@@ -201,48 +201,42 @@ impl SharedRt {
     }
 }
 
-/// Runtime counters per thread — aggregated for Table 3 accuracy and
-/// policy diagnostics.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RtStats {
-    /// Histogram of conflicting (line) addresses over contention aborts —
-    /// drives the paper's Table 1 "LA" locality classification.
-    pub addr_hist: Hist<u64>,
-    /// Histogram of true first-access PCs over contention aborts — drives
-    /// the Table 1 "LP" classification.
-    pub pc_hist: Hist<u64>,
-    /// Contention aborts processed by the policy.
-    pub contention_aborts: u64,
-    /// Of those, aborts where an anchor was identified at all.
-    pub anchor_identified: u64,
-    /// Of those, aborts where the identified anchor matches ground truth
-    /// (the anchor of the true first access to the contended line).
-    pub anchor_correct: u64,
-    pub locks_acquired: u64,
-    pub lock_timeouts: u64,
-    /// Activation outcomes.
-    pub act_precise: u64,
-    pub act_coarse: u64,
-    pub act_training: u64,
-    /// Dynamic count of executed ALPoints.
-    pub alps_executed: u64,
+htm_sim::stats_record! {
+    /// Runtime counters per thread — aggregated for Table 3 accuracy and
+    /// policy diagnostics.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct RtStats {
+        merge {
+            /// Histogram of conflicting (line) addresses over contention
+            /// aborts — drives the paper's Table 1 "LA" locality
+            /// classification.
+            addr_hist: Hist<u64>,
+            /// Histogram of true first-access PCs over contention aborts —
+            /// drives the Table 1 "LP" classification.
+            pc_hist: Hist<u64>,
+        }
+        counters {
+            /// Contention aborts processed by the policy.
+            contention_aborts: sum,
+            /// Of those, aborts where an anchor was identified at all.
+            anchor_identified: sum,
+            /// Of those, aborts where the identified anchor matches ground
+            /// truth (the anchor of the true first access to the contended
+            /// line).
+            anchor_correct: sum,
+            locks_acquired: sum,
+            lock_timeouts: sum,
+            /// Activation outcomes.
+            act_precise: sum,
+            act_coarse: sum,
+            act_training: sum,
+            /// Dynamic count of executed ALPoints.
+            alps_executed: sum,
+        }
+    }
 }
 
 impl RtStats {
-    pub fn add(&mut self, o: &RtStats) {
-        self.addr_hist.add(&o.addr_hist);
-        self.pc_hist.add(&o.pc_hist);
-        self.contention_aborts += o.contention_aborts;
-        self.anchor_identified += o.anchor_identified;
-        self.anchor_correct += o.anchor_correct;
-        self.locks_acquired += o.locks_acquired;
-        self.lock_timeouts += o.lock_timeouts;
-        self.act_precise += o.act_precise;
-        self.act_coarse += o.act_coarse;
-        self.act_training += o.act_training;
-        self.alps_executed += o.alps_executed;
-    }
-
     /// Table 3 "Accuracy": fraction of contention aborts whose anchor was
     /// correctly identified.
     pub fn accuracy(&self) -> f64 {
@@ -869,5 +863,29 @@ mod tests {
         );
         assert_eq!(c.lock_spin, RuntimeConfig::default().lock_spin);
         c.set_kv("lock_spin", "1").unwrap();
+    }
+
+    #[test]
+    fn stats_add_sums_every_counter_and_merges_histograms() {
+        let (mut a, mut b) = (RtStats::default(), RtStats::default());
+        for (i, (x, y)) in a.values_mut().into_iter().zip(b.values_mut()).enumerate() {
+            (*x, *y) = (10 * i as u64 + 1, 100 - i as u64);
+        }
+        a.addr_hist.bump(64);
+        b.addr_hist.bump(64);
+        b.pc_hist.bump(8);
+        let want: Vec<u64> = a
+            .values()
+            .iter()
+            .zip(b.values())
+            .map(|(x, y)| x + y)
+            .collect();
+        let mut t = a.clone();
+        t.add(&b);
+        assert_eq!(t.values().to_vec(), want);
+        assert_eq!(t.addr_hist.iter().collect::<Vec<_>>(), [(64, 2)]);
+        assert_eq!(t.pc_hist.iter().collect::<Vec<_>>(), [(8, 1)]);
+        b.add(&a);
+        assert_eq!(b, t);
     }
 }

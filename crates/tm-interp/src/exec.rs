@@ -16,33 +16,30 @@ const GLOBAL_LOCK_SUB_PC: u64 = 1;
 /// for the same non-aliasing reason as [`GLOBAL_LOCK_SUB_PC`]).
 const HYBRID_STRIPE_SUB_PC: u64 = 3;
 
-/// Dynamic execution statistics of one thread (Table 3's "Dynamic Stats").
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ExecStats {
-    /// All interpreted instructions (µ-ops), any mode.
-    pub insts: u64,
-    /// Committed hardware transactions (irrevocable completions excluded).
-    pub committed_txns: u64,
-    /// µ-ops executed inside committed transaction attempts.
-    pub committed_insts: u64,
-    /// ALPoints executed inside committed transaction attempts.
-    pub committed_anchors: u64,
-    /// Aborted hardware attempts.
-    pub aborted_attempts: u64,
-    /// Transactions completed in irrevocable (global-lock) mode.
-    pub irrevocable_txns: u64,
+htm_sim::stats_record! {
+    /// Dynamic execution statistics of one thread (Table 3's "Dynamic
+    /// Stats").
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct ExecStats {
+        counters {
+            /// All interpreted instructions (µ-ops), any mode.
+            insts: sum,
+            /// Committed hardware transactions (irrevocable completions
+            /// excluded).
+            committed_txns: sum,
+            /// µ-ops executed inside committed transaction attempts.
+            committed_insts: sum,
+            /// ALPoints executed inside committed transaction attempts.
+            committed_anchors: sum,
+            /// Aborted hardware attempts.
+            aborted_attempts: sum,
+            /// Transactions completed in irrevocable (global-lock) mode.
+            irrevocable_txns: sum,
+        }
+    }
 }
 
 impl ExecStats {
-    pub fn add(&mut self, o: &ExecStats) {
-        self.insts += o.insts;
-        self.committed_txns += o.committed_txns;
-        self.committed_insts += o.committed_insts;
-        self.committed_anchors += o.committed_anchors;
-        self.aborted_attempts += o.aborted_attempts;
-        self.irrevocable_txns += o.irrevocable_txns;
-    }
-
     /// Mean µ-ops per committed transaction.
     pub fn uops_per_txn(&self) -> f64 {
         if self.committed_txns == 0 {
@@ -541,6 +538,7 @@ fn effective(fname: &str, r: &[u64], inst: &Inst) -> Addr {
 #[cfg(test)]
 mod tests {
     use crate::run::{run_workload, ThreadPlan};
+    use crate::ExecStats;
     use htm_sim::{Machine, MachineConfig};
     use stagger_compiler::compile;
     use stagger_core::{Mode, RuntimeConfig};
@@ -564,6 +562,23 @@ mod tests {
             1,
         );
         (out.returns[0], machine)
+    }
+
+    #[test]
+    fn stats_add_sums_every_counter() {
+        let (mut a, mut b) = (ExecStats::default(), ExecStats::default());
+        for (i, (x, y)) in a.values_mut().into_iter().zip(b.values_mut()).enumerate() {
+            (*x, *y) = (10 * i as u64 + 1, 100 - i as u64);
+        }
+        let want: Vec<u64> = a
+            .values()
+            .iter()
+            .zip(b.values())
+            .map(|(x, y)| x + y)
+            .collect();
+        let mut t = a.clone();
+        t.add(&b);
+        assert_eq!(t.values().to_vec(), want);
     }
 
     #[test]

@@ -57,12 +57,6 @@ impl BenchResult {
         }
     }
 
-    /// Shared-memory operations admitted through the scheduler gate across
-    /// all cores — scheduler-overhead observability, not a paper metric.
-    pub fn gated_ops(&self) -> u64 {
-        self.out.sim.aggregate().gated_ops
-    }
-
     /// Host nanoseconds per simulated instruction — the inverse of
     /// [`Self::insts_per_sec`], scaled for readability.
     pub fn ns_per_inst(&self) -> f64 {

@@ -6,7 +6,7 @@
 # Gates, in order:
 #   - cargo fmt --check and clippy -D warnings;
 #   - release builds of the workspace root and the exhibit binaries;
-#   - tier-1 tests (among them golden_quick: 26 of the golden run
+#   - tier-1 tests (among them golden_quick: 27 of the golden run
 #     digests) and the workspace tests, among them cli_usage (removed
 #     flags and --threads 0 / 257 on paper, scaling, serve, profile and
 #     sweep print usage and exit 2) and ablations_fallback (--fallback
@@ -69,7 +69,7 @@ cargo test -q --offline
 echo "== cargo test -q --workspace"
 cargo test -q --offline --workspace
 
-echo "== golden_digests (98 quick cells vs crates/bench/tests/golden/quick.digests)"
+echo "== golden_digests (99 quick cells vs crates/bench/tests/golden/quick.digests)"
 # Stats, event streams, returns and counters of every cell hash to the
 # digest recorded for it. Runs in the workspace suite above too; by name
 # so a moved simulated quantity is visible on its own.
@@ -130,7 +130,7 @@ same_as() { grep -v '^harness:' | cmp - "$1"; }
 
 echo "== sweeps vs results/sweeps/*/*.{json,csv} (checked-in tables cannot drift)"
 # The four checked-in sweeps are recomputed from nothing into a scratch
-# directory; both tables (run keys and all 16 counters of every cell
+# directory; both tables (run keys and every counter of every cell
 # included) must equal the checked-in ones. A cell cache a local run left
 # under results/sweeps/*/cells/ is ignored, and neither read nor compared.
 rm -rf results/sweeps-ci
