@@ -1,4 +1,4 @@
-//! Tier-1's regression net for simulated output: 27 of the 99 golden
+//! Tier-1's regression net for simulated output: 29 of the 101 golden
 //! cells in `crates/bench/tests/golden/quick.digests` are recomputed and
 //! must reproduce the digests recorded there (per-core statistics, event
 //! streams, thread returns, runtime and execution counters). The whole
@@ -18,9 +18,9 @@ const RECORDED: &str = include_str!("../crates/bench/tests/golden/quick.digests"
 #[test]
 fn quick_subset_matches_recorded_digests() {
     let cells = golden_cells(RECORDED).unwrap();
-    // Every workload under HTM and Staggered at 4 cores, every cell above
-    // 128 cores, and list-hi under each other fallback policy and under
-    // bounded sets.
+    // Every workload (serve-flash-i600 included) under HTM and Staggered
+    // at 4 cores, every cell above 128 cores, and list-hi under each other
+    // fallback policy and under bounded sets.
     let subset: Vec<_> = cells
         .iter()
         .filter(|(c, _)| {
@@ -32,7 +32,7 @@ fn quick_subset_matches_recorded_digests() {
             }
         })
         .collect();
-    assert_eq!(subset.len(), 27);
+    assert_eq!(subset.len(), 29);
     let bad = golden_mismatches(subset);
     assert!(bad.is_empty(), "golden digests differ:\n{}", bad.join("\n"));
 }
