@@ -1,12 +1,11 @@
 //! serve — serving-scenario latency exhibit.
 //!
-//! Replays a deterministic open-loop request stream (default: the
-//! flash-crowd distribution) against the memcached model on a large core
-//! count (default 64), in baseline HTM and Staggered modes, across a
-//! ladder of offered loads, and reports per-request latency percentiles
-//! against a p99 SLO. Latency is derived purely from the observability
-//! event stream (arrival → commit, aborted attempts included), so every
-//! table row is a simulated quantity.
+//! Replays a deterministic open-loop flash-crowd request stream against
+//! the memcached model on a large core count (default 64), in baseline
+//! HTM and Staggered modes, across a ladder of offered loads, and reports
+//! per-request latency percentiles against a p99 SLO. Latency is derived
+//! purely from the observability event stream (arrival → commit, aborted
+//! attempts included), so every table row is a simulated quantity.
 //!
 //! The final `SLO:` lines show the paper's mechanism from the service
 //! owner's seat: under the flash crowd, plain HTM's retry storms blow
@@ -25,7 +24,6 @@ use workloads::serve::Serve;
 struct ServeOpts {
     common: CommonOpts,
     cores: usize,
-    dist: String,
     /// Mean interarrival cycles per core, one run per value.
     loads: Vec<u64>,
     /// p99 latency budget, simulated cycles.
@@ -36,17 +34,15 @@ struct ServeOpts {
 impl ServeOpts {
     fn from_args() -> ServeOpts {
         let mut cores = 64usize;
-        let mut dist = "flash".to_string();
         let mut loads: Vec<u64> = vec![48_000, 36_000, 24_000, 8_000];
         // 250k cycles = 100 us at the simulated 2.5 GHz — a realistic
         // tail budget for an in-memory cache service.
         let mut slo = 250_000u64;
         let mut jsonl = None;
         let common = CommonOpts::parse_with(
-            "[--cores N] [--dist NAME] [--loads LIST] [--slo CYCLES] [--jsonl FILE]",
+            "[--cores N] [--loads LIST] [--slo CYCLES] [--jsonl FILE]",
             "serve options:\n  \
              --cores N        simulated cores (default 64)\n  \
-             --dist NAME      key distribution: zipf | hot | flash (default flash)\n  \
              --loads LIST     comma-separated mean interarrival cycles per core,\n                   \
              one run per value (default 48000,36000,24000,8000)\n  \
              --slo CYCLES     p99 latency budget in simulated cycles (default 250000)\n  \
@@ -59,13 +55,6 @@ impl ServeOpts {
                     }
                     true
                 }
-                "--dist" => {
-                    dist = a.value("--dist");
-                    if !["zipf", "hot", "flash"].contains(&dist.as_str()) {
-                        a.fail(&format!("invalid --dist '{dist}'"));
-                    }
-                    true
-                }
                 "--loads" => {
                     let v = a.value("--loads");
                     loads = v
@@ -74,8 +63,10 @@ impl ServeOpts {
                             let n: u64 = t.trim().parse().unwrap_or_else(|_| {
                                 a.fail(&format!("invalid --loads value '{v}'"))
                             });
-                            if n == 0 {
-                                a.fail("--loads values must be positive");
+                            // Full scale has the most requests per core,
+                            // so a load it accepts fits at both scales.
+                            if Serve::parse_name(&format!("serve-flash-i{n}"), false).is_none() {
+                                a.fail(&format!("--loads value {n} is 0 or its arrivals overflow"));
                             }
                             n
                         })
@@ -99,7 +90,6 @@ impl ServeOpts {
         ServeOpts {
             common,
             cores,
-            dist,
             loads,
             slo,
             jsonl,
@@ -113,9 +103,9 @@ fn main() {
     let opts = ServeOpts::from_args();
     let ex = Exhibit::new("serve", &opts.common);
     ex.banner(&format!(
-        "Serving scenario: serve-{} open-loop ramp x {{HTM, Staggered}} on {} cores, \
+        "Serving scenario: serve-flash open-loop ramp x {{HTM, Staggered}} on {} cores, \
          p99 SLO {} cycles",
-        opts.dist, opts.cores, opts.slo
+        opts.cores, opts.slo
     ));
     ex.header(&format!(
         "{:<16} {:<10} {:>6} {:>8} {:>6} {:>12} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>10}",
@@ -138,7 +128,7 @@ fn main() {
     let rung_names: Vec<String> = opts
         .loads
         .iter()
-        .map(|ia| format!("serve-{}-i{ia}", opts.dist))
+        .map(|ia| format!("serve-flash-i{ia}"))
         .collect();
     let rung_workloads: Vec<Box<dyn workloads::Workload>> =
         rung_names.iter().map(|name| ex.workload(name)).collect();

@@ -2,7 +2,9 @@
 //! text on stderr, exit status 2, nothing run), never silently ignored,
 //! mapped to what is left, or a panic inside a pool worker: flags that
 //! selected a core driver or an interpreter when there was more than one
-//! of each, and core counts the simulated machine cannot be built with.
+//! of each, serve's key-distribution choice when there was more than one
+//! distribution, core counts the simulated machine cannot be built with,
+//! and serve loads whose arrivals would overflow.
 
 use std::process::Command;
 
@@ -28,6 +30,32 @@ fn removed_inputs_are_usage_errors() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(complaint), "{args:?}: got {err}");
         assert!(err.contains("usage: paper"), "{args:?}: usage on stderr");
+    }
+}
+
+#[test]
+fn serve_rejects_removed_dist_and_overflowing_loads() {
+    for (args, complaint) in [
+        (&["--dist", "flash"][..], "unknown option '--dist'"),
+        (
+            &["--loads", "8000,18446744073709551615"][..],
+            "--loads value 18446744073709551615 is 0 or its arrivals overflow",
+        ),
+        (
+            &["--loads", "0"][..],
+            "--loads value 0 is 0 or its arrivals overflow",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args(["--quick", "--cores", "8"])
+            .args(args)
+            .output()
+            .expect("serve binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: exit status");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing run");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(complaint), "{args:?}: got {err}");
+        assert!(err.contains("usage: serve"), "{args:?}: usage on stderr");
     }
 }
 

@@ -121,9 +121,17 @@ impl RuntimeConfig {
             "pc_thr" => self.policy.pc_thr = num(key, value)?,
             "addr_thr" => self.policy.addr_thr = num(key, value)?,
             "prom_thr" => self.policy.prom_thr = num(key, value)?,
-            "history_len" => self.history_len = num(key, value)?,
+            // `AbortHistory::new` needs room for one abort.
+            "history_len" => match num(key, value)? {
+                0 => return Err("runtime.history_len: must be at least 1".to_string()),
+                n => self.history_len = n,
+            },
             "max_retries" => self.max_retries = num(key, value)?,
-            "n_locks" => self.n_locks = num(key, value)?,
+            // `LockTable::new` asserts a power of two.
+            "n_locks" => match num::<usize>(key, value)? {
+                n if n.is_power_of_two() => self.n_locks = n,
+                n => return Err(format!("runtime.n_locks: {n} is not a power of two")),
+            },
             "lock_timeout" => self.lock_timeout = num(key, value)?,
             "min_conflict_rate" => self.min_conflict_rate = num(key, value)?,
             // A zero quantum never advances `waited`, so `lock_timeout`
@@ -863,6 +871,20 @@ mod tests {
         );
         assert_eq!(c.lock_spin, RuntimeConfig::default().lock_spin);
         c.set_kv("lock_spin", "1").unwrap();
+        // Values the lock table and abort history would assert on later,
+        // inside a pool worker.
+        for (key, value) in [("n_locks", "0"), ("n_locks", "1000"), ("history_len", "0")] {
+            assert!(c.set_kv(key, value).is_err(), "{key} = {value}");
+        }
+        assert_eq!(
+            (c.n_locks, c.history_len),
+            (
+                RuntimeConfig::default().n_locks,
+                RuntimeConfig::default().history_len
+            )
+        );
+        c.set_kv("n_locks", "1").unwrap();
+        c.set_kv("history_len", "1").unwrap();
     }
 
     #[test]

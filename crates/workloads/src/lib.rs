@@ -111,7 +111,7 @@ pub fn quick_workloads() -> Vec<Box<dyn Workload>> {
 /// serialized experiment specs resolve their `workload` field back to a
 /// runnable program.
 pub fn workload_by_name(name: &str, quick: bool) -> Option<Box<dyn Workload>> {
-    // Parameterized serving workloads (`serve-<dist>-i<N>` / `-c<N>`) are
+    // Parameterized serving workloads (`serve-flash-i<N>`) are
     // constructed from the name rather than enumerated.
     if name.starts_with("serve-") {
         return serve::Serve::parse_name(name, quick).map(|w| Box::new(w) as Box<dyn Workload>);
