@@ -19,7 +19,7 @@ use stagger_core::{
 };
 use stagger_prng::Xoshiro256StarStar;
 use tm_interp::{run_workload, ThreadPlan};
-use tm_ir::{CodeLayout, FuncBuilder, FuncId, FuncKind, Function, Module, Reg};
+use tm_ir::{FuncBuilder, FuncId, FuncKind, Function, Module, Reg};
 use workloads::Workload;
 
 /// Time `f` over `iters` iterations (after one warm-up call) and print the
@@ -86,11 +86,12 @@ fn bench_anchor_table() {
     let module = w.build_module();
     let compiled = compile(&module);
     let table = compiled.table(0);
-    let pcs: Vec<u64> = table.entries.iter().map(|e| e.pc).collect();
+    let mask = MachineConfig::default().pc_tag_mask();
+    let tags: Vec<u16> = table.entries.iter().map(|e| (e.pc & mask) as u16).collect();
     let mut i = 0;
     time_case("anchor_table/search_by_pc_tag", 1_000_000, || {
-        i = (i + 1) % pcs.len();
-        black_box(table.search_by_pc_tag(CodeLayout::truncate_pc(pcs[i])));
+        i = (i + 1) % tags.len();
+        black_box(table.search_by_pc_tag(tags[i], mask));
     });
 }
 

@@ -173,10 +173,14 @@ fn main() {
         last.0
     );
     println!("tags alias instructions and misattribute aborts. The abort cut is largest");
-    println!(
-        "at {} bits ({:.0}%); at {} bits, the paper's choice, it is {:.0}%.\n",
-        best.0, best.2, last.0, last.2
-    );
+    if best.0 == last.0 {
+        println!("at {} bits, the paper's choice ({:.0}%).\n", last.0, last.2);
+    } else {
+        println!(
+            "at {} bits ({:.0}%); at {} bits, the paper's choice, it is {:.0}%.\n",
+            best.0, best.2, last.0, last.2
+        );
+    }
 
     // ---- 3. lock timeout --------------------------------------------------
     println!("== Ablation 3: advisory-lock acquire timeout\n");

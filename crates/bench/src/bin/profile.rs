@@ -106,6 +106,7 @@ fn main() {
     // Top conflicting PC pairs, resolved through the compiled program.
     let pairs = conflict_pairs(streams);
     let c = p.compiled();
+    let mask = spec.machine.pc_tag_mask();
     println!();
     println!("top conflicting PC pairs");
     ex.header(&format!(
@@ -123,9 +124,13 @@ fn main() {
             pr.ab_id,
             pr.victim_tag,
             pr.aborter_tag,
-            describe_tag(c, pr.ab_id, pr.victim_tag),
+            describe_tag(c, pr.ab_id, pr.victim_tag, mask),
         );
-        println!("{:36} <- {}", "", describe_tag(c, pr.ab_id, pr.aborter_tag));
+        println!(
+            "{:36} <- {}",
+            "",
+            describe_tag(c, pr.ab_id, pr.aborter_tag, mask)
+        );
     }
 
     // The victim×aborter matrix: the pairs above summed over atomic

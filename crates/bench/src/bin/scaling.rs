@@ -20,6 +20,7 @@
 //! `threads` axis. `--json` dumps every run to
 //! `results/BENCH_scaling.json`.
 
+use htm_sim::MachineConfig;
 use stagger_bench::sweep::builtin_sweep;
 use stagger_bench::{Args, CommonOpts, Exhibit};
 
@@ -47,10 +48,10 @@ impl ScalingOpts {
                             let n: usize = t.trim().parse().unwrap_or_else(|_| {
                                 a.fail(&format!("invalid --cores value '{v}'"))
                             });
-                            if !(1..=htm_sim::MAX_CORES).contains(&n) {
+                            if !MachineConfig::CORES.contains(&n) {
                                 a.fail(&format!(
-                                    "--cores values must be in 1..={}, got {n}",
-                                    htm_sim::MAX_CORES
+                                    "--cores values must be in {:?}, got {n}",
+                                    MachineConfig::CORES
                                 ));
                             }
                             n.to_string()

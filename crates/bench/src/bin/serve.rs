@@ -16,6 +16,7 @@
 //! dominant blame) as JSON Lines; `--json` dumps the harness report to
 //! `results/BENCH_serve.json`.
 
+use htm_sim::MachineConfig;
 use stagger_bench::{Args, CommonOpts, Exhibit};
 use stagger_core::Mode;
 use std::io::Write as _;
@@ -50,8 +51,8 @@ impl ServeOpts {
             |a: &mut Args, flag: &str| match flag {
                 "--cores" => {
                     cores = a.parsed("--cores");
-                    if !(1..=htm_sim::MAX_CORES).contains(&cores) {
-                        a.fail(&format!("--cores must be in 1..={}", htm_sim::MAX_CORES));
+                    if !MachineConfig::CORES.contains(&cores) {
+                        a.fail(&format!("--cores must be in {:?}", MachineConfig::CORES));
                     }
                     true
                 }

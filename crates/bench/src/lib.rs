@@ -32,6 +32,7 @@
 //! advisory-lock acquire/release, anchor-table lookups, and compile-pass
 //! time.
 
+use htm_sim::MachineConfig;
 use workloads::Workload;
 
 pub mod digest;
@@ -224,10 +225,10 @@ impl CommonOpts {
             }
             a.i += 1;
         }
-        if !(1..=htm_sim::MAX_CORES).contains(&o.threads) {
+        if !MachineConfig::CORES.contains(&o.threads) {
             a.fail(&format!(
-                "--threads must be in 1..={}, got {}",
-                htm_sim::MAX_CORES,
+                "--threads must be in {:?}, got {}",
+                MachineConfig::CORES,
                 o.threads
             ));
         }

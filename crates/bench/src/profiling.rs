@@ -1,7 +1,7 @@
 //! Conflict-attribution analysis over observability event streams: the
 //! offline half of the paper's Section 3 profiling pass.
 //!
-//! The simulator's event stream carries 12-bit PC tags (what the hardware
+//! The simulator's event stream carries PC tags (what the hardware
 //! delivers); this module aggregates them per atomic block and resolves
 //! them back to IR functions and instructions through the compiled
 //! program's unified anchor tables and code layout — exactly the
@@ -21,9 +21,9 @@ use tm_ir::Pc;
 pub struct ConflictPair {
     /// Atomic block the victim transaction was executing.
     pub ab_id: u32,
-    /// 12-bit tag of the victim's first access to the conflicting line.
+    /// PC tag of the victim's first access to the conflicting line.
     pub victim_tag: u16,
-    /// 12-bit tag of the access that doomed it (0 = nontransactional).
+    /// PC tag of the access that doomed it (0 = nontransactional).
     pub aborter_tag: u16,
     /// Number of conflict aborts attributed to this pair.
     pub count: u64,
@@ -122,12 +122,13 @@ pub struct ResolvedTag {
     pub is_anchor: bool,
 }
 
-/// Resolve a 12-bit tag to the program, preferring `ab_id`'s unified
-/// anchor table (the lookup the runtime itself performs on abort), then
-/// any other block's table (ascending id). Every transactional access sits
-/// in its block's table, so `None` means no transactional access carries
-/// the tag — e.g. tag 0, which nontransactional aborters report.
-pub fn resolve_tag(c: &Compiled, ab_id: u32, tag: u16) -> Option<ResolvedTag> {
+/// Resolve a tag to the program, preferring `ab_id`'s unified anchor table
+/// (the lookup the runtime itself performs on abort), then any other
+/// block's table (ascending id). `mask` is the profiled machine's
+/// `MachineConfig::pc_tag_mask`. Every transactional access sits in its
+/// block's table, so `None` means no transactional access carries the tag
+/// — e.g. tag 0, which nontransactional aborters report.
+pub fn resolve_tag(c: &Compiled, ab_id: u32, tag: u16, mask: u64) -> Option<ResolvedTag> {
     let from_entry = |pc: Pc, anchor_id: u32, is_anchor: bool| {
         let fid = c.layout.func_at(pc)?;
         let f = c.module.func(fid);
@@ -146,14 +147,14 @@ pub fn resolve_tag(c: &Compiled, ab_id: u32, tag: u16) -> Option<ResolvedTag> {
         })
     };
     if let Some(t) = c.tables.get(&ab_id) {
-        if let Some(e) = t.search_by_pc_tag(tag) {
+        if let Some(e) = t.search_by_pc_tag(tag, mask) {
             return from_entry(e.pc, e.anchor_id, e.is_anchor);
         }
     }
     let mut ab_ids: Vec<u32> = c.tables.keys().copied().filter(|&i| i != ab_id).collect();
     ab_ids.sort_unstable();
     for i in ab_ids {
-        if let Some(e) = c.tables[&i].search_by_pc_tag(tag) {
+        if let Some(e) = c.tables[&i].search_by_pc_tag(tag, mask) {
             return from_entry(e.pc, e.anchor_id, e.is_anchor);
         }
     }
@@ -161,8 +162,8 @@ pub fn resolve_tag(c: &Compiled, ab_id: u32, tag: u16) -> Option<ResolvedTag> {
 }
 
 /// Human-readable form of a resolved tag: `func+0x10 (anchor #3): inst`.
-pub fn describe_tag(c: &Compiled, ab_id: u32, tag: u16) -> String {
-    match resolve_tag(c, ab_id, tag) {
+pub fn describe_tag(c: &Compiled, ab_id: u32, tag: u16, mask: u64) -> String {
+    match resolve_tag(c, ab_id, tag, mask) {
         Some(r) => {
             let anchor = if r.is_anchor {
                 format!(" [anchor #{}]", r.anchor_id)
@@ -181,7 +182,6 @@ pub fn describe_tag(c: &Compiled, ab_id: u32, tag: u16) -> String {
 mod tests {
     use super::*;
     use htm_sim::ObsEvent;
-    use tm_ir::CodeLayout;
 
     fn abort(victim: u16, aborter: u16) -> ObsKind {
         ObsKind::TxAbort {
@@ -289,12 +289,12 @@ mod tests {
             .find(|(_, t)| !t.entries.is_empty())
             .expect("list has an atomic block with accesses");
         let e = &table.entries[0];
-        let tag = CodeLayout::truncate_pc(e.pc);
-        let r = resolve_tag(&c, ab_id, tag).expect("tag from the table resolves");
+        let tag = (e.pc & 0xFFF) as u16;
+        let r = resolve_tag(&c, ab_id, tag, 0xFFF).expect("tag from the table resolves");
         assert_eq!(r.pc, e.pc);
         assert!(!r.func.is_empty());
         assert!(!r.inst.is_empty());
-        let d = describe_tag(&c, ab_id, tag);
+        let d = describe_tag(&c, ab_id, tag, 0xFFF);
         assert!(d.contains(&r.func));
     }
 
@@ -305,8 +305,8 @@ mod tests {
         let c = list_hi();
         assert!(!c.tables.is_empty());
         for &ab_id in c.tables.keys() {
-            assert!(resolve_tag(&c, ab_id, 0).is_none(), "block {ab_id}");
-            assert_eq!(describe_tag(&c, ab_id, 0), "<unresolved>");
+            assert!(resolve_tag(&c, ab_id, 0, 0xFFF).is_none(), "block {ab_id}");
+            assert_eq!(describe_tag(&c, ab_id, 0, 0xFFF), "<unresolved>");
         }
     }
 }

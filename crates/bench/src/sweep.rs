@@ -116,11 +116,11 @@ impl RunSpec {
                 self.threads = value
                     .parse()
                     .ok()
-                    .filter(|n| (1..=htm_sim::MAX_CORES).contains(n))
+                    .filter(|n| MachineConfig::CORES.contains(n))
                     .ok_or_else(|| {
                         format!(
-                            "threads: invalid value '{value}' (must be in 1..={})",
-                            htm_sim::MAX_CORES
+                            "threads: invalid value '{value}' (must be in {:?})",
+                            MachineConfig::CORES
                         )
                     })?;
             }

@@ -4,7 +4,8 @@
 //! selected a core driver or an interpreter when there was more than one
 //! of each, serve's key-distribution choice when there was more than one
 //! distribution, core counts the simulated machine cannot be built with,
-//! and serve loads whose arrivals would overflow.
+//! serve loads whose arrivals would overflow, and workload names that are
+//! not the canonical spelling of one.
 
 use std::process::Command;
 
@@ -57,6 +58,22 @@ fn serve_rejects_removed_dist_and_overflowing_loads() {
         assert!(err.contains(complaint), "{args:?}: got {err}");
         assert!(err.contains("usage: serve"), "{args:?}: usage on stderr");
     }
+}
+
+#[test]
+fn non_canonical_serve_names_are_unknown_workloads() {
+    // `+0600` parses as 600, but one run must not carry two names.
+    let out = Command::new(env!("CARGO_BIN_EXE_profile"))
+        .args(["--quick", "--workload", "serve-flash-i+0600"])
+        .output()
+        .expect("profile binary runs");
+    assert_eq!(out.status.code(), Some(2), "exit status");
+    assert!(out.stdout.is_empty(), "nothing run");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("unknown workload 'serve-flash-i+0600'"),
+        "got {err}"
+    );
 }
 
 #[test]

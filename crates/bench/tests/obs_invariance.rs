@@ -118,7 +118,8 @@ fn list_conflicts_attribute_to_the_traversal() {
     let pairs = conflict_pairs(&streams);
     assert!(!pairs.is_empty(), "contended list produced no conflicts");
     let top = &pairs[0];
-    let victim = resolve_tag(p.compiled(), top.ab_id, top.victim_tag)
+    let mask = machine.config().pc_tag_mask();
+    let victim = resolve_tag(p.compiled(), top.ab_id, top.victim_tag, mask)
         .expect("top victim tag resolves to the program");
     assert_eq!(
         victim.func, "list_find_prev",

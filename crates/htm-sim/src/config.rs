@@ -2,6 +2,7 @@
 
 use crate::coreset::MAX_CORES;
 use crate::directory::fits;
+use std::ops::RangeInclusive;
 
 /// HTM conflict-resolution protocol (paper Section 7 taxonomy).
 ///
@@ -216,24 +217,24 @@ impl Default for MachineConfig {
 }
 
 impl MachineConfig {
+    /// The core counts a machine can be built with: up to the coherence
+    /// directory's [`crate::coreset::CoreSet`] capacity.
+    pub const CORES: RangeInclusive<usize> = 1..=MAX_CORES;
+
     /// Entry point of the fluent builder: a config with `n` cores and
     /// defaults otherwise. Chain the builder methods to deviate from
     /// Table 2, e.g. `MachineConfig::cores(4).small().lazy()`.
     ///
-    /// Panics when `n` is outside `1..=`[`crate::coreset::MAX_CORES`] —
-    /// the coherence directory's [`crate::coreset::CoreSet`] capacity —
-    /// so an unsupported core count fails loudly at construction time
-    /// instead of corrupting conflict detection later.
+    /// Panics with [`Self::check`]'s message when `n` is outside
+    /// [`Self::CORES`], so an unsupported core count fails loudly at
+    /// construction time instead of corrupting conflict detection later.
     pub fn cores(n: usize) -> Self {
-        assert!(
-            (1..=crate::coreset::MAX_CORES).contains(&n),
-            "n_cores must be in 1..={}, got {n}",
-            crate::coreset::MAX_CORES
-        );
-        MachineConfig {
+        let c = MachineConfig {
             n_cores: n,
             ..Default::default()
-        }
+        };
+        c.check().unwrap_or_else(|e| panic!("{e}"));
+        c
     }
 
     /// Shrink simulated memory to 2 MiB — fast to allocate/zero, the
@@ -318,76 +319,84 @@ impl MachineConfig {
         ]
     }
 
+    /// Every rule a machine must satisfy to be built, each stated once:
+    /// `set_kv` runs it after each assignment and `Machine::new` panics
+    /// with its error, which names the first broken knob.
+    pub fn check(&self) -> Result<(), String> {
+        let (n, words, bits) = (self.n_cores, self.mem_words, self.pc_tag_bits);
+        let levels = [
+            ("l1_sets", self.l1_sets, "l1_ways", self.l1_ways),
+            ("l2_sets", self.l2_sets, "l2_ways", self.l2_ways),
+            ("l3_sets", self.l3_sets, "l3_ways", self.l3_ways),
+        ];
+        let (key, why) = if !Self::CORES.contains(&n) {
+            ("n_cores", format!("{n} cores: not {:?}", Self::CORES))
+        } else if !fits(words) {
+            // Caches key lines by `u32`, with `u32::MAX` an empty way.
+            ("mem_words", format!("{words} words: not 1..2^32-1 lines"))
+        } else if let Some((key, n, ..)) = levels.iter().find(|l| !l.1.is_power_of_two()) {
+            (*key, format!("{n} is not a power of two"))
+        } else if let Some((.., key, _)) = levels.iter().find(|l| l.3 == 0) {
+            (*key, "0 ways: a level needs one or more".to_string())
+        } else if self.arena_chunk_words == 0 {
+            (
+                "arena_chunk_words",
+                "0 words: a chunk needs one or more".to_string(),
+            )
+        } else if !(1..=16).contains(&bits) {
+            // The width `AbortInfo::conf_pc_tag` carries.
+            ("pc_tag_bits", format!("{bits} is outside 1..=16"))
+        } else {
+            return Ok(());
+        };
+        Err(format!("machine.{key}: {why}"))
+    }
+
     /// Set one knob by its canonical key. Returns a descriptive error for
-    /// an unknown key, an unparsable value, or a value the machine cannot
-    /// be built with: a core count outside 1..=[`MAX_CORES`], a PC tag
-    /// outside 1..=16 bits (the width `AbortInfo` carries), a set count
-    /// that is not a power of two, zero ways, a zero-word arena chunk, or a
-    /// memory of zero words or of `u32::MAX` lines (caches key by `u32`).
+    /// an unknown key, an unparsable value, or a value [`Self::check`]
+    /// refuses; on error the config is left as it was.
     pub fn set_kv(&mut self, key: &str, value: &str) -> Result<(), String> {
         fn num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
             value
                 .parse()
                 .map_err(|_| format!("machine.{key}: invalid value '{value}'"))
         }
-        fn checked(key: &str, v: &str, ok: fn(usize) -> bool, why: &str) -> Result<usize, String> {
-            let n: usize = num(key, v)?;
-            ok(n)
-                .then_some(n)
-                .ok_or(format!("machine.{key}: {n} {why}"))
-        }
-        let sets = |k, v| checked(k, v, usize::is_power_of_two, "is not a power of two");
-        let ways = |k, v| checked(k, v, |n| n > 0, "ways: a level needs one or more");
+        let mut c = self.clone();
         match key {
-            "n_cores" => {
-                let n: usize = num(key, value)?;
-                if !(1..=MAX_CORES).contains(&n) {
-                    return Err(format!("machine.n_cores: {n} cores: not 1..={MAX_CORES}"));
-                }
-                self.n_cores = n;
-            }
-            "mem_words" => {
-                self.mem_words = checked(key, value, fits, "words: not 1..2^32-1 lines")?
-            }
-            "l1_latency" => self.l1_latency = num(key, value)?,
-            "l2_latency" => self.l2_latency = num(key, value)?,
-            "l3_latency" => self.l3_latency = num(key, value)?,
-            "mem_latency" => self.mem_latency = num(key, value)?,
-            "l1_sets" => self.l1_sets = sets(key, value)?,
-            "l1_ways" => self.l1_ways = ways(key, value)?,
-            "l2_sets" => self.l2_sets = sets(key, value)?,
-            "l2_ways" => self.l2_ways = ways(key, value)?,
-            "l3_sets" => self.l3_sets = sets(key, value)?,
-            "l3_ways" => self.l3_ways = ways(key, value)?,
-            "tx_begin_cost" => self.tx_begin_cost = num(key, value)?,
-            "tx_commit_cost" => self.tx_commit_cost = num(key, value)?,
-            "tx_abort_cost" => self.tx_abort_cost = num(key, value)?,
-            "alloc_cost_per_word" => self.alloc_cost_per_word = num(key, value)?,
-            "arena_chunk_words" => {
-                let why = "words: a chunk needs one or more";
-                self.arena_chunk_words = checked(key, value, |n| n > 0, why)?
-            }
-            "pc_tag_bits" => {
-                let bits: u32 = num(key, value)?;
-                if !(1..=16).contains(&bits) {
-                    return Err(format!("machine.pc_tag_bits: {bits} is outside 1..=16"));
-                }
-                self.pc_tag_bits = bits;
-            }
+            "n_cores" => c.n_cores = num(key, value)?,
+            "mem_words" => c.mem_words = num(key, value)?,
+            "l1_latency" => c.l1_latency = num(key, value)?,
+            "l2_latency" => c.l2_latency = num(key, value)?,
+            "l3_latency" => c.l3_latency = num(key, value)?,
+            "mem_latency" => c.mem_latency = num(key, value)?,
+            "l1_sets" => c.l1_sets = num(key, value)?,
+            "l1_ways" => c.l1_ways = num(key, value)?,
+            "l2_sets" => c.l2_sets = num(key, value)?,
+            "l2_ways" => c.l2_ways = num(key, value)?,
+            "l3_sets" => c.l3_sets = num(key, value)?,
+            "l3_ways" => c.l3_ways = num(key, value)?,
+            "tx_begin_cost" => c.tx_begin_cost = num(key, value)?,
+            "tx_commit_cost" => c.tx_commit_cost = num(key, value)?,
+            "tx_abort_cost" => c.tx_abort_cost = num(key, value)?,
+            "alloc_cost_per_word" => c.alloc_cost_per_word = num(key, value)?,
+            "arena_chunk_words" => c.arena_chunk_words = num(key, value)?,
+            "pc_tag_bits" => c.pc_tag_bits = num(key, value)?,
             "protocol" => {
-                self.protocol = HtmProtocol::parse(value)
+                c.protocol = HtmProtocol::parse(value)
                     .ok_or_else(|| format!("machine.protocol: invalid value '{value}'"))?;
             }
             "fallback" => {
-                self.fallback = FallbackPolicy::parse(value)
+                c.fallback = FallbackPolicy::parse(value)
                     .ok_or_else(|| format!("machine.fallback: invalid value '{value}'"))?;
             }
-            "max_read_lines" => self.max_read_lines = num(key, value)?,
-            "max_write_lines" => self.max_write_lines = num(key, value)?,
-            "record_events" => self.record_events = num(key, value)?,
-            "event_ring_capacity" => self.event_ring_capacity = num(key, value)?,
+            "max_read_lines" => c.max_read_lines = num(key, value)?,
+            "max_write_lines" => c.max_write_lines = num(key, value)?,
+            "record_events" => c.record_events = num(key, value)?,
+            "event_ring_capacity" => c.event_ring_capacity = num(key, value)?,
             other => return Err(format!("machine.{other}: unknown key")),
         }
+        c.check()?;
+        *self = c;
         Ok(())
     }
 }
@@ -422,13 +431,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "n_cores")]
+    #[should_panic(expected = "machine.n_cores: 257 cores: not 1..=256")]
     fn cores_above_max_are_rejected_at_construction() {
         let _ = MachineConfig::cores(crate::coreset::MAX_CORES + 1);
     }
 
     #[test]
-    #[should_panic(expected = "n_cores")]
+    #[should_panic(expected = "machine.n_cores: 0 cores: not 1..=256")]
     fn zero_cores_are_rejected_at_construction() {
         let _ = MachineConfig::cores(0);
     }
@@ -579,6 +588,53 @@ mod tests {
             c.set_kv(key, "1").unwrap();
         }
         assert_eq!((c.l1_ways, c.l2_ways, c.l3_ways), (1, 1, 1));
+    }
+
+    #[test]
+    fn machine_new_refuses_what_set_kv_refuses_with_its_message() {
+        // Every value the `kv_rejects_*` tests refuse, set as a struct
+        // field instead: `Machine::new` must panic with `set_kv`'s error.
+        let most = 8 * (u32::MAX as u64 - 1);
+        let mut bad = vec![
+            ("n_cores", 0),
+            ("n_cores", 257),
+            ("mem_words", 0),
+            ("mem_words", most + 1),
+            ("mem_words", 8 * u32::MAX as u64),
+            ("mem_words", u64::MAX),
+            ("arena_chunk_words", 0),
+            ("pc_tag_bits", 0),
+            ("pc_tag_bits", 17),
+            ("pc_tag_bits", 64),
+        ];
+        for key in ["l1_sets", "l2_sets", "l3_sets"] {
+            bad.extend([(key, 0), (key, 100), (key, 3)]);
+        }
+        for key in ["l1_ways", "l2_ways", "l3_ways"] {
+            bad.push((key, 0));
+        }
+        for (key, v) in bad {
+            let mut c = MachineConfig::cores(1).small();
+            let want = c.clone().set_kv(key, &v.to_string()).unwrap_err();
+            let n = v as usize;
+            match key {
+                "n_cores" => c.n_cores = n,
+                "mem_words" => c.mem_words = n,
+                "arena_chunk_words" => c.arena_chunk_words = n,
+                "pc_tag_bits" => c = c.pc_tag_bits(v as u32),
+                "l1_sets" => c.l1_sets = n,
+                "l2_sets" => c.l2_sets = n,
+                "l3_sets" => c.l3_sets = n,
+                "l1_ways" => c.l1_ways = n,
+                "l2_ways" => c.l2_ways = n,
+                "l3_ways" => c.l3_ways = n,
+                _ => unreachable!("{key}"),
+            }
+            let panic = std::panic::catch_unwind(|| crate::Machine::new(c))
+                .err()
+                .unwrap_or_else(|| panic!("Machine::new accepted {key} = {v}"));
+            assert_eq!(panic.downcast_ref::<String>(), Some(&want), "{key} = {v}");
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   another core's speculative line aborts the owner immediately (its undo
 //!   log is rolled back on the spot); the victim observes the
 //!   abort at its next operation, carrying the conflicting data address and
-//!   the 12-bit **conflicting-PC tag** of its own first access to that line
-//!   (the hardware extension of paper Section 4).
+//!   the **conflicting-PC tag** (12 low bits by default) of its own first
+//!   access to that line (the hardware extension of paper Section 4).
 //! * **Nontransactional loads, stores and CAS inside transactions** — they
 //!   bypass the speculative sets; an NT store still aborts *other* cores'
 //!   speculative lines (it is a real coherence write), while an NT load

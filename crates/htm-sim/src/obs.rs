@@ -43,7 +43,8 @@
 //! validation under the safe lazy-subscription policy — was added with
 //! the protocol matrix; every pre-existing field is unchanged); for
 //! non-conflict aborts `conf_addr` and both PC tags are 0 and `aborter`
-//! is the core's own id. PC tags are the hardware's 12-bit truncation.
+//! is the core's own id. PC tags are the hardware's truncation to the low
+//! `MachineConfig::pc_tag_bits` bits.
 //! Duration-carrying events (`lock_acquire`/`lock_timeout` `waited`,
 //! `irrevocable_exit`/`backoff` `cycles`) are stamped at the *end* of
 //! their span, so the span is `[clock - duration, clock]`.
@@ -68,7 +69,7 @@ pub enum ObsKind {
     /// The active transaction committed.
     TxCommit,
     /// The active transaction aborted. For conflicts, `victim_pc_tag` is
-    /// the 12-bit tag of *our* first access to the conflicting line (what
+    /// the PC tag of *our* first access to the conflicting line (what
     /// the hardware delivers in [`crate::AbortInfo`]), `aborter_pc_tag`
     /// the tag of the remote access that doomed us, and `aborter` the
     /// requester core's id. Capacity/explicit aborts carry zeros and the

@@ -10,7 +10,7 @@
 use crate::addr::{line_of, Addr, LINE_BYTES, WORD_BYTES};
 use crate::cache::CacheArray;
 use crate::config::{FallbackPolicy, HtmProtocol, MachineConfig};
-use crate::coreset::{CoreSet, MAX_CORES};
+use crate::coreset::CoreSet;
 use crate::directory::{Directory, Role};
 use crate::obs::{EventRing, ObsEvent, ObsKind};
 use crate::sched::{SchedStats, WinnerTree};
@@ -42,8 +42,9 @@ pub struct AbortInfo {
     pub cause: AbortCause,
     /// Line address of the conflicting datum (0 for capacity/explicit).
     pub conf_addr: Addr,
-    /// Truncated (12-bit) first-access PC tag for the conflicting line —
-    /// what real hardware with the paper's PC-tag extension would deliver.
+    /// First-access PC tag for the conflicting line, its low
+    /// [`MachineConfig::pc_tag_bits`] bits (12 by default) — what real
+    /// hardware with the paper's PC-tag extension would deliver.
     pub conf_pc_tag: u16,
     /// Full first-access PC for the conflicting line. NOT architectural:
     /// used only for ground-truth accuracy measurement (Table 3) and by
@@ -174,7 +175,7 @@ impl TxState {
 
 /// A pending remote-initiated abort: what the hardware delivers to the
 /// victim ([`AbortInfo`]) plus the observability-only attribution of who
-/// doomed it — the requester core and the 12-bit tag of the requesting
+/// doomed it — the requester core and the PC tag of the requesting
 /// access's PC (0 for nontransactional requesters).
 #[derive(Debug, Clone, Copy)]
 struct Doomed {
@@ -263,15 +264,7 @@ const HEAP_BASE: Addr = 4096;
 
 impl SimState {
     pub fn new(cfg: MachineConfig) -> SimState {
-        assert!(
-            (1..=MAX_CORES).contains(&cfg.n_cores),
-            "n_cores must be in 1..={MAX_CORES}, got {}",
-            cfg.n_cores
-        );
-        assert!(
-            cfg.arena_chunk_words > 0,
-            "arena_chunk_words must be positive"
-        );
+        cfg.check().unwrap_or_else(|e| panic!("{e}"));
         let cores = (0..cfg.n_cores)
             .map(|_| CoreState {
                 clock: 0,
@@ -1378,20 +1371,20 @@ mod tests {
         assert!(owners_empty(&s));
     }
 
-    // Struct literals bypass `set_kv`'s checks; SimState::new is the
-    // backstop for each.
+    // Struct literals bypass `set_kv`; SimState::new runs the same
+    // `MachineConfig::check` and panics with its message.
 
     #[test]
-    #[should_panic(expected = "n_cores")]
+    #[should_panic(expected = "machine.n_cores: 257 cores: not 1..=256")]
     fn more_than_max_cores_is_rejected() {
         let _ = SimState::new(MachineConfig {
-            n_cores: MAX_CORES + 1,
+            n_cores: crate::coreset::MAX_CORES + 1,
             ..MachineConfig::cores(1).small()
         });
     }
 
     #[test]
-    #[should_panic(expected = "arena_chunk_words must be positive")]
+    #[should_panic(expected = "machine.arena_chunk_words: 0 words: a chunk needs one or more")]
     fn zero_arena_chunk_is_rejected() {
         let _ = SimState::new(MachineConfig {
             arena_chunk_words: 0,
@@ -1400,7 +1393,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mem_words must be positive")]
+    #[should_panic(expected = "machine.mem_words: 0 words: not 1..2^32-1 lines")]
     fn zero_mem_words_is_rejected() {
         let _ = SimState::new(MachineConfig {
             mem_words: 0,
@@ -1409,7 +1402,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fewer than u32::MAX lines")]
+    #[should_panic(expected = "machine.mem_words: 34359738353 words: not 1..2^32-1 lines")]
     fn mem_words_of_u32_max_lines_is_rejected() {
         // Asserted before anything is allocated.
         let _ = SimState::new(MachineConfig {
@@ -1419,7 +1412,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one way")]
+    #[should_panic(expected = "machine.l2_ways: 0 ways: a level needs one or more")]
     fn zero_way_level_is_rejected() {
         let _ = SimState::new(MachineConfig {
             l2_ways: 0,

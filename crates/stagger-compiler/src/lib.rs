@@ -17,10 +17,11 @@
 //!    `ALPoint` (the [`tm_ir::Inst::AlPoint`] pseudo-instruction) is
 //!    inserted immediately before every anchor, carrying a globally unique
 //!    anchor id and the address operands of the anchored access.
-//! 4. **PC emission** — after layout, every table entry is indexed by the
-//!    program counter of its memory access, both at full width and
-//!    truncated to the hardware's 12-bit tag (aliasing and all), so the
-//!    runtime's `SearchByPC` behaves exactly as on the paper's simulator.
+//! 4. **PC emission** — after layout, every table entry carries the
+//!    program counter of its memory access: indexed at full width, and
+//!    searched by the hardware's tag (the low `pc_tag_bits` bits of the
+//!    machine's config, aliasing and all), so the runtime's `SearchByPC`
+//!    behaves exactly as on the paper's simulator.
 //!
 //! The entry point is [`compile`].
 

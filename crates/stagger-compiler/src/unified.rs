@@ -9,9 +9,10 @@
 //!
 //! After code layout, the table is indexable by the PC of each memory
 //! access — at full width (used by the software-CPC mode and ground truth)
-//! and truncated to the hardware's 12-bit tag (used by `SearchByPC` on a
-//! contention abort). Truncated-PC collisions are resolved first-wins,
-//! which is precisely the accuracy loss Table 3 measures.
+//! and by the hardware's PC tag, the low `MachineConfig::pc_tag_bits` bits
+//! (used by `SearchByPC` on a contention abort). Tag collisions are
+//! resolved first-wins, which is precisely the accuracy loss Table 3
+//! measures.
 
 use crate::anchor::LocalAnchorTable;
 use std::collections::HashMap;
@@ -42,8 +43,6 @@ pub struct UatEntry {
 pub struct UnifiedAnchorTable {
     pub ab_id: u32,
     pub entries: Vec<UatEntry>,
-    /// Truncated (12-bit) PC -> entry index; collisions first-wins.
-    by_trunc_pc: HashMap<u16, usize>,
     /// Full PC -> entry index (exact).
     by_pc: HashMap<Pc, usize>,
     /// anchor id -> entry index of that anchor's own entry.
@@ -51,11 +50,12 @@ pub struct UnifiedAnchorTable {
 }
 
 impl UnifiedAnchorTable {
-    /// The paper's `SearchByPC` against the hardware-delivered 12-bit
-    /// conflicting-PC tag. Returns the entry whose memory access matches
-    /// the tag, if the atomic block contains one.
-    pub fn search_by_pc_tag(&self, tag: u16) -> Option<&UatEntry> {
-        self.by_trunc_pc.get(&tag).map(|&i| &self.entries[i])
+    /// The paper's `SearchByPC` against the hardware-delivered
+    /// conflicting-PC tag, the PC bits under `mask`
+    /// (`MachineConfig::pc_tag_mask`). Returns the first entry whose memory
+    /// access matches the tag, if the atomic block contains one.
+    pub fn search_by_pc_tag(&self, tag: u16, mask: u64) -> Option<&UatEntry> {
+        self.entries.iter().find(|e| e.pc & mask == u64::from(tag))
     }
 
     /// Exact full-PC lookup (ground truth / software-CPC path).
@@ -144,13 +144,9 @@ pub fn build_unified_table(
     }
 
     // PC indexes.
-    let mut by_trunc_pc = HashMap::new();
     let mut by_pc = HashMap::new();
     let mut anchor_entry = HashMap::new();
     for (i, e) in entries.iter().enumerate() {
-        by_trunc_pc
-            .entry(CodeLayout::truncate_pc(e.pc))
-            .or_insert(i);
         by_pc.insert(e.pc, i);
         if e.is_anchor {
             anchor_entry.insert(e.anchor_id, i);
@@ -160,7 +156,6 @@ pub fn build_unified_table(
     UnifiedAnchorTable {
         ab_id,
         entries,
-        by_trunc_pc,
         by_pc,
         anchor_entry,
     }
@@ -170,7 +165,6 @@ pub fn build_unified_table(
 mod tests {
     use crate::compile;
     use crate::test_support::genome_like;
-    use tm_ir::CodeLayout;
 
     #[test]
     fn figure3_parent_chain() {
@@ -213,11 +207,13 @@ mod tests {
         for e in &t.entries {
             let hit = t.search_by_pc(e.pc).unwrap();
             assert_eq!(hit.pc, e.pc);
-            // Truncated search returns *an* entry with that tag; with few
-            // instructions there are no collisions, so it is the same one.
-            let tag = CodeLayout::truncate_pc(e.pc);
-            let th = t.search_by_pc_tag(tag).unwrap();
-            assert_eq!(CodeLayout::truncate_pc(th.pc), tag);
+            // At any tag width the search returns the first entry whose
+            // low bits match the tag (collisions first-wins).
+            for mask in [0xFFF, 0xFF] {
+                let th = t.search_by_pc_tag((e.pc & mask) as u16, mask).unwrap();
+                let first = t.entries.iter().find(|x| x.pc & mask == e.pc & mask);
+                assert!(std::ptr::eq(th, first.unwrap()), "mask {mask:#x}");
+            }
         }
         assert!(t.search_by_pc(0xdead_beef).is_none());
     }

@@ -21,8 +21,8 @@ pub enum Mode {
     /// alternative of Section 4 (a per-thread line→anchor map maintained at
     /// every executed ALP, with its run-time overhead charged).
     StaggeredSw,
-    /// Staggered Transactions with hardware conflicting-PC support (12-bit
-    /// per-line PC tags).
+    /// Staggered Transactions with hardware conflicting-PC support
+    /// (per-line PC tags, `MachineConfig::pc_tag_bits` wide).
     Staggered,
 }
 
@@ -109,42 +109,52 @@ impl RuntimeConfig {
         ]
     }
 
+    /// Every rule a runtime must satisfy, each stated once: `set_kv` runs
+    /// it after each assignment and `SharedRt::new` panics with its error.
+    pub fn check(&self) -> Result<(), String> {
+        let n = self.n_locks;
+        if !n.is_power_of_two() {
+            // `LockTable::new` asserts it.
+            return Err(format!("runtime.n_locks: {n} is not a power of two"));
+        }
+        if self.history_len == 0 {
+            // `AbortHistory::new` needs room for one abort.
+            return Err("runtime.history_len: must be at least 1".to_string());
+        }
+        if self.lock_spin == 0 {
+            // A zero quantum never advances `waited`: no timeout could fire.
+            return Err("runtime.lock_spin: must be at least 1".to_string());
+        }
+        Ok(())
+    }
+
     /// Set one knob by its canonical key. Returns a descriptive error for
-    /// an unknown key or an unparsable value.
+    /// an unknown key, an unparsable value, or a value [`Self::check`]
+    /// refuses; on error the config is left as it was.
     pub fn set_kv(&mut self, key: &str, value: &str) -> Result<(), String> {
         fn num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
             value
                 .parse()
                 .map_err(|_| format!("runtime.{key}: invalid value '{value}'"))
         }
+        let mut c = self.clone();
         match key {
-            "pc_thr" => self.policy.pc_thr = num(key, value)?,
-            "addr_thr" => self.policy.addr_thr = num(key, value)?,
-            "prom_thr" => self.policy.prom_thr = num(key, value)?,
-            // `AbortHistory::new` needs room for one abort.
-            "history_len" => match num(key, value)? {
-                0 => return Err("runtime.history_len: must be at least 1".to_string()),
-                n => self.history_len = n,
-            },
-            "max_retries" => self.max_retries = num(key, value)?,
-            // `LockTable::new` asserts a power of two.
-            "n_locks" => match num::<usize>(key, value)? {
-                n if n.is_power_of_two() => self.n_locks = n,
-                n => return Err(format!("runtime.n_locks: {n} is not a power of two")),
-            },
-            "lock_timeout" => self.lock_timeout = num(key, value)?,
-            "min_conflict_rate" => self.min_conflict_rate = num(key, value)?,
-            // A zero quantum never advances `waited`, so `lock_timeout`
-            // could not fire and a poll would take no time.
-            "lock_spin" => match num(key, value)? {
-                0 => return Err("runtime.lock_spin: must be at least 1".to_string()),
-                n => self.lock_spin = n,
-            },
-            "backoff_base" => self.backoff_base = num(key, value)?,
-            "alp_inactive_cost" => self.alp_inactive_cost = num(key, value)?,
-            "sw_alp_overhead" => self.sw_alp_overhead = num(key, value)?,
+            "pc_thr" => c.policy.pc_thr = num(key, value)?,
+            "addr_thr" => c.policy.addr_thr = num(key, value)?,
+            "prom_thr" => c.policy.prom_thr = num(key, value)?,
+            "history_len" => c.history_len = num(key, value)?,
+            "max_retries" => c.max_retries = num(key, value)?,
+            "n_locks" => c.n_locks = num(key, value)?,
+            "lock_timeout" => c.lock_timeout = num(key, value)?,
+            "min_conflict_rate" => c.min_conflict_rate = num(key, value)?,
+            "lock_spin" => c.lock_spin = num(key, value)?,
+            "backoff_base" => c.backoff_base = num(key, value)?,
+            "alp_inactive_cost" => c.alp_inactive_cost = num(key, value)?,
+            "sw_alp_overhead" => c.sw_alp_overhead = num(key, value)?,
             other => return Err(format!("runtime.{other}: unknown key")),
         }
+        c.check()?;
+        *self = c;
         Ok(())
     }
 
@@ -187,10 +197,15 @@ pub struct SharedRt {
     /// allocation would shift every later simulated address and perturb
     /// seeded default-policy results.
     pub hybrid: Option<LockTable>,
+    /// The machine's PC-tag mask (`MachineConfig::pc_tag_mask`): which PC
+    /// bits a delivered conflicting-PC tag carries.
+    pub pc_tag_mask: u64,
 }
 
 impl SharedRt {
+    /// Panics with [`RuntimeConfig::check`]'s error.
     pub fn new(machine: &Machine, cfg: &RuntimeConfig) -> SharedRt {
+        cfg.check().unwrap_or_else(|e| panic!("{e}"));
         let fallback = machine.config().fallback;
         let locks = LockTable::new(machine, cfg.n_locks);
         let global = GlobalLock::new(machine);
@@ -205,6 +220,7 @@ impl SharedRt {
             global,
             fallback,
             hybrid,
+            pc_tag_mask: machine.config().pc_tag_mask(),
         }
     }
 }
@@ -445,13 +461,12 @@ impl<'c> ThreadRuntime<'c> {
         let table = self.compiled.table(ab_id);
         match self.cfg.mode {
             Mode::Htm | Mode::AddrOnly => (0, 0),
-            Mode::Staggered => match table.search_by_pc_tag(info.conf_pc_tag) {
-                Some(e) => {
+            Mode::Staggered => table
+                .search_by_pc_tag(info.conf_pc_tag, self.shared.pc_tag_mask)
+                .map_or((0, 0), |e| {
                     let pc = table.anchor_entry(e.anchor_id).map_or(0, |a| a.pc);
                     (e.anchor_id, pc)
-                }
-                None => (0, 0),
-            },
+                }),
             Mode::StaggeredSw => match self.sw_map.get(&line_of(info.conf_addr)) {
                 Some(&id) => (id, self.compiled.anchor(id).pc),
                 None => (0, 0),
@@ -731,25 +746,77 @@ mod tests {
 
     #[test]
     fn staggered_mode_attributes_via_pc_tag() {
-        let c = compiled_simple();
-        let t = c.table(0);
-        let anchor_entry = t.entries.iter().find(|e| e.is_anchor).unwrap();
-        let tag = tm_ir::CodeLayout::truncate_pc(anchor_entry.pc);
-        let expected = anchor_entry.anchor_id;
+        // 64 instructions of padding lay the atomic block out past PC bit
+        // 8, so an 8-bit tag read as a 12-bit one would name no entry.
+        let mut m = Module::new();
+        let mut pad = FuncBuilder::new("pad", 1, FuncKind::Normal);
+        let mut r = pad.param(0);
+        for _ in 0..64 {
+            r = pad.addi(r, 1);
+        }
+        pad.ret(Some(r));
+        m.add_function(pad.finish());
+        let mut b = FuncBuilder::new("tx", 1, FuncKind::Atomic { ab_id: 0 });
+        let p = b.param(0);
+        for off in 0..8 {
+            let v = b.load(p, 8 * off);
+            b.store(v, p, 8 * off + 64);
+        }
+        b.ret(None);
+        m.add_function(b.finish());
+        let c = compile(&m);
+        assert!(c.table(0).entries.iter().all(|e| e.pc & 0xF00 != 0));
+        // At each width the delivered tag is the PC's low `pc_tag_bits`,
+        // and it attributes to the anchor of the first entry whose low
+        // bits match.
+        for bits in [12, 8] {
+            let c = c.clone();
+            let machine = Machine::new(MachineConfig::cores(1).small().pc_tag_bits(bits));
+            let mask = machine.config().pc_tag_mask();
+            let cfg = RuntimeConfig::with_mode(Mode::Staggered);
+            let shared = SharedRt::new(&machine, &cfg);
+            machine.run(vec![body(move |core| async move {
+                let rt = ThreadRuntime::new(cfg, &c, shared, core.tid());
+                let t = c.table(0);
+                for e in &t.entries {
+                    let info = AbortInfo {
+                        cause: htm_sim::AbortCause::Conflict,
+                        conf_addr: 0x4000,
+                        conf_pc_tag: (e.pc & mask) as u16,
+                        true_first_pc: 0,
+                    };
+                    let first = t.entries.iter().find(|x| x.pc & mask == e.pc & mask);
+                    let want = first.unwrap().anchor_id;
+                    assert_ne!(want, 0);
+                    assert_eq!(rt.attribute(0, &info).0, want, "{bits} bits: {:#x}", e.pc);
+                }
+            })]);
+        }
+    }
+
+    #[test]
+    fn shared_rt_new_refuses_what_set_kv_refuses_with_its_message() {
         let machine = Machine::new(MachineConfig::cores(1).small());
-        let cfg = RuntimeConfig::with_mode(Mode::Staggered);
-        let shared = SharedRt::new(&machine, &cfg);
-        machine.run(vec![body(move |core| async move {
-            let rt = ThreadRuntime::new(cfg, &c, shared, core.tid());
-            let info = AbortInfo {
-                cause: htm_sim::AbortCause::Conflict,
-                conf_addr: 0x4000,
-                conf_pc_tag: tag,
-                true_first_pc: 0,
-            };
-            let (id, _) = rt.attribute(0, &info);
-            assert_eq!(id, expected);
-        })]);
+        for (key, v) in [
+            ("n_locks", 0),
+            ("n_locks", 1000),
+            ("history_len", 0),
+            ("lock_spin", 0),
+        ] {
+            let mut c = RuntimeConfig::default();
+            let want = c.clone().set_kv(key, &v.to_string()).unwrap_err();
+            match key {
+                "n_locks" => c.n_locks = v as usize,
+                "history_len" => c.history_len = v as usize,
+                "lock_spin" => c.lock_spin = v,
+                _ => unreachable!("{key}"),
+            }
+            let new = std::panic::AssertUnwindSafe(|| SharedRt::new(&machine, &c));
+            let panic = std::panic::catch_unwind(new)
+                .err()
+                .unwrap_or_else(|| panic!("SharedRt::new accepted {key} = {v}"));
+            assert_eq!(panic.downcast_ref::<String>(), Some(&want), "{key} = {v}");
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@ use std::sync::Arc;
 use tm_ir::{FuncId, FuncKind, Inst, Pc, Reg};
 
 /// Sentinel "PC" used for the transactional global-lock subscription read.
-/// Odd on purpose: real instruction PCs are 4-byte aligned, so the 12-bit
-/// tag `1` can never alias a table entry.
+/// Odd on purpose: real instruction PCs are 4-byte aligned, so its tag `1`
+/// can never alias a table entry, at any tag width.
 const GLOBAL_LOCK_SUB_PC: u64 = 1;
 
 /// Sentinel "PC" for the hybrid-TM per-access ownership-stripe read (odd

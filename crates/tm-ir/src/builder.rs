@@ -58,11 +58,6 @@ impl FuncBuilder {
         r
     }
 
-    /// The block instructions are currently appended to.
-    pub fn current_block(&self) -> BlockId {
-        self.cur
-    }
-
     fn cur_block_mut(&mut self) -> &mut Block {
         let c = self.cur;
         self.func.block_mut(c)
@@ -401,14 +396,6 @@ impl FuncBuilder {
     pub fn break_if(&mut self, l: LoopHandle, cond: Reg) {
         let cont = self.new_block();
         self.cond_br(cond, l.exit, cont);
-        self.switch_to(cont);
-    }
-
-    /// Jump back to loop `l`'s header when `cond != 0`; otherwise fall
-    /// through.
-    pub fn continue_if(&mut self, l: LoopHandle, cond: Reg) {
-        let cont = self.new_block();
-        self.cond_br(cond, l.header, cont);
         self.switch_to(cont);
     }
 

@@ -80,10 +80,6 @@ impl Cfg {
     pub fn is_reachable(&self, b: BlockId) -> bool {
         self.rpo_index[b.index()].is_some()
     }
-
-    pub fn n_blocks(&self) -> usize {
-        self.succs.len()
-    }
 }
 
 #[cfg(test)]

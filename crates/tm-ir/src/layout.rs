@@ -2,7 +2,7 @@
 //!
 //! After instrumentation, every instruction is assigned a 4-byte slot in a
 //! synthetic text segment starting at [`TEXT_BASE`]. These addresses are the
-//! "PCs" the simulated hardware records in its per-cache-line 12-bit PC tag
+//! "PCs" the simulated hardware records (their low bits) in its per-line PC tag
 //! and reports on contention aborts, and they index the unified anchor
 //! tables the runtime consults — exactly the role instruction addresses play
 //! in the paper (Sections 3.4 and 4).
@@ -105,13 +105,6 @@ impl CodeLayout {
     pub fn n_insts(&self) -> usize {
         self.pc_of.len()
     }
-
-    /// Low 12 bits of a PC — what the simulated hardware's per-line tag
-    /// stores (Section 4: "one can in fact get by with just a subset of the
-    /// PC (e.g., the 12 low-order bits)").
-    pub fn truncate_pc(pc: Pc) -> u16 {
-        (pc & 0xFFF) as u16
-    }
 }
 
 #[cfg(test)]
@@ -171,16 +164,5 @@ mod tests {
         assert_eq!(l.func_at(l.text_end() - INST_BYTES), Some(g));
         assert_eq!(l.func_at(l.text_end()), None, "past the text segment");
         assert_eq!(l.func_at(TEXT_BASE - 4), None, "before the text segment");
-    }
-
-    #[test]
-    fn truncation_is_low_12_bits() {
-        assert_eq!(CodeLayout::truncate_pc(0x401_234), 0x234);
-        assert_eq!(CodeLayout::truncate_pc(0x400_000), 0);
-        // Two PCs 4096 apart alias.
-        assert_eq!(
-            CodeLayout::truncate_pc(0x400_010),
-            CodeLayout::truncate_pc(0x401_010)
-        );
     }
 }

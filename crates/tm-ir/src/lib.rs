@@ -9,7 +9,7 @@
 //! The IR plays the role LLVM IR plays in the paper: the compiler pass that
 //! inserts advisory locking points (ALPs) operates on *this* representation,
 //! and "program counters" are synthetic code addresses assigned by
-//! [`layout::CodeLayout`], so the hardware's 12-bit conflicting-PC tag is a
+//! [`layout::CodeLayout`], so the hardware's conflicting-PC tag is a
 //! real, aliasing-prone quantity just as it is on the paper's simulator.
 //!
 //! ## Shape of the IR

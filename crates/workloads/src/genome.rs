@@ -59,10 +59,6 @@ impl Workload for Genome {
         "genome"
     }
 
-    fn contention_source(&self) -> &'static str {
-        "hash table of segment lists"
-    }
-
     fn build_module(&self) -> Module {
         let mut m = Module::new();
 

@@ -89,10 +89,6 @@ impl Workload for Intruder {
         "intruder"
     }
 
-    fn contention_source(&self) -> &'static str {
-        "task queue"
-    }
-
     fn build_module(&self) -> Module {
         let mut m = Module::new();
         let queue_pop = build_queue_pop(&mut m);

@@ -65,10 +65,6 @@ impl Workload for Kmeans {
         "kmeans"
     }
 
-    fn contention_source(&self) -> &'static str {
-        "arrays"
-    }
-
     fn build_module(&self) -> Module {
         let mut m = Module::new();
 

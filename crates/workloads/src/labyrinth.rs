@@ -56,10 +56,6 @@ impl Workload for Labyrinth {
         "labyrinth"
     }
 
-    fn contention_source(&self) -> &'static str {
-        "grid cells along routed paths"
-    }
-
     fn build_module(&self) -> Module {
         let mut m = Module::new();
 

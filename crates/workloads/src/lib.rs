@@ -47,9 +47,6 @@ pub trait Workload: Sync {
     /// Short name (matches the paper's tables).
     fn name(&self) -> &'static str;
 
-    /// The contended structure, as described in the paper's Table 1.
-    fn contention_source(&self) -> &'static str;
-
     /// Build the (uninstrumented) IR module. Must contain a `Normal`
     /// function named `thread_main`; its per-thread arguments come from
     /// [`Workload::setup`].

@@ -79,10 +79,6 @@ impl Workload for ListBench {
         self.name
     }
 
-    fn contention_source(&self) -> &'static str {
-        "linked-list"
-    }
-
     fn build_module(&self) -> Module {
         let mut m = Module::new();
 

@@ -269,10 +269,6 @@ impl Workload for Memcached {
         "memcached"
     }
 
-    fn contention_source(&self) -> &'static str {
-        "statistics information"
-    }
-
     fn build_module(&self) -> Module {
         let mut m = Module::new();
         let (tx_get, tx_set) = add_kv_functions(&mut m, None);

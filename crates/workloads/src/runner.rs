@@ -20,7 +20,6 @@ pub struct BenchResult {
     pub mode: Mode,
     pub n_threads: usize,
     pub out: RunOutcome,
-    pub compile_stats: CompileStats,
     /// Host wall-clock seconds spent simulating this run (setup through
     /// validation) — the simulator's own throughput, not a paper metric.
     pub host_secs: f64,
@@ -184,7 +183,6 @@ impl<'w> PreparedWorkload<'w> {
             mode,
             n_threads,
             out,
-            compile_stats: self.compiled.stats.clone(),
             host_secs: started.elapsed().as_secs_f64(),
             events: Vec::new(),
             events_dropped: Vec::new(),

@@ -77,14 +77,19 @@ pub struct Serve {
 impl Serve {
     /// Parse a registry name of the form `serve-flash-i<cycles>` (mean
     /// interarrival `<cycles>`). `quick` shrinks the per-core request
-    /// count to smoke scale. An interarrival whose last arrival would not
-    /// fit in 64 bits is rejected.
+    /// count to smoke scale. Only the canonical spelling of `<cycles>`
+    /// parses (no sign, no leading zeros), so one run has one name. An
+    /// interarrival whose last arrival would not fit in 64 bits is
+    /// rejected.
     pub fn parse_name(name: &str, quick: bool) -> Option<Serve> {
         let interarrival: u64 = name.strip_prefix("serve-flash-i")?.parse().ok()?;
         let requests_per_core = if quick { 24 } else { 96 };
         // Every gap is under 1.5 interarrivals.
         let max_gap = interarrival.checked_add(interarrival / 2)?;
-        if interarrival == 0 || max_gap.checked_mul(requests_per_core).is_none() {
+        if interarrival == 0
+            || max_gap.checked_mul(requests_per_core).is_none()
+            || format!("serve-flash-i{interarrival}") != name
+        {
             return None;
         }
         Some(Serve {
@@ -163,10 +168,6 @@ impl Serve {
 impl Workload for Serve {
     fn name(&self) -> &'static str {
         self.name
-    }
-
-    fn contention_source(&self) -> &'static str {
-        "statistics information + flash-crowd hot keys"
     }
 
     fn build_module(&self) -> Module {
@@ -305,6 +306,9 @@ mod tests {
             "serve-flash-x800",
             "serve-flash-i0",
             "serve-flash-iNaN",
+            // Non-canonical spellings of serve-flash-i600.
+            "serve-flash-i+0600",
+            "serve-flash-i0600",
         ] {
             assert!(Serve::parse_name(bad, true).is_none(), "{bad}");
         }

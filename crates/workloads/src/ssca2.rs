@@ -51,10 +51,6 @@ impl Workload for Ssca2 {
         "ssca2"
     }
 
-    fn contention_source(&self) -> &'static str {
-        "adjacency arrays"
-    }
-
     fn build_module(&self) -> Module {
         let mut m = Module::new();
 

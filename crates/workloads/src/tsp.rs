@@ -56,10 +56,6 @@ impl Workload for Tsp {
         "tsp"
     }
 
-    fn contention_source(&self) -> &'static str {
-        "priority queue"
-    }
-
     fn build_module(&self) -> Module {
         let mut m = Module::new();
 

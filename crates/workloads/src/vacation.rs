@@ -65,10 +65,6 @@ impl Workload for Vacation {
         "vacation"
     }
 
-    fn contention_source(&self) -> &'static str {
-        "search trees"
-    }
-
     fn build_module(&self) -> Module {
         let mut m = Module::new();
 

@@ -8,8 +8,9 @@
 //!
 //! Run with: `cargo run --release --example anchor_inspection`
 
+use staggered_tx::htm_sim::MachineConfig;
 use staggered_tx::stagger_compiler::compile;
-use staggered_tx::tm_ir::{self, CodeLayout, FuncBuilder, FuncKind, Module};
+use staggered_tx::tm_ir::{self, FuncBuilder, FuncKind, Module};
 
 fn genome_like() -> Module {
     let mut m = Module::new();
@@ -86,6 +87,7 @@ fn main() {
 
     println!("\n=== unified anchor table for atomic block 0 (cf. Figure 3) ==\n");
     let t = compiled.table(0);
+    let mask = MachineConfig::default().pc_tag_mask();
     println!(
         "{:<6} {:>10} {:>6} {:>8} {:>8} {:>8}  in function",
         "kind", "pc", "tag", "anchor", "pioneer", "parent"
@@ -97,7 +99,7 @@ fn main() {
                 "{:<6} {:>#10x} {:>#6x} {:>8} {:>8} {:>8}  {}",
                 "ANCHOR",
                 e.pc,
-                CodeLayout::truncate_pc(e.pc),
+                e.pc & mask,
                 e.anchor_id,
                 "-",
                 if e.parent_anchor == 0 {
@@ -112,7 +114,7 @@ fn main() {
                 "{:<6} {:>#10x} {:>#6x} {:>8} {:>8} {:>8}  {}",
                 "",
                 e.pc,
-                CodeLayout::truncate_pc(e.pc),
+                e.pc & mask,
                 "-",
                 format!("#{}", e.anchor_id),
                 "-",
