@@ -93,6 +93,16 @@ fn bench_anchor_table() {
         i = (i + 1) % tags.len();
         black_box(table.search_by_pc_tag(tags[i], mask));
     });
+    let pcs: Vec<u64> = table.entries.iter().map(|e| e.pc).collect();
+    time_case("anchor_table/search_by_pc", 1_000_000, || {
+        i = (i + 1) % pcs.len();
+        black_box(table.search_by_pc(pcs[i]));
+    });
+    let ids: Vec<u32> = table.entries.iter().map(|e| e.anchor_id).collect();
+    time_case("anchor_table/anchor_entry", 1_000_000, || {
+        i = (i + 1) % ids.len();
+        black_box(table.anchor_entry(ids[i]));
+    });
 }
 
 fn bench_compile_pass() {

@@ -19,6 +19,16 @@ const EMPTY: u32 = u32::MAX;
 /// Ways in a set's first group; a set that fills it moves to a full group.
 const FIRST_GROUP: usize = 4;
 
+/// Can a level of `sets` × `ways` be built? Its pool holds at most `ways +
+/// FIRST_GROUP` ways per set, and below 2^31 of them every set handle
+/// `(start + 1) << 1 | grown` fits a `u32`.
+pub(crate) fn fits(sets: usize, ways: usize) -> bool {
+    let slots = ways
+        .checked_add(FIRST_GROUP)
+        .and_then(|w| w.checked_mul(sets));
+    slots.is_some_and(|n| n < 1 << 31)
+}
+
 /// One set-associative cache level tracking line presence.
 #[derive(Debug, Clone)]
 pub struct CacheArray {

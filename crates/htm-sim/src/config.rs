@@ -1,5 +1,6 @@
 //! Machine configuration — the reproduction of the paper's Table 2.
 
+use crate::cache;
 use crate::coreset::MAX_CORES;
 use crate::directory::fits;
 use std::ops::RangeInclusive;
@@ -338,6 +339,8 @@ impl MachineConfig {
             (*key, format!("{n} is not a power of two"))
         } else if let Some((.., key, _)) = levels.iter().find(|l| l.3 == 0) {
             (*key, "0 ways: a level needs one or more".to_string())
+        } else if let Some((key, sets, _, ways)) = levels.iter().find(|l| !cache::fits(l.1, l.3)) {
+            (*key, format!("{sets} sets × ({ways} + 4) ways ≥ 2^31"))
         } else if self.arena_chunk_words == 0 {
             (
                 "arena_chunk_words",
@@ -504,7 +507,8 @@ mod tests {
         }
         assert_eq!(c.pc_tag_mask(), 0xFFFF);
         for key in ["l1_sets", "l2_sets", "l3_sets"] {
-            for v in ["0", "100", "3"] {
+            // The last two hold 2^31 or more way slots at 8 ways a set.
+            for v in ["0", "100", "3", "268435456", "4611686018427387904"] {
                 let err = c.set_kv(key, v).unwrap_err();
                 assert!(err.starts_with(&format!("machine.{key}: ")), "{err}");
             }
@@ -608,10 +612,16 @@ mod tests {
             ("pc_tag_bits", 64),
         ];
         for key in ["l1_sets", "l2_sets", "l3_sets"] {
-            bad.extend([(key, 0), (key, 100), (key, 3)]);
+            bad.extend([
+                (key, 0),
+                (key, 100),
+                (key, 3),
+                (key, 1 << 28),
+                (key, 1 << 62),
+            ]);
         }
         for key in ["l1_ways", "l2_ways", "l3_ways"] {
-            bad.push((key, 0));
+            bad.extend([(key, 0), (key, 1 << 31)]);
         }
         for (key, v) in bad {
             let mut c = MachineConfig::cores(1).small();

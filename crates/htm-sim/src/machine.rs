@@ -405,7 +405,8 @@ impl<'m> Core<'m> {
 
     // ----- transactional API ---------------------------------------------
 
-    /// Begin a hardware transaction for atomic block `ab_id`.
+    /// Begin a hardware transaction for atomic block `ab_id`. The core's
+    /// last attempt must have committed or had its abort delivered.
     pub async fn tx_begin(&mut self, ab_id: u32) {
         self.gate(None, |st, tid| ((), st.tx_begin(tid, ab_id)))
             .await
@@ -435,7 +436,8 @@ impl<'m> Core<'m> {
         .await
     }
 
-    /// Is a transaction currently active (not yet observed-doomed)?
+    /// Is an attempt active: live, or doomed with its abort not yet
+    /// delivered (by its next transactional operation, or by `tx_abort`)?
     /// Reads only this core's own state, so it needs no gating.
     pub fn tx_active(&mut self) -> bool {
         self.state.borrow().tx_active(self.tid)

@@ -108,8 +108,6 @@ struct TxState {
     /// Private write buffer, sorted by address, published at commit (lazy
     /// protocol only).
     write_buffer: Vec<(Addr, u64)>,
-    /// Lines already rolled back by a remote requester.
-    rolled_back: bool,
 }
 
 impl TxState {
@@ -119,7 +117,6 @@ impl TxState {
         self.lines.clear();
         self.undo.clear();
         self.write_buffer.clear();
-        self.rolled_back = false;
     }
 
     fn find(&self, line: u64) -> Result<usize, usize> {
@@ -173,15 +170,15 @@ impl TxState {
     }
 }
 
-/// A pending remote-initiated abort: what the hardware delivers to the
-/// victim ([`AbortInfo`]) plus the observability-only attribution of who
-/// doomed it — the requester core and the PC tag of the requesting
-/// access's PC (0 for nontransactional requesters).
+/// An ended attempt whose abort is not yet delivered: what the hardware
+/// delivers ([`AbortInfo`]), who ended it (observability only: the core and
+/// its access's PC tag, 0 when nontransactional), and the attempt's start.
 #[derive(Debug, Clone, Copy)]
 struct Doomed {
     info: AbortInfo,
     aborter: u32,
     aborter_pc_tag: u16,
+    start_clock: u64,
 }
 
 /// A core parked in a spin loop whose every poll has a known outcome: all
@@ -211,10 +208,14 @@ pub(crate) struct CoreState {
     park: Option<Park>,
     l1: CacheArray,
     l2: CacheArray,
+    /// The live attempt. A doom ends it: it is rolled back and its buffers
+    /// parked in `spare_tx`, leaving only `doomed`.
     tx: Option<TxState>,
     /// Recycled transaction state: buffers from the last finished
     /// transaction, reused by the next `tx_begin` to avoid reallocation.
     spare_tx: Option<TxState>,
+    /// A doomed attempt, until its abort is delivered at the core's next
+    /// transactional operation or superseded by its own `self_abort`.
     doomed: Option<Doomed>,
     /// Iterations the core's last park elided (what `spin_wait` returns).
     pub elided: u64,
@@ -625,56 +626,70 @@ impl SimState {
 
     // ----- transactional machinery ---------------------------------------
 
-    /// If a remote requester doomed us, consume the abort now, charging the
-    /// abort-delivery cost (pipeline flush + handler dispatch + undo-log
-    /// write-back, already performed by the requester on our behalf).
+    /// If a remote requester doomed us, deliver the abort now.
     fn check_doomed(&mut self, tid: usize) -> Result<(), TxError> {
-        if let Some(d) = self.cores[tid].doomed.take() {
-            let abort_cost = self.cfg.tx_abort_cost;
-            let core = &mut self.cores[tid];
-            core.clock += abort_cost;
-            if let Some(tx) = core.tx.take() {
-                debug_assert!(tx.rolled_back, "doomed tx must have been rolled back");
-                core.stats.wasted_tx_cycles += core.clock.saturating_sub(tx.start_clock);
-                core.spare_tx = Some(tx);
-            }
-            core.stats.conflict_aborts += 1;
-            self.note(
-                tid,
-                ObsKind::TxAbort {
-                    cause: d.info.cause,
-                    conf_addr: d.info.conf_addr,
-                    victim_pc_tag: d.info.conf_pc_tag,
-                    aborter_pc_tag: d.aborter_pc_tag,
-                    aborter: d.aborter,
-                },
-            );
-            return Err(TxError::Aborted(d.info));
+        match self.cores[tid].doomed.take() {
+            Some(d) => Err(self.deliver_abort(tid, d)),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// Roll back `victim`'s transaction in place and mark it doomed with
-    /// conflict info for `conf_addr`. Called by the *requester* under the
-    /// simulator lock — the hardware analogue of the coherence message that
-    /// kills the victim. `requester`/`req_pc` identify the winning access
-    /// for conflict attribution (observability only; `req_pc` is 0 for
-    /// nontransactional requesters).
+    /// Deliver the abort of `tid`'s ended attempt `d`: charge the
+    /// abort-delivery cost (pipeline flush + handler dispatch; the rollback
+    /// is already done), count the attempt's cycles as wasted and the abort
+    /// under its cause, and record it.
+    fn deliver_abort(&mut self, tid: usize, d: Doomed) -> TxError {
+        let core = &mut self.cores[tid];
+        core.clock += self.cfg.tx_abort_cost;
+        core.stats.wasted_tx_cycles += core.clock.saturating_sub(d.start_clock);
+        let s = &mut core.stats;
+        *match d.info.cause {
+            AbortCause::Conflict => &mut s.conflict_aborts,
+            AbortCause::Capacity => &mut s.capacity_aborts,
+            AbortCause::Explicit => &mut s.explicit_aborts,
+            AbortCause::SubscriptionValidation => &mut s.subscription_aborts,
+        } += 1;
+        self.note(
+            tid,
+            ObsKind::TxAbort {
+                cause: d.info.cause,
+                conf_addr: d.info.conf_addr,
+                victim_pc_tag: d.info.conf_pc_tag,
+                aborter_pc_tag: d.aborter_pc_tag,
+                aborter: d.aborter,
+            },
+        );
+        TxError::Aborted(d.info)
+    }
+
+    /// Undo `tid`'s attempt `tx`: replay its eager writes' undo log newest
+    /// first (a lazy attempt's write buffer is simply discarded), drop its
+    /// cached copies of the lines it wrote — stale after rollback, so the
+    /// retry pays refill latency, a real component of abort cost on eager
+    /// HTM — and clear its `Readers`/`Writers` bits.
+    fn roll_back(&mut self, tid: usize, tx: &TxState) {
+        for &(addr, old) in tx.undo.iter().rev() {
+            self.write_word(addr, old);
+        }
+        for e in tx.lines.iter().filter(|e| e.written) {
+            self.drop_copies(tid, e.line);
+        }
+        self.release_ownership(tid, &tx.lines);
+    }
+
+    /// End `victim`'s attempt: roll it back, park its buffers, and leave it
+    /// doomed with conflict info for `conf_addr` — the hardware analogue of
+    /// the coherence message by which the requester kills the victim.
+    /// `requester`/`req_pc` (0 when nontransactional) identify the winning
+    /// access for conflict attribution (observability only).
     fn doom(&mut self, victim: usize, conf_addr: Addr, requester: usize, req_pc: u64) {
         let pc_mask = self.cfg.pc_tag_mask();
-        let core = &mut self.cores[victim];
-        let Some(tx) = core.tx.as_mut() else {
+        let Some(tx) = self.cores[victim].tx.take() else {
             return;
         };
-        debug_assert!(!tx.rolled_back);
-        // Undo eager writes, newest first; lazy victims simply discard
-        // their private write buffer.
-        let undo = std::mem::take(&mut tx.undo);
-        tx.write_buffer.clear();
-        let line = line_of(conf_addr);
-        let first = tx.first_pc_of(line);
-        let lines = std::mem::take(&mut tx.lines);
-        tx.rolled_back = true;
+        self.roll_back(victim, &tx);
+        let first = tx.first_pc_of(line_of(conf_addr));
+        let core = &mut self.cores[victim];
         core.doomed = Some(Doomed {
             info: AbortInfo {
                 cause: AbortCause::Conflict,
@@ -684,25 +699,9 @@ impl SimState {
             },
             aborter: requester as u32,
             aborter_pc_tag: (req_pc & pc_mask) as u16,
+            start_clock: tx.start_clock,
         });
-        for &(addr, old) in undo.iter().rev() {
-            self.write_word(addr, old);
-        }
-        // The victim's cached copies of its speculatively-written lines are
-        // stale after rollback: invalidate them, so the retry pays refill
-        // latency (a real component of abort cost on eager HTM).
-        for e in lines.iter().filter(|e| e.written) {
-            self.drop_copies(victim, e.line);
-        }
-        self.release_ownership(victim, &lines);
-        // Hand the buffers back to the doomed transaction so the core's
-        // next attempt reuses their capacity.
-        if let Some(tx) = self.cores[victim].tx.as_mut() {
-            tx.undo = undo;
-            tx.undo.clear();
-            tx.lines = lines;
-            tx.lines.clear();
-        }
+        core.spare_tx = Some(tx);
     }
 
     fn release_ownership(&mut self, tid: usize, lines: &[TxLine]) {
@@ -734,10 +733,7 @@ impl SimState {
     /// Piggybacks on operations that happen anyway (never a gated op of
     /// its own), so recording cannot perturb simulated time.
     fn note(&mut self, tid: usize, kind: ObsKind) {
-        if self.cfg.record_events {
-            let clock = self.cores[tid].clock;
-            self.cores[tid].events.push(ObsEvent { clock, kind });
-        }
+        self.note_at(tid, self.cores[tid].clock, kind);
     }
 
     /// Record an observability event for `tid` at an explicit clock —
@@ -780,77 +776,84 @@ impl SimState {
         self.commit_lock_addr = Some(addr);
     }
 
-    /// Begin a hardware transaction on `tid`.
+    /// Begin a hardware transaction on `tid`. The core's last attempt must
+    /// have ended: committed, or aborted with the abort delivered.
     pub fn tx_begin(&mut self, tid: usize, ab_id: u32) -> u64 {
         self.note(tid, ObsKind::TxBegin { ab_id });
         let core = &mut self.cores[tid];
         assert!(
-            core.tx.is_none(),
+            core.tx.is_none() && core.doomed.is_none(),
             "nested hardware transaction on core {tid}"
         );
-        // A doom left over from a transaction the runtime already gave up
-        // on cannot exist: check_doomed consumed it. Defensive clear:
-        core.doomed = None;
         let mut tx = core.spare_tx.take().unwrap_or_default();
         tx.reset(core.clock);
         core.tx = Some(tx);
         self.cfg.tx_begin_cost
     }
 
-    /// Is a transaction active (and not yet observed-doomed)?
+    /// Is an attempt active: live, or doomed with its abort not yet
+    /// delivered?
     pub fn tx_active(&self, tid: usize) -> bool {
-        self.cores[tid].tx.is_some()
+        let c = &self.cores[tid];
+        c.tx.is_some() || c.doomed.is_some()
     }
 
-    /// Transactional load.
+    /// What a transactional load (`write == false`) and store share: deliver
+    /// a pending doom, then the bound check, the eager conflict walk, the
+    /// cache fill with its capacity abort, and the footprint entry and
+    /// directory bit of a line not yet held. Returns the cache latency.
     ///
-    /// A line this attempt already holds (its core is in the line's
-    /// `Readers` or `Writers`) needs no conflict check and no footprint or
-    /// directory update: under requester-wins, any remote access that
-    /// could have revoked the bit doomed this core, and `check_doomed`
-    /// has just consumed any doom. The caches are touched either way.
-    pub fn tx_load(&mut self, tid: usize, addr: Addr, pc: u64) -> (Result<u64, TxError>, u64) {
-        if let Err(e) = self.check_doomed(tid) {
-            return (Err(e), 0);
-        }
-        assert!(self.tx_active(tid), "tx_load outside transaction");
+    /// Held means in `Readers ∪ Writers` for a load, in `Writers` for a
+    /// store (an upgrade may share the line with remote readers the walk
+    /// must doom). Under requester-wins any remote access that could have
+    /// revoked the bit doomed this core, so a held line skips the walk.
+    fn tx_access(&mut self, tid: usize, addr: Addr, pc: u64, write: bool) -> Result<u64, TxError> {
+        self.check_doomed(tid)?;
+        let tx = self.cores[tid].tx.as_ref().expect("no transaction");
         let line = line_of(addr);
-        let held = self.dir.get(line, Role::Readers).contains(tid)
+        let held = (!write && self.dir.get(line, Role::Readers).contains(tid))
             || self.dir.get(line, Role::Writers).contains(tid);
         debug_assert_eq!(
             held,
-            self.cores[tid].tx.as_ref().unwrap().spec_contains(line),
-            "directory bits of line {line:#x} disagree with core {tid}'s read set"
+            tx.find(line).is_ok_and(|i| !write || tx.lines[i].written),
+            "directory bits of line {line:#x} disagree with core {tid}'s footprint"
         );
-        if self.set_bound_exceeded(tid, line, false) {
-            return (Err(self.self_abort(tid, AbortCause::Capacity)), 0);
+        if self.set_bound_exceeded(tid, line, write) {
+            return Err(self.self_abort(tid, AbortCause::Capacity));
         }
         if !held && self.cfg.protocol == HtmProtocol::Eager {
-            // Eager: a read request aborts any remote speculative writer.
-            self.resolve_conflicts(tid, addr, false, pc);
+            // Requester wins: a read aborts remote speculative writers, a
+            // write every remote speculative owner.
+            self.resolve_conflicts(tid, addr, write, pc);
         }
-        match self.touch_caches(tid, line, true) {
+        let Ok(lat) = self.touch_caches(tid, line, true) else {
+            return Err(self.self_abort(tid, AbortCause::Capacity));
+        };
+        let core = &mut self.cores[tid];
+        core.stats.tx_mem_ops += 1;
+        if !held {
+            core.tx.as_mut().unwrap().touch_line(line, pc, write);
+            let role = if write { Role::Writers } else { Role::Readers };
+            self.dir.update(line, role, |s| s.insert(tid));
+        }
+        Ok(lat)
+    }
+
+    /// Transactional load. Under the lazy protocol the attempt's own
+    /// buffered write shadows memory.
+    pub fn tx_load(&mut self, tid: usize, addr: Addr, pc: u64) -> (Result<u64, TxError>, u64) {
+        match self.tx_access(tid, addr, pc, false) {
             Ok(lat) => {
-                let core = &mut self.cores[tid];
-                let tx = core.tx.as_mut().unwrap();
-                core.stats.tx_mem_ops += 1;
-                // Lazy: our own buffered write shadows memory.
-                let buffered = tx.buffered(addr);
-                if !held {
-                    tx.touch_line(line, pc, false);
-                    self.dir.update(line, Role::Readers, |s| s.insert(tid));
-                }
+                let buffered = self.cores[tid].tx.as_ref().unwrap().buffered(addr);
                 (Ok(buffered.unwrap_or_else(|| self.dir.load(addr))), lat)
             }
-            Err(()) => (Err(self.self_abort(tid, AbortCause::Capacity)), 0),
+            Err(e) => (Err(e), 0),
         }
     }
 
-    /// Transactional store (eager versioning: in place, undo-logged).
-    ///
-    /// Held means in the line's `Writers`: a read-held line being upgraded
-    /// may share the line with remote readers, whom the conflict check
-    /// must doom. See `tx_load` for why a held line skips it.
+    /// Transactional store: eager versioning writes in place, undo-logged,
+    /// and takes the line exclusively; lazy versioning buffers the value
+    /// privately until commit.
     pub fn tx_store(
         &mut self,
         tid: usize,
@@ -858,85 +861,47 @@ impl SimState {
         val: u64,
         pc: u64,
     ) -> (Result<(), TxError>, u64) {
-        if let Err(e) = self.check_doomed(tid) {
-            return (Err(e), 0);
+        let lat = match self.tx_access(tid, addr, pc, true) {
+            Ok(lat) => lat,
+            Err(e) => return (Err(e), 0),
+        };
+        let old = self.dir.load(addr);
+        let tx = self.cores[tid].tx.as_mut().unwrap();
+        if self.cfg.protocol == HtmProtocol::Eager {
+            tx.undo.push((addr, old));
+            self.write_word(addr, val);
+            self.invalidate_others(tid, line_of(addr));
+        } else {
+            tx.buffer_store(addr, val);
         }
-        assert!(self.tx_active(tid), "tx_store outside transaction");
-        let eager = self.cfg.protocol == HtmProtocol::Eager;
-        let line = line_of(addr);
-        let held = self.dir.get(line, Role::Writers).contains(tid);
-        debug_assert_eq!(
-            held,
-            (self.cores[tid].tx.as_ref())
-                .is_some_and(|t| t.find(line).is_ok_and(|i| t.lines[i].written)),
-            "directory bits of line {line:#x} disagree with core {tid}'s write set"
-        );
-        if self.set_bound_exceeded(tid, line, true) {
-            return (Err(self.self_abort(tid, AbortCause::Capacity)), 0);
-        }
-        if !held && eager {
-            self.resolve_conflicts(tid, addr, true, pc);
-        }
-        match self.touch_caches(tid, line, true) {
-            Ok(lat) => {
-                let old = self.dir.load(addr);
-                let core = &mut self.cores[tid];
-                core.stats.tx_mem_ops += 1;
-                if !held {
-                    core.tx.as_mut().unwrap().touch_line(line, pc, true);
-                    self.dir.update(line, Role::Writers, |s| s.insert(tid));
-                }
-                let tx = self.cores[tid].tx.as_mut().unwrap();
-                if eager {
-                    // In place, undo-logged, exclusive.
-                    tx.undo.push((addr, old));
-                    self.write_word(addr, val);
-                    self.invalidate_others(tid, line);
-                } else {
-                    // Private buffer; published at commit.
-                    tx.buffer_store(addr, val);
-                }
-                (Ok(()), lat)
-            }
-            Err(()) => (Err(self.self_abort(tid, AbortCause::Capacity)), 0),
-        }
+        (Ok(()), lat)
     }
 
-    /// Self-initiated abort (capacity, or explicit from the runtime).
-    /// Rolls back, releases ownership, accounts the attempt as wasted.
+    /// Self-initiated abort (capacity, commit validation, or explicit from
+    /// the runtime): end the attempt and deliver its abort at once. A doom
+    /// that landed after the caller's last transactional operation — a
+    /// global-lock release or a stripe claim between the runtime's check
+    /// and its `tx_abort` — has already ended the attempt; this abort
+    /// supersedes it and counts under `cause` alone.
     pub fn self_abort(&mut self, tid: usize, cause: AbortCause) -> TxError {
-        let abort_cost = self.cfg.tx_abort_cost;
         let core = &mut self.cores[tid];
-        let tx = core.tx.take().expect("self_abort without transaction");
-        core.clock += abort_cost;
-        core.stats.wasted_tx_cycles += core.clock.saturating_sub(tx.start_clock);
-        match cause {
-            AbortCause::Capacity => core.stats.capacity_aborts += 1,
-            AbortCause::Explicit => core.stats.explicit_aborts += 1,
-            AbortCause::SubscriptionValidation => core.stats.subscription_aborts += 1,
-            AbortCause::Conflict => unreachable!("conflict aborts come from doom()"),
-        }
-        if !tx.rolled_back {
-            for &(addr, old) in tx.undo.iter().rev() {
-                self.write_word(addr, old);
+        let superseded = core.doomed.take();
+        let start_clock = match core.tx.take() {
+            Some(tx) => {
+                self.roll_back(tid, &tx);
+                let start = tx.start_clock;
+                self.cores[tid].spare_tx = Some(tx);
+                start
             }
-            for e in tx.lines.iter().filter(|e| e.written) {
-                self.drop_copies(tid, e.line);
-            }
-            self.release_ownership(tid, &tx.lines);
-        }
-        self.cores[tid].spare_tx = Some(tx);
-        self.note(
-            tid,
-            ObsKind::TxAbort {
-                cause,
-                conf_addr: 0,
-                victim_pc_tag: 0,
-                aborter_pc_tag: 0,
-                aborter: tid as u32,
-            },
-        );
-        TxError::Aborted(AbortInfo::simple(cause))
+            None => superseded.expect("no transaction").start_clock,
+        };
+        let d = Doomed {
+            info: AbortInfo::simple(cause),
+            aborter: tid as u32,
+            aborter_pc_tag: 0,
+            start_clock,
+        };
+        self.deliver_abort(tid, d)
     }
 
     /// Commit the active transaction. Under the lazy protocol this is
@@ -963,14 +928,11 @@ impl SimState {
                 }
             }
         }
+        // Out of the core, its footprint can drive dooms and write-back
+        // without aliasing the simulator state.
+        let tx = self.cores[tid].tx.take().expect("no transaction");
         let mut commit_cost = self.cfg.tx_commit_cost;
         if self.cfg.protocol == HtmProtocol::Lazy {
-            // Take the transaction out so its footprint can drive dooms
-            // and write-back without aliasing the simulator state.
-            let tx = self.cores[tid]
-                .tx
-                .take()
-                .expect("commit without transaction");
             for e in tx.lines.iter().filter(|e| e.written) {
                 // Committer wins: doom every other reader/writer of the
                 // line, attributed to the committer's first access to it.
@@ -983,10 +945,8 @@ impl SimState {
             for e in tx.lines.iter().filter(|e| e.written) {
                 self.invalidate_others(tid, e.line);
             }
-            self.cores[tid].tx = Some(tx);
         }
         let core = &mut self.cores[tid];
-        let tx = core.tx.take().expect("commit without transaction");
         core.stats.commits += 1;
         core.stats.useful_tx_cycles += core.clock.saturating_sub(tx.start_clock) + commit_cost;
         self.release_ownership(tid, &tx.lines);
@@ -1048,21 +1008,13 @@ impl SimState {
     }
 
     /// Nontransactional compare-and-swap; returns success. One memory
-    /// operation's latency either way.
+    /// operation either way: [`Self::nt_store`]'s on success, else
+    /// [`Self::nt_load`]'s.
     pub fn nt_cas(&mut self, tid: usize, addr: Addr, old: u64, new: u64) -> (bool, u64) {
-        let line = line_of(addr);
-        let cur = self.dir.load(addr);
-        if cur == old {
-            self.resolve_conflicts(tid, addr, true, 0);
-            let lat = self.touch_caches(tid, line, false).unwrap();
-            self.cores[tid].stats.nt_mem_ops += 1;
-            self.write_word(addr, new);
-            self.invalidate_others(tid, line);
-            (true, lat)
+        if self.dir.load(addr) == old {
+            (true, self.nt_store(tid, addr, new))
         } else {
-            let lat = self.touch_caches(tid, line, false).unwrap();
-            self.cores[tid].stats.nt_mem_ops += 1;
-            (false, lat)
+            (false, self.nt_load(tid, addr).1)
         }
     }
 
@@ -1084,16 +1036,8 @@ impl SimState {
         if start + bytes > core.arena_end {
             // Refill: carve a fresh chunk from the global heap (line
             // aligned so arenas of different threads never share lines).
-            let base = (self.heap_next + LINE_BYTES - 1) & !(LINE_BYTES - 1);
-            assert!(
-                (base + chunk) / WORD_BYTES <= self.dir.mem_words as u64,
-                "simulated heap exhausted"
-            );
-            self.heap_next = base + chunk;
-            let core = &mut self.cores[tid];
-            core.arena_next = base;
-            core.arena_end = base + chunk;
-            start = base;
+            start = self.carve(chunk, true);
+            self.cores[tid].arena_end = start + chunk;
         }
         let core = &mut self.cores[tid];
         core.arena_next = start + bytes;
@@ -1103,7 +1047,12 @@ impl SimState {
 
     /// Host-side allocation (setup code, zero simulated cycles).
     pub fn host_alloc(&mut self, words: u64, line_align: bool) -> Addr {
-        let bytes = words * WORD_BYTES;
+        self.carve(words * WORD_BYTES, line_align)
+    }
+
+    /// Take `bytes` from the global heap, starting on a line boundary when
+    /// `line_align`.
+    fn carve(&mut self, bytes: u64, line_align: bool) -> Addr {
         let mut base = self.heap_next;
         if line_align {
             base = (base + LINE_BYTES - 1) & !(LINE_BYTES - 1);
@@ -1682,6 +1631,52 @@ mod tests {
         assert_eq!(e.info().cause, AbortCause::Explicit);
         assert_eq!(s.host_load(a), 4);
         assert_eq!(s.cores[0].stats.explicit_aborts, 1);
+    }
+
+    #[test]
+    fn a_doom_that_lands_before_a_self_abort_is_superseded_by_it() {
+        // The global-lock holder's release dooms a subscriber that read the
+        // lock as held, after the subscriber saw it held and before its own
+        // abort: the attempt ends once, counted under the self-abort's cause.
+        let mut cfg = MachineConfig::cores(2).small();
+        cfg.record_events = true;
+        let mut s = SimState::new(cfg);
+        let lock = s.host_alloc(8, true);
+        let a = s.host_alloc(8, true);
+        s.host_store(lock, 1);
+        s.tx_begin(0, 1);
+        assert_eq!(s.tx_load(0, lock, 0x100).0.unwrap(), 1);
+        s.nt_store(1, lock, 0);
+        let e = s.self_abort(0, AbortCause::Explicit);
+        assert_eq!(e.info(), AbortInfo::simple(AbortCause::Explicit));
+        let st = &s.cores[0].stats;
+        assert_eq!((st.explicit_aborts, st.conflict_aborts), (1, 0));
+        assert_eq!(st.wasted_tx_cycles, s.cfg.tx_abort_cost, "charged once");
+        assert!(!s.tx_active(0));
+        s.tx_begin(0, 2);
+        s.tx_store(0, a, 5, 0x104).0.unwrap();
+        s.tx_commit(0).0.unwrap();
+        assert_eq!((s.cores[0].stats.commits, s.host_load(a)), (1, 5));
+        assert!(owners_empty(&s));
+        let kinds: Vec<_> = s.cores[0]
+            .events
+            .take()
+            .into_iter()
+            .map(|e| e.kind)
+            .collect();
+        assert!(matches!(
+            kinds[..],
+            [
+                ObsKind::TxBegin { ab_id: 1 },
+                ObsKind::TxAbort {
+                    cause: AbortCause::Explicit,
+                    aborter: 0,
+                    ..
+                },
+                ObsKind::TxBegin { ab_id: 2 },
+                ObsKind::TxCommit,
+            ]
+        ));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Unified anchor tables (paper Section 3.3) and their PC indexes.
+//! Unified anchor tables (paper Section 3.3) and their PC searches.
 //!
 //! One table per atomic block, merging the local anchor tables of every
 //! function transitively called from it, with DSNodes mapped into the
@@ -7,7 +7,7 @@
 //! the same anchor may have different parents in different atomic blocks'
 //! tables — the context sensitivity the paper calls out.
 //!
-//! After code layout, the table is indexable by the PC of each memory
+//! After code layout, the table is searchable by the PC of each memory
 //! access — at full width (used by the software-CPC mode and ground truth)
 //! and by the hardware's PC tag, the low `MachineConfig::pc_tag_bits` bits
 //! (used by `SearchByPC` on a contention abort). Tag collisions are
@@ -42,11 +42,10 @@ pub struct UatEntry {
 #[derive(Debug, Clone)]
 pub struct UnifiedAnchorTable {
     pub ab_id: u32,
+    /// Every access of the atomic block: PCs are distinct, and each anchor
+    /// id has one entry of its own (`is_anchor`), so the scans below find
+    /// the one match.
     pub entries: Vec<UatEntry>,
-    /// Full PC -> entry index (exact).
-    by_pc: HashMap<Pc, usize>,
-    /// anchor id -> entry index of that anchor's own entry.
-    anchor_entry: HashMap<u32, usize>,
 }
 
 impl UnifiedAnchorTable {
@@ -60,12 +59,14 @@ impl UnifiedAnchorTable {
 
     /// Exact full-PC lookup (ground truth / software-CPC path).
     pub fn search_by_pc(&self, pc: Pc) -> Option<&UatEntry> {
-        self.by_pc.get(&pc).map(|&i| &self.entries[i])
+        self.entries.iter().find(|e| e.pc == pc)
     }
 
     /// The entry of an anchor id.
     pub fn anchor_entry(&self, id: u32) -> Option<&UatEntry> {
-        self.anchor_entry.get(&id).map(|&i| &self.entries[i])
+        self.entries
+            .iter()
+            .find(|e| e.is_anchor && e.anchor_id == id)
     }
 
     /// Parent anchor of `id` (0 if none).
@@ -75,7 +76,7 @@ impl UnifiedAnchorTable {
 
     /// Number of anchors in this table.
     pub fn n_anchors(&self) -> usize {
-        self.anchor_entry.len()
+        self.entries.iter().filter(|e| e.is_anchor).count()
     }
 }
 
@@ -143,22 +144,7 @@ pub fn build_unified_table(
         e.parent_anchor = parent.unwrap_or(0);
     }
 
-    // PC indexes.
-    let mut by_pc = HashMap::new();
-    let mut anchor_entry = HashMap::new();
-    for (i, e) in entries.iter().enumerate() {
-        by_pc.insert(e.pc, i);
-        if e.is_anchor {
-            anchor_entry.insert(e.anchor_id, i);
-        }
-    }
-
-    UnifiedAnchorTable {
-        ab_id,
-        entries,
-        by_pc,
-        anchor_entry,
-    }
+    UnifiedAnchorTable { ab_id, entries }
 }
 
 #[cfg(test)]

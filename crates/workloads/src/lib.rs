@@ -146,3 +146,37 @@ pub(crate) fn sum_slots(machine: &Machine, base: u64, n_threads: usize, off: u64
         .map(|t| machine.host_load(stat_slot(base, t) + off * 8))
         .sum()
 }
+
+#[cfg(test)]
+mod tests {
+    /// `UnifiedAnchorTable`'s searches return the first match in `entries`,
+    /// so each must have only one: in every table of every workload, PCs
+    /// are distinct and every anchor id has exactly one anchor entry.
+    #[test]
+    fn anchor_tables_have_distinct_pcs_and_one_entry_per_anchor() {
+        for w in super::all_workloads() {
+            let c = stagger_compiler::compile(&w.build_module());
+            assert!(!c.tables.is_empty(), "{}", w.name());
+            for (ab, t) in &c.tables {
+                let mut pcs: Vec<_> = t.entries.iter().map(|e| e.pc).collect();
+                pcs.sort_unstable();
+                let n = pcs.len();
+                pcs.dedup();
+                assert_eq!(pcs.len(), n, "{} block {ab}: a PC repeats", w.name());
+                for e in &t.entries {
+                    let own = t
+                        .entries
+                        .iter()
+                        .filter(|a| a.is_anchor && a.anchor_id == e.anchor_id);
+                    assert_eq!(
+                        own.count(),
+                        1,
+                        "{} block {ab}: anchor {}",
+                        w.name(),
+                        e.anchor_id
+                    );
+                }
+            }
+        }
+    }
+}

@@ -5,9 +5,10 @@
 #
 # Gates, in order:
 #   - cargo fmt --check and clippy -D warnings;
-#   - release builds of the workspace root and the exhibit binaries;
-#   - tier-1 tests (among them golden_quick: 29 of the golden run
-#     digests) and the workspace tests, among them cli_usage (removed
+#   - release builds of the default members (the root and every crate
+#     but bench) and the exhibit binaries;
+#   - tier-1 tests (every default member's tests, among them golden_quick:
+#     29 of the golden run digests) and the workspace tests, among them cli_usage (removed
 #     flags, serve's --dist and overflowing --loads, and --threads 0 /
 #     257 on paper, scaling, serve, profile and sweep print usage and
 #     exit 2) and ablations_fallback (--fallback reaches every ablation);
